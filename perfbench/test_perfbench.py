@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from perfbench import workloads
+from perfbench import speed, workloads
+from perfbench.speed import SpeedProbe
 from perfbench.tracing import Probes, Tracer, tail_percentile
 from perfbench.workloads import GridWorkload, ServeWorkload, load_spec, measure
 
@@ -136,6 +137,16 @@ def test_best_takes_each_position_minimum_across_passes():
     assert _best(passes, "units").tolist() == [2.0, 0.5]
 
 
+def test_speed_factors_use_median_of_nearest_probes():
+    probe = SpeedProbe()
+    probe.stamps = [float(t) for t in range(10)]
+    # fast (1x reference) for t < 5, twice as slow from t = 5 on; one outlier
+    probe.seconds = [speed.REFERENCE_S * (1 if t < 5 else 2) for t in range(10)]
+    probe.seconds[1] = 50 * speed.REFERENCE_S
+    factors = probe.factors([0.5, 2.5, 7.5, 100.0])
+    assert factors.tolist() == [1.0, 1.0, 0.5, 0.5]
+
+
 # -- tracing is transparent -----------------------------------------------------------
 
 def test_traced_pass_is_bitwise_equal_and_probes_restore():
@@ -147,11 +158,11 @@ def test_traced_pass_is_bitwise_equal_and_probes_restore():
     originals = (Algorithm.run, base.measure_plan, plan.measure_plan, QueryMatrix.matvec)
     grid = TINY["grid-1d"]
     state = grid.setup(11)
-    untraced = grid.run_pass(state, 11, Tracer())
+    untraced = grid.run_pass(state, 11, Tracer(), SpeedProbe())
     tracer = Tracer()
     with Probes(tracer):
         assert Algorithm.run is not originals[0]
-        traced = grid.run_pass(state, 11, tracer)
+        traced = grid.run_pass(state, 11, tracer, SpeedProbe())
     assert (Algorithm.run, base.measure_plan, plan.measure_plan,
             QueryMatrix.matvec) == originals
     assert traced.digest == untraced.digest

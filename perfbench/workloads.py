@@ -11,9 +11,10 @@ one uncached million-rectangle batch per release, with the write path
 
 A *pass* is one complete execution of a workload's fixed work; a run
 repeats passes while its time budget lasts and reports each unit's best
-time across them.  Every pass checks its outputs outside the timed
-segments and hashes them, so passes, and traced against untraced runs,
-can be compared bitwise.
+time across them, every time first scaled to the host's reference speed
+by the probes taken between units (:mod:`perfbench.speed`).  Every pass
+checks its outputs outside the timed segments and hashes them, so passes,
+and traced against untraced runs, can be compared bitwise.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from perfbench.host import peak_rss_mb, reset_peak_rss
+from perfbench.speed import WINDOW, SpeedProbe
 from perfbench.tracing import Probes, Tracer, algo_span, tail_percentile
 from repro.algorithms.base import PlanAlgorithm
 from repro.core.error import scaled_average_per_query_error
@@ -72,6 +74,7 @@ def load_spec() -> dict:
 class Segment:
     seconds: float = 0.0
     peak_mb: float = 0.0
+    at: float = 0.0
 
 
 @dataclass
@@ -80,7 +83,9 @@ class Pass:
 
     ``units`` (seconds) and ``latencies_us`` list the pass's timed units and
     operation latencies in an order every pass repeats, so a run can line
-    its passes up and take each unit's best time (see :func:`measure`).
+    its passes up and take each unit's best time (see :func:`measure`);
+    ``unit_at`` and ``latency_at`` are the ``perf_counter`` midpoints they
+    were measured at, for :meth:`SpeedProbe.factors`.
     """
 
     wall_s: float = 0.0
@@ -88,7 +93,9 @@ class Pass:
     attempted: int = 0
     failed: int = 0
     units: list = field(default_factory=list)
+    unit_at: list = field(default_factory=list)
     latencies_us: list = field(default_factory=list)
+    latency_at: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     tolerated: int = 0
     layers: dict = field(default_factory=dict)
@@ -109,9 +116,21 @@ class Pass:
             yield segment
         finally:
             segment.seconds = time.perf_counter() - start
+            segment.at = start + segment.seconds / 2
             segment.peak_mb = peak_rss_mb()
             self.wall_s += segment.seconds
             self.peak_mb = max(self.peak_mb, segment.peak_mb)
+
+    def unit(self, segment: Segment) -> None:
+        """Record ``segment`` as the pass's next timed unit."""
+        self.units.append(segment.seconds)
+        self.unit_at.append(segment.at)
+
+    def scale(self, probe: SpeedProbe) -> None:
+        """Scale every unit and latency to the reference speed."""
+        self.units = list(np.asarray(self.units) * probe.factors(self.unit_at))
+        self.latencies_us = list(np.asarray(self.latencies_us)
+                                 * probe.factors(self.latency_at))
 
     def absorb(self, array: np.ndarray) -> None:
         self._digest.update(np.ascontiguousarray(array).tobytes())
@@ -156,15 +175,21 @@ class GridWorkload:
         bench = self.bench()
         return bench, len(bench.jobs())
 
-    def run_pass(self, state, seed: int, tracer: Tracer) -> Pass:
+    def run_pass(self, state, seed: int, tracer: Tracer, probe: SpeedProbe) -> Pass:
         """One sweep.  Job boundaries come from the ``progress`` callback,
-        which ``DPBench.run`` calls once per completed record."""
+        which ``DPBench.run`` calls once per completed record; the speed
+        probes run between jobs, outside their spans."""
         bench, n_jobs = state
         out = Pass()
         job_ns: list[int] = []
 
-        def progress(_line: str) -> None:
+        def end_job() -> None:
             job_ns.append(tracer.end())
+            out.unit_at.append(time.perf_counter() - job_ns[-1] / 2e9)
+
+        def progress(_line: str) -> None:
+            end_job()
+            probe.maybe_sample()
             if len(job_ns) < n_jobs:
                 tracer.begin(JOB_SPAN)
 
@@ -174,7 +199,7 @@ class GridWorkload:
                 results = bench.run(rng=seed, progress=progress)
             finally:
                 if len(job_ns) < n_jobs:
-                    job_ns.append(tracer.end())
+                    end_job()
 
         records = results.records
         out.attempted = max(len(records), n_jobs)
@@ -189,6 +214,7 @@ class GridWorkload:
             out.errors.extend(record.errors[np.isfinite(record.errors)].tolist())
         out.units = [ns / 1e9 for ns in job_ns]
         out.latencies_us = [ns / 1e3 for ns in job_ns]
+        out.latency_at = out.unit_at
         out.layers = {
             "executor.jobs_n": len(job_ns),
             "executor.job_p50_ms": np.percentile(job_ns, 50) / 1e6,
@@ -240,7 +266,9 @@ class ServeWorkload:
             })
         return state
 
-    def run_pass(self, state: list[dict], seed: int, tracer: Tracer) -> Pass:
+    def run_pass(self, state: list[dict], seed: int, tracer: Tracer,
+                 probe: SpeedProbe) -> Pass:
+        """One pass; a speed probe runs before every timed segment."""
         out = Pass()
         point_s = batch_s = release_s = 0.0
         cache_totals: dict[str, int] = {}
@@ -253,9 +281,10 @@ class ServeWorkload:
                 # same histograms, which makes passes comparable bitwise.
                 rng = np.random.default_rng([seed, index, phase])  # privlint: disable=PL001
                 before = tracer.snapshot()
+                probe.maybe_sample()
                 with out.timed() as segment:
                     release = service.release(inputs["counts"], rng=rng)
-                out.units.append(segment.seconds)
+                out.unit(segment)
                 delta = tracer.snapshot() - before
                 stages["s"].append(segment.seconds)
                 stages["peak"].append(segment.peak_mb)
@@ -265,17 +294,18 @@ class ServeWorkload:
                 out.attempted += 1
                 self._check_release(out, inputs, release)
 
+                probe.maybe_sample()
                 answers, latencies = self._point_phase(out, service, inputs["sequence"])
                 point_s += sum(latencies) / 1e6
-                out.latencies_us.extend(latencies)
                 truth = QueryMatrix(inputs["pool_lo"], inputs["pool_hi"],
                                     inputs["shape"]).matvec(release.histogram)
                 out.attempted += len(answers)
                 out.failed += _bitwise_mismatches(answers, truth[inputs["picks"]])
 
+                probe.maybe_sample()
                 with out.timed() as segment:
                     batch = service.query_batch(inputs["batch_lo"], inputs["batch_hi"])
-                out.units.append(segment.seconds)
+                out.unit(segment)
                 batch_s += segment.seconds
                 truth = QueryMatrix(inputs["batch_lo"], inputs["batch_hi"],
                                     inputs["shape"]).matvec(release.histogram)
@@ -325,7 +355,9 @@ class ServeWorkload:
                 start = clock()
                 answers[k] = query(lo, hi)
                 latencies[k] = (clock() - start) / 1e3
-        out.units.append(segment.seconds)
+        out.unit(segment)
+        out.latencies_us.extend(latencies)
+        out.latency_at.extend([segment.at] * len(latencies))
         return answers, latencies
 
 
@@ -401,14 +433,24 @@ def _with_units(values: dict, declared: list[dict]) -> dict:
                              "unit": metric["unit"]} for metric in declared}
 
 
+def _scale(passes: list[Pass], probe: SpeedProbe) -> None:
+    """Take :data:`WINDOW` closing probes, so the last units have probes on
+    both sides, then scale every pass to the reference speed."""
+    for _ in range(WINDOW):
+        probe.sample()
+    for one in passes:
+        one.scale(probe)
+
+
 def _best(passes: list[Pass], attr: str) -> np.ndarray:
     """Each position's smallest value across the passes.
 
-    The host alternates between a fast and a slow speed, about 1.7x apart,
-    for stretches of a fraction of a second to tens of seconds.  A run's
-    passes meet each unit of work at different moments, so its best time
-    across them is the unit's cost at full speed, and the sum over units
-    moves far less from run to run than any one pass's wall time.
+    The host alternates between a fast and a slow speed for stretches of a
+    fraction of a second to minutes.  A run's passes meet each unit of work
+    at different moments, so its best time across them is the unit's cost
+    at full speed, and the sum over units moves far less from run to run
+    than any one pass's wall time; the speed scaling (:func:`_scale`)
+    covers the stretches longer than a pass.
     """
     rows = [getattr(p, attr) for p in passes]
     width = min(map(len, rows))
@@ -425,26 +467,38 @@ def measure(name: str, seed: int, seconds: float, trace: bool, import_s: float,
     (:func:`_best`).  Traced: :data:`TRACE_ROUNDS` untraced and traced
     passes, alternating; per-layer metrics from the last traced pass, the
     tracing overhead from the best unit times of each kind, and a bitwise
-    comparison of all their outputs.  ``workload`` overrides the
-    registered configuration (tests run tiny ones).
+    comparison of all their outputs.  Every time that sets a metric —
+    import, input builds, units, operations — is first scaled to the
+    reference speed by the run's :class:`SpeedProbe`; the per-layer
+    metrics are not.  ``workload`` overrides the registered configuration
+    (tests run tiny ones).
     """
     spec = load_spec()
     workload = workload or WORKLOADS[name]
-    build_s = []
+    probe = SpeedProbe()
+    for _ in range(WINDOW):     # the speed the imports just ran at
+        probe.sample()
+    import_at = probe.stamps[0]
+    build_s, build_at = [], []
     for _ in range(SETUP_REPEATS):
         start = time.perf_counter()
         state = workload.setup(seed)
         build_s.append(time.perf_counter() - start)
-    setup_s = import_s + statistics.median(build_s)
+        build_at.append(start + build_s[-1] / 2)
+        probe.sample()
+
+    def run_pass(tracer: Tracer) -> Pass:
+        return workload.run_pass(state, seed, tracer, probe)
 
     if trace:
         untraced, traced = [], []
         for _ in range(TRACE_ROUNDS):
-            untraced.append(workload.run_pass(state, seed, Tracer()))
+            untraced.append(run_pass(Tracer()))
             tracer = Tracer()
             with Probes(tracer):
-                traced.append(workload.run_pass(state, seed, tracer))
+                traced.append(run_pass(tracer))
         passes = untraced + traced
+        _scale(passes, probe)
         plain_s = float(_best(untraced, "units").sum())
         traced_s = float(_best(traced, "units").sum())
         layers = {**_common_layers(tracer), **traced[-1].layers,
@@ -457,13 +511,17 @@ def measure(name: str, seed: int, seconds: float, trace: bool, import_s: float,
         lap = []
         while True:
             lap_start = time.perf_counter()
-            passes.append(workload.run_pass(state, seed, Tracer()))
+            passes.append(run_pass(Tracer()))
             lap.append(time.perf_counter() - lap_start)
             if time.perf_counter() - start + statistics.median(lap) > seconds:
                 break
+        raw_wall_s = float(_best(passes, "units").sum())
+        _scale(passes, probe)
+        import_factor, *build_factors = probe.factors([import_at, *build_at])
         errors = np.asarray(passes[0].errors, dtype=float)
         values = {
-            "setup_s": setup_s,
+            "setup_s": float(import_s * import_factor
+                             + statistics.median(np.multiply(build_s, build_factors))),
             "wall_s": float(_best(passes, "units").sum()),
             "peak_rss_mb": max(p.peak_mb for p in passes),
             "scaled_error_gmean": float(np.exp(np.mean(np.log(errors)))),
@@ -471,7 +529,11 @@ def measure(name: str, seed: int, seconds: float, trace: bool, import_s: float,
         }
         metrics = _with_units(values, spec["end_to_end"])
         notes = {"passes": len(passes), "ops_per_pass": len(passes[0].latencies_us),
-                 "pass_wall_s": [p.wall_s for p in passes]}
+                 "pass_wall_s": [p.wall_s for p in passes], "unscaled_wall_s": raw_wall_s,
+                 "import_s": import_s, "build_s": build_s,
+                 "setup_factors": [float(import_factor), *map(float, build_factors)],
+                 "probe_ms_p5_p50_p95": (np.percentile(probe.seconds, [5, 50, 95])
+                                         * 1e3).tolist()}
     diverged = sum(p.digest != passes[0].digest for p in passes[1:])
     attempted = sum(p.attempted for p in passes)
     failed = sum(p.failed for p in passes) + diverged
