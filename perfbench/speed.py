@@ -2,15 +2,14 @@
 
 The benchmark host shares its cores and runs a program at one of two
 speeds about 1.3-1.7x apart, for stretches from a fraction of a second to
-minutes.  Repeating passes and keeping each unit's best time removes the
-short stretches, but a run that sits wholly in a slow one reads slow
-however many passes it makes.  :class:`SpeedProbe` therefore times a fixed
-reference computation (numpy and pure Python, nothing from the library)
-between units of work, and :meth:`SpeedProbe.factors` scales a unit's time
-by ``REFERENCE_S`` over the median probe time around it: a time measured
-in a slow stretch is scaled down by the probe's own slowdown there.  A
-change to the library moves the units, never the probe, so the scaled
-times move with it.
+minutes.  A run that sits wholly in a slow stretch reads slow however many
+passes it makes and however they are combined.  :class:`SpeedProbe`
+therefore times a fixed reference computation (numpy and pure Python,
+nothing from the library) between units of work, and
+:meth:`SpeedProbe.factors` scales a unit's time by ``REFERENCE_S`` over
+the median probe time around it: a time measured in a slow stretch is
+scaled down by the probe's own slowdown there.  A change to the library
+moves the units, never the probe, so the scaled times move with it.
 """
 
 from __future__ import annotations
@@ -24,46 +23,61 @@ __all__ = ["REFERENCE_S", "SpeedProbe", "reference_work"]
 #: The reference computation's time at the fast speed of a 2-vCPU Xeon
 #: host (about the 5th percentile of its probe times during benchmark
 #: runs); scaled times read as seconds at that speed.
-REFERENCE_S = 1.15e-3
+REFERENCE_S = 2.1e-3
 #: Probes nearest a unit whose median sets its scale.
 WINDOW = 5
+#: Least time between the probes taken between units; a probe and its
+#: warm-up take about 4 ms, 2% of this.
+INTERVAL_S = 0.2
 
-_SMALL = np.linspace(0.0, 1.0, 4096)
+_SMALL = np.linspace(0.0, 1.0, 256)
 _LARGE = np.linspace(0.0, 1.0, 1 << 17)
 _LARGE_OUT = np.empty_like(_LARGE)
+_REVERSED = np.linspace(1.0, 0.0, 1 << 16)
+_SORTED = np.empty_like(_REVERSED)
 
 
 def reference_work() -> float:
-    """The fixed computation a probe times: small numpy calls driven from
-    an interpreted loop, as most of the library's work is, plus streams
-    over a 1 MiB array into a preallocated buffer (no allocation that could
-    set a segment's peak RSS)."""
+    """The fixed computation a probe times, in four parts of similar
+    length: interpreted dict and list work, small numpy calls driven from
+    an interpreted loop, streams over a 1 MiB array, and an in-place sort
+    of a 512 KiB array; preallocated buffers keep it from setting a
+    segment's peak RSS.  Each part alone, timed beside chunks of the grid
+    and serving workloads over stretches with both host speeds in them,
+    slowed 0.6-1.35 times as much as the chunks did; the first three
+    together slowed as much (log-log slope 0.96-0.98), and the sort tracked
+    the chunks best of the parts tried.
+    """
+    acc = 0
+    table: dict[int, int] = {}
+    items: list[int] = []
+    for i in range(3000):
+        table[i & 255] = i
+        items.append(i * 3)
+        acc += len(items) + table.get(i & 127, 0)
+        if len(items) > 64:
+            items.clear()
     x = _SMALL.copy()
-    acc = 0.0
-    table = {}
-    for i in range(40):
-        y = np.cumsum(x)
-        x = x * 0.5 + y[::-1] * 1e-6
-        acc += float(x[i])
-        table[i] = (acc, i)
-        acc += sum(value[1] for value in table.values()) * 1e-12
-    for _ in range(4):
+    for _ in range(120):
+        x = np.cumsum(x) * 1e-3 + _SMALL
+        acc += float(x.max())
+    for _ in range(12):
         np.multiply(_LARGE, 1.000001, out=_LARGE_OUT)
-        acc += float(_LARGE_OUT[-1])
-    return acc
+    np.copyto(_SORTED, _REVERSED)
+    _SORTED.sort()
+    return acc + float(_LARGE_OUT[-1] + _SORTED[1])
 
 
 class SpeedProbe:
     """Probe times over a run, and the scale factors they give.
 
     ``sample()`` times :func:`reference_work` once; ``maybe_sample()`` does
-    so when ``interval_s`` has passed since the last probe, and is what
+    so when :data:`INTERVAL_S` has passed since the last probe, and is what
     the workloads call between units.  Stamps are ``time.perf_counter()``
     readings, the clock units are stamped with.
     """
 
-    def __init__(self, interval_s: float = 0.1):
-        self.interval_s = interval_s
+    def __init__(self):
         self.stamps: list[float] = []
         self.seconds: list[float] = []
 
@@ -78,8 +92,12 @@ class SpeedProbe:
         self.seconds.append(end - start)
 
     def maybe_sample(self) -> None:
-        if not self.stamps or time.perf_counter() - self.stamps[-1] >= self.interval_s:
+        if not self.stamps or time.perf_counter() - self.stamps[-1] >= INTERVAL_S:
             self.sample()
+
+    def run_factor(self) -> float:
+        """``REFERENCE_S`` over the median of every probe taken."""
+        return REFERENCE_S / float(np.median(self.seconds))
 
     def factors(self, stamps) -> np.ndarray:
         """``REFERENCE_S`` over the median of the :data:`WINDOW` probes

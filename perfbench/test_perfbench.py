@@ -32,6 +32,19 @@ TINY = {
 }
 
 
+@pytest.fixture(autouse=True)
+def _no_fresh_imports(monkeypatch):
+    """Each measure() times imports in fresh processes, about a second
+    each; the tests below take that as read (see test_fresh_import_time)."""
+    monkeypatch.setattr(workloads, "_fresh_import_s", lambda: 0.1)
+
+
+def test_fresh_import_time():
+    from perfbench.workloads import _fresh_import_s
+
+    assert 0 < _fresh_import_s() < 60
+
+
 # -- the contract file ----------------------------------------------------------------
 
 def test_spec_names_units_and_limits():
@@ -129,12 +142,12 @@ def test_tail_is_highest_percentile_with_ten_samples_beyond(n, expected):
     assert tail_percentile(n) == expected
 
 
-def test_best_takes_each_position_minimum_across_passes():
-    from perfbench.workloads import Pass, _best
+def test_typical_takes_each_position_median_across_passes():
+    from perfbench.workloads import Pass, _typical
 
     passes = [Pass(units=[3.0, 1.0, 5.0]), Pass(units=[2.0, 4.0, 6.0]),
               Pass(units=[9.0, 0.5])]                     # a short pass trims
-    assert _best(passes, "units").tolist() == [2.0, 0.5]
+    assert _typical(passes, "units").tolist() == [3.0, 1.0]
 
 
 def test_speed_factors_use_median_of_nearest_probes():

@@ -10,7 +10,7 @@ one uncached million-rectangle batch per release, with the write path
 (re-release, cache invalidation, prefix rebuild) interleaved.
 
 A *pass* is one complete execution of a workload's fixed work; a run
-repeats passes while its time budget lasts and reports each unit's best
+repeats passes while its time budget lasts and reports each unit's median
 time across them, every time first scaled to the host's reference speed
 by the probes taken between units (:mod:`perfbench.speed`).  Every pass
 checks its outputs outside the timed segments and hashes them, so passes,
@@ -22,7 +22,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -49,8 +52,13 @@ EPSILON = 0.1
 #: Relative slack ``PrivacyBudget.spend`` itself grants summed budget
 #: shares for float drift; a release may overshoot its epsilon by no more.
 BUDGET_SLACK = 1e-9
-#: Times the inputs are built per run; ``setup_s`` reports the median.
+#: Times the imports are timed (this process's own, then fresh processes')
+#: and the inputs built per run; ``setup_s`` adds the two medians.
 SETUP_REPEATS = 3
+#: What a fresh process imports before ``measure`` can start: the
+#: benchmark's modules, and through them numpy, scipy and the library.
+IMPORT_TIMER = ("import time; start = time.perf_counter(); import perfbench.workloads; "
+                "print(time.perf_counter() - start)")
 #: Untraced/traced pass pairs a traced run alternates; the per-layer
 #: metrics come from the last traced pass.
 TRACE_ROUNDS = 2
@@ -83,7 +91,7 @@ class Pass:
 
     ``units`` (seconds) and ``latencies_us`` list the pass's timed units and
     operation latencies in an order every pass repeats, so a run can line
-    its passes up and take each unit's best time (see :func:`measure`);
+    its passes up and take each unit's median time (see :func:`measure`);
     ``unit_at`` and ``latency_at`` are the ``perf_counter`` midpoints they
     were measured at, for :meth:`SpeedProbe.factors`.
     """
@@ -433,6 +441,15 @@ def _with_units(values: dict, declared: list[dict]) -> dict:
                              "unit": metric["unit"]} for metric in declared}
 
 
+def _fresh_import_s() -> float:
+    """Import time of the benchmark and the library in a fresh process."""
+    root = SPEC_PATH.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+    child = subprocess.run([sys.executable, "-c", IMPORT_TIMER], cwd=root, env=env,
+                           capture_output=True, text=True, check=True, timeout=120)
+    return float(child.stdout.split()[-1])
+
+
 def _scale(passes: list[Pass], probe: SpeedProbe) -> None:
     """Take :data:`WINDOW` closing probes, so the last units have probes on
     both sides, then scale every pass to the reference speed."""
@@ -442,19 +459,19 @@ def _scale(passes: list[Pass], probe: SpeedProbe) -> None:
         one.scale(probe)
 
 
-def _best(passes: list[Pass], attr: str) -> np.ndarray:
-    """Each position's smallest value across the passes.
+def _typical(passes: list[Pass], attr: str) -> np.ndarray:
+    """Each position's median across the passes.
 
-    The host alternates between a fast and a slow speed for stretches of a
-    fraction of a second to minutes.  A run's passes meet each unit of work
-    at different moments, so its best time across them is the unit's cost
-    at full speed, and the sum over units moves far less from run to run
-    than any one pass's wall time; the speed scaling (:func:`_scale`)
-    covers the stretches longer than a pass.
+    Once scaled (:func:`_scale`), a unit's time no longer depends on the
+    host's speed, only on noise, and the median drops the passes a burst
+    hit.  The minimum would not do: it picks the passes whose probes read
+    slower than the unit ran, and how far it does so moves from run to run
+    (over ten 6-pass runs of grid-2d in a stretch with both host speeds,
+    the summed minimum spread 11% and the summed median 2%).
     """
     rows = [getattr(p, attr) for p in passes]
     width = min(map(len, rows))
-    return np.min(np.array([row[:width] for row in rows], dtype=float), axis=0)
+    return np.median(np.array([row[:width] for row in rows], dtype=float), axis=0)
 
 
 def measure(name: str, seed: int, seconds: float, trace: bool, import_s: float,
@@ -463,29 +480,26 @@ def measure(name: str, seed: int, seconds: float, trace: bool, import_s: float,
 
     Untraced: set up :data:`SETUP_REPEATS` times, then repeat passes while
     another one fits into ``seconds`` (at least one), and report end-to-end
-    metrics from each unit's and operation's best time across the passes
-    (:func:`_best`).  Traced: :data:`TRACE_ROUNDS` untraced and traced
+    metrics from each unit's and operation's median time across the passes
+    (:func:`_typical`).  Traced: :data:`TRACE_ROUNDS` untraced and traced
     passes, alternating; per-layer metrics from the last traced pass, the
-    tracing overhead from the best unit times of each kind, and a bitwise
-    comparison of all their outputs.  Every time that sets a metric —
-    import, input builds, units, operations — is first scaled to the
-    reference speed by the run's :class:`SpeedProbe`; the per-layer
-    metrics are not.  ``workload`` overrides the registered configuration
+    tracing overhead from the median unit times of each kind, and a bitwise
+    comparison of all their outputs.  Every time that sets a metric is
+    scaled to the reference speed by the run's :class:`SpeedProbe`: units
+    and operations by the probes around them, the set-up by the run's
+    median probe (probes in a process's first second read slow while the
+    imports do not); the per-layer metrics are not scaled.  ``workload`` overrides the registered configuration
     (tests run tiny ones).
     """
     spec = load_spec()
     workload = workload or WORKLOADS[name]
-    probe = SpeedProbe()
-    for _ in range(WINDOW):     # the speed the imports just ran at
-        probe.sample()
-    import_at = probe.stamps[0]
-    build_s, build_at = [], []
+    imports_s = [import_s] + [_fresh_import_s() for _ in range(SETUP_REPEATS - 1)]
+    build_s = []
     for _ in range(SETUP_REPEATS):
         start = time.perf_counter()
         state = workload.setup(seed)
         build_s.append(time.perf_counter() - start)
-        build_at.append(start + build_s[-1] / 2)
-        probe.sample()
+    probe = SpeedProbe()
 
     def run_pass(tracer: Tracer) -> Pass:
         return workload.run_pass(state, seed, tracer, probe)
@@ -499,8 +513,8 @@ def measure(name: str, seed: int, seconds: float, trace: bool, import_s: float,
                 traced.append(run_pass(tracer))
         passes = untraced + traced
         _scale(passes, probe)
-        plain_s = float(_best(untraced, "units").sum())
-        traced_s = float(_best(traced, "units").sum())
+        plain_s = float(_typical(untraced, "units").sum())
+        traced_s = float(_typical(traced, "units").sum())
         layers = {**_common_layers(tracer), **traced[-1].layers,
                   "trace.overhead_pct": 100.0 * (traced_s / plain_s - 1.0)}
         metrics = _with_units(layers, spec["per_layer"])
@@ -515,23 +529,21 @@ def measure(name: str, seed: int, seconds: float, trace: bool, import_s: float,
             lap.append(time.perf_counter() - lap_start)
             if time.perf_counter() - start + statistics.median(lap) > seconds:
                 break
-        raw_wall_s = float(_best(passes, "units").sum())
+        raw_wall_s = float(_typical(passes, "units").sum())
         _scale(passes, probe)
-        import_factor, *build_factors = probe.factors([import_at, *build_at])
+        setup_s = statistics.median(imports_s) + statistics.median(build_s)
         errors = np.asarray(passes[0].errors, dtype=float)
         values = {
-            "setup_s": float(import_s * import_factor
-                             + statistics.median(np.multiply(build_s, build_factors))),
-            "wall_s": float(_best(passes, "units").sum()),
+            "setup_s": setup_s * probe.run_factor(),
+            "wall_s": float(_typical(passes, "units").sum()),
             "peak_rss_mb": max(p.peak_mb for p in passes),
             "scaled_error_gmean": float(np.exp(np.mean(np.log(errors)))),
-            "op_p50_us": float(np.percentile(_best(passes, "latencies_us"), 50)),
+            "op_p50_us": float(np.percentile(_typical(passes, "latencies_us"), 50)),
         }
         metrics = _with_units(values, spec["end_to_end"])
         notes = {"passes": len(passes), "ops_per_pass": len(passes[0].latencies_us),
                  "pass_wall_s": [p.wall_s for p in passes], "unscaled_wall_s": raw_wall_s,
-                 "import_s": import_s, "build_s": build_s,
-                 "setup_factors": [float(import_factor), *map(float, build_factors)],
+                 "import_s": imports_s, "build_s": build_s, "unscaled_setup_s": setup_s,
                  "probe_ms_p5_p50_p95": (np.percentile(probe.seconds, [5, 50, 95])
                                          * 1e3).tolist()}
     diverged = sum(p.digest != passes[0].digest for p in passes[1:])
