@@ -488,8 +488,8 @@ def measure(name: str, seed: int, seconds: float, trace: bool, import_s: float,
     scaled to the reference speed by the run's :class:`SpeedProbe`: units
     and operations by the probes around them, the set-up by the run's
     median probe (probes in a process's first second read slow while the
-    imports do not); the per-layer metrics are not scaled.  ``workload`` overrides the registered configuration
-    (tests run tiny ones).
+    imports do not); the per-layer metrics are not scaled.  ``workload``
+    overrides the registered configuration (tests run tiny ones).
     """
     spec = load_spec()
     workload = workload or WORKLOADS[name]
