@@ -20,6 +20,14 @@ operator in the measurement/inference refactor:
 * **the Hilbert curve builder** — the historical pure-Python ``_d2xy`` loop
   (O(n) interpreter iterations, a million at 1024 x 1024) versus the
   vectorised bit-twiddling, pinned bitwise-identical.
+* **SF's boundary search** — the per-round rebuild of every segment's
+  candidate gains (O(k^2) interpreter iterations for k buckets) versus
+  incremental gains refilled only where the chosen cut lands.
+* **AGrid's noise** — one scalar Laplace draw per coarse block and fine
+  cell versus one draw-ahead buffer and one batched replay.
+
+The historical loops of the last two live in ``tests/reference/``.  Every
+reference path is pinned bitwise-identical to the fast one.
 
 The selection-quality benches exercise the plan pipeline's seam: GreedyW's
 greedy workload-aware measurement selection must beat Identity (and GreedyH)
@@ -29,8 +37,9 @@ the paper's 64 x 64 random-range benchmark workload.
 
 Run with ``python -m pytest benchmarks/bench_inference_speed.py -q``.
 ``DPBENCH_SMOKE=1`` shrinks round counts and the dense-solve domain so the
-bench finishes in seconds on CI; the MWEM and DAWA domains stay at 4096
-because the >= 5x speedups over their baselines are acceptance criteria.
+bench finishes in seconds on CI; the MWEM, DAWA and SF domains stay at 4096
+(and AGrid's at 64 x 64) because their speedups over the baselines are
+acceptance criteria.
 """
 
 from __future__ import annotations
@@ -238,6 +247,98 @@ def test_dawa_partition_speed(benchmark):
            format_table(rows, floatfmt="{:.4f}"))
     assert speedup >= 5.0, \
         f"vectorised L1 partition only {speedup:.1f}x over the reference loop"
+
+
+SF_DOMAIN = 4096
+SF_TARGET_S = 0.1        # target for one whole SF release at n=4096
+
+
+def _generator(seed: int) -> np.random.Generator:
+    # The SF and AGrid gates race two paths from one pinned seed and compare
+    # the generator states they leave behind.
+    return np.random.default_rng(seed)  # privlint: disable=PL001
+
+
+def test_sf_boundary_speed(benchmark):
+    """StructureFirst's boundary search: incremental gains vs the per-round
+    rebuild of every segment's gains (``tests/reference/``).
+
+    Run at the paper's 1-D domain with SF's default ``n / 10`` buckets and
+    budget split.  The boundaries and the final generator state must be
+    bitwise-equal, and the incremental search must hold a >= 10x margin.
+    A whole ``SF.run`` is reported against the 0.1 s target without a gate.
+    """
+    from reference.sf_boundaries import select_boundaries_reference
+    from repro import StructureFirst
+
+    def study():
+        rng = _generator(20160626)
+        n = SF_DOMAIN
+        x = rng.multinomial(100_000, rng.dirichlet(np.ones(n))).astype(float)
+        epsilon = 0.1
+        args = (x, int(np.ceil(n / 10)), epsilon * 0.5, float(x.sum()))
+        sf = StructureFirst()
+
+        def draw(search):
+            rng = _generator(7)
+            return search(*args, rng), rng.bit_generator.state
+
+        t_loop, (b_loop, s_loop) = _time(lambda: draw(select_boundaries_reference),
+                                         repeats=1)
+        t_fast, (b_fast, s_fast) = _time(lambda: draw(sf._select_boundaries), repeats=5)
+        assert b_fast == b_loop, "incremental boundary search diverged from the reference"
+        assert s_fast == s_loop, "incremental boundary search consumed a different stream"
+        t_run, _ = _time(lambda: sf.run(x, epsilon, rng=7), repeats=5)
+        rows = [
+            {"path": "reference per-round rebuild", "seconds": t_loop, "speedup": 1.0},
+            {"path": "incremental gains", "seconds": t_fast, "speedup": t_loop / t_fast},
+            {"path": f"whole SF.run (target {SF_TARGET_S} s)", "seconds": t_run,
+             "speedup": t_loop / t_run},
+        ]
+        return rows, t_loop / t_fast
+
+    rows, speedup = run_once(benchmark, study)
+    report("bench_sf_speed",
+           f"SF boundary search paths (domain {SF_DOMAIN}, {int(np.ceil(SF_DOMAIN / 10))} buckets)",
+           format_table(rows, floatfmt="{:.4f}"))
+    assert speedup >= 10.0, \
+        f"incremental SF boundary search only {speedup:.1f}x over the reference loop"
+
+
+def test_agrid_speed(benchmark):
+    """AGrid: draw-ahead-and-replay batched noise vs the per-cell scalar
+    draws of the historical loop (``tests/reference/``).
+
+    At 64 x 64 and scale 1e8 the coarse grid reaches one block per cell, the
+    loop's worst case.  The releases and the final generator state must be
+    bitwise-equal, and the batched path must hold a >= 3x margin.
+    """
+    from reference.agrid import AGridReference
+    from repro import AGrid
+
+    def study():
+        rng = _generator(20160626)
+        x = rng.multinomial(10 ** 8, rng.dirichlet(np.ones(64 * 64))).astype(float)
+        x = x.reshape(64, 64)
+
+        def release(algorithm):
+            rng = _generator(7)
+            return algorithm.run(x, 0.1, rng=rng).tobytes(), rng.bit_generator.state
+
+        t_loop, out_loop = _time(lambda: release(AGridReference()))
+        t_fast, out_fast = _time(lambda: release(AGrid()), repeats=5)
+        assert out_fast == out_loop, "batched AGrid diverged from the reference loop"
+        rows = [
+            {"path": "reference per-cell scalar draws", "seconds": t_loop, "speedup": 1.0},
+            {"path": "draw ahead, replay in one batch", "seconds": t_fast,
+             "speedup": t_loop / t_fast},
+        ]
+        return rows, t_loop / t_fast
+
+    rows, speedup = run_once(benchmark, study)
+    report("bench_agrid_speed", "AGrid noise paths (64x64, scale 1e8, eps 0.1)",
+           format_table(rows, floatfmt="{:.4f}"))
+    assert speedup >= 3.0, f"batched AGrid only {speedup:.1f}x over the reference loop"
 
 
 HILBERT_SIDE = 512 if SMOKE else 1024

@@ -18,13 +18,16 @@ information, exactly as flagged in Table 1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ..core.kernels import batched_laplace
 from ..core.plan import MeasurementPlan
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
 from .base import Algorithm, AlgorithmProperties, PlanAlgorithm
-from .inference import inverse_variance_combine
+from .inference import inverse_variance_combine_rows, segment_sums
 from .mechanisms import PrivacyBudget, laplace_noise
 
 __all__ = ["UGrid", "AGrid"]
@@ -39,8 +42,25 @@ def _grid_edges(length: int, pieces: int) -> np.ndarray:
     off the balanced grid (and at the mercy of float rounding) whenever
     ``i * length / pieces`` landed just below an integer.
     """
-    pieces = int(np.clip(pieces, 1, length))
+    pieces = min(max(int(pieces), 1), int(length))
     return np.arange(pieces + 1, dtype=np.intp) * int(length) // pieces
+
+
+def _rect_sums(x: np.ndarray, r0: np.ndarray, c0: np.ndarray,
+               height: np.ndarray, width: np.ndarray) -> list[float]:
+    """``float(x[r0:r0 + height, c0:c0 + width].sum())`` per rectangle.
+
+    A multi-cell rectangle is summed by that very ``ndarray.sum`` call, so the
+    float result does not depend on how numpy orders the summation of a
+    strided view.  A one-cell rectangle's sum is ``0.0 + cell``: numpy
+    starts the reduction from the additive identity (a ``-0.0`` cell sums to
+    ``0.0``).  The plain floats are the taint sanitizer's declassification
+    point; every caller adds noise to them next.
+    """
+    sums = (0.0 + x[r0, c0]).tolist()
+    for i in np.flatnonzero(height * width > 1).tolist():
+        sums[i] = float(x[r0[i]:r0[i] + height[i], c0[i]:c0[i] + width[i]].sum())
+    return sums
 
 
 class UGrid(PlanAlgorithm):
@@ -71,16 +91,13 @@ class UGrid(PlanAlgorithm):
         row_edges = _grid_edges(rows, grid_size)
         col_edges = _grid_edges(cols, grid_size)
 
-        los: list[tuple[int, int]] = []
-        his: list[tuple[int, int]] = []
-        for r0, r1 in zip(row_edges[:-1], row_edges[1:]):
-            for c0, c1 in zip(col_edges[:-1], col_edges[1:]):
-                if r1 <= r0 or c1 <= c0:
-                    continue
-                los.append((r0, c0))
-                his.append((r1 - 1, c1 - 1))
-        queries = QueryMatrix(np.array(los, dtype=np.intp),
-                              np.array(his, dtype=np.intp), x.shape)
+        # One rectangle per grid block, row-major; _grid_edges never yields
+        # an empty piece.
+        los = np.stack(np.broadcast_arrays(row_edges[:-1, None], col_edges[None, :-1]),
+                       axis=-1).reshape(-1, 2)
+        his = np.stack(np.broadcast_arrays(row_edges[1:, None] - 1, col_edges[None, 1:] - 1),
+                       axis=-1).reshape(-1, 2)
+        queries = QueryMatrix(los, his, x.shape)
         return MeasurementPlan(
             queries=queries,
             epsilons=np.full(queries.n_queries, budget.total),
@@ -97,6 +114,28 @@ class AGrid(Algorithm):
     measurement interleave block by block (coarse draw, then that block's
     fine draws) — a faithful staging would have to pre-draw all the noise
     during selection, which is the pipeline in name only.
+
+    The generator stream is the interleaved one, drawn in two batched calls
+    instead of one scalar call per block and per fine cell:
+
+    1. *Draw ahead.*  Save the generator state and draw one buffer of
+       ``n_blocks + n_cells`` variates at the coarse scale.  That bounds the
+       stream's length, since the fine cells tile the domain.
+    2. *Walk.*  Block by block, the coarse draw sits at the block's stream
+       offset; it fixes the block's fine-grid size and so its fine-cell
+       count ``m``, and the next block starts ``1 + m`` variates later.
+    3. *Replay.*  Restore the state and draw exactly those variates in one
+       call, at the coarse scale on block offsets and the fine scale
+       elsewhere.
+
+    A Laplace variate consumes the same generator doubles at any scale and
+    its value depends only on those doubles and its own scale, so the
+    buffer's coarse values are the coarse draws of the interleaved loop, the
+    replay reproduces every draw of that loop bit for bit, and the generator
+    ends in the same state.  The reconciliation then runs on whole arrays,
+    with each block's fine total summed over a row of an exact
+    ``(blocks, m)`` matrix, the same pairwise summation as the block's own
+    array (:func:`~repro.algorithms.inference.segment_sums`).
     """
 
     properties = AlgorithmProperties(
@@ -127,48 +166,64 @@ class AGrid(Algorithm):
         coarse_size = max(10, int(np.ceil(np.sqrt(max(scale * epsilon / c, 1.0)) / 2.0)))  # privlint: disable=PL004
         row_edges = _grid_edges(rows, coarse_size)
         col_edges = _grid_edges(cols, coarse_size)
+        # Coarse blocks in row-major order, as (r0, c0, height, width).
+        r0 = np.repeat(row_edges[:-1], col_edges.size - 1)
+        c0 = np.tile(col_edges[:-1], row_edges.size - 1)
+        height = np.repeat(np.diff(row_edges), col_edges.size - 1)
+        width = np.tile(np.diff(col_edges), row_edges.size - 1)
+        n_blocks = r0.size
+        block_sums = _rect_sums(x, r0, c0, height, width)
 
+        # Bespoke interleaved noise (documented plan-pipeline exemption):
+        # eps_coarse and eps_fine were charged by spend()/spend_all() above.
+        state = rng.bit_generator.state
+        ahead = laplace_noise(1.0 / eps_coarse, n_blocks + x.size, rng).tolist()  # privlint: disable=PL003
+        rng.bit_generator.state = state
+        coarse_counts: list[float] = []
+        pieces: list[tuple[int, int]] = []
+        offset = 0
+        for total, h, w in zip(block_sums, height.tolist(), width.tolist()):
+            count = total + ahead[offset]
+            fine_size = math.ceil(math.sqrt(max(count, 0.0) * eps_fine / c2))
+            fine_size = min(max(fine_size, 1), max(h, w))
+            fine_rows, fine_cols = min(fine_size, h), min(fine_size, w)
+            coarse_counts.append(count)
+            pieces.append((fine_rows, fine_cols))
+            offset += 1 + fine_rows * fine_cols
+        row_pieces, col_pieces = np.array(pieces, dtype=np.intp).reshape(-1, 2).T
+        n_fine = row_pieces * col_pieces
+        # Each block's coarse draw leads its fine draws in the stream.
+        is_coarse = np.zeros(offset, dtype=bool)
+        is_coarse[np.cumsum(n_fine + 1) - n_fine - 1] = True
+        scales = np.where(is_coarse, 1.0 / eps_coarse, 1.0 / eps_fine)
+        noise = batched_laplace(rng, scales)  # privlint: disable=PL003
+
+        # Fine cells, block by block and row-major within a block, each cut
+        # at the integer edges _grid_edges gives its block.
+        block = np.repeat(np.arange(n_blocks), n_fine)
+        first = np.cumsum(n_fine) - n_fine
+        local = np.arange(block.size) - first[block]
+        fine_row, fine_col = np.divmod(local, col_pieces[block])
+        f_r0 = r0[block] + fine_row * height[block] // row_pieces[block]
+        f_r1 = r0[block] + (fine_row + 1) * height[block] // row_pieces[block]
+        f_c0 = c0[block] + fine_col * width[block] // col_pieces[block]
+        f_c1 = c0[block] + (fine_col + 1) * width[block] // col_pieces[block]
+        fine_values = (np.array(_rect_sums(x, f_r0, f_c0, f_r1 - f_r0, f_c1 - f_c0))
+                       + noise[~is_coarse])
+
+        # Reconcile the coarse measurement with the fine measurements.
+        fine_total = segment_sums(fine_values, first, n_fine)
+        combined = inverse_variance_combine_rows(
+            np.column_stack([coarse_counts, fine_total]),
+            np.column_stack([np.full(n_blocks, 2.0 / eps_coarse ** 2),
+                             2.0 / eps_fine ** 2 * n_fine]))
+        fine_values = fine_values + ((combined - fine_total) / n_fine)[block]
+
+        # Spread each fine cell's value evenly over its cells.
+        size = (f_r1 - f_r0) * (f_c1 - f_c0)
+        cell = np.repeat(np.arange(block.size), size)
+        within = np.arange(cell.size) - np.repeat(np.cumsum(size) - size, size)
+        row_in, col_in = np.divmod(within, (f_c1 - f_c0)[cell])
         estimate = np.zeros(x.shape)
-        coarse_variance = 2.0 / eps_coarse ** 2
-        fine_variance = 2.0 / eps_fine ** 2
-        for r0, r1 in zip(row_edges[:-1], row_edges[1:]):
-            for c0, c1 in zip(col_edges[:-1], col_edges[1:]):
-                block = x[r0:r1, c0:c1]
-                if block.size == 0:
-                    continue
-                # Bespoke per-block interleaved noise (documented plan-pipeline
-                # exemption); eps_coarse was charged by spend() above.  The
-                # float() around the true block total is the taint sanitizer's
-                # declassification point: the very next operation noised it.
-                coarse_count = float(block.sum()) + float(laplace_noise(1.0 / eps_coarse, (), rng))  # privlint: disable=PL003
-                fine_size = int(np.ceil(np.sqrt(max(coarse_count, 0.0) * eps_fine / c2)))
-                fine_size = int(np.clip(fine_size, 1, max(block.shape)))
-                sub_row_edges = _grid_edges(block.shape[0], fine_size)
-                sub_col_edges = _grid_edges(block.shape[1], fine_size)
-
-                fine_values = []
-                fine_slices = []
-                for fr0, fr1 in zip(sub_row_edges[:-1], sub_row_edges[1:]):
-                    for fc0, fc1 in zip(sub_col_edges[:-1], sub_col_edges[1:]):
-                        fine_block = block[fr0:fr1, fc0:fc1]
-                        if fine_block.size == 0:
-                            continue
-                        # Same exemption as the coarse pass; eps_fine was
-                        # charged by spend_all() above.
-                        noisy = float(fine_block.sum()) + float(laplace_noise(1.0 / eps_fine, (), rng))  # privlint: disable=PL003
-                        fine_values.append(noisy)
-                        fine_slices.append((slice(r0 + fr0, r0 + fr1), slice(c0 + fc0, c0 + fc1)))
-                fine_values = np.array(fine_values)
-
-                # Reconcile the coarse measurement with the fine measurements.
-                fine_total = float(fine_values.sum())
-                combined, _ = inverse_variance_combine(
-                    np.array([coarse_count, fine_total]),
-                    np.array([coarse_variance, fine_variance * len(fine_values)]),
-                )
-                if len(fine_values):
-                    fine_values = fine_values + (combined - fine_total) / len(fine_values)
-                for value, slices in zip(fine_values, fine_slices):
-                    size = (slices[0].stop - slices[0].start) * (slices[1].stop - slices[1].start)
-                    estimate[slices] = value / size
+        estimate[f_r0[cell] + row_in, f_c0[cell] + col_in] = (fine_values / size)[cell]
         return estimate

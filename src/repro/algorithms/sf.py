@@ -19,6 +19,8 @@ uniformity, which makes the algorithm consistent.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from ..core.measurement import MeasurementSet
@@ -26,7 +28,7 @@ from ..core.plan import MeasurementPlan
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
 from .base import AlgorithmProperties, PlanAlgorithm
-from .inference import inverse_variance_combine
+from .inference import inverse_variance_combine_rows, segment_sums
 from .mechanisms import BudgetExceededError, PrivacyBudget, exponential_mechanism
 
 __all__ = ["StructureFirst"]
@@ -80,27 +82,23 @@ class StructureFirst(PlanAlgorithm):
                                              count_bound, rng)
         # Per bucket: one total query at eps_counts / 2 plus every cell at
         # eps_counts / 2 (a single-cell bucket gets one full-budget query).
-        # Row order is the historical draw order: totals before cells,
-        # buckets left to right.
-        los: list[int] = []
-        his: list[int] = []
-        epsilons: list[float] = []
-        for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-            width = hi - lo
-            if width <= 0:
-                continue
-            if width == 1:
-                los.append(lo), his.append(lo), epsilons.append(eps_counts)
-                continue
-            los.append(lo), his.append(hi - 1), epsilons.append(eps_counts / 2.0)
-            for cell in range(lo, hi):
-                los.append(cell), his.append(cell)
-                epsilons.append(eps_counts / 2.0)
-        queries = QueryMatrix(np.array(los)[:, None], np.array(his)[:, None],
-                              x.shape)
+        # Row order is the historical draw order: each bucket's total before
+        # its cells, buckets left to right.
+        edges = np.asarray(boundaries)
+        lo, width = edges[:-1], np.diff(edges)
+        split = width > 1
+        n_rows = np.where(split, width + 1, 1)
+        bucket = np.repeat(np.arange(lo.size), n_rows)
+        # Row index within its bucket: 0 is the total, 1..width the cells.
+        offset = np.arange(bucket.size) - np.repeat(np.cumsum(n_rows) - n_rows, n_rows)
+        is_total = offset == 0
+        los = np.where(is_total, lo[bucket], lo[bucket] + offset - 1)
+        his = np.where(is_total, lo[bucket] + width[bucket] - 1, los)
+        epsilons = np.where(split[bucket], eps_counts / 2.0, eps_counts)
+        queries = QueryMatrix(los[:, None], his[:, None], x.shape)
         return MeasurementPlan(
             queries=queries,
-            epsilons=np.array(epsilons),
+            epsilons=epsilons,
             domain_shape=x.shape,
             epsilon_selection=eps_structure,
             # Two passes over disjoint buckets: totals + cells compose
@@ -114,30 +112,28 @@ class StructureFirst(PlanAlgorithm):
         """Two-level least squares within each bucket (Section 6.2
         modification): combine the two measurements of the bucket total by
         inverse-variance weighting and distribute the residual evenly over
-        the cell estimates, which keeps the algorithm consistent."""
-        boundaries = plan.extras["boundaries"]
-        estimate = np.zeros(plan.domain_shape)
-        row = 0
+        the cell estimates, which keeps the algorithm consistent.  All
+        buckets are solved at once, with the per-bucket float operations of
+        a bucket-at-a-time loop (cell sums by :func:`segment_sums`)."""
+        edges = np.asarray(plan.extras["boundaries"])
+        lo, width = edges[:-1], np.diff(edges)
         values, variances = measurements.values, measurements.variances
-        for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-            width = hi - lo
-            if width <= 0:
-                continue
-            if width == 1:
-                estimate[lo] = values[row]
-                row += 1
-                continue
-            noisy_total = float(values[row])
-            var_total = float(variances[row])
-            noisy_cells = values[row + 1: row + 1 + width]
-            var_cells_sum = width * float(variances[row + 1])
-            row += 1 + width
-            cells_sum = float(noisy_cells.sum())
-            combined_total, _ = inverse_variance_combine(
-                np.array([noisy_total, cells_sum]),
-                np.array([var_total, var_cells_sum]),
-            )
-            estimate[lo:hi] = noisy_cells + (combined_total - cells_sum) / width
+        # Each bucket's first row: its total, or a single cell's only row.
+        n_rows = np.where(width > 1, width + 1, 1)
+        first = np.cumsum(n_rows) - n_rows
+        estimate = np.zeros(plan.domain_shape)
+        single = width == 1
+        estimate[lo[single]] = values[first[single]]
+
+        lo, width, first = lo[~single], width[~single], first[~single]
+        cells_sum = segment_sums(values, first + 1, width)
+        combined_total = inverse_variance_combine_rows(
+            np.column_stack([values[first], cells_sum]),
+            np.column_stack([variances[first], width * variances[first + 1]]))
+        bucket = np.repeat(np.arange(lo.size), width)
+        cell = np.arange(bucket.size) - np.repeat(np.cumsum(width) - width, width)
+        estimate[lo[bucket] + cell] = (values[first[bucket] + 1 + cell]
+                                       + ((combined_total - cells_sum) / width)[bucket])
         return estimate
 
     # -- structure selection -------------------------------------------------------
@@ -147,8 +143,13 @@ class StructureFirst(PlanAlgorithm):
 
         Boundaries are cut points in ``1..n-1``; the score of a candidate cut
         is the reduction in total SSE it achieves given the cuts chosen so far.
-        All candidate scores for one round are computed in a single vectorised
-        pass using prefix sums.
+        A cut's gain depends only on the segment that contains it, so the
+        gains live in one array over all cut positions and each round refills
+        just the two segments the chosen cut creates (prefix sums, one
+        vectorised pass).  The candidates handed to the
+        exponential mechanism are the free cuts in ascending order, with the
+        gains a full per-round rebuild would compute, so the choice and the
+        generator stream are unchanged.
         """
         n = x.size
         if n_buckets <= 1 or eps_structure <= 0:
@@ -157,35 +158,40 @@ class StructureFirst(PlanAlgorithm):
         prefix_sq = np.concatenate([[0.0], np.cumsum(x ** 2)])
 
         def sse(lo, hi):
-            lo = np.asarray(lo)
-            hi = np.asarray(hi)
             width = np.maximum(hi - lo, 1)
             total = prefix[hi] - prefix[lo]
             total_sq = prefix_sq[hi] - prefix_sq[lo]
             return np.maximum(total_sq - total * total / width, 0.0)
 
+        # gains[c - 1] scores cut c against the segment (lo, hi) holding it:
+        # sse(lo, hi) - sse(lo, c) - sse(c, hi).  One sse pass over the three
+        # stacked bound pairs computes each term with the same float
+        # operations as a per-segment pass would.
+        def gains_within(lo: np.ndarray, cuts: np.ndarray, hi: np.ndarray) -> np.ndarray:
+            terms = sse(np.concatenate((lo, lo, cuts)), np.concatenate((hi, cuts, hi)))
+            base, left, right = terms.reshape(3, -1)
+            return base - left - right
+
+        cuts = np.arange(1, n)
+        gains = gains_within(np.zeros_like(cuts), cuts, np.full_like(cuts, n))
+        free = np.ones(n - 1, dtype=bool)
         boundaries = [0, n]
         eps_per_cut = eps_structure / (n_buckets - 1)
         # Sensitivity of an SSE-based score: adding a record changes a squared
         # count by at most 2 * F + 1 where F bounds any count.
         sensitivity = 2.0 * count_bound + 1.0
         for _ in range(n_buckets - 1):
-            sorted_boundaries = np.array(sorted(boundaries))
-            candidate_list: list[np.ndarray] = []
-            score_list: list[np.ndarray] = []
-            for lo, hi in zip(sorted_boundaries[:-1], sorted_boundaries[1:]):
-                cuts = np.arange(lo + 1, hi)
-                if cuts.size == 0:
-                    continue
-                base = float(sse(lo, hi))
-                gains = base - sse(np.full(cuts.size, lo), cuts) - sse(cuts, np.full(cuts.size, hi))
-                candidate_list.append(cuts)
-                score_list.append(gains)
-            if not candidate_list:
-                break
-            candidates = np.concatenate(candidate_list)
-            scores = np.concatenate(score_list)
-            chosen = exponential_mechanism(scores, eps_per_cut, sensitivity=sensitivity, rng=rng)
-            boundaries.append(int(candidates[chosen]))
-        return sorted(boundaries)
-
+            candidates = np.flatnonzero(free)
+            chosen = exponential_mechanism(gains[candidates], eps_per_cut,
+                                           sensitivity=sensitivity, rng=rng)
+            cut = int(candidates[chosen]) + 1
+            free[cut - 1] = False
+            at = bisect.bisect(boundaries, cut)
+            boundaries.insert(at, cut)
+            # Only the cuts of the segment just split change segment.
+            lo, hi = boundaries[at - 1], boundaries[at + 1]
+            inside = cuts[lo:hi - 1]
+            left = inside < cut
+            gains[lo:hi - 1] = gains_within(np.where(left, lo, cut), inside,
+                                            np.where(left, cut, hi))
+        return boundaries

@@ -1,0 +1,80 @@
+"""AGrid's historical per-block loop: one scalar Laplace draw per coarse
+block and per fine cell, interleaved block by block, plus one
+``inverse_variance_combine`` per block.  Kept verbatim as the oracle for
+the draw-ahead-and-replay :meth:`repro.algorithms.grids.AGrid._run`."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.algorithms.grids import AGrid, _grid_edges
+from repro.algorithms.inference import inverse_variance_combine
+from repro.algorithms.mechanisms import PrivacyBudget, laplace_noise
+from repro.workload.rangequery import Workload
+
+
+class AGridReference(AGrid):
+    """AGrid with the historical per-cell noise loop."""
+
+    def _run(self, x: np.ndarray, epsilon: float, workload: Workload | None,
+             rng: np.random.Generator) -> np.ndarray:
+        c = float(self.params["c"])
+        c2 = float(self.params["c2"])
+        rho = float(self.params["rho"])
+        budget = PrivacyBudget(epsilon)
+        eps_coarse = budget.spend(epsilon * rho, "coarse-grid")
+        eps_fine = budget.spend_all("fine-grid")
+
+        scale = float(x.sum())          # side information: true scale
+        rows, cols = x.shape
+        # Qardaji's grid-size heuristic m ~= sqrt(N * eps / c): epsilon enters
+        # as signal strength, not as a budget split (the split is the two
+        # spend() calls above).
+        coarse_size = max(10, int(np.ceil(np.sqrt(max(scale * epsilon / c, 1.0)) / 2.0)))
+        row_edges = _grid_edges(rows, coarse_size)
+        col_edges = _grid_edges(cols, coarse_size)
+
+        estimate = np.zeros(x.shape)
+        coarse_variance = 2.0 / eps_coarse ** 2
+        fine_variance = 2.0 / eps_fine ** 2
+        for r0, r1 in zip(row_edges[:-1], row_edges[1:]):
+            for c0, c1 in zip(col_edges[:-1], col_edges[1:]):
+                block = x[r0:r1, c0:c1]
+                if block.size == 0:
+                    continue
+                # Bespoke per-block interleaved noise (documented plan-pipeline
+                # exemption); eps_coarse was charged by spend() above.  The
+                # float() around the true block total is the taint sanitizer's
+                # declassification point: the very next operation noised it.
+                coarse_count = float(block.sum()) + float(laplace_noise(1.0 / eps_coarse, (), rng))  # privlint: disable=PL003
+                fine_size = int(np.ceil(np.sqrt(max(coarse_count, 0.0) * eps_fine / c2)))
+                fine_size = int(np.clip(fine_size, 1, max(block.shape)))
+                sub_row_edges = _grid_edges(block.shape[0], fine_size)
+                sub_col_edges = _grid_edges(block.shape[1], fine_size)
+
+                fine_values = []
+                fine_slices = []
+                for fr0, fr1 in zip(sub_row_edges[:-1], sub_row_edges[1:]):
+                    for fc0, fc1 in zip(sub_col_edges[:-1], sub_col_edges[1:]):
+                        fine_block = block[fr0:fr1, fc0:fc1]
+                        if fine_block.size == 0:
+                            continue
+                        # Same exemption as the coarse pass; eps_fine was
+                        # charged by spend_all() above.
+                        noisy = float(fine_block.sum()) + float(laplace_noise(1.0 / eps_fine, (), rng))  # privlint: disable=PL003
+                        fine_values.append(noisy)
+                        fine_slices.append((slice(r0 + fr0, r0 + fr1), slice(c0 + fc0, c0 + fc1)))
+                fine_values = np.array(fine_values)
+
+                # Reconcile the coarse measurement with the fine measurements.
+                fine_total = float(fine_values.sum())
+                combined, _ = inverse_variance_combine(
+                    np.array([coarse_count, fine_total]),
+                    np.array([coarse_variance, fine_variance * len(fine_values)]),
+                )
+                if len(fine_values):
+                    fine_values = fine_values + (combined - fine_total) / len(fine_values)
+                for value, slices in zip(fine_values, fine_slices):
+                    size = (slices[0].stop - slices[0].start) * (slices[1].stop - slices[1].start)
+                    estimate[slices] = value / size
+        return estimate
