@@ -21,11 +21,6 @@ Execution is controlled by three environment variables understood by
   the run-log, so a killed ``DPBENCH_FULL=1`` sweep picks up where it left
   off.
 
-In addition ``DPBENCH_KERNEL=numpy|numba`` selects the hot-kernel backend
-(see :mod:`repro.core.kernels`); :func:`kernel_backend` reports the backend
-actually in effect, and every ``RunRecord`` written by the studies carries it
-under ``extra["kernel_backend"]``.
-
 Each bench prints its rows and also writes them to ``benchmarks/results/``.
 """
 
@@ -38,21 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from repro import ParallelExecutor, SerialExecutor, benchmark_1d, benchmark_2d
-from repro.core.kernels import active_backend
 from repro.core.suite import env_flag as _env_flag
 
 #: Seed shared by every bench so the reduced grids are reproducible.
 SEED = 20160626
-
-
-def kernel_backend() -> str:
-    """The hot-kernel backend in effect for this bench run.
-
-    Resolves ``DPBENCH_KERNEL`` (``numpy`` | ``numba``; default auto-detect)
-    through :func:`repro.core.kernels.active_backend` — benches print this so
-    a results snapshot is always attributable to a backend.
-    """
-    return active_backend()
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 

@@ -215,7 +215,8 @@ def test_dawa_partition_speed(benchmark):
     survives pruning and the win reduces to the cheaper exact inner loop, is
     reported alongside without a gate.
     """
-    from repro.algorithms.dawa import l1_partition, l1_partition_reference
+    from reference.dawa_partition import l1_partition_reference
+    from repro.algorithms.dawa import l1_partition
 
     def study():
         rng = np.random.default_rng(20160626)
@@ -352,7 +353,8 @@ def test_hilbert_order_speed(benchmark):
     vectorised path must hold a >= 5x margin — in practice it is one to two
     orders of magnitude faster, and the margin grows with the grid side.
     """
-    from repro.algorithms.hilbert import hilbert_order, hilbert_order_reference
+    from reference.hilbert_curve import hilbert_order_reference
+    from repro.algorithms.hilbert import hilbert_order
 
     def study():
         side = HILBERT_SIDE

@@ -2,23 +2,19 @@
 
 The paper's studies stop at domain 4096 (1-D) and 64 x 64 (2-D); this bench
 pushes the release pipeline to 2**20 cells in both layouts and records how
-the wall-clock scales.  Three PR-7 kernels carry the load
+the wall-clock scales.  Three kernels carry the load
 (:mod:`repro.core.kernels`):
 
-* ``l1_partition_core`` — DAWA's survivor scan, dispatchable to numba;
+* ``l1_partition_core`` — DAWA's survivor scan;
 * ``tree_two_pass`` — the streaming tree GLS (fixed ``TREE_BLOCK`` row
   blocks, so a 2**20-leaf solve never materialises a level-sized dense
   intermediate);
 * ``batched_laplace`` — plan noise in one generator call per scale group.
 
-Gates:
-
-* kernel-vs-reference **bitwise parity** (always): the dispatched DAWA
-  partition equals ``l1_partition_reference`` and the scalar tree sources
-  equal the numpy backend;
-* **>= 2x** DAWA partition speedup at n = 2**17 noise-dominated under the
-  numba backend (skipped cleanly when numba is absent — the container
-  default runs the numpy reference everywhere).
+Gate: kernel-vs-reference **bitwise parity** on large-domain inputs — the
+DAWA partition equals ``l1_partition_reference`` (``tests/reference/``) and
+the streaming tree solve at 2**15 nodes is bitwise-invariant to its row
+block size.
 
 Run with ``python -m pytest benchmarks/bench_large_domain.py -q``.
 ``DPBENCH_SMOKE=1`` drops the 2**20 rows and shrinks the 2-D side so CI
@@ -47,12 +43,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _shared import RESULTS_DIR, format_table, kernel_backend, report, run_once
+from _shared import RESULTS_DIR, format_table, report, run_once
 from _svgplot import line_plot
+from reference.dawa_partition import l1_partition_reference
 from repro import make_algorithm
-from repro.algorithms.dawa import l1_partition, l1_partition_reference
+from repro.algorithms.dawa import l1_partition
 from repro.core import kernels
-from repro.core.kernels import numba_available, use_backend
+from repro.core.kernels import TREE_BLOCK
 
 SMOKE = os.environ.get("DPBENCH_SMOKE", "0") not in ("", "0")
 LARGE = os.environ.get("DPBENCH_LARGE", "0") not in ("", "0")
@@ -159,8 +156,7 @@ def _release_row(domain: str, cells: int, name: str, data: np.ndarray) -> dict:
     assert estimate.shape == data.shape
     assert np.all(np.isfinite(estimate))
     return {"domain": domain, "cells": cells, "algorithm": name,
-            "seconds": seconds, "peak_mb": peak_mb,
-            "backend": kernel_backend()}
+            "seconds": seconds, "peak_mb": peak_mb}
 
 
 def _scaling_plot(rows: list[dict]) -> None:
@@ -173,8 +169,7 @@ def _scaling_plot(rows: list[dict]) -> None:
     if os.environ.get("DPBENCH_NO_WRITE", "0") in ("", "0") and series:
         RESULTS_DIR.mkdir(exist_ok=True)
         line_plot(RESULTS_DIR / "bench_large_domain_scaling.svg", series,
-                  title=f"End-to-end release time vs domain size "
-                        f"(eps={EPSILON}, backend={kernel_backend()})",
+                  title=f"End-to-end release time vs domain size (eps={EPSILON})",
                   xlabel="domain size n (cells)", ylabel="seconds")
 
 
@@ -205,14 +200,13 @@ def test_scaling_table(benchmark):
     sizes = ", ".join(f"2^{n.bit_length() - 1}" for n in SIZES_1D)
     report("bench_large_domain",
            f"Large-domain scaling (1-D n in {{{sizes}}}, 2-D {SIDE_2D}x"
-           f"{SIDE_2D}, eps={EPSILON}, backend={kernel_backend()})",
+           f"{SIDE_2D}, eps={EPSILON})",
            format_table(rows, columns=["domain", "algorithm", "seconds",
-                                       "peak_mb", "backend"],
+                                       "peak_mb"],
                         floatfmt="{:.3f}"))
     _write_json("bench_large_domain", {
         "host": _host_info(),
         "epsilon": EPSILON,
-        "backend": kernel_backend(),
         "peak_metric": "rss_hwm_delta_mb",
         "notes": {
             # Satellite record: the flyweight rewrite removed GreedyH's 1-D
@@ -259,14 +253,13 @@ def test_sixteen_million_cell_release(benchmark):
     rows = run_once(benchmark, study)
     report("bench_large_domain_4096",
            f"16M-cell releases (2-D {SIDE_LARGE}x{SIDE_LARGE} + 1-D 2^24, "
-           f"eps={EPSILON}, backend={kernel_backend()})",
+           f"eps={EPSILON})",
            format_table(rows, columns=["domain", "algorithm", "seconds",
-                                       "peak_mb", "backend"],
+                                       "peak_mb"],
                         floatfmt="{:.3f}"))
     _write_json("bench_large_domain_4096", {
         "host": _host_info(),
         "epsilon": EPSILON,
-        "backend": kernel_backend(),
         "peak_metric": "rss_hwm_delta_mb",
         "rows": rows,
     })
@@ -281,19 +274,17 @@ def test_sixteen_million_cell_release(benchmark):
 
 
 def test_kernel_reference_parity(benchmark):
-    """The dispatched kernels are bitwise-interchangeable with the references
-    on large-domain inputs (both backends when numba is present)."""
+    """The kernels are bitwise-interchangeable with their references on
+    large-domain inputs: DAWA's partition with the historical double loop,
+    the streaming tree solve with itself at a different row block size."""
 
     def study():
         n = 2**14
         rng = np.random.default_rng(3)
         noisy = _counts(n, rng) + rng.laplace(0.0, 10.0, n)
-        reference = l1_partition_reference(noisy, bucket_penalty=10.0)
-        backends = ["numpy"] + (["numba"] if numba_available() else [])
-        for backend in backends:
-            with use_backend(backend):
-                assert l1_partition(noisy, 10.0) == reference, \
-                    f"{backend} partition diverged from the reference"
+        assert l1_partition(noisy, 10.0) == \
+            l1_partition_reference(noisy, bucket_penalty=10.0), \
+            "partition diverged from the reference"
 
         groups = []
         for d in range(14):  # complete binary tree, heap-ordered
@@ -303,45 +294,9 @@ def test_kernel_reference_parity(benchmark):
         n_nodes = 2**15 - 1
         own_values = rng.normal(0.0, 50.0, n_nodes)
         own_vars = rng.uniform(0.5, 8.0, n_nodes)
-        ref = kernels._tree_two_pass_numpy(groups, own_values, own_vars)
-        got = kernels._tree_two_pass_numba_driver(groups, own_values, own_vars)
+        ref = kernels._tree_two_pass(groups, own_values, own_vars, block=TREE_BLOCK)
+        got = kernels._tree_two_pass(groups, own_values, own_vars, block=7)
         assert got.tobytes() == ref.tobytes(), \
-            "scalar tree sources diverged from the numpy backend"
-        return len(backends)
+            "tree solve moved with the row block size"
 
-    backends_checked = run_once(benchmark, study)
-    assert backends_checked >= 1
-
-
-def test_dawa_partition_numba_speedup(benchmark):
-    """The compiled survivor scan must hold >= 2x over the numpy reference at
-    n = 2**17 in the noise-dominated regime (where pruning barely bites and
-    the scan is the whole cost)."""
-    if not numba_available():
-        pytest.skip("numba not installed; no compiled backend to gate")
-
-    def study():
-        n = 2**17
-        rng = np.random.default_rng(20160626)
-        x = rng.integers(0, 3, n).astype(float)
-        noisy = x + rng.laplace(0.0, 50.0, n)
-        with use_backend("numba"):
-            l1_partition(noisy[: 2**12], 10.0)  # JIT warm-up
-        with use_backend("numpy"):
-            t_numpy, b_numpy = _time_once(lambda: l1_partition(noisy, 10.0))
-        with use_backend("numba"):
-            t_numba, b_numba = _time_once(lambda: l1_partition(noisy, 10.0))
-        assert b_numba == b_numpy, "backends disagreed on the partition"
-        rows = [
-            {"backend": "numpy", "seconds": t_numpy, "speedup": 1.0},
-            {"backend": "numba", "seconds": t_numba,
-             "speedup": t_numpy / t_numba},
-        ]
-        return rows, t_numpy / t_numba
-
-    rows, speedup = run_once(benchmark, study)
-    report("bench_dawa_numba_speedup",
-           "DAWA L1 partition backends (n=2^17, noise-dominated)",
-           format_table(rows, floatfmt="{:.4f}"))
-    assert speedup >= 2.0, \
-        f"numba partition core only {speedup:.2f}x over the numpy reference"
+    run_once(benchmark, study)

@@ -264,37 +264,24 @@ def main() -> None:
     print(f"after re-release (v{service.version}), same range: "
           f"{service.query(100, 200):.1f}")
 
-    # 11. Million-cell domains and picking a kernel backend.  The hot inner
-    #     loops — DAWA's partition scan, the two-pass tree GLS, the plan
-    #     noise draws — dispatch through a kernel registry
-    #     (repro.core.kernels).  A pure-numpy reference is always there; if
-    #     numba is installed the compiled backends are picked up
-    #     automatically, and every backend is bitwise-identical, so results
-    #     never depend on what happens to be installed.  Set
-    #     DPBENCH_KERNEL=numpy|numba to force a backend (numba without numba
-    #     installed fails loudly rather than silently falling back), or pin
-    #     one in code with kernels.use_backend(...).  The tree solver
-    #     streams its levels in fixed 32k-row blocks, so even a 2**20-leaf
-    #     solve allocates only O(nodes) state — benchmarks/
-    #     bench_large_domain.py records the wall-clock scaling at n = 2**14,
-    #     2**17, 2**20 and 1024x1024.
-    from repro.core import kernels
-
-    print(f"\nkernel backend: {kernels.active_backend()} "
-          f"(numba available: {kernels.numba_available()}; "
-          f"kernels: {', '.join(kernels.kernel_names())})")
+    # 11. Million-cell domains.  The hot inner loops — DAWA's partition
+    #     scan, the two-pass tree GLS, the plan noise draws — are plain numpy
+    #     kernels (repro.core.kernels).  The tree solver streams its levels
+    #     in fixed 32k-row blocks, so even a 2**20-leaf solve allocates only
+    #     O(nodes) state — benchmarks/bench_large_domain.py records the
+    #     wall-clock scaling at n = 2**14, 2**17, 2**20 and 1024x1024.
     big_n = 2**17                       # keep the demo snappy; the bench goes to 2**20
     big = np.zeros(big_n)
     big[rng.integers(0, big_n, 500)] = rng.integers(1, 50, 500)
     t0 = time.perf_counter()
     big_release = repro.make_algorithm("H").run(big, epsilon, rng=10)
-    print(f"H on a {big_n:,}-cell domain: {time.perf_counter() - t0:.1f}s, "
+    print(f"\nH on a {big_n:,}-cell domain: {time.perf_counter() - t0:.1f}s, "
           f"total {big_release.sum():,.0f} (true {big.sum():,.0f})")
 
     # 12. Catching a privacy leak — twice.  DPBench's numbers are only
     #     meaningful if the implementations are actually private, so the
-    #     repo gates its own invariants with repro.privlint: six AST rules
-    #     (PL001-PL006) run in CI (`python -m repro.privlint src`), and a
+    #     repo gates its own invariants with repro.privlint: five AST rules
+    #     (PL001-PL005) run in CI (`python -m repro.privlint src`), and a
     #     runtime taint sanitizer re-checks every registered algorithm
     #     dynamically.  Here is a deliberately leaky selection strategy —
     #     it stashes the true histogram during selection and blends it back

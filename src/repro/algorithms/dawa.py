@@ -49,7 +49,7 @@ from .hilbert import plan_flattening
 from .mechanisms import BudgetExceededError, PrivacyBudget, laplace_noise
 from .tree import HierarchicalTree
 
-__all__ = ["DAWA", "l1_partition", "l1_partition_reference"]
+__all__ = ["DAWA", "l1_partition"]
 
 
 def _interval_costs(noisy: np.ndarray, bucket_penalty: float,
@@ -98,33 +98,6 @@ def _backtrack(choice, n: int) -> list[tuple[int, int]]:
     return buckets
 
 
-def l1_partition_reference(noisy: np.ndarray, bucket_penalty: float,
-                           noise_scale: float = 0.0) -> list[tuple[int, int]]:
-    """Reference dynamic program for :func:`l1_partition` (plain double loop).
-
-    Kept as the executable specification: the vectorised path is
-    cross-validated against it (bitwise-identical partitions) by the property
-    tests and the speed benchmark.
-    """
-    n = noisy.size
-    lengths, interval_cost = _interval_costs(noisy, bucket_penalty, noise_scale)
-
-    dp = np.full(n + 1, np.inf)
-    dp[0] = 0.0
-    choice = np.zeros(n + 1, dtype=np.intp)
-    for i in range(1, n + 1):
-        best, best_length = np.inf, 1
-        for j, length in enumerate(lengths):
-            if length > i:
-                break
-            candidate = dp[i - length] + interval_cost[j][i - length]
-            if candidate < best:
-                best, best_length = candidate, length
-        dp[i] = best
-        choice[i] = best_length
-    return _backtrack(choice, n)
-
-
 def l1_partition(noisy: np.ndarray, bucket_penalty: float,
                  noise_scale: float = 0.0) -> list[tuple[int, int]]:
     """Least-cost partition of ``noisy`` into intervals of power-of-two length.
@@ -136,10 +109,11 @@ def l1_partition(noisy: np.ndarray, bucket_penalty: float,
     ``noise_scale`` is the Laplace scale of the noise already present in
     ``noisy``; see :func:`_interval_costs` for the SSE de-biasing it drives.
 
-    This is the fast path: identical output to
-    :func:`l1_partition_reference`, restructured so the ``O(n log n)``
-    candidate evaluation is almost entirely NumPy.  Per cell ``e`` the
-    ``log n`` candidates are rows of a precomputed end-aligned cost matrix
+    This is the fast path: identical output to the plain double-loop DP over
+    every candidate (kept in ``tests/reference/dawa_partition.py``),
+    restructured so the ``O(n log n)`` candidate evaluation is almost
+    entirely NumPy.  Per cell ``e`` the ``log n`` candidates are rows of a
+    precomputed end-aligned cost matrix
     ``A[j, e] = cost([e - 2**j, e))``; a vectorised dominance test prunes
     every candidate that provably cannot win, and only the handful of
     survivors per cell reach the exact sequential recurrence.
@@ -190,12 +164,10 @@ def l1_partition(noisy: np.ndarray, bucket_penalty: float,
 
     # Survivors in (end, ascending length) order — the reference loop's
     # evaluation order, so ties break identically.  The exact sequential
-    # recurrence over the survivors is the dispatched ``l1_partition_core``
-    # kernel: the pure-python reference, or the compiled scalar loop under
-    # the numba backend (same float64 operations in the same order, so the
-    # partitions are bitwise-identical either way).  This scan dominates in
-    # the noise-dominated regime, where pruning barely reduces the
-    # candidate set and almost every (end, length) pair survives.
+    # recurrence over the survivors is the ``l1_partition_core`` kernel.
+    # This scan dominates in the noise-dominated regime, where pruning
+    # barely reduces the candidate set and almost every (end, length) pair
+    # survives.
     surv_end, surv_j = np.nonzero(keep.T)
     s_end = np.empty(surv_end.size + 1, dtype=np.int64)
     s_end[:-1] = surv_end

@@ -12,47 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["hilbert_order", "hilbert_order_reference", "hilbert_ordering_for",
+__all__ = ["hilbert_order", "hilbert_ordering_for",
            "flatten_2d", "flatten_workload", "flatten_matching_workload",
            "plan_flattening", "unflatten_2d"]
-
-
-def _d2xy(order: int, d: int) -> tuple[int, int]:
-    """Convert a distance along the Hilbert curve to (x, y) on a 2^order grid."""
-    rx = ry = 0
-    x = y = 0
-    t = d
-    s = 1
-    n = 1 << order
-    while s < n:
-        rx = 1 & (t // 2)
-        ry = 1 & (t ^ rx)
-        # rotate quadrant
-        if ry == 0:
-            if rx == 1:
-                x = s - 1 - x
-                y = s - 1 - y
-            x, y = y, x
-        x += s * rx
-        y += s * ry
-        t //= 4
-        s *= 2
-    return x, y
-
-
-def hilbert_order_reference(side: int) -> np.ndarray:
-    """The historical pure-Python construction of :func:`hilbert_order`:
-    one :func:`_d2xy` bit-twiddling loop per curve position — O(n) interpreter
-    iterations.  Kept as the executable specification the vectorised builder
-    is pinned against (bitwise) and as the baseline of the speed bench."""
-    if side < 1 or (side & (side - 1)) != 0:
-        raise ValueError("side must be a positive power of two")
-    order = int(np.log2(side)) if side > 1 else 0
-    indices = np.empty(side * side, dtype=np.intp)
-    for d in range(side * side):
-        x, y = _d2xy(order, d)
-        indices[d] = x * side + y
-    return indices
 
 
 #: Curve positions processed per chunk by :func:`hilbert_order`.  Every
@@ -69,12 +31,12 @@ def hilbert_order(side: int) -> np.ndarray:
 
     ``side`` must be a power of two; callers with other shapes should use the
     row-major fall-back in :func:`flatten_2d`.  The curve is built with the
-    :func:`_d2xy` bit-twiddling applied to chunks of the position vector
-    (O(log side) vectorised passes per chunk instead of ``side**2``
-    interpreter iterations), in ``uint32`` whenever the grid has at most
-    2**32 cells — positions, coordinates and flat indices all fit, so the
-    integer arithmetic is identical element-for-element and the ordering
-    stays bitwise-equal to :func:`hilbert_order_reference` while peak memory
+    classic distance-to-(x, y) bit-twiddling applied to chunks of the
+    position vector (O(log side) vectorised passes per chunk instead of
+    ``side**2`` interpreter iterations), in ``uint32`` whenever the grid has
+    at most 2**32 cells — positions, coordinates and flat indices all fit, so
+    the integer arithmetic is identical element-for-element and the ordering
+    stays bitwise-equal to the historical per-position loop while peak memory
     is the output table plus O(chunk) instead of one int64 intermediate per
     bit round over the whole domain.
     """

@@ -137,14 +137,14 @@ def tree_least_squares(
     least-squares solution.
 
     Both passes stream the level plan in fixed-size row blocks
-    (:data:`repro.core.kernels.TREE_BLOCK`) via the dispatched
-    ``tree_two_pass`` kernel, so no per-level dense intermediate outgrows the
-    block even at 2**20 leaves.  The float-operation order of the historical
-    node-at-a-time implementation is preserved exactly — pass-1 child sums
-    accumulate column-by-column (Python ``sum`` was sequential) while pass-2
-    reductions use numpy's pairwise ``sum`` over length-``k`` rows (which the
-    compiled backend replicates element-for-element) — and chunking rows
-    changes no per-row operation, so results are bitwise identical.
+    (:data:`repro.core.kernels.TREE_BLOCK`) via the ``tree_two_pass``
+    kernel, so no per-level dense intermediate outgrows the block even at
+    2**20 leaves.  The float-operation order of the historical node-at-a-time
+    implementation is preserved exactly — pass-1 child sums accumulate
+    column-by-column (Python ``sum`` was sequential) while pass-2 reductions
+    use numpy's pairwise ``sum`` over length-``k`` rows, as the original did —
+    and chunking rows changes no per-row operation, so results are bitwise
+    identical.
     """
     n_nodes = tree.n_nodes
     measurements = np.asarray(measurements, dtype=float)

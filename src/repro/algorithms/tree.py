@@ -22,8 +22,9 @@ Construction is vectorised level-at-a-time: one batched ``np.linspace`` per
 (axis, piece-count) group replaces the historical per-node interval split —
 bitwise-identical boundaries (``np.linspace`` applies the same elementwise
 float64 operations to array endpoints as to scalars), at array speed.  The
-historical per-node builder is retained as :func:`build_reference_nodes`; it
-is the executable specification the property suite pins the arrays against.
+historical per-node builder is retained in ``tests/reference/tree_nodes.py``;
+it is the executable specification the property suite pins the arrays
+against.
 
 Compatibility: ``tree.nodes``, ``tree.levels()`` and ``tree.leaves()`` still
 yield :class:`TreeNode` values — lightweight proxies materialised on demand
@@ -86,7 +87,7 @@ def _workload_bounds(workload) -> tuple[np.ndarray, np.ndarray]:
     return np.atleast_2d(los), np.atleast_2d(his)
 
 __all__ = ["TreeNode", "HierarchicalTree", "IrregularTreeLevels", "build_tree",
-           "build_reference_nodes", "optimal_branching"]
+           "optimal_branching"]
 
 
 class IrregularTreeLevels(ValueError):
@@ -166,7 +167,8 @@ class _NodeView:
 
 
 def _validated_params(domain_shape, branching, split_axes):
-    """Shared parameter validation of the array builder and the reference."""
+    """Parameter validation of the array builder (the test-only historical
+    builder reuses it)."""
     if branching < 2:
         raise ValueError("branching factor must be at least 2")
     domain_shape = tuple(int(d) for d in domain_shape)
@@ -243,10 +245,10 @@ class HierarchicalTree:
         each group's interval boundaries come from a single batched
         ``np.linspace`` call — the same elementwise float64 operations the
         historical per-node ``np.linspace(a, b + 1, pieces + 1).astype(int)``
-        performed, so every bound is bitwise-identical to
-        :func:`build_reference_nodes`.  Children are emitted in parent-index
-        order (2-D: axis-0-major block order within a parent), matching the
-        reference's breadth-first append order exactly.
+        performed, so every bound is bitwise-identical to the historical
+        per-node builder.  Children are emitted in parent-index order (2-D:
+        axis-0-major block order within a parent), matching the historical
+        breadth-first append order exactly.
         """
         ndim = len(self.domain_shape)
         lo = np.zeros((1, ndim), dtype=np.int64)
@@ -746,83 +748,6 @@ class HierarchicalTree:
                 usage[level] += float(np.sum(intersecting - inside_leaves))
             prev = (i0, j0, i1, j1, table)
         return usage
-
-
-def build_reference_nodes(domain_shape: tuple[int, ...], branching: int = 2,
-                          max_height: int | None = None,
-                          split_axes: tuple[int, ...] | None = None,
-                          ) -> list[TreeNode]:
-    """The historical per-node breadth-first builder, node for node.
-
-    This is the executable specification of :class:`HierarchicalTree`'s
-    vectorised array construction: same node order, bounds, levels, parents
-    and child lists (the property suite pins the two against each other), at
-    per-Python-object cost.  Retained for testing and as the baseline of the
-    construction-speedup gate; production code always uses the arrays.
-    """
-    domain_shape, branching, split_axes = \
-        _validated_params(domain_shape, branching, split_axes)
-    ndim = len(domain_shape)
-
-    def axes_to_split(node: TreeNode) -> tuple[int, ...]:
-        if split_axes is None:
-            return tuple(range(ndim))
-        axis = split_axes[node.level % len(split_axes)]
-        if node.hi[axis] > node.lo[axis]:
-            return (axis,)
-        return tuple(range(ndim))
-
-    def split(node: TreeNode) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        axes = axes_to_split(node)
-        per_dim: list[list[tuple[int, int]]] = []
-        for dim, (a, b) in enumerate(zip(node.lo, node.hi)):
-            length = b - a + 1
-            if length == 1 or dim not in axes:
-                per_dim.append([(a, b)])
-                continue
-            pieces = min(branching, length)
-            boundaries = np.linspace(a, b + 1, pieces + 1).astype(int)
-            segments = []
-            for i in range(pieces):
-                lo_i, hi_i = int(boundaries[i]), int(boundaries[i + 1]) - 1
-                if hi_i >= lo_i:
-                    segments.append((lo_i, hi_i))
-            per_dim.append(segments)
-        blocks = []
-        if len(per_dim) == 1:
-            for seg in per_dim[0]:
-                blocks.append(((seg[0],), (seg[1],)))
-        else:
-            for seg0 in per_dim[0]:
-                for seg1 in per_dim[1]:
-                    blocks.append(((seg0[0], seg1[0]), (seg0[1], seg1[1])))
-        # Avoid degenerate "split" into a single identical block.
-        if len(blocks) == 1 and blocks[0] == (node.lo, node.hi):
-            return []
-        return blocks
-
-    root = TreeNode(lo=tuple(0 for _ in domain_shape),
-                    hi=tuple(d - 1 for d in domain_shape), level=0)
-    root.index = 0
-    nodes = [root]
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for node_idx in frontier:
-            node = nodes[node_idx]
-            if node.size <= 1:
-                continue
-            if max_height is not None and node.level >= max_height:
-                continue
-            for lo, hi in split(node):
-                child = TreeNode(lo=lo, hi=hi, level=node.level + 1,
-                                 parent=node_idx)
-                child.index = len(nodes)
-                node.children.append(child.index)
-                nodes.append(child)
-                next_frontier.append(child.index)
-        frontier = next_frontier
-    return nodes
 
 
 def optimal_branching(n: int, max_branching: int = 16) -> int:

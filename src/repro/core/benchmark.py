@@ -56,7 +56,6 @@ from .executor import (
     root_entropy_from,
 )
 from .generator import DataGenerator
-from .kernels import active_backend
 from .results import ExperimentSetting, ResultSet, RunRecord, read_jsonl_entries
 
 __all__ = ["BenchmarkGrid", "DPBench"]
@@ -271,10 +270,8 @@ class DPBench:
                 raise
             return RunRecord(setting=setting, algorithm=name,
                              errors=np.array([]), failed=True,
-                             failure_message=f"{type(exc).__name__}: {exc}",
-                             extra={"kernel_backend": active_backend()})
-        return RunRecord(setting=setting, algorithm=name, errors=np.array(errors),
-                         extra={"kernel_backend": active_backend()})
+                             failure_message=f"{type(exc).__name__}: {exc}")
+        return RunRecord(setting=setting, algorithm=name, errors=np.array(errors))
 
     # -- execution --------------------------------------------------------------------
     def run(

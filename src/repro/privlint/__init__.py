@@ -4,12 +4,12 @@ The benchmark's thesis — DP algorithm evaluations are only trustworthy if the
 implementations are actually private and deterministic end-to-end — is
 enforced here on two fronts:
 
-* **statically**: AST rules PL001-PL006 (:mod:`repro.privlint.rules`) gate
+* **statically**: AST rules PL001-PL005 (:mod:`repro.privlint.rules`) gate
   the invariants this repository has already been burned by — fresh RNGs
   outside the executor, true data reaching post-processing, unmetered noise
-  draws, raw epsilon splits, unlocked lazy caches in thread-shared classes,
-  non-compilable njit kernel sources — and the interprocedural dataflow
-  rules PL007-PL010 (:mod:`repro.privlint.dataflow`) chase the same
+  draws, raw epsilon splits, unlocked lazy caches in thread-shared classes
+  — and the interprocedural dataflow rules PL007-PL010
+  (:mod:`repro.privlint.dataflow`) chase the same
   invariants *across* calls: call-graph taint into the post-processing
   stage, budget flow into every noise scale, RNG provenance back to the
   executor spawn, and lock discipline across methods.  Run

@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.privlint",
         description="Privacy-invariant static analysis for the DPBench "
-                    "reproduction (module rules PL001-PL006, "
+                    "reproduction (module rules PL001-PL005, "
                     "interprocedural dataflow rules PL007-PL010).")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")

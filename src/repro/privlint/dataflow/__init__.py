@@ -1,6 +1,6 @@
 """Interprocedural dataflow analysis for the privacy linter (privlint v2).
 
-The per-module rules PL001–PL006 are blind to anything that crosses a call:
+The per-module rules PL001–PL005 are blind to anything that crosses a call:
 route the true histogram through one helper and PL002 never sees it.  This
 package closes that gap with a three-phase whole-project analysis:
 

@@ -12,7 +12,7 @@ Every rule id carries the history that motivated it:
   measurements *alone*.
 * **PL003** — noise metering: Laplace/geometric draws belong to the shared,
   :class:`~repro.algorithms.mechanisms.PrivacyBudget`-metered noise stage
-  (``measure_plan``), the mechanism primitives, or the kernel backends.
+  (``measure_plan``), the mechanism primitives, or the noise kernel.
   A draw anywhere else is unaccounted epsilon unless its enclosing function
   visibly participates in budget accounting.
 * **PL004** — budget arithmetic: multiplying/dividing the raw ``epsilon``
@@ -21,11 +21,6 @@ Every rule id carries the history that motivated it:
 * **PL005** — the PR 6 ``QueryMatrix`` bug class: a lazily built cache
   published by plain attribute assignment in a class documented as
   thread-shared is a data race; build once under the lock, then publish.
-* **PL006** — kernel-source discipline (PR 7): functions handed to ``njit``
-  must stay in the numba-compilable subset — no closures over module globals
-  beyond numpy and sibling kernels, no Python-object operations, explicit
-  float64/int64 allocation dtypes — because the numpy leg of CI runs them
-  uncompiled and the numba leg must compile them unchanged.
 """
 
 from __future__ import annotations
@@ -38,8 +33,7 @@ from .findings import Finding
 
 __all__ = ["DEFAULT_RULES", "RULES_BY_ID",
            "FreshRngRule", "PostProcessingPurityRule", "UnmeteredNoiseRule",
-           "RawEpsilonArithmeticRule", "UnlockedLazyCacheRule",
-           "KernelSourceDisciplineRule"]
+           "RawEpsilonArithmeticRule", "UnlockedLazyCacheRule"]
 
 
 # --------------------------------------------------------------------------------------
@@ -165,8 +159,8 @@ class UnmeteredNoiseRule:
     id = "PL003"
     name = "unmetered-noise"
     description = ("Noise draws (rng.laplace, laplace_noise, rng.geometric, "
-                   "...) belong to mechanisms.py, measure_plan or the kernel "
-                   "backends; elsewhere they must sit inside a function that "
+                   "...) belong to mechanisms.py, measure_plan or the noise "
+                   "kernel; elsewhere they must sit inside a function that "
                    "takes the shared PrivacyBudget (a metered selection "
                    "stage).")
     severity = "error"
@@ -366,182 +360,12 @@ class UnlockedLazyCacheRule:
         return False
 
 
-# --------------------------------------------------------------------------------------
-# PL006 — njit kernel sources stay in the numba-compilable subset
-# --------------------------------------------------------------------------------------
-
-class KernelSourceDisciplineRule:
-    id = "PL006"
-    name = "kernel-source-discipline"
-    description = ("Functions wrapped by njit (the compiled kernel sources) "
-                   "must avoid Python-object operations and closures over "
-                   "module globals, and must allocate with explicit dtypes, "
-                   "so both CI legs — uncompiled numpy and compiled numba — "
-                   "run them unchanged.")
-    severity = "error"
-
-    _SAFE_BUILTINS: ClassVar[set[str]] = {"range", "len", "enumerate", "zip", "min", "max", "abs",
-                      "int", "float", "bool", "divmod", "round"}
-    _ALLOC_FUNCTIONS: ClassVar[set[str]] = {"empty", "zeros", "ones", "full"}
-    _BANNED_NODES: ClassVar[dict[type, str]] = {
-        ast.Lambda: "lambda",
-        ast.DictComp: "dict comprehension",
-        ast.SetComp: "set comprehension",
-        ast.ListComp: "list comprehension",
-        ast.GeneratorExp: "generator expression",
-        ast.Try: "try/except",
-        ast.With: "with block",
-        ast.Yield: "yield",
-        ast.YieldFrom: "yield from",
-        ast.Global: "global statement",
-        ast.Nonlocal: "nonlocal statement",
-        ast.ClassDef: "class definition",
-        ast.JoinedStr: "f-string",
-        ast.Dict: "dict literal",
-        ast.Set: "set literal",
-        ast.List: "list literal",
-        ast.Starred: "star-unpacking",
-        ast.Await: "await",
-    }
-    _BANNED_METHODS: ClassVar[set[str]] = {"tolist", "item", "astype"}
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        sources = self._njit_source_names(module)
-        if not sources:
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and node.name in sources:
-                yield from self._check_source(module, node, sources)
-
-    @staticmethod
-    def _njit_source_names(module: ModuleContext) -> set[str]:
-        """Names of functions wrapped by (possibly parameterised) njit.
-
-        Three registration shapes count as kernel sources: the decorator
-        form (``@njit(...)``), the rebinding form
-        (``_njit(cache=True, ...)(source_fn)``), and a plain function name
-        handed straight to the dispatch registry's numba backend
-        (``register_kernel("name", "numba", source_fn)``) — the latter is
-        compiled lazily, so its source must obey the same discipline.
-        """
-        sources: set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for decorator in node.decorator_list:
-                    target = decorator.func if isinstance(decorator, ast.Call) \
-                        else decorator
-                    name = module.dotted_name(target) or ""
-                    if name.split(".")[-1].lstrip("_") == "njit":
-                        sources.add(node.name)
-            elif isinstance(node, ast.Call):
-                # the rebinding form: _njit(cache=True, ...)(source_fn)
-                inner = node.func
-                target = inner.func if isinstance(inner, ast.Call) else inner
-                name = module.dotted_name(target) or ""
-                if name.split(".")[-1].lstrip("_") == "njit" \
-                        and isinstance(inner, ast.Call):
-                    for arg in node.args:
-                        if isinstance(arg, ast.Name):
-                            sources.add(arg.id)
-                # the registry form: register_kernel(name, "numba", source_fn)
-                if name.split(".")[-1] == "register_kernel" \
-                        and len(node.args) >= 3 \
-                        and isinstance(node.args[1], ast.Constant) \
-                        and node.args[1].value == "numba" \
-                        and isinstance(node.args[2], ast.Name):
-                    sources.add(node.args[2].id)
-        return sources
-
-    @staticmethod
-    def _module_callable_names(module: ModuleContext) -> set[str]:
-        """Module-level callables a kernel source may legitimately reference:
-        every function definition plus names bound to njit products
-        (``x = _njit(...)(y)``).  Referencing these is dispatch, not a data
-        closure — numba resolves sibling compiled functions at compile time
-        and the numba CI leg rejects calls into plain-Python ones."""
-        names: set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names.add(node.name)
-            elif isinstance(node, ast.Assign) \
-                    and isinstance(node.value, ast.Call):
-                inner = node.value.func
-                target = inner.func if isinstance(inner, ast.Call) else inner
-                name = module.dotted_name(target) or ""
-                if name.split(".")[-1].lstrip("_") == "njit":
-                    names.update(t.id for t in node.targets
-                                 if isinstance(t, ast.Name))
-        return names
-
-    def _check_source(self, module: ModuleContext, func: ast.FunctionDef,
-                      sources: set[str]) -> Iterator[Finding]:
-        allowed = (set(self._SAFE_BUILTINS) | sources
-                   | self._module_callable_names(module)
-                   | module.numpy_aliases | {"numpy"})
-        local = {a.arg for a in (func.args.posonlyargs + func.args.args
-                                 + func.args.kwonlyargs)}
-        local |= {a.arg for a in (func.args.vararg, func.args.kwarg) if a}
-        # Walk the body only: ast.walk(func) would also visit the decorator
-        # list, flagging the njit reference itself as a global closure.
-        body_nodes = [n for stmt in func.body for n in ast.walk(stmt)]
-        for node in body_nodes:
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                local.add(node.id)
-        for node in body_nodes:
-            banned = self._BANNED_NODES.get(type(node))
-            if banned is not None:
-                yield module.finding(
-                    self, node,
-                    f"njit source {func.name}() uses a {banned} — outside "
-                    f"the numba-compilable subset this registry requires")
-                continue
-            if isinstance(node, ast.Call):
-                yield from self._check_call(module, func, node)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
-                    and node.id not in local and node.id not in allowed:
-                yield module.finding(
-                    self, node,
-                    f"njit source {func.name}() closes over module global "
-                    f"{node.id!r}; kernel sources may reference only their "
-                    f"arguments, numpy and sibling njit sources")
-
-    def _check_call(self, module: ModuleContext, func: ast.FunctionDef,
-                    call: ast.Call) -> Iterator[Finding]:
-        if isinstance(call.func, ast.Attribute):
-            if call.func.attr in self._BANNED_METHODS:
-                yield module.finding(
-                    self, call,
-                    f"njit source {func.name}() calls .{call.func.attr}() — "
-                    f"a Python-object operation outside the compilable "
-                    f"subset")
-                return
-            name = module.dotted_name(call.func) or ""
-            parts = name.split(".")
-            if len(parts) == 2 and parts[0] in (module.numpy_aliases
-                                                | {"numpy"}) \
-                    and parts[1] in self._ALLOC_FUNCTIONS:
-                if not self._has_explicit_dtype(call):
-                    yield module.finding(
-                        self, call,
-                        f"njit source {func.name}() allocates via "
-                        f"np.{parts[1]} without an explicit dtype; spell out "
-                        f"float64/int64 so both backends agree bitwise")
-
-    @staticmethod
-    def _has_explicit_dtype(call: ast.Call) -> bool:
-        if any(kw.arg == "dtype" for kw in call.keywords):
-            return True
-        return len(call.args) >= 2
-
-
 DEFAULT_RULES = (
     FreshRngRule(),
     PostProcessingPurityRule(),
     UnmeteredNoiseRule(),
     RawEpsilonArithmeticRule(),
     UnlockedLazyCacheRule(),
-    KernelSourceDisciplineRule(),
 )
 
 RULES_BY_ID = {rule.id: rule for rule in DEFAULT_RULES}

@@ -179,7 +179,7 @@ class TestDAWA:
         assert estimate.shape == (16, 16)
 
     def test_fast_partition_matches_reference_loop(self):
-        from repro.algorithms.dawa import l1_partition_reference
+        from reference.dawa_partition import l1_partition_reference
 
         noisy = np.random.default_rng(8).random(257) * 40 - 5.0
         assert l1_partition(noisy, 0.7, noise_scale=2.0) == \

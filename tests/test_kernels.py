@@ -1,11 +1,8 @@
-"""Kernel-dispatch registry, bitwise backend parity, and memory-bound tests.
+"""The numpy kernels of :mod:`repro.core.kernels`: lookup, stream identity,
+reference parity, and memory bounds.
 
-The compiled backends of :mod:`repro.core.kernels` must be *bitwise*
-interchangeable with their numpy references, and the streaming tree solver
-must keep its transients bounded by the block size even at 2**20 leaves.
-The python sources of the njit kernels are exercised here unconditionally
-(numba compiles the same code objects), so parity is pinned even in
-environments without numba; the compiled paths run on the numba CI leg.
+The streaming tree solver must keep its transients bounded by the block size
+even at 2**20 leaves, and blocking must not move a single bit.
 """
 
 from __future__ import annotations
@@ -15,80 +12,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.algorithms.dawa import l1_partition, l1_partition_reference
+from reference.dawa_partition import l1_partition_reference
+from repro.algorithms.dawa import l1_partition
 from repro.algorithms.inference import _inference_plan, tree_least_squares
 from repro.algorithms.tree import HierarchicalTree
 from repro.core import kernels
-from repro.core.kernels import (
-    TREE_BLOCK,
-    active_backend,
-    available_backends,
-    batched_laplace,
-    get_kernel,
-    kernel_names,
-    numba_available,
-    use_backend,
-)
+from repro.core.kernels import TREE_BLOCK, batched_laplace, get_kernel
 from repro.workload.prefix_sum import PrefixSum
 
-needs_numba = pytest.mark.skipif(not numba_available(),
-                                 reason="numba not installed")
 
-
-# -- registry semantics ----------------------------------------------------------------
-
-class TestRegistry:
-    def test_expected_kernels_registered(self):
-        assert set(kernel_names()) >= {"l1_partition_core", "tree_two_pass",
-                                       "batched_laplace"}
-
-    def test_numpy_reference_always_available(self):
-        for name in kernel_names():
-            assert "numpy" in available_backends(name)
-
-    def test_unknown_kernel_raises_with_names(self):
-        with pytest.raises(KeyError, match="l1_partition_core"):
-            get_kernel("no_such_kernel")
-
-    def test_env_override_numpy(self, monkeypatch):
-        monkeypatch.setenv("DPBENCH_KERNEL", "numpy")
-        assert active_backend() == "numpy"
-        assert active_backend("tree_two_pass") == "numpy"
-
-    def test_env_override_invalid(self, monkeypatch):
-        monkeypatch.setenv("DPBENCH_KERNEL", "cuda")
-        with pytest.raises(ValueError, match="DPBENCH_KERNEL"):
-            active_backend()
-
-    def test_use_backend_pins_and_restores(self):
-        before = active_backend()
-        with use_backend("numpy"):
-            assert active_backend() == "numpy"
-            assert get_kernel("tree_two_pass") is kernels._tree_two_pass_numpy
-        assert active_backend() == before
-
-    def test_use_backend_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            with use_backend("fortran"):
-                pass  # pragma: no cover
-
-    @pytest.mark.skipif(numba_available(), reason="numba is installed")
-    def test_forcing_numba_without_numba_raises(self):
-        with pytest.raises(RuntimeError, match="numba is not installed"):
-            with use_backend("numba"):
-                pass  # pragma: no cover
-
-    @pytest.mark.skipif(numba_available(), reason="numba is installed")
-    def test_auto_falls_back_to_numpy(self):
-        assert active_backend() == "numpy"
-        assert get_kernel("l1_partition_core") is kernels._l1_partition_core_numpy
-
-    @needs_numba
-    def test_auto_prefers_numba_when_present(self):
-        assert active_backend() == "numba"
-        assert active_backend("l1_partition_core") == "numba"
-        # Kernels without a compiled implementation fall back per-kernel.
-        assert active_backend("batched_laplace") == "numpy"
+def test_unknown_kernel_raises_with_names():
+    with pytest.raises(KeyError, match="l1_partition_core"):
+        get_kernel("no_such_kernel")
 
 
 # -- batched_laplace stream identity ---------------------------------------------------
@@ -125,7 +60,7 @@ class TestBatchedLaplace:
         assert out.shape == (0,)
 
 
-# -- l1_partition_core parity ----------------------------------------------------------
+# -- l1_partition_core vs the reference DP ---------------------------------------------
 
 def _l1_inputs(kind: str, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -139,32 +74,12 @@ def _l1_inputs(kind: str, n: int, seed: int) -> np.ndarray:
 
 class TestL1PartitionCore:
     @pytest.mark.parametrize("kind", ["structured", "noise"])
-    def test_scalar_source_matches_reference_partition(self, monkeypatch, kind):
-        """The njit source, run uncompiled through the real dispatch path,
-        reproduces the reference partition exactly."""
-        noisy = _l1_inputs(kind, 512, seed=42)
-        expected = l1_partition_reference(noisy, bucket_penalty=2.0)
-        monkeypatch.setitem(kernels._REGISTRY["l1_partition_core"], "numpy",
-                            kernels._l1_partition_core_scalar)
-        assert l1_partition(noisy, bucket_penalty=2.0) == expected
-
-    @pytest.mark.parametrize("kind", ["structured", "noise"])
-    def test_numpy_backend_matches_reference(self, kind):
+    def test_matches_reference_partition(self, kind):
         noisy = _l1_inputs(kind, 512, seed=1)
-        with use_backend("numpy"):
-            assert l1_partition(noisy, 2.0) == l1_partition_reference(noisy, 2.0)
-
-    @needs_numba
-    @pytest.mark.parametrize("kind", ["structured", "noise"])
-    def test_numba_backend_matches_numpy(self, kind):
-        noisy = _l1_inputs(kind, 2048, seed=5)
-        with use_backend("numpy"):
-            ref = l1_partition(noisy, 2.0)
-        with use_backend("numba"):
-            assert l1_partition(noisy, 2.0) == ref
+        assert l1_partition(noisy, 2.0) == l1_partition_reference(noisy, 2.0)
 
 
-# -- tree_two_pass parity --------------------------------------------------------------
+# -- tree_two_pass ---------------------------------------------------------------------
 
 def _random_tree_case(seed: int, branching: int, n_leaves: int,
                       unmeasured_frac: float = 0.0):
@@ -182,61 +97,24 @@ def _random_tree_case(seed: int, branching: int, n_leaves: int,
 
 
 class TestTreeTwoPass:
-    @pytest.mark.parametrize("branching,n_leaves,frac", [
-        (2, 64, 0.0),
-        (2, 100, 0.3),   # ragged tree, unmeasured interior
-        (4, 256, 0.0),
-        (9, 243, 0.2),   # branching > 8: pairwise emulation's unrolled path
-        (16, 256, 0.0),
-    ])
-    def test_scalar_sources_match_numpy_backend(self, branching, n_leaves, frac):
-        tree, meas, var = _random_tree_case(17, branching, n_leaves, frac)
-        plan = _inference_plan(tree)
-        own_values = np.where(np.isfinite(meas), meas, 0.0)
-        own_vars = np.where(np.isfinite(meas), var, np.inf)
-        ref = kernels._tree_two_pass_numpy(plan, own_values, own_vars)
-        got = kernels._tree_two_pass_numba_driver(plan, own_values, own_vars)
-        assert got.tobytes() == ref.tobytes()
-
     def test_blocking_is_bitwise_invariant(self):
         """Tiny blocks chunk every level many times; results must not move."""
         tree, meas, var = _random_tree_case(23, 2, 512, 0.25)
         plan = _inference_plan(tree)
         own_values = np.where(np.isfinite(meas), meas, 0.0)
         own_vars = np.where(np.isfinite(meas), var, np.inf)
-        ref = kernels._tree_two_pass_numpy(plan, own_values, own_vars)
-        tiny = kernels._tree_two_pass_numpy(plan, own_values, own_vars, block=7)
+        ref = kernels._tree_two_pass(plan, own_values, own_vars)
+        tiny = kernels._tree_two_pass(plan, own_values, own_vars, block=7)
         assert tiny.tobytes() == ref.tobytes()
 
-    def test_dispatch_used_by_tree_least_squares(self):
+    def test_tree_least_squares_is_consistent(self):
         tree, meas, var = _random_tree_case(29, 2, 64)
-        with use_backend("numpy"):
-            out = tree_least_squares(tree, meas, var)
+        out = tree_least_squares(tree, meas, var)
         # Consistency: every parent equals the sum of its children.
         for node in tree.nodes:
             if node.children:
                 assert out[node.index] == pytest.approx(
                     sum(out[c] for c in node.children), rel=1e-9)
-
-    @needs_numba
-    @pytest.mark.parametrize("branching,n_leaves,frac", [
-        (2, 100, 0.3), (4, 256, 0.0), (9, 243, 0.2),
-    ])
-    def test_numba_backend_matches_numpy(self, branching, n_leaves, frac):
-        tree, meas, var = _random_tree_case(31, branching, n_leaves, frac)
-        with use_backend("numpy"):
-            ref = tree_least_squares(tree, meas, var)
-        with use_backend("numba"):
-            got = tree_least_squares(tree, meas, var)
-        assert got.tobytes() == ref.tobytes()
-
-
-class TestPairwiseSumEmulation:
-    def test_matches_ndarray_sum_up_to_128(self):
-        rng = np.random.default_rng(0)
-        for k in range(1, 129):
-            row = rng.uniform(-1e6, 1e6, k)
-            assert kernels._pairwise_sum_scalar(row, k) == row.sum()
 
 
 # -- streaming memory bounds -----------------------------------------------------------
@@ -265,7 +143,7 @@ class TestStreamingMemory:
         rng = np.random.default_rng(41)
         own_values = rng.normal(0.0, 10.0, n_nodes)
         own_vars = np.full(n_nodes, 4.0)
-        solve = kernels._tree_two_pass_numpy
+        solve = kernels._tree_two_pass
 
         tracemalloc.start()
         out = solve(groups, own_values, own_vars)
@@ -323,60 +201,3 @@ class TestPrefixSumPrecision:
         ps = PrefixSum(x)
         assert ps.range_sum((0, 0), (1023, 1023)) == float(2**20)
         assert ps.range_sum((512, 512), (1023, 1023)) == float(512 * 512)
-
-
-# -- backend recorded in run records ---------------------------------------------------
-
-class TestBackendRecording:
-    def test_run_records_carry_kernel_backend(self):
-        from repro import make_algorithm
-        from repro.core.benchmark import BenchmarkGrid, DPBench
-        from repro.data.dataset import Dataset
-
-        grid = BenchmarkGrid(scales=[500], domain_shapes=[(32,)],
-                             epsilons=[0.5], n_data_samples=1, n_trials=1)
-        bench = DPBench(task="test", grid=grid,
-                        datasets=[Dataset("FLAT", np.ones(32))],
-                        algorithms={"Identity": make_algorithm("Identity")})
-        records = list(bench.run(rng=0))
-        assert records
-        for record in records:
-            assert record.extra["kernel_backend"] == active_backend()
-
-
-# -- registry-wide backend parity (numba leg) ------------------------------------------
-
-@needs_numba
-class TestRegistryWideParity:
-    """Every registered algorithm is bitwise-identical under both backends."""
-
-    @pytest.mark.parametrize("name", [
-        "Identity", "Uniform", "Privelet", "H", "Hb", "GreedyH", "MWEM",
-        "AHP", "DPCube", "DAWA", "PHP", "EFPA", "SF",
-    ])
-    def test_1d_bitwise_parity(self, name, small_1d, workload_1d):
-        from repro import make_algorithm
-
-        with use_backend("numpy"):
-            ref = make_algorithm(name).run(small_1d, 0.5, workload=workload_1d,
-                                           rng=np.random.default_rng(99))
-        with use_backend("numba"):
-            got = make_algorithm(name).run(small_1d, 0.5, workload=workload_1d,
-                                           rng=np.random.default_rng(99))
-        assert got.tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("name", [
-        "Identity", "QuadTree", "HybridTree", "UGrid", "AGrid", "DAWA",
-    ])
-    def test_2d_bitwise_parity(self, name, small_2d):
-        from repro import make_algorithm, random_range_workload
-
-        workload = random_range_workload((16, 16), n_queries=40,
-                                         rng=np.random.default_rng(3))
-        with use_backend("numpy"):
-            ref = make_algorithm(name).run(small_2d, 0.5, workload=workload,
-                                           rng=np.random.default_rng(99))
-        with use_backend("numba"):
-            got = make_algorithm(name).run(small_2d, 0.5, workload=workload,
-                                           rng=np.random.default_rng(99))
-        assert got.tobytes() == ref.tobytes()

@@ -86,11 +86,16 @@ class TestMeasurementSet:
 class TestGLSAgainstDense:
     """Cross-checks of the generic solver against dense np.linalg.lstsq."""
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_randomized_trees_match_dense(self, seed):
+    @pytest.mark.parametrize("seed,branching,n", [
+        *(pytest.param(seed, None, None, id=str(seed)) for seed in range(5)),
+        # Wide and ragged trees: the tree solve at branching 4, 9 and 16.
+        (5, 4, 256), (6, 4, 100), (7, 9, 243), (8, 16, 256), (9, 16, 37),
+    ])
+    def test_randomized_trees_match_dense(self, seed, branching, n):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(12, 40))
-        branching = int(rng.integers(2, 4))
+        if n is None:
+            n = int(rng.integers(12, 40))
+            branching = int(rng.integers(2, 4))
         tree = HierarchicalTree((n,), branching=branching)
         x = rng.integers(0, 50, size=n).astype(float)
         budgets = rng.uniform(0.05, 0.5, size=tree.n_levels)

@@ -318,131 +318,6 @@ class TestUnlockedLazyCache:
         """) == []
 
 
-# -- PL006: kernel source discipline -------------------------------------------------
-
-
-class TestKernelSourceDiscipline:
-    def test_decorated_source_with_tolist_flagged(self):
-        findings = run_rule("PL006", """
-            import numpy as np
-            from numba import njit
-
-            @njit(cache=True)
-            def kernel(x):
-                return x.tolist()
-        """, path="src/repro/core/kernels.py")
-        assert [f.rule for f in findings] == ["PL006"]
-        assert ".tolist()" in findings[0].message
-
-    def test_rebinding_form_detected(self):
-        # The registry's actual shape: _njit(...)(source_fn).
-        findings = run_rule("PL006", """
-            import numpy as np
-
-            def _kernel_scalar(x):
-                out = np.empty(x.size)
-                return out
-
-            compiled = _njit(cache=True, nogil=True)(_kernel_scalar)
-        """, path="src/repro/core/kernels.py")
-        assert [f.rule for f in findings] == ["PL006"]
-        assert "dtype" in findings[0].message
-
-    def test_global_closure_flagged(self):
-        findings = run_rule("PL006", """
-            import numpy as np
-            from numba import njit
-
-            TABLE = {1: 2}
-
-            @njit
-            def kernel(x):
-                return x + TABLE_SIZE
-        """, path="src/repro/core/kernels.py")
-        assert [f.rule for f in findings] == ["PL006"]
-        assert "TABLE_SIZE" in findings[0].message
-
-    def test_compilable_source_clean(self):
-        assert run_rule("PL006", """
-            import numpy as np
-            from numba import njit
-
-            @njit(cache=True)
-            def kernel(x, n):
-                out = np.empty(n, dtype=np.float64)
-                for i in range(n):
-                    out[i] = abs(x[i])
-                return out
-        """, path="src/repro/core/kernels.py") == []
-
-    def test_sibling_source_call_allowed(self):
-        assert run_rule("PL006", """
-            import numpy as np
-            from numba import njit
-
-            @njit
-            def helper(x):
-                return x * 2.0
-
-            @njit
-            def kernel(x):
-                return helper(x) + 1.0
-        """, path="src/repro/core/kernels.py") == []
-
-    def test_non_njit_functions_ignored(self):
-        assert run_rule("PL006", """
-            import numpy as np
-
-            def numpy_backend(x):
-                return {"result": x.tolist()}
-        """, path="src/repro/core/kernels.py") == []
-
-    def test_registry_numba_source_flagged(self):
-        # A raw def handed to the registry's numba backend is compiled
-        # lazily, so its body must obey the same compilable-subset rules.
-        findings = run_rule("PL006", """
-            import numpy as np
-
-            def _tree_build_core(lo, hi, n):
-                return [lo[i] for i in range(n)]
-
-            register_kernel("tree_build_core", "numba", _tree_build_core)
-        """, path="src/repro/core/kernels.py")
-        assert [f.rule for f in findings] == ["PL006"]
-        assert "list comprehension" in findings[0].message
-
-    def test_registry_numpy_source_not_a_kernel(self):
-        # The numpy backend is vectorised python — no subset discipline.
-        assert run_rule("PL006", """
-            import numpy as np
-
-            def _tree_build_numpy(lo, hi, n):
-                return [int(v) for v in lo]
-
-            register_kernel("tree_build_core", "numpy", _tree_build_numpy)
-        """, path="src/repro/core/kernels.py") == []
-
-    def test_registry_driver_forwarding_to_njit_products_clean(self):
-        # The dispatch-driver idiom: a plain def registered under numba that
-        # forwards to njit products is dispatch, not a data closure.
-        assert run_rule("PL006", """
-            import numpy as np
-
-            def _pass_scalar(x):
-                return x * 2.0
-
-            _pass_numba = _njit(cache=True, nogil=True)(_pass_scalar)
-
-            def _driver(groups, values):
-                return _run_groups(groups, values, kernel=_pass_numba)
-
-            def _run_groups(groups, values, kernel):
-                return values
-
-            register_kernel("two_pass", "numba", _driver)
-        """, path="src/repro/core/kernels.py") == []
-
-
 # -- suppressions --------------------------------------------------------------------
 
 

@@ -5,9 +5,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from reference.dawa_partition import l1_partition_reference
 from repro import Dataset, PrefixSum, RangeQuery, Workload, scaled_average_per_query_error
 from repro.algorithms.ahp import greedy_value_clustering
-from repro.algorithms.dawa import l1_partition, l1_partition_reference
+from repro.algorithms.dawa import l1_partition
 from repro.algorithms.hilbert import flatten_2d, unflatten_2d
 from repro.algorithms.inference import tree_least_squares
 from repro.algorithms.tree import HierarchicalTree

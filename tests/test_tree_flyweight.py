@@ -3,7 +3,7 @@
 :class:`~repro.algorithms.tree.HierarchicalTree` stores the hierarchy as
 structure-of-arrays (bounds, levels, parents, CSR child offsets) built by a
 vectorised level-at-a-time pass.  The historical per-node breadth-first
-builder is retained as :func:`~repro.algorithms.tree.build_reference_nodes`;
+builder is retained in ``tests/reference/tree_nodes.py``;
 these tests pin the two node-for-node — bounds, levels, parent/child
 topology, leaf order — across randomly drawn shapes, branching factors,
 height caps and kd split schedules, and check the construction-cost
@@ -19,7 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.tree import HierarchicalTree, build_reference_nodes
+from reference.tree_nodes import build_reference_nodes
+from repro.algorithms.tree import HierarchicalTree
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])

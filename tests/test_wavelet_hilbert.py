@@ -141,7 +141,7 @@ class TestHilbertOrderVectorised:
 
     @pytest.mark.parametrize("side", [1, 2, 4, 8, 16, 32, 64, 128])
     def test_bitwise_identical_to_reference(self, side):
-        from repro.algorithms.hilbert import hilbert_order_reference
+        from reference.hilbert_curve import hilbert_order_reference
 
         fast = hilbert_order(side)
         reference = hilbert_order_reference(side)
@@ -149,7 +149,7 @@ class TestHilbertOrderVectorised:
         assert fast.tobytes() == reference.tobytes()
 
     def test_reference_rejects_non_power_of_two(self):
-        from repro.algorithms.hilbert import hilbert_order_reference
+        from reference.hilbert_curve import hilbert_order_reference
 
         with pytest.raises(ValueError):
             hilbert_order_reference(6)
