@@ -13,17 +13,62 @@ import numpy as np
 import pytest
 
 from reference.dawa_partition import l1_partition_reference
+from repro.algorithms import dawa, inference
 from repro.algorithms.dawa import l1_partition
 from repro.algorithms.inference import _inference_plan, tree_least_squares
 from repro.algorithms.tree import HierarchicalTree
 from repro.core import kernels
-from repro.core.kernels import TREE_BLOCK, batched_laplace, get_kernel
+from repro.core.kernels import (
+    TREE_BLOCK,
+    active_backend,
+    batched_laplace,
+    get_kernel,
+)
 from repro.workload.prefix_sum import PrefixSum
 
 
-def test_unknown_kernel_raises_with_names():
-    with pytest.raises(KeyError, match="l1_partition_core"):
-        get_kernel("no_such_kernel")
+# -- lookup -----------------------------------------------------------------------------
+
+def _record_lookups(monkeypatch, module):
+    """Wrap ``module.get_kernel`` the way ``perfbench/tracing.py`` does and
+    return the list of kernel names it was asked for."""
+    seen = []
+
+    def recording(name):
+        seen.append(name)
+        return get_kernel(name)
+
+    monkeypatch.setattr(module, "get_kernel", recording)
+    return seen
+
+
+class TestRegistry:
+    def test_expected_kernels_registered(self):
+        for name in ("l1_partition_core", "tree_two_pass", "batched_laplace"):
+            assert callable(get_kernel(name))
+
+    def test_numpy_reference_always_available(self):
+        assert active_backend() == "numpy"
+        assert get_kernel("l1_partition_core") is kernels._l1_partition_core
+        assert get_kernel("tree_two_pass") is kernels._tree_two_pass
+        assert get_kernel("batched_laplace") is kernels._batched_laplace
+
+    def test_unknown_kernel_raises_with_names(self):
+        with pytest.raises(KeyError, match="l1_partition_core"):
+            get_kernel("no_such_kernel")
+
+    @pytest.mark.parametrize("value", ["numpy", "numba", "cuda"])
+    def test_environment_selects_no_backend(self, monkeypatch, value):
+        """``DPBENCH_KERNEL`` is retired: no value changes the kernel used."""
+        monkeypatch.setenv("DPBENCH_KERNEL", value)
+        assert active_backend() == "numpy"
+        assert get_kernel("tree_two_pass") is kernels._tree_two_pass
+
+    def test_backend_registry_is_gone(self):
+        for name in ("BACKENDS", "register_kernel", "available_backends",
+                     "kernel_names", "requested_backend", "use_backend",
+                     "numba_available"):
+            assert not hasattr(kernels, name), name
 
 
 # -- batched_laplace stream identity ---------------------------------------------------
@@ -74,9 +119,34 @@ def _l1_inputs(kind: str, n: int, seed: int) -> np.ndarray:
 
 class TestL1PartitionCore:
     @pytest.mark.parametrize("kind", ["structured", "noise"])
-    def test_matches_reference_partition(self, kind):
+    def test_numpy_backend_matches_reference(self, kind):
         noisy = _l1_inputs(kind, 512, seed=1)
         assert l1_partition(noisy, 2.0) == l1_partition_reference(noisy, 2.0)
+
+    @pytest.mark.parametrize("kind", ["structured", "noise"])
+    def test_matches_reference_with_noise_scale(self, kind):
+        noisy = _l1_inputs(kind, 512, seed=42)
+        assert (l1_partition(noisy, 2.0, noise_scale=4.0)
+                == l1_partition_reference(noisy, 2.0, noise_scale=4.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 100])
+    def test_small_and_ragged_domains_match_reference(self, n):
+        noisy = _l1_inputs("noise", n, seed=n)
+        assert l1_partition(noisy, 2.0) == l1_partition_reference(noisy, 2.0)
+
+    @pytest.mark.parametrize("shape", ["constant", "spike", "step"])
+    def test_degenerate_histograms_match_reference(self, shape):
+        x = np.full(256, 10.0)
+        if shape == "spike":
+            x[97] = 1e4
+        elif shape == "step":
+            x[128:] = 500.0
+        assert l1_partition(x, 2.0) == l1_partition_reference(x, 2.0)
+
+    def test_dispatch_used_by_l1_partition(self, monkeypatch):
+        seen = _record_lookups(monkeypatch, dawa)
+        l1_partition(_l1_inputs("structured", 64, seed=3), 2.0)
+        assert seen == ["l1_partition_core"]
 
 
 # -- tree_two_pass ---------------------------------------------------------------------
@@ -96,7 +166,30 @@ def _random_tree_case(seed: int, branching: int, n_leaves: int,
     return tree, measurements, variances
 
 
+_WIDE_AND_RAGGED = [
+    (2, 64, 0.0),
+    (2, 100, 0.3),   # ragged tree, unmeasured interior
+    (4, 256, 0.0),
+    (9, 243, 0.2),
+    (16, 256, 0.0),
+]
+
+
 class TestTreeTwoPass:
+    @pytest.mark.parametrize("branching,n_leaves,frac", _WIDE_AND_RAGGED)
+    def test_wide_trees_block_invariant(self, branching, n_leaves, frac):
+        """Blocks of one row and of seven rows give the unblocked result
+        bitwise at every branching factor, ragged levels included."""
+        tree, meas, var = _random_tree_case(17, branching, n_leaves, frac)
+        plan = _inference_plan(tree)
+        own_values = np.where(np.isfinite(meas), meas, 0.0)
+        own_vars = np.where(np.isfinite(meas), var, np.inf)
+        ref = kernels._tree_two_pass(plan, own_values, own_vars)
+        for block in (1, 7):
+            got = kernels._tree_two_pass(plan, own_values, own_vars,
+                                         block=block)
+            assert got.tobytes() == ref.tobytes()
+
     def test_blocking_is_bitwise_invariant(self):
         """Tiny blocks chunk every level many times; results must not move."""
         tree, meas, var = _random_tree_case(23, 2, 512, 0.25)
@@ -107,9 +200,11 @@ class TestTreeTwoPass:
         tiny = kernels._tree_two_pass(plan, own_values, own_vars, block=7)
         assert tiny.tobytes() == ref.tobytes()
 
-    def test_tree_least_squares_is_consistent(self):
+    def test_dispatch_used_by_tree_least_squares(self, monkeypatch):
+        seen = _record_lookups(monkeypatch, inference)
         tree, meas, var = _random_tree_case(29, 2, 64)
         out = tree_least_squares(tree, meas, var)
+        assert seen == ["tree_two_pass"]
         # Consistency: every parent equals the sum of its children.
         for node in tree.nodes:
             if node.children:

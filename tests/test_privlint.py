@@ -398,6 +398,11 @@ class TestEngine:
             assert rule.description
             assert rule.severity in ("error", "warning")
 
+    def test_default_rules_are_pl001_to_pl005(self):
+        expected = ["PL001", "PL002", "PL003", "PL004", "PL005"]
+        assert [rule.id for rule in DEFAULT_RULES] == expected
+        assert sorted(RULES_BY_ID) == expected
+
 
 # -- baseline ------------------------------------------------------------------------
 
@@ -536,6 +541,12 @@ class TestCli:
     def test_unknown_rule_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             privlint_main([str(tmp_path), "--rules", "PL999"],
+                          out=io.StringIO())
+        assert excinfo.value.code == 2
+
+    def test_retired_pl006_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            privlint_main([str(tmp_path), "--rules", "PL006"],
                           out=io.StringIO())
         assert excinfo.value.code == 2
 
