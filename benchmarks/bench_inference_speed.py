@@ -25,8 +25,12 @@ operator in the measurement/inference refactor:
   incremental gains refilled only where the chosen cut lands.
 * **AGrid's noise** — one scalar Laplace draw per coarse block and fine
   cell versus one draw-ahead buffer and one batched replay.
+* **the plan pipeline's overhead** — a whole Identity release at 1024 x 1024
+  against the one Laplace draw it cannot avoid: single-cell answers are a
+  gather and their disjointness a distinct-index check, so the release must
+  stay within 5x of the draw.
 
-The historical loops of the last two live in ``tests/reference/``.  Every
+The historical loops of SF and AGrid live in ``tests/reference/``.  Every
 reference path is pinned bitwise-identical to the fast one.
 
 The selection-quality benches exercise the plan pipeline's seam: GreedyW's
@@ -340,6 +344,49 @@ def test_agrid_speed(benchmark):
     report("bench_agrid_speed", "AGrid noise paths (64x64, scale 1e8, eps 0.1)",
            format_table(rows, floatfmt="{:.4f}"))
     assert speedup >= 3.0, f"batched AGrid only {speedup:.1f}x over the reference loop"
+
+
+IDENTITY_SIDE = 1024
+IDENTITY_OVERHEAD = 5.0  # release seconds per second of its Laplace draw
+
+
+def test_identity_release_overhead(benchmark):
+    """One Identity release at 1024 x 1024 against its own Laplace draw.
+
+    Both are timed in this process, best of five, so the ratio is what the
+    pipeline adds around the noise (input checks, the cell queries, the
+    gathered answers, the distinct-index scatter), whatever the host's
+    speed.  The gate is 5x.  No snapshot is written: the ratio is printed.
+    """
+    from repro import Identity
+    from repro.core.kernels import batched_laplace
+
+    def study():
+        rng = _generator(20160626)
+        n = IDENTITY_SIDE * IDENTITY_SIDE
+        x = rng.multinomial(10 * n, np.full(n, 1.0 / n)).astype(float)
+        x = x.reshape(IDENTITY_SIDE, IDENTITY_SIDE)
+        epsilon = 0.1
+        scales = np.full(n, 1.0 / epsilon)
+        identity = Identity()
+        # The bare draw is the yardstick being timed, not a release.
+        t_draw, _ = _time(lambda: batched_laplace(_generator(7), scales),  # privlint: disable=PL003
+                          repeats=5)
+        t_release, _ = _time(lambda: identity.run(x, epsilon, rng=_generator(7)),
+                             repeats=5)
+        rows = [
+            {"path": "Laplace draw alone", "seconds": t_draw, "ratio": 1.0},
+            {"path": "whole Identity release", "seconds": t_release,
+             "ratio": t_release / t_draw},
+        ]
+        return rows, t_release / t_draw
+
+    rows, ratio = run_once(benchmark, study)
+    print(f"\n=== Identity release vs its Laplace draw "
+          f"({IDENTITY_SIDE}x{IDENTITY_SIDE}) ===\n"
+          f"{format_table(rows, floatfmt='{:.4f}')}\n")
+    assert ratio <= IDENTITY_OVERHEAD, \
+        f"Identity release costs {ratio:.1f}x its Laplace draw"
 
 
 HILBERT_SIDE = 512 if SMOKE else 1024

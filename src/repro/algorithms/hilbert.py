@@ -202,8 +202,16 @@ def flatten_workload(workload, ordering: np.ndarray, shape: tuple[int, int]):
     makes when running DAWA/GreedyH on 2-D data.  Spans are computed from the
     rectangles' boundary runs of the position table
     (:func:`_rectangle_spans`), not per-query 2-D slices.
+
+    The result is a bounds-array workload
+    (:meth:`~repro.workload.rangequery.Workload.from_bounds`) over the
+    ``rows * cols`` curve positions, named ``"<name>|flattened"``: its
+    consumers (tree usage counts, ``on_partition``, the operator) read the
+    span arrays, and no per-span
+    :class:`~repro.workload.rangequery.RangeQuery` is built unless someone
+    iterates the workload.
     """
-    from ..workload.rangequery import RangeQuery, Workload
+    from ..workload.rangequery import Workload
 
     rows, cols = (int(d) for d in shape)
     position = np.empty(rows * cols, dtype=np.intp)
@@ -211,9 +219,8 @@ def flatten_workload(workload, ordering: np.ndarray, shape: tuple[int, int]):
     position_2d = position.reshape(rows, cols)
     operator = workload.operator
     span_lo, span_hi = _rectangle_spans(position_2d, operator.los, operator.his)
-    queries = [RangeQuery((int(lo),), (int(hi),))
-               for lo, hi in zip(span_lo, span_hi)]
-    return Workload(queries, (rows * cols,), name=f"{workload.name}|flattened")
+    return Workload.from_bounds(span_lo, span_hi, (rows * cols,),
+                                name=f"{workload.name}|flattened")
 
 
 def flatten_matching_workload(workload, ordering: np.ndarray, shape: tuple[int, int]):

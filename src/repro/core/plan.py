@@ -19,6 +19,14 @@ post-processing.  This module makes those stages explicit:
   and disjoint plans, followed by the plan's structural expansions
   (bucket -> cell uniform expansion, ordering inversion).
 
+No stage needs a tag for the plans whose queries are all single cells
+(Identity, and AHP/AHP*/PHP over their bucket domains): the structure is read
+off the queries themselves (``los == his``).  The noise stage then answers by
+gathering the measurement vector at the flat cell indices, which is exact for
+any counts, where the prefix-sum difference is exact only while the running
+totals stay below 2**53; the inference stage tests disjointness as "the flat
+indices are distinct" and scatters the measured values straight back.
+
 Algorithms plug in through :class:`~repro.algorithms.base.PlanAlgorithm`,
 whose ``_run`` is the thin template ``plan = select(); meas = measure(plan);
 return infer(meas)``.  Reproducibility contract: the noise stage draws one
@@ -158,7 +166,10 @@ class MeasurementPlan:
                     "a query cannot be both pre-measured and budgeted for "
                     "the noise stage")
         if self.partition is not None:
-            self.partition = np.asarray(self.partition, dtype=np.intp)
+            # Checked at construction, so the noise stage never spends budget
+            # on buckets it cannot measure or expand.
+            self.partition = QueryMatrix._check_edges(
+                self.partition, int(np.prod(self.domain_shape)))
         if self.tree is not None and self.tree.n_nodes != q:
             raise ValueError(
                 f"tree-tagged plan needs one query per tree node: "
@@ -178,9 +189,11 @@ class MeasurementPlan:
         """The vector the plan's queries refer to, derived from the data.
 
         Applies ``ordering`` then ``partition``: for a partition plan this is
-        the vector of bucket totals (each bucket summed exactly as the
-        historical per-bucket ``x[lo:hi].sum()`` loops did, preserving
-        bit-for-bit summation order).
+        the vector of bucket totals.  Buckets of equal width are gathered
+        into one ``(k, width)`` matrix and summed along its rows, so each
+        total is numpy's pairwise sum over the bucket's cells in cell order
+        — bitwise the historical per-bucket ``x[lo:hi].sum()`` — at one
+        numpy call per distinct width instead of one per bucket.
         """
         vector = np.asarray(x, dtype=float)
         if self.ordering is not None:
@@ -189,8 +202,7 @@ class MeasurementPlan:
             edges = self.partition
             if vector.ndim != 1 or edges[-1] != vector.size:
                 raise ValueError("partition edges must cover the flat domain")
-            vector = np.array([vector[lo:hi].sum()
-                               for lo, hi in zip(edges[:-1], edges[1:])])
+            vector = _bucket_sums(vector, edges)
         return vector
 
     def epsilon_required(self) -> float:
@@ -208,6 +220,56 @@ class MeasurementPlan:
             return 0.0
         shares = np.where(mask, self.epsilons, 0.0)
         return float(self.queries.rmatvec(shares).max())
+
+
+#: Cells gathered per row-sum call in :func:`_bucket_sums`: the gathered
+#: copy stays cache-sized however large the domain or its buckets.
+_GATHER_CELLS = 1 << 16
+
+
+def _bucket_sums(vector: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``vector[lo:hi].sum()`` for every bucket of the (validated) edges.
+
+    Buckets that share their width with others are gathered by one fancy
+    index into the rows of a ``(k, width)`` matrix, and the row sums reduce
+    each contiguous row in the same pairwise order as a slice sum.
+    (``np.add.reduceat`` sums in a different order and is not
+    bitwise-equal.)  A bucket alone at its width, or wider than
+    ``_GATHER_CELLS``, is summed as a slice in place: a gather would cost
+    it more than it saves.
+    """
+    starts, ends = edges[:-1], edges[1:]
+    widths = ends - starts
+    by_width = np.argsort(widths, kind="stable")
+    sorted_widths = widths[by_width]
+    cuts = np.flatnonzero(sorted_widths[1:] != sorted_widths[:-1]) + 1
+    run_lo = np.concatenate(([0], cuts))
+    run_hi = np.concatenate((cuts, [widths.size]))
+    shared = (run_hi - run_lo > 1) & (sorted_widths[run_lo] <= _GATHER_CELLS)
+
+    sums = np.empty(widths.size)
+    lone = by_width[np.repeat(~shared, run_hi - run_lo)]
+    sums[lone] = [vector[lo:hi].sum()
+                  for lo, hi in zip(starts[lone].tolist(), ends[lone].tolist())]
+    for first, last in zip(run_lo[shared].tolist(), run_hi[shared].tolist()):
+        width = int(sorted_widths[first])
+        offsets = np.arange(width)
+        rows = _GATHER_CELLS // width
+        for lo in range(first, last, rows):
+            part = by_width[lo:min(lo + rows, last)]
+            sums[part] = vector[starts[part, None] + offsets].sum(axis=1)
+    return sums
+
+
+def _single_cells(queries: QueryMatrix) -> np.ndarray | None:
+    """Flat row-major cell index of every query when each query covers
+    exactly one cell (``los == his``), ``None`` otherwise."""
+    los = queries.los
+    if not np.array_equal(los, queries.his):
+        return None
+    if queries.ndim == 1:
+        return los[:, 0]
+    return los[:, 0] * queries.domain_shape[1] + los[:, 1]
 
 
 @runtime_checkable
@@ -249,6 +311,14 @@ def measure_plan(
     Per-bucket/per-node sensitivity is 1 for the count workloads handled
     here (every plan query is a sum of disjoint cells of the measurement
     vector, which is itself a disjoint aggregation of the data cells).
+
+    When every query is a single cell (``los == his``: Identity, AHP and PHP
+    over their bucket domains) the answers are the measurement vector
+    gathered at the flat cell indices, not
+    :meth:`~repro.workload.linops.QueryMatrix.matvec`'s prefix-sum
+    differences.  The two agree bitwise whenever the prefix table is exact
+    (integer counts whose total stays below 2**53); above that the gather is
+    the exact answer and the difference is not.
     """
     eps_measure = plan.epsilon_required()
     if budget is not None and eps_measure > 0:
@@ -265,7 +335,11 @@ def measure_plan(
     mask = plan.to_measure
     if np.any(mask):
         vector = plan.measurement_vector(x)
-        answers = plan.queries.matvec(vector)
+        cells = _single_cells(plan.queries)
+        if cells is None:
+            answers = plan.queries.matvec(vector)
+        else:
+            answers = plan.queries._as_domain(vector).reshape(-1)[cells]
         scales = 1.0 / plan.epsilons[mask]
         # Batched noise: one generator call per constant-scale run (tree
         # levels and bucket groups share a scale, so a whole epsilon grid of
@@ -285,15 +359,21 @@ def measure_plan(
                           epsilon_spent=float(epsilon_spent), tree=plan.tree)
 
 
-def _disjoint_estimate(measured: MeasurementSet) -> np.ndarray:
+def _disjoint_estimate(measured: MeasurementSet,
+                       cells: np.ndarray | None = None) -> np.ndarray:
     """Exact GLS for mutually disjoint queries: each query's answer is spread
     uniformly over its own cells (cells no query covers stay at the min-norm
     zero).  Direct scatter, not an adjoint cumsum, so single-cell systems
     (AHP clusters, PHP buckets, Identity) reproduce the historical per-bucket
-    assignments bit-for-bit."""
+    assignments bit-for-bit.  ``cells``, the flat indices of a single-cell
+    system (:func:`_single_cells`), let it write the values directly."""
     queries = measured.queries
-    per_cell = measured.values / queries.query_sizes()
     estimate = np.zeros(queries.domain_shape)
+    if cells is not None:
+        # A single cell's answer divided by its size 1 is the answer itself.
+        estimate.reshape(-1)[cells] = measured.values
+        return estimate
+    per_cell = measured.values / queries.query_sizes()
     if queries.ndim == 1:
         lengths = queries.his[:, 0] - queries.los[:, 0] + 1
         cells = _expand_runs(queries.los[:, 0], lengths)
@@ -328,13 +408,29 @@ def reconstruct(
     then applies the plan's structural expansions: bucket estimates are
     spread uniformly over their cells (``partition``) and the cell ordering
     is inverted (``ordering``).
+
+    Disjointness is derived from the measured queries.  When they are all
+    single cells it is "the flat cell indices are distinct" (one boolean
+    mark per cell), and the scatter writes the measured values directly;
+    rectangle sets (UGrid's blocks, Uniform's total) keep the rule that no
+    cell is covered twice
+    (:meth:`~repro.workload.linops.QueryMatrix.cell_counts`).  Both rules
+    pick the same solver.
     """
     if plan.tree is not None or method != "auto":
         estimate = solve_gls(measurements, method=method)
     else:
         measured = measurements.measured()
-        if len(measured) and measured.queries.cell_counts().max() <= 1:
-            estimate = _disjoint_estimate(measured)
+        cells = _single_cells(measured.queries) if len(measured) else None
+        if cells is not None:
+            seen = np.zeros(measured.queries.domain_size, dtype=bool)
+            seen[cells] = True
+            disjoint = np.count_nonzero(seen) == cells.size
+        else:
+            disjoint = bool(len(measured)) \
+                and measured.queries.cell_counts().max() <= 1
+        if disjoint:
+            estimate = _disjoint_estimate(measured, cells)
         else:
             estimate = solve_gls(measurements)
     estimate = np.asarray(estimate, dtype=float)

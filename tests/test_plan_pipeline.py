@@ -58,6 +58,26 @@ class TestMeasurementPlan:
             MeasurementPlan(queries, np.ones(1), (4,),
                             values=np.ones(1), variances=np.ones(1))
 
+    @pytest.mark.parametrize("edges", [[0, 3, 3, 8],     # zero-width bucket
+                                       [2, 5, 8],        # does not start at 0
+                                       [0, 5, 3, 8],     # decreasing
+                                       [0, 5, 7]])       # stops short of 8
+    def test_malformed_partition_rejected_before_any_spend(self, edges):
+        """A plan whose buckets cannot be measured or expanded is refused at
+        construction: no budget spent, no noise drawn."""
+        n_buckets = len(edges) - 1
+        buckets = np.arange(n_buckets)[:, None]
+        budget = PrivacyBudget(1.0)
+        rng = np.random.default_rng(0)  # privlint: disable=PL001
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="strictly increasing"):
+            plan = MeasurementPlan(QueryMatrix(buckets, buckets, (n_buckets,)),
+                                   np.full(n_buckets, 1.0), (8,),
+                                   partition=np.array(edges))
+            measure_plan(np.arange(8.0), plan, rng, budget)
+        assert budget.spent == 0.0
+        assert rng.bit_generator.state == state
+
     def test_epsilon_required_parallel_composition(self):
         # Two disjoint queries at eps each cost eps; two overlapping cost 2 eps.
         disjoint = MeasurementPlan(
