@@ -280,9 +280,10 @@ def main() -> None:
 
     # 12. Catching a privacy leak — twice.  DPBench's numbers are only
     #     meaningful if the implementations are actually private, so the
-    #     repo gates its own invariants with repro.privlint: five AST rules
-    #     (PL001-PL005) run in CI (`python -m repro.privlint src`), and a
-    #     runtime taint sanitizer re-checks every registered algorithm
+    #     repo gates its own invariants with repro.privlint: one rule per
+    #     invariant, each checked per function (PL001-PL005) and across
+    #     calls (PL007-PL010), runs in CI (`python -m repro.privlint src`),
+    #     and a runtime taint sanitizer re-checks every registered algorithm
     #     dynamically.  Here is a deliberately leaky selection strategy —
     #     it stashes the true histogram during selection and blends it back
     #     into the release after the noise stage (the classic
@@ -297,8 +298,9 @@ class LeakyUniform(PlanAlgorithm):
         estimate = reconstruct(plan, measurements)
         return 0.5 * estimate + 0.5 * self._x     # unnoised true mass!
 '''
-    #     Statically, PL002 (post-processing purity) flags the self._x read
-    #     inside infer() from the source text alone:
+    #     Statically, PL002 (the per-function base case of post-processing
+    #     purity) flags the self._x read inside infer() from the source text
+    #     alone:
     from repro.privlint import RULES_BY_ID, is_tainted, lint_source, taint
     from repro.privlint.taint import sanitized_noise_stage
 
@@ -347,14 +349,13 @@ class LeakyUniform(PlanAlgorithm):
           f"({side * side:,} cells): {time.perf_counter() - t0:.1f}s, "
           f"total {grid_release.sum():,.0f} (true {grid.sum():,.0f})")
 
-    # 14. Interprocedural leak hunting (privlint v2).  Section 12's PL002
-    #     reads one function at a time, so routing the stash through a
-    #     helper blinds it — infer() below never mentions the data.  The
-    #     dataflow analysis (repro.privlint.dataflow) links the whole
-    #     project into a call graph, runs worklist fixpoints for data
-    #     taint / budget flow / RNG provenance, and PL007 reports the leak
-    #     with the full call path.  CI runs these rules over src/,
-    #     benchmarks/ and tests/ (`python -m repro.privlint src`).
+    # 14. Interprocedural leak hunting.  Section 12's PL002 reads one
+    #     function at a time, so routing the stash through a helper blinds
+    #     it — infer() below never mentions the data.  The same rule's
+    #     closure, PL007, reads the same engine's call graph and data-taint
+    #     fixpoint (repro.privlint.dataflow) and reports the leak with the
+    #     full call path.  CI runs every rule over src/, benchmarks/ and
+    #     tests/ (`python -m repro.privlint src`).
     hidden_leak = '''
 class StealthyUniform(PlanAlgorithm):
     def select(self, x, workload, budget, rng):
@@ -368,14 +369,13 @@ class StealthyUniform(PlanAlgorithm):
         estimate = reconstruct(plan, measurements)
         return self._blend(estimate)              # PL002 sees nothing here
 '''
-    from repro.privlint.dataflow import PROJECT_RULES_BY_ID, analyze_sources
-
     silent = lint_source(hidden_leak, "examples/stealthy.py",
                          [RULES_BY_ID["PL002"]])
     print(f"\nPL002 findings on the helper-routed leak: "
           f"{len(silent.findings)} (blind past the call)")
-    analysis = analyze_sources({"examples/stealthy.py": hidden_leak})
-    for finding in PROJECT_RULES_BY_ID["PL007"].check_project(analysis):
+    leak = lint_source(hidden_leak, "examples/stealthy.py",
+                       [RULES_BY_ID["PL007"]])
+    for finding in leak.findings:
         print(f"privlint v2: {finding.location()}: {finding.rule} "
               f"{finding.message}")
 

@@ -20,18 +20,17 @@ from pathlib import Path
 from typing import Sequence
 
 from .baseline import apply_baseline, load_baseline, write_baseline
-from .dataflow import DATAFLOW_RULES, PROJECT_RULES_BY_ID
 from .engine import UNUSED_SUPPRESSION_RULE, lint_paths
-from .findings import Finding
-from .rules import DEFAULT_RULES, RULES_BY_ID
+from .findings import Finding, FindingKind
+from .rules import RULES_BY_ID
 from .sarif import render_sarif
 
 __all__ = ["main"]
 
 OUTPUT_VERSION = 1
 
-#: Every selectable rule id, module-level and project-level.
-ALL_RULES_BY_ID = {**RULES_BY_ID, **PROJECT_RULES_BY_ID,
+#: Every rule id a finding can carry.
+ALL_RULES_BY_ID = {**RULES_BY_ID,
                    UNUSED_SUPPRESSION_RULE.id: UNUSED_SUPPRESSION_RULE}
 
 
@@ -39,8 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.privlint",
         description="Privacy-invariant static analysis for the DPBench "
-                    "reproduction (module rules PL001-PL005, "
-                    "interprocedural dataflow rules PL007-PL010).")
+                    "reproduction (one rule per invariant: per-function "
+                    "base cases PL001-PL005, interprocedural closures "
+                    "PL007-PL010).")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
@@ -57,33 +57,26 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: all of %s)" % ",".join(
                                  k for k in ALL_RULES_BY_ID
                                  if k != UNUSED_SUPPRESSION_RULE.id))
-    parser.add_argument("--summary-cache", metavar="FILE", default=None,
-                        help="JSON store of per-file dataflow facts keyed by "
-                             "content hash; speeds up repeated runs")
     parser.add_argument("--no-unused-disable", action="store_true",
                         help="do not report `# privlint: disable=` comments "
                              "that suppress nothing (PL100)")
     return parser
 
 
-def _select_rules(spec: str | None, parser: argparse.ArgumentParser):
-    """Split a ``--rules`` spec into (module rules, project rules)."""
+def _select_rules(spec: str | None,
+                  parser: argparse.ArgumentParser) -> list[FindingKind]:
+    """The finding kinds a ``--rules`` spec selects."""
     if spec is None:
-        return DEFAULT_RULES, DATAFLOW_RULES
-    module_rules = []
-    project_rules = []
+        return list(RULES_BY_ID.values())
+    kinds = []
     for rule_id in spec.split(","):
         rule_id = rule_id.strip()
         if rule_id in RULES_BY_ID:
-            module_rules.append(RULES_BY_ID[rule_id])
-        elif rule_id in PROJECT_RULES_BY_ID:
-            project_rules.append(PROJECT_RULES_BY_ID[rule_id])
-        elif rule_id == UNUSED_SUPPRESSION_RULE.id:
-            pass  # PL100 is engine-synthesised, controlled by the flag
-        else:
+            kinds.append(RULES_BY_ID[rule_id])
+        elif rule_id != UNUSED_SUPPRESSION_RULE.id:  # PL100: the flag's job
             parser.error(f"unknown rule {rule_id!r}; "
                          f"known: {', '.join(ALL_RULES_BY_ID)}")
-    return tuple(module_rules), tuple(project_rules)
+    return kinds
 
 
 def _render_text(new: list[Finding], grandfathered: list[Finding],
@@ -130,16 +123,15 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
-    rules, project_rules = _select_rules(args.rules, parser)
+    rules = _select_rules(args.rules, parser)
 
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
         print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    result = lint_paths(args.paths, rules, project_rules=project_rules,
-                        report_unused=not args.no_unused_disable,
-                        cache_path=args.summary_cache)
+    result = lint_paths(args.paths, rules,
+                        report_unused=not args.no_unused_disable)
     for error in result.errors:
         print(f"error: {error}", file=sys.stderr)
     if result.errors:

@@ -47,9 +47,6 @@ class ClassInfo:
     component: int = -1           #: weakly-connected family id
     attr_types: dict[str, set[ClassKey]] = field(default_factory=dict)
 
-    def method_names(self) -> tuple[str, ...]:
-        return self.facts.methods
-
 
 @dataclass
 class CallTargets:
@@ -82,6 +79,8 @@ class Project:
         self._build_class_table()
         self._return_type_cache: dict[FuncKey, set[ClassKey]] = {}
         self._call_targets: dict[tuple[FuncKey, str], CallTargets] = {}
+        self._bindings: dict[tuple[FuncKey, str],
+                             dict[FuncKey, dict[str, set[str]]]] = {}
         self._infer_attr_types()
         self.callers: dict[FuncKey, list[tuple[FuncKey, CallFacts]]] = {}
         self._link()
@@ -150,11 +149,18 @@ class Project:
         return ("external", f"{module.module}.{rest}" if module.module else rest)
 
     def resolve_external_dotted(self, module: ModuleFacts, dotted: str) -> str:
-        """Absolute spelling of ``dotted`` for axiomatic matching (numpy etc.)."""
+        """Absolute spelling of ``dotted`` for axiomatic matching (numpy etc.).
+
+        Unlike linking, this also honours imports made inside a function."""
         head, _, rest = dotted.partition(".")
-        if head in module.imports:
-            return module.imports[head] + (("." + rest) if rest else "")
+        target = module.imports.get(head) or module.local_imports.get(head)
+        if target:
+            return target + (("." + rest) if rest else "")
         return dotted
+
+    def _resolve_class(self, module: ModuleFacts, dotted: str) -> ClassKey | None:
+        resolved = self.resolve_name(module, dotted)
+        return resolved[1] if resolved and resolved[0] == "class" else None
 
     # -- class table --------------------------------------------------------------
     def _build_class_table(self) -> None:
@@ -165,9 +171,9 @@ class Project:
         for key, info in self.classes.items():
             mod = self.modules[key[0]]
             for base in info.facts.bases:
-                resolved = self.resolve_name(mod, base)
-                if resolved and resolved[0] == "class":
-                    info.bases.append(resolved[1])
+                resolved = self._resolve_class(mod, base)
+                if resolved:
+                    info.bases.append(resolved)
         # transitive closure (hierarchies are shallow; iterate to fixpoint)
         changed = True
         while changed:
@@ -202,8 +208,12 @@ class Project:
         info = self.classes[key]
         return {key} | info.ancestors | info.descendants
 
-    def component_classes(self, component: int) -> list[ClassInfo]:
-        return [c for c in self.classes.values() if c.component == component]
+    def _attr_types(self, key: ClassKey, attr: str) -> set[ClassKey]:
+        """Types stored in ``self.attr`` anywhere in the class family."""
+        types: set[ClassKey] = set()
+        for member in self.family(key):
+            types |= self.classes[member].attr_types.get(attr, set())
+        return types
 
     def find_method(self, key: ClassKey, name: str) -> FuncKey | None:
         """MRO-ish lookup: the class itself, then ancestors."""
@@ -235,6 +245,11 @@ class Project:
             return None
         return (fkey[0], fn.class_name)
 
+    def component(self, fkey: FuncKey) -> int | None:
+        """Class-family id of a method's class; ``None`` for plain functions."""
+        ckey = self.class_of_function(fkey)
+        return self.classes[ckey].component if ckey else None
+
     # -- receiver typing ----------------------------------------------------------
     def _infer_attr_types(self) -> None:
         """attr -> class types, from class-body annotations and
@@ -243,9 +258,9 @@ class Project:
             mod = self.modules[key[0]]
             for attr, names in info.facts.attr_annotations.items():
                 for name in names:
-                    resolved = self.resolve_name(mod, name)
-                    if resolved and resolved[0] == "class":
-                        info.attr_types.setdefault(attr, set()).add(resolved[1])
+                    resolved = self._resolve_class(mod, name)
+                    if resolved:
+                        info.attr_types.setdefault(attr, set()).add(resolved)
         for fkey, fn in self.functions.items():
             ckey = self.class_of_function(fkey)
             if ckey is None:
@@ -262,20 +277,12 @@ class Project:
         fn = self.functions[fkey]
         mod = self.modules[fkey[0]]
         if token.startswith("p:"):
-            types: set[ClassKey] = set()
-            for name in fn.annotations.get(token[2:], ()):
-                resolved = self.resolve_name(mod, name)
-                if resolved and resolved[0] == "class":
-                    types.add(resolved[1])
-            return types
+            types = {self._resolve_class(mod, name)
+                     for name in fn.annotations.get(token[2:], ())}
+            return types - {None}
         if token.startswith("a:"):
             ckey = self.class_of_function(fkey)
-            if ckey is None:
-                return set()
-            types = set()
-            for member in self.family(ckey):
-                types |= self.classes[member].attr_types.get(token[2:], set())
-            return types
+            return self._attr_types(ckey, token[2:]) if ckey else set()
         if token.startswith("c:"):
             call = fn.call_by_key(token)
             if call is None or (fkey, token) in visiting:
@@ -287,9 +294,9 @@ class Project:
                 types |= self._return_types(callee, visiting)
             return types
         if token.startswith("g:"):
-            resolved = self.resolve_name(mod, token[2:])
-            if resolved and resolved[0] == "class":
-                return {resolved[1]}
+            resolved = self._resolve_class(mod, token[2:])
+            if resolved:
+                return {resolved}
         return set()
 
     def _return_types(self, fkey: FuncKey, visiting: set) -> set[ClassKey]:
@@ -327,10 +334,7 @@ class Project:
                 for value in table.values():
                     entry = self.resolve_name(table_mod, value)
                     if entry and entry[0] == "class":
-                        targets.instantiates.add(entry[1])
-                        init = self.find_method(entry[1], "__init__")
-                        if init:
-                            targets.functions.add(init)
+                        self._instantiate(targets, entry[1])
                     elif entry and entry[0] == "func":
                         targets.functions.add(entry[1])
             return targets
@@ -340,29 +344,13 @@ class Project:
         ckey = self.class_of_function(fkey)
         if parts[0] == "self" and ckey is not None:
             if len(parts) == 2:
-                methods = self.virtual_targets(ckey, parts[1])
-                if methods:
-                    targets.functions |= methods
-                    return targets
-                # ``self.attr(...)`` where attr holds a typed object
-                receiver_types: set[ClassKey] = set()
-                for member in self.family(ckey):
-                    receiver_types |= self.classes[member].attr_types.get(
-                        parts[1], set())
-                self._dispatch_on_types(targets, receiver_types, None)
-                if not targets.resolved:
-                    targets.external = parts[-1]
-                return targets
-            if len(parts) == 3:
-                receiver_types = set()
-                for member in self.family(ckey):
-                    receiver_types |= self.classes[member].attr_types.get(
-                        parts[1], set())
-                self._dispatch_on_types(targets, receiver_types, parts[2])
-                if not targets.resolved:
-                    targets.external = parts[-1]
-                return targets
-            targets.external = parts[-1]
+                targets.functions |= self.virtual_targets(ckey, parts[1])
+            if not targets.functions and len(parts) in (2, 3):
+                # ``self.attr(...)`` / ``self.attr.m(...)`` on a typed attribute
+                self._dispatch_on_types(targets, self._attr_types(ckey, parts[1]),
+                                        parts[2] if len(parts) == 3 else None)
+            if not targets.resolved:
+                targets.external = parts[-1]
             return targets
         if parts[0] == "super" and ckey is not None and len(parts) == 2:
             for base in self.classes[ckey].bases:
@@ -391,24 +379,24 @@ class Project:
         if kind == "func":
             targets.functions.add(payload)
         elif kind == "class":
-            targets.instantiates.add(payload)
-            init = self.find_method(payload, "__init__")
-            if init:
-                targets.functions.add(init)
+            self._instantiate(targets, payload)
         else:
             targets.external = (payload if isinstance(payload, str)
                                 else parts[-1]).rsplit(".", 1)[-1] or parts[-1]
         return targets
+
+    def _instantiate(self, targets: CallTargets, cls: ClassKey) -> None:
+        targets.instantiates.add(cls)
+        init = self.find_method(cls, "__init__")
+        if init:
+            targets.functions.add(init)
 
     def _dispatch_on_types(self, targets: CallTargets,
                            receiver_types: set[ClassKey],
                            method: str | None) -> None:
         for cls in receiver_types:
             if method is None:
-                init = self.find_method(cls, "__init__")
-                targets.instantiates.add(cls)
-                if init:
-                    targets.functions.add(init)
+                self._instantiate(targets, cls)
             else:
                 targets.functions |= self.virtual_targets(cls, method)
 
@@ -420,6 +408,16 @@ class Project:
             for call in fn.calls:
                 for callee in self.resolve_call(fkey, call).functions:
                     self.callers.setdefault(callee, []).append((fkey, call))
+
+    def bindings(self, fkey: FuncKey, call: CallFacts
+                 ) -> dict[FuncKey, dict[str, set[str]]]:
+        """``{callee: {param: caller-side tokens}}`` for one call site."""
+        cached = self._bindings.get((fkey, call.key))
+        if cached is None:
+            cached = {callee: self.bind_args(call, self.functions[callee])
+                      for callee in self.resolve_call(fkey, call).functions}
+            self._bindings[(fkey, call.key)] = cached
+        return cached
 
     def bind_args(self, call: CallFacts, callee: FunctionFacts
                   ) -> dict[str, set[str]]:

@@ -1,9 +1,11 @@
 """The worklist dataflow engine: interprocedural summaries over the call graph.
 
-Four fixpoints run over the linked :class:`~repro.privlint.dataflow.callgraph.Project`:
+Four summaries are computed over the linked
+:class:`~repro.privlint.dataflow.callgraph.Project`, each by iterating a
+monotone transfer function to convergence (:func:`converge`):
 
-* **entry taint** — true-data reachability.  Parameters with the PL002 data
-  names are concrete sources at graph *entry points* (functions nobody in
+* **entry taint** — true-data reachability.  Parameters with the data names
+  are concrete sources at graph *entry points* (functions nobody in
   the analysed set calls); taint then flows through call bindings, into
   ``self.attr`` stores (heap taint is class-family-scoped), and out through
   returns.  The metered noise stage declassifies: calls into
@@ -15,22 +17,22 @@ Four fixpoints run over the linked :class:`~repro.privlint.dataflow.callgraph.Pr
   of tainted heap attributes and module-level data globals, and propagates
   up through callees.  ``infer``/``reconstruct`` roots firing on this
   summary is the static mirror of the runtime taint test.
-* **budget flow** — which parameters reach a noise-scale position
-  (axiomatically the ``scale``/``epsilon`` params of the mechanism
-  primitives and the scale operand of generator draws), propagated up
-  caller chains.  PL008 fires where a *raw* epsilon (a parameter literally
-  named after the budget, never passed through a ``PrivacyBudget`` charge
-  or budget-share helper) binds into such a parameter.
-* **RNG provenance** — which parameters are generator *sinks* (the ``rng``
-  of the primitives, the receiver of a ``.laplace()``-style draw), and
-  which values are *fresh* generators (``default_rng``/``RandomState``
-  construction, ``as_rng`` of a literal).  PL009 fires where fresh state
-  flows into a sink outside the executor entry points.
 
-Inline ``# privlint: disable=PLxxx`` comments act as *declassification
-points* for their rule: a suppressed call site neither fires nor propagates
-its property upward, so one justified suppression at the deepest site keeps
-the whole caller chain quiet.
+  Both taint summaries read values through one token evaluator
+  (:func:`_token_reader`) and differ only in what a parameter, attribute,
+  global or callee return is worth.
+* **parameter sinks** — which parameters reach a sink, propagated up caller
+  chains from two axiom tables: the noise-scale positions (the
+  ``scale``/``epsilon`` params of the mechanism primitives and the scale
+  operand of generator draws; PL008 fires where a *raw* epsilon binds into
+  one) and the generator positions (the ``rng`` of the primitives, the
+  receiver of a ``.laplace()``-style draw; PL009 fires where a *fresh*
+  generator binds into one outside the executor entry points).
+
+Inline suppressions act as *declassification points* for their rule: a
+suppressed call site neither fires nor propagates its property upward, so
+one justified suppression at the deepest site keeps the whole caller chain
+quiet.
 
 Every per-function result carries a witness chain (function hop + reason)
 so rules can render ``infer → helper → self._stash`` call-path traces
@@ -41,16 +43,12 @@ under unrelated edits).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from .callgraph import FuncKey, Project
-from .facts import CallFacts, FunctionFacts
+from .facts import DATA_NAMES, CallFacts, FunctionFacts
 
 __all__ = ["ProjectAnalysis", "Witness", "analyze_project"]
-
-#: PL002's data-name vocabulary: parameters/attributes spelled like the true
-#: histogram are taint sources at analysis entry points.
-DATA_NAMES = {"x", "data", "counts", "histogram", "true_x", "true_data",
-              "raw_data", "dataset"}
 
 #: Mechanism primitives and their noise-scale parameter (axiomatic PL008
 #: sinks) — matched by resolved location *or*, for unresolved callees, by
@@ -98,9 +96,6 @@ BUDGET_TOKENS = ("budget", "allocation", "share", "epsilons", "split", "spend")
 
 #: Parameter names that *are* the raw budget.
 RAW_EPSILON_NAMES = {"epsilon", "eps"}
-
-#: Modules where fresh-generator construction is the contract, not a bug.
-RNG_ENTRY_POINTS = ("core/executor.py", "core/benchmark.py")
 
 
 @dataclass(frozen=True)
@@ -157,11 +152,24 @@ class ProjectAnalysis:
 
 def analyze_project(project: Project) -> ProjectAnalysis:
     analysis = ProjectAnalysis(project=project)
-    _entry_taint_fixpoint(analysis)
-    _clean_taint_fixpoint(analysis)
-    _scale_fixpoint(analysis)
-    _rng_fixpoint(analysis)
+    read = _token_reader(project)
+    _entry_taint_fixpoint(analysis, read)
+    _clean_taint_fixpoint(analysis, read)
+    analysis.scale_params = _param_sinks(
+        analysis, "PL008", _scale_axioms, _scale_sinks)
+    analysis.rng_sink_params = _param_sinks(
+        analysis, "PL009", _rng_axioms, _rng_sinks,
+        skip=lambda fn: fn.name == "as_rng")  # the sanctioned adapter
     return analysis
+
+
+def converge(step: Callable[[], bool]) -> None:
+    """Re-run ``step`` until a whole pass changes nothing.
+
+    Every summary is a finite set that only grows, so this terminates; there
+    is deliberately no pass cap — a cap silently drops long call chains."""
+    while step():
+        pass
 
 
 # --------------------------------------------------------------------------------------
@@ -212,19 +220,65 @@ def _draw_scale_tokens(call: CallFacts) -> tuple[str, set[str]] | None:
     return (draw, tokens)
 
 
-def _iter_bindings(project: Project, fkey: FuncKey, call: CallFacts):
-    """Yield ``(callee_key, callee_facts, {param: tokens})`` for a call site."""
-    targets = project.resolve_call(fkey, call)
-    for callee in targets.functions:
-        callee_facts = project.functions[callee]
-        yield callee, callee_facts, project.bind_args(call, callee_facts)
+#: What one provenance token kind is worth to a taint summary: a truthy
+#: value (``True`` or a :class:`Witness`) when it carries true data.
+TokenSources = dict[str, Callable]
+TokenReader = Callable[[FuncKey, str, TokenSources], object]
+
+
+def _token_reader(project: Project) -> TokenReader:
+    """The one token evaluator both taint summaries share.
+
+    ``read(fkey, token, sources)`` returns the first true-data source behind
+    a provenance token, or ``None``.  ``sources`` maps ``"p"``/``"a"``/``"g"``
+    to ``(fkey, name) -> value`` and ``"r"`` to ``callee -> value`` (what a
+    resolved callee's return is worth).  Unresolved calls pass their
+    arguments and receiver through, mirroring ``TaintedArray``'s algebra;
+    the noise stage and the scalar / structural builtins declassify.  That
+    shape is static, so each token's leaves — parameter, attribute and
+    global tokens, and the callee sets of resolved calls — are expanded once
+    (depth-first, the order the sources are tried in) and reused by every
+    fixpoint pass."""
+    memo: dict[tuple[FuncKey, str], tuple] = {}
+
+    def expand(fkey: FuncKey, token: str, seen: set[str]):
+        if token[0] != "c":
+            yield token
+            return
+        if token in seen:
+            return  # self-referential binding (x = f(x))
+        seen.add(token)
+        call = project.functions[fkey].call_by_key(token)
+        if call is None or _is_primitive(project, fkey, call, DECLASSIFIERS):
+            return  # the metered noise stage sanitizes its return
+        targets = project.resolve_call(fkey, call)
+        if targets.functions:
+            yield tuple(targets.functions)
+        elif _external_name(project, fkey, call) not in CLEAN_BUILTINS:
+            for arg in call.all_arg_tokens() | set(call.base_tokens):
+                yield from expand(fkey, arg, seen)
+
+    def read(fkey: FuncKey, token: str, sources: TokenSources):
+        leaves = memo.get((fkey, token))
+        if leaves is None:
+            leaves = memo[(fkey, token)] = tuple(expand(fkey, token, set()))
+        for leaf in leaves:
+            if isinstance(leaf, str):
+                found = sources[leaf[0]](fkey, leaf[2:])
+            else:
+                found = next(filter(None, map(sources["r"], leaf)), None)
+            if found:
+                return found
+        return None
+
+    return read
 
 
 # --------------------------------------------------------------------------------------
-# fixpoint 1+2: entry taint and heap (attribute) taint
+# entry taint and heap (attribute) taint
 # --------------------------------------------------------------------------------------
 
-def _entry_taint_fixpoint(analysis: ProjectAnalysis) -> None:
+def _entry_taint_fixpoint(analysis: ProjectAnalysis, read: TokenReader) -> None:
     project = analysis.project
     param_taint: dict[FuncKey, set[str]] = {f: set() for f in project.functions}
     return_taint: dict[FuncKey, bool] = {f: False for f in project.functions}
@@ -233,247 +287,202 @@ def _entry_taint_fixpoint(analysis: ProjectAnalysis) -> None:
     # Sources: data-named parameters of functions with no analysed callers.
     for fkey, fn in project.functions.items():
         if not project.callers.get(fkey):
-            for param in fn.params:
-                if param in DATA_NAMES:
-                    param_taint[fkey].add(param)
+            param_taint[fkey].update(p for p in fn.params if p in DATA_NAMES)
 
-    def component_of(fkey: FuncKey) -> int | None:
-        ckey = project.class_of_function(fkey)
-        return project.classes[ckey].component if ckey else None
+    sources: TokenSources = {
+        "p": lambda fkey, name: name in param_taint[fkey],
+        "a": lambda fkey, name: name in attr_taint.get(
+            project.component(fkey), {}),
+        "g": lambda fkey, name: name in DATA_NAMES,
+        "r": return_taint.__getitem__,
+    }
 
-    def token_tainted(fkey: FuncKey, token: str,
-                      visiting: frozenset = frozenset()) -> bool:
-        fn = project.functions[fkey]
-        if token.startswith("p:"):
-            return token[2:] in param_taint[fkey]
-        if token.startswith("a:"):
-            component = component_of(fkey)
-            return (component is not None
-                    and token[2:] in attr_taint.get(component, {}))
-        if token.startswith("g:"):
-            return token[2:] in DATA_NAMES
-        if token.startswith("c:"):
-            if token in visiting:
-                return False  # self-referential binding (x = f(x))
-            call = fn.call_by_key(token)
-            if call is None:
-                return False
-            if _is_primitive(project, fkey, call, DECLASSIFIERS):
-                return False  # metered noise stage sanitizes its return
-            targets = project.resolve_call(fkey, call)
-            if targets.functions:
-                return any(return_taint[c] for c in targets.functions)
-            if _external_name(project, fkey, call) in CLEAN_BUILTINS:
-                return False  # scalar coercion / structural builtin
-            # unresolved (np.asarray, x.sum(), ...): pass-through of the
-            # arguments and the receiver, mirroring TaintedArray's algebra
-            inner = visiting | {token}
-            return any(token_tainted(fkey, t, inner)
-                       for t in call.all_arg_tokens() | set(call.base_tokens))
-        return False
+    def tainted(fkey: FuncKey, tokens) -> bool:
+        return any(read(fkey, t, sources) for t in tokens)
 
-    def any_tainted(fkey: FuncKey, tokens) -> bool:
-        return any(token_tainted(fkey, t) for t in tokens)
-
-    changed = True
-    iterations = 0
-    while changed and iterations < 50:
+    def step() -> bool:
         changed = False
-        iterations += 1
         for fkey, fn in project.functions.items():
-            # returns
-            if not return_taint[fkey] and any_tainted(fkey, fn.returns):
-                return_taint[fkey] = True
-                changed = True
-            # heap stores
-            component = component_of(fkey)
+            if not return_taint[fkey] and tainted(fkey, fn.returns):
+                return_taint[fkey] = changed = True
+            component = project.component(fkey)
             if component is not None:
                 for attr, tokens, _line, _locked in fn.attr_stores:
-                    if any_tainted(fkey, tokens):
-                        bucket = attr_taint.setdefault(component, {})
-                        if attr not in bucket:
-                            bucket[attr] = fkey
-                            changed = True
-            # call bindings
+                    bucket = attr_taint.get(component, {})
+                    if attr not in bucket and tainted(fkey, tokens):
+                        attr_taint.setdefault(component, {})[attr] = fkey
+                        changed = True
             for call in fn.calls:
-                for callee, callee_facts, binding in _iter_bindings(
-                        project, fkey, call):
+                for callee, binding in project.bindings(fkey, call).items():
                     for param, tokens in binding.items():
                         if param not in param_taint[callee] \
-                                and any_tainted(fkey, tokens):
+                                and tainted(fkey, tokens):
                             param_taint[callee].add(param)
                             changed = True
+        return changed
 
+    converge(step)
     analysis.entry_param_taint = param_taint
     analysis.entry_return_taint = return_taint
     analysis.attr_taint = attr_taint
 
 
 # --------------------------------------------------------------------------------------
-# fixpoint 3: clean-parameter summaries (the PL007 query)
+# clean-parameter summaries (the PL007 query)
 # --------------------------------------------------------------------------------------
 
-def _clean_taint_fixpoint(analysis: ProjectAnalysis) -> None:
+def _clean_taint_fixpoint(analysis: ProjectAnalysis, read: TokenReader) -> None:
     project = analysis.project
     touches: dict[FuncKey, Witness] = {}
     returns: dict[FuncKey, bool] = {f: False for f in project.functions}
 
-    def component_of(fkey: FuncKey) -> int | None:
-        ckey = project.class_of_function(fkey)
-        return project.classes[ckey].component if ckey else None
+    def attr_source(fkey: FuncKey, attr: str) -> Witness | None:
+        origin = analysis.attr_taint.get(project.component(fkey), {}).get(attr)
+        if origin is None:
+            return None
+        return Witness(reason=f"self.{attr} (true data stored by "
+                       f"{project.qualified(origin)})")
 
-    def token_clean_taint(fkey: FuncKey, token: str,
-                          visiting: frozenset = frozenset()) -> Witness | None:
-        fn = project.functions[fkey]
-        if token.startswith("a:"):
-            component = component_of(fkey)
-            attr = token[2:]
-            if component is not None and attr in analysis.attr_taint.get(
-                    component, {}):
-                origin = analysis.attr_taint[component][attr]
-                return Witness(reason=f"self.{attr} (true data stored by "
-                               f"{project.qualified(origin)})")
-        if token.startswith("g:") and token[2:] in DATA_NAMES:
-            return Witness(reason=f"module-level true data {token[2:]!r}")
-        if token.startswith("c:"):
-            if token in visiting:
-                return None
-            call = fn.call_by_key(token)
-            if call is None:
-                return None
-            if _is_primitive(project, fkey, call, DECLASSIFIERS):
-                return None
-            targets = project.resolve_call(fkey, call)
-            for callee in targets.functions:
-                if returns[callee]:
+    sources: TokenSources = {
+        "p": lambda fkey, name: None,  # the caller hands in clean values
+        "a": attr_source,
+        "g": lambda fkey, name: (Witness(
+            reason=f"module-level true data {name!r}")
+            if name in DATA_NAMES else None),
+        "r": lambda callee: (Witness(reason="", callee=callee)
+                             if returns[callee] else None),
+    }
+
+    def first_touch(fkey: FuncKey, fn: FunctionFacts) -> Witness | None:
+        for attr, line, _locked in fn.attr_loads:
+            if analysis.suppressed(fkey, line, "PL007"):
+                continue  # justified declassification at the load
+            witness = attr_source(fkey, attr)
+            if witness is not None:
+                return witness
+        for call in fn.calls:
+            if analysis.suppressed(fkey, call.line, "PL007"):
+                continue
+            for arg in call.all_arg_tokens():
+                witness = read(fkey, arg, sources)
+                if witness is not None:
+                    return witness
+            for callee in project.resolve_call(fkey, call).functions:
+                if callee in touches:
                     return Witness(reason="", callee=callee)
-            if not targets.functions \
-                    and _external_name(project, fkey, call) \
-                    not in CLEAN_BUILTINS:
-                for arg in call.all_arg_tokens() | set(call.base_tokens):
-                    inner = token_clean_taint(fkey, arg, visiting | {token})
-                    if inner is not None:
-                        return inner
         return None
 
-    changed = True
-    iterations = 0
-    while changed and iterations < 50:
+    def step() -> bool:
         changed = False
-        iterations += 1
         for fkey, fn in project.functions.items():
             if fkey not in touches:
-                witness = None
-                for attr, line, _locked in fn.attr_loads:
-                    if analysis.suppressed(fkey, line, "PL007"):
-                        continue  # justified declassification at the load
-                    witness = token_clean_taint(fkey, f"a:{attr}")
-                    if witness is not None:
-                        break
-                if witness is None:
-                    for call in fn.calls:
-                        if analysis.suppressed(fkey, call.line, "PL007"):
-                            continue
-                        for arg in call.all_arg_tokens():
-                            witness = token_clean_taint(fkey, arg)
-                            if witness is not None:
-                                break
-                        if witness is None:
-                            targets = project.resolve_call(fkey, call)
-                            for callee in targets.functions:
-                                if callee in touches:
-                                    witness = Witness(reason="", callee=callee)
-                                    break
-                        if witness is not None:
-                            break
+                witness = first_touch(fkey, fn)
                 if witness is not None:
                     touches[fkey] = witness
                     changed = True
-            if not returns[fkey]:
-                for token in fn.returns:
-                    if token_clean_taint(fkey, token) is not None:
-                        returns[fkey] = True
-                        changed = True
-                        break
+            if not returns[fkey] and any(
+                    read(fkey, token, sources) for token in fn.returns):
+                returns[fkey] = changed = True
+        return changed
 
+    converge(step)
     analysis.touches_taint_clean = touches
     analysis.returns_taint_clean = returns
 
 
 # --------------------------------------------------------------------------------------
-# fixpoint 4: budget flow (PL008)
+# parameter sinks: budget flow (PL008) and RNG provenance (PL009)
 # --------------------------------------------------------------------------------------
 
-def _scale_fixpoint(analysis: ProjectAnalysis) -> None:
+SinkTable = dict[FuncKey, dict[str, Witness]]
+
+
+def _param_sinks(analysis: ProjectAnalysis, rule_id: str,
+                 axioms: Callable[[str, FunctionFacts], Iterator[tuple[str, str]]],
+                 local_sinks: Callable[[Project, FuncKey, CallFacts],
+                                       Iterator[tuple[set[str], str]]],
+                 skip: Callable[[FunctionFacts], bool] = lambda fn: False,
+                 ) -> SinkTable:
+    """Which parameters of each function reach a sink.
+
+    ``axioms(name, facts)`` seeds a primitive's own sink parameters;
+    ``local_sinks`` yields ``(tokens, reason)`` for the sinks at one call
+    site.  A parameter bound into a callee's sink parameter is a sink too.
+    Functions ``skip`` accepts neither propagate nor pass their sinks on."""
     project = analysis.project
-    scale_params: dict[FuncKey, dict[str, Witness]] = {
-        f: {} for f in project.functions}
-
-    # Axiomatic sinks: the primitives' own scale parameters.
+    sinks: SinkTable = {f: {} for f in project.functions}
     for fkey, fn in project.functions.items():
-        last = fkey[1].rsplit(".", 1)[-1]
-        if last in NOISE_SCALE_PARAMS:
-            for param in NOISE_SCALE_PARAMS[last]:
-                if param in fn.params:
-                    scale_params[fkey][param] = Witness(
-                        reason=f"{last}({param}=…) noise scale")
+        for param, reason in axioms(fkey[1].rsplit(".", 1)[-1], fn):
+            sinks[fkey][param] = Witness(reason=reason)
 
-    changed = True
-    iterations = 0
-    while changed and iterations < 50:
+    def add(fkey: FuncKey, tokens, witness: Witness) -> bool:
         changed = False
-        iterations += 1
-        for fkey, fn in project.functions.items():
-            for call in fn.calls:
-                if analysis.suppressed(fkey, call.line, "PL008"):
-                    continue  # justified declassification stops propagation
-                # direct generator draws: the scale operand is a sink
-                draw = _draw_scale_tokens(call)
-                if draw is not None:
-                    draw_name, tokens = draw
-                    for token in tokens:
-                        if token.startswith("p:"):
-                            param = token[2:]
-                            if param not in scale_params[fkey]:
-                                scale_params[fkey][param] = Witness(
-                                    reason=f".{draw_name}() draw scale")
-                                changed = True
-                # primitive by name but unresolved (fixtures)
-                primitive = _is_primitive(project, fkey, call,
-                                          NOISE_SCALE_PARAMS)
-                if primitive is not None and primitive[1] is None:
-                    name = primitive[0]
-                    sink_names = NOISE_SCALE_PARAMS[name]
-                    tokens = set()
-                    for sink in sink_names:
-                        tokens |= set(call.kwargs.get(sink, ()))
-                    if not tokens and call.args:
-                        index = 0 if primitive[0] in (
-                            "laplace_noise", "batched_laplace") else 1
-                        if index < len(call.args):
-                            tokens = set(call.args[index])
-                    for token in tokens:
-                        if token.startswith("p:"):
-                            param = token[2:]
-                            if param not in scale_params[fkey]:
-                                scale_params[fkey][param] = Witness(
-                                    reason=f"{name}() noise scale")
-                                changed = True
-                # resolved callees with scale-reaching params
-                for callee, callee_facts, binding in _iter_bindings(
-                        project, fkey, call):
-                    for param, tokens in binding.items():
-                        if param not in scale_params[callee]:
-                            continue
-                        for token in tokens:
-                            if token.startswith("p:"):
-                                local = token[2:]
-                                if local not in scale_params[fkey]:
-                                    scale_params[fkey][local] = Witness(
-                                        reason="", callee=callee)
-                                    changed = True
+        for token in tokens:
+            if token.startswith("p:") and token[2:] not in sinks[fkey]:
+                sinks[fkey][token[2:]] = witness
+                changed = True
+        return changed
 
-    analysis.scale_params = scale_params
+    def step() -> bool:
+        changed = False
+        for fkey, fn in project.functions.items():
+            if skip(fn):
+                continue
+            for call in fn.calls:
+                if analysis.suppressed(fkey, call.line, rule_id):
+                    continue  # justified declassification stops propagation
+                for tokens, reason in local_sinks(project, fkey, call):
+                    changed |= add(fkey, tokens, Witness(reason=reason))
+                for callee, binding in project.bindings(fkey, call).items():
+                    if skip(project.functions[callee]):
+                        continue
+                    for param, tokens in binding.items():
+                        if param in sinks[callee]:
+                            changed |= add(fkey, tokens,
+                                           Witness(reason="", callee=callee))
+        return changed
+
+    converge(step)
+    return sinks
+
+
+def _scale_axioms(name: str, fn: FunctionFacts):
+    for param in NOISE_SCALE_PARAMS.get(name, ()):
+        if param in fn.params:
+            yield param, f"{name}({param}=…) noise scale"
+
+
+def _scale_sinks(project: Project, fkey: FuncKey, call: CallFacts):
+    draw = _draw_scale_tokens(call)
+    if draw is not None:
+        yield draw[1], f".{draw[0]}() draw scale"
+    primitive = _is_primitive(project, fkey, call, NOISE_SCALE_PARAMS)
+    if primitive is not None and primitive[1] is None:  # unresolved (fixtures)
+        name = primitive[0]
+        tokens: set[str] = set()
+        for sink in NOISE_SCALE_PARAMS[name]:
+            tokens |= set(call.kwargs.get(sink, ()))
+        index = 0 if name in ("laplace_noise", "batched_laplace") else 1
+        if not tokens and index < len(call.args):
+            tokens = set(call.args[index])
+        yield tokens, f"{name}() noise scale"
+
+
+def _rng_axioms(name: str, fn: FunctionFacts):
+    if name in NOISE_SCALE_PARAMS and RNG_SINK_PARAM in fn.params:
+        yield RNG_SINK_PARAM, f"{name}(rng=…) mechanism generator"
+
+
+def _rng_sinks(project: Project, fkey: FuncKey, call: CallFacts):
+    if _draw_scale_tokens(call) is not None:
+        draw = call.callee.rsplit(".", 1)[-1]
+        yield call.base_tokens, f".{draw}() draw receiver"
+    primitive = _is_primitive(project, fkey, call, NOISE_SCALE_PARAMS)
+    if primitive is not None and primitive[1] is None:
+        tokens = set(call.kwargs.get(RNG_SINK_PARAM, ()))
+        if not tokens and call.args:
+            tokens = set(call.args[-1])
+        yield tokens, f"{primitive[0]}() generator"
 
 
 def raw_epsilon_token(analysis: ProjectAnalysis, fkey: FuncKey,
@@ -501,71 +510,6 @@ def raw_epsilon_token(analysis: ProjectAnalysis, fkey: FuncKey,
         return any(raw_epsilon_token(analysis, fkey, t, _depth + 1)
                    for t in call.all_arg_tokens())
     return False
-
-
-# --------------------------------------------------------------------------------------
-# fixpoint 5: RNG provenance (PL009)
-# --------------------------------------------------------------------------------------
-
-def _rng_fixpoint(analysis: ProjectAnalysis) -> None:
-    project = analysis.project
-    sink_params: dict[FuncKey, dict[str, Witness]] = {
-        f: {} for f in project.functions}
-
-    for fkey, fn in project.functions.items():
-        last = fkey[1].rsplit(".", 1)[-1]
-        if last in NOISE_SCALE_PARAMS and RNG_SINK_PARAM in fn.params:
-            sink_params[fkey][RNG_SINK_PARAM] = Witness(
-                reason=f"{last}(rng=…) mechanism generator")
-
-    changed = True
-    iterations = 0
-    while changed and iterations < 50:
-        changed = False
-        iterations += 1
-        for fkey, fn in project.functions.items():
-            if fn.name == "as_rng":
-                continue  # the sanctioned adapter is provenance-neutral
-            for call in fn.calls:
-                if analysis.suppressed(fkey, call.line, "PL009"):
-                    continue
-                # draw receiver is a sink: rng.laplace(...)
-                if _draw_scale_tokens(call) is not None:
-                    for token in call.base_tokens:
-                        if token.startswith("p:"):
-                            param = token[2:]
-                            if param not in sink_params[fkey]:
-                                draw = call.callee.rsplit(".", 1)[-1]
-                                sink_params[fkey][param] = Witness(
-                                    reason=f".{draw}() draw receiver")
-                                changed = True
-                primitive = _is_primitive(project, fkey, call,
-                                          NOISE_SCALE_PARAMS)
-                if primitive is not None and primitive[1] is None:
-                    tokens = set(call.kwargs.get(RNG_SINK_PARAM, ()))
-                    if not tokens and call.args:
-                        tokens = set(call.args[-1])
-                    for token in tokens:
-                        if token.startswith("p:") \
-                                and token[2:] not in sink_params[fkey]:
-                            sink_params[fkey][token[2:]] = Witness(
-                                reason=f"{primitive[0]}() generator")
-                            changed = True
-                for callee, callee_facts, binding in _iter_bindings(
-                        project, fkey, call):
-                    if callee_facts.name == "as_rng":
-                        continue
-                    for param, tokens in binding.items():
-                        if param not in sink_params[callee]:
-                            continue
-                        for token in tokens:
-                            if token.startswith("p:") \
-                                    and token[2:] not in sink_params[fkey]:
-                                sink_params[fkey][token[2:]] = Witness(
-                                    reason="", callee=callee)
-                                changed = True
-
-    analysis.rng_sink_params = sink_params
 
 
 def fresh_rng_token(analysis: ProjectAnalysis, fkey: FuncKey,

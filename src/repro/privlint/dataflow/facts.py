@@ -1,12 +1,20 @@
-"""Per-module fact extraction for the interprocedural dataflow engine.
+"""Per-module fact extraction: the one pass over each file's AST.
 
-This is the *local* half of the analysis: one pass over a module's AST
-produces a :class:`ModuleFacts` record — functions with their parameter
-lists, call sites, attribute traffic and return provenance, classes with
-their bases and annotated attributes, the import table, and any module-level
-``{"name": Class}`` dispatch dicts (the algorithm registry).  Everything in
-here is JSON-serialisable so the summary cache can key it by file content
-hash; nothing in here looks at any *other* module — linking is the job of
+Every rule reads facts recorded here; no rule touches an AST.  One parse of a
+module produces a :class:`ModuleFacts` record:
+
+* for the interprocedural closures — functions with their parameter lists,
+  call sites, attribute traffic and return provenance, classes with their
+  bases and annotated attributes, the import table, and any module-level
+  ``{"name": Class}`` dispatch dicts (the algorithm registry);
+* for the per-function base cases — every call site in the module with the
+  ``def`` chain around it (module level, class bodies and default arguments
+  included), raw-epsilon arithmetic outside budget accounting, reads of
+  data-named free variables, lazy ``... is None`` guards and thread-shared
+  class docstrings;
+* the module's ``# privlint: disable=`` suppressions.
+
+Nothing in here looks at any *other* module — linking is the job of
 :mod:`repro.privlint.dataflow.callgraph`.
 
 Value provenance is tracked as small string tokens:
@@ -25,19 +33,27 @@ polarity for privacy lint — false negatives are the expensive failure mode.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 __all__ = [
     "CallFacts",
+    "CallSite",
     "ClassFacts",
+    "DATA_NAMES",
     "FunctionFacts",
     "ModuleFacts",
     "extract_module_facts",
     "module_name_for_path",
+    "parse_suppressions",
 ]
 
-FACTS_VERSION = 1
+#: Conventional names of the true data in this codebase: data-named
+#: parameters are taint sources, and post-processing may not read them.
+DATA_NAMES = {"x", "data", "counts", "histogram", "true_x", "true_data",
+              "raw_data", "dataset"}
 
 #: Attribute names treated as locks for the ``with self._lock:`` discipline.
 _LOCKISH = ("lock", "mutex", "cv", "cond")
@@ -47,6 +63,33 @@ _LOCKISH = ("lock", "mutex", "cv", "cond")
 #: agrees — its ``.shape`` is a plain tuple).
 _STRUCTURAL_ATTRS = {"shape", "ndim", "size", "dtype", "itemsize", "nbytes",
                      "flags"}
+
+#: The raw total budget: ``*``/``/`` on it outside accounting is a split the
+#: accountant never sees.  Derived ``eps_*`` names are already-metered
+#: ``PrivacyBudget.spend`` results, and bare ``eps`` is machine epsilon here.
+_EPSILON = "epsilon"
+
+#: Function-name tokens that mark a ``def`` as budget accounting.
+_ACCOUNTING_TOKENS = ("budget", "allocation", "share", "epsilons", "split")
+
+#: A suppression comment: ``disable=`` then a comma-separated id list, then
+#: free-text justification.
+_SUPPRESS_RE = re.compile(
+    r"#\s*privlint:\s*disable=([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)")
+
+
+def parse_suppressions(source: str) -> dict[int, set[str]]:
+    """Map line number -> rule ids suppressed on that line (``{"all"}`` for all).
+
+    Only the comma-separated id list right after ``disable=`` is parsed; the
+    rest of the line is the justification."""
+    suppressions: dict[int, set[str]] = {}
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        match = _SUPPRESS_RE.search(line)
+        if match:
+            suppressions[lineno] = {token.strip()
+                                    for token in match.group(1).split(",")}
+    return suppressions
 
 
 def _is_lockish(dotted: str | None) -> bool:
@@ -79,28 +122,15 @@ class CallFacts:
             tokens.update(arg)
         return tokens
 
-    def as_dict(self) -> dict:
-        return {
-            "key": self.key, "line": self.line, "col": self.col,
-            "end_lineno": self.end_lineno, "callee": self.callee,
-            "subscript_of": self.subscript_of,
-            "base_tokens": list(self.base_tokens),
-            "args": [list(a) for a in self.args],
-            "kwargs": {k: list(v) for k, v in self.kwargs.items()},
-            "has_star": self.has_star,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CallFacts":
-        return cls(
-            key=data["key"], line=data["line"], col=data["col"],
-            end_lineno=data["end_lineno"], callee=data["callee"],
-            subscript_of=data["subscript_of"],
-            base_tokens=tuple(data["base_tokens"]),
-            args=tuple(tuple(a) for a in data["args"]),
-            kwargs={k: tuple(v) for k, v in data["kwargs"].items()},
-            has_star=data["has_star"],
-        )
+class CallSite(NamedTuple):
+    """Any call anywhere in a module, with the ``def`` chain around it."""
+
+    line: int
+    callee: str | None        #: dotted callee, as in :class:`CallFacts`
+    method: str | None        #: ``m`` for ``<anything>.m(...)``
+    scopes: tuple[str, ...]   #: enclosing ``def`` names, outermost first
+    metered: bool             #: some enclosing ``def`` takes a ``budget``
 
 
 @dataclass
@@ -124,12 +154,15 @@ class FunctionFacts:
     attr_loads: list[tuple[str, int, bool]]
     acquires_lock: bool           #: body contains ``with self._lock:`` (or acquire())
     decorators: tuple[str, ...]
+    #: ``(name, line, col)`` of every read of a data-named free variable
+    data_reads: tuple[tuple[str, int, int], ...] = ()
+    lazy_guard: bool = False      #: body tests ``... is None`` (lazy init)
+
+    def __post_init__(self):
+        self._calls_by_key = {call.key: call for call in self.calls}
 
     def call_by_key(self, key: str) -> CallFacts | None:
-        for call in self.calls:
-            if call.key == key:
-                return call
-        return None
+        return self._calls_by_key.get(key)
 
     @property
     def is_method(self) -> bool:
@@ -142,107 +175,31 @@ class FunctionFacts:
             params = params[1:]
         return params
 
-    def as_dict(self) -> dict:
-        return {
-            "qualname": self.qualname, "name": self.name,
-            "class_name": self.class_name, "line": self.line, "col": self.col,
-            "params": list(self.params), "vararg": self.vararg,
-            "kwarg": self.kwarg,
-            "annotations": {k: list(v) for k, v in self.annotations.items()},
-            "returns": list(self.returns),
-            "calls": [c.as_dict() for c in self.calls],
-            "attr_stores": [[a, list(t), ln, lk] for a, t, ln, lk in self.attr_stores],
-            "attr_loads": [list(entry) for entry in self.attr_loads],
-            "acquires_lock": self.acquires_lock,
-            "decorators": list(self.decorators),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FunctionFacts":
-        return cls(
-            qualname=data["qualname"], name=data["name"],
-            class_name=data["class_name"], line=data["line"], col=data["col"],
-            params=tuple(data["params"]), vararg=data["vararg"],
-            kwarg=data["kwarg"],
-            annotations={k: tuple(v) for k, v in data["annotations"].items()},
-            returns=tuple(data["returns"]),
-            calls=[CallFacts.from_dict(c) for c in data["calls"]],
-            attr_stores=[(a, tuple(t), ln, lk)
-                         for a, t, ln, lk in data["attr_stores"]],
-            attr_loads=[(a, ln, lk) for a, ln, lk in data["attr_loads"]],
-            acquires_lock=data["acquires_lock"],
-            decorators=tuple(data["decorators"]),
-        )
-
 
 @dataclass
 class ClassFacts:
     name: str
-    line: int
     bases: tuple[str, ...]                     #: dotted base-class names as written
-    methods: tuple[str, ...]                   #: method names defined here
     attr_annotations: dict[str, tuple[str, ...]]  #: class-body ``attr: Type``
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name, "line": self.line, "bases": list(self.bases),
-            "methods": list(self.methods),
-            "attr_annotations": {k: list(v)
-                                 for k, v in self.attr_annotations.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClassFacts":
-        return cls(
-            name=data["name"], line=data["line"], bases=tuple(data["bases"]),
-            methods=tuple(data["methods"]),
-            attr_annotations={k: tuple(v)
-                              for k, v in data["attr_annotations"].items()},
-        )
+    thread_doc: bool = False      #: the docstring says instances are thread-shared
 
 
 @dataclass
 class ModuleFacts:
-    """Everything the linker needs to know about one module."""
+    """Everything the rules need to know about one module."""
 
     path: str                       #: posix path as reported in findings
     module: str                     #: dotted module name (``repro.core.plan``)
     imports: dict[str, str]         #: local name -> absolute dotted target
+    #: the same for imports made inside a function or block
+    local_imports: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionFacts] = field(default_factory=dict)
     classes: dict[str, ClassFacts] = field(default_factory=dict)
     dispatch_dicts: dict[str, dict[str, str]] = field(default_factory=dict)
     suppressions: dict[int, set[str]] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "version": FACTS_VERSION,
-            "path": self.path, "module": self.module,
-            "imports": dict(self.imports),
-            "functions": {k: f.as_dict() for k, f in self.functions.items()},
-            "classes": {k: c.as_dict() for k, c in self.classes.items()},
-            "dispatch_dicts": {k: dict(v)
-                               for k, v in self.dispatch_dicts.items()},
-            "suppressions": {str(line): sorted(ids)
-                             for line, ids in self.suppressions.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleFacts":
-        if data.get("version") != FACTS_VERSION:
-            raise ValueError(f"facts version {data.get('version')!r} != "
-                             f"{FACTS_VERSION}")
-        return cls(
-            path=data["path"], module=data["module"],
-            imports=dict(data["imports"]),
-            functions={k: FunctionFacts.from_dict(f)
-                       for k, f in data["functions"].items()},
-            classes={k: ClassFacts.from_dict(c)
-                     for k, c in data["classes"].items()},
-            dispatch_dicts={k: dict(v)
-                            for k, v in data["dispatch_dicts"].items()},
-            suppressions={int(line): set(ids)
-                          for line, ids in data["suppressions"].items()},
-        )
+    call_sites: list[CallSite] = field(default_factory=list)
+    #: ``(line, "*" | "/")`` of raw-epsilon arithmetic outside budget accounting
+    epsilon_ops: list[tuple[int, str]] = field(default_factory=list)
 
 
 def module_name_for_path(path: str) -> str:
@@ -311,10 +268,9 @@ def _relative_base(module: str, is_package: bool, level: int) -> str:
     return ".".join(parts)
 
 
-def _collect_module_imports(tree: ast.Module, module: str,
-                            is_package: bool) -> dict[str, str]:
+def _import_table(nodes, module: str, is_package: bool) -> dict[str, str]:
     imports: dict[str, str] = {}
-    for node in tree.body:
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
@@ -333,6 +289,12 @@ def _collect_module_imports(tree: ast.Module, module: str,
                     continue
                 imports[alias.asname or alias.name] = f"{target}.{alias.name}"
     return imports
+
+
+def _is_none_test(node: ast.Compare) -> bool:
+    return any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops) \
+        and any(isinstance(c, ast.Constant) and c.value is None
+                for c in [node.left, *node.comparators])
 
 
 class _FunctionExtractor:
@@ -358,6 +320,8 @@ class _FunctionExtractor:
         self.calls: dict[str, CallFacts] = {}
         self.attr_stores: dict[tuple[str, int], tuple[str, set[str], int, bool]] = {}
         self.attr_loads: set[tuple[str, int, bool]] = set()
+        self.data_reads: set[tuple[str, int, int]] = set()
+        self.lazy_guard = False
         self.returns: set[str] = set()
         self.acquires_lock = False
         self.annotations: dict[str, tuple[str, ...]] = {}
@@ -385,6 +349,10 @@ class _FunctionExtractor:
                                    key=lambda kv: kv[0][1])],
             attr_loads=sorted(self.attr_loads, key=lambda e: (e[1], e[0])),
             acquires_lock=self.acquires_lock, decorators=decorators,
+            # a name bound anywhere in the body is local, read before or after
+            data_reads=tuple(sorted(read for read in self.data_reads
+                                    if read[0] not in self.env)),
+            lazy_guard=self.lazy_guard,
         )
 
     # -- statements ---------------------------------------------------------------
@@ -488,6 +456,8 @@ class _FunctionExtractor:
         if isinstance(node, ast.Name):
             if node.id in self.env:
                 return set(self.env[node.id])
+            if node.id in DATA_NAMES and isinstance(node.ctx, ast.Load):
+                self.data_reads.add((node.id, node.lineno, node.col_offset))
             return {f"g:{node.id}"}
         if isinstance(node, ast.Attribute):
             if isinstance(node.value, ast.Name) and node.value.id == "self":
@@ -542,6 +512,8 @@ class _FunctionExtractor:
             tokens = self._tokens(node.value, locked)
             self._bind(node.target, tokens, locked)
             return tokens
+        if isinstance(node, ast.Compare) and _is_none_test(node):
+            self.lazy_guard = True
         # Generic container / operator nodes: union of child expressions.
         tokens = set()
         for child in ast.iter_child_nodes(node):
@@ -599,51 +571,106 @@ class _FunctionExtractor:
         return key
 
 
-def extract_module_facts(source: str, path: str, tree: ast.Module | None = None,
-                         suppressions: dict[int, set[str]] | None = None,
-                         ) -> ModuleFacts:
-    """Extract all dataflow facts for one module (parses if no tree given)."""
-    if tree is None:
-        tree = ast.parse(source, filename=path)
+#: Nodes with nothing below them the scan records.
+_LEAF_NODES = (ast.Name, ast.Constant, ast.expr_context, ast.operator,
+               ast.boolop, ast.unaryop, ast.cmpop, ast.alias)
+
+
+class _SiteScanner:
+    """Visits every node of a module once, carrying the ``def`` chain, and
+    records the base-case sites: calls, raw-epsilon arithmetic, the imports
+    made below module level, and the classes nested in a ``def`` or class
+    (extracted under their ``__qualname__``)."""
+
+    def __init__(self, facts: ModuleFacts):
+        self.facts = facts
+        self.nested_imports: list[ast.stmt] = []
+
+    def visit(self, node: ast.AST, scopes: tuple[str, ...] = (),
+              metered: bool = False, accounted: bool = False,
+              qualname: str = "") -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            scopes += (node.name,)
+            metered = metered or "budget" in {
+                a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            accounted = accounted or any(token in node.name.lower()
+                                         for token in _ACCOUNTING_TOKENS)
+            qualname += f"{node.name}.<locals>."
+        elif isinstance(node, ast.ClassDef):
+            if qualname:
+                _extract_class(node, self.facts, qualname + node.name)
+            qualname += f"{node.name}."
+        elif isinstance(node, ast.Call):
+            func = node.func
+            method = func.attr if isinstance(func, ast.Attribute) else None
+            self.facts.call_sites.append(
+                CallSite(node.lineno, _dotted(func), method, scopes, metered))
+            # an argument of budget.spend*(...) is charged on the spot
+            accounted = accounted or (method or "").startswith("spend")
+        elif isinstance(node, ast.Compare):
+            accounted = True  # validation against epsilon bounds, not a split
+        elif isinstance(node, ast.BinOp) and not accounted \
+                and isinstance(node.op, (ast.Mult, ast.Div)) \
+                and any(isinstance(side, ast.Name) and side.id == _EPSILON
+                        for side in (node.left, node.right)):
+            op = "*" if isinstance(node.op, ast.Mult) else "/"
+            self.facts.epsilon_ops.append((node.lineno, op))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            self.nested_imports.append(node)
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, _LEAF_NODES):
+                self.visit(child, scopes, metered, accounted, qualname)
+
+    def scan(self, tree: ast.Module) -> None:
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                self.visit(stmt)
+
+
+def extract_module_facts(source: str, path: str,
+                         tree: ast.Module) -> ModuleFacts:
+    """Extract all facts for one parsed module."""
     posix = Path(path).as_posix()
     module = module_name_for_path(posix)
     is_package = posix.endswith("__init__.py")
-    facts = ModuleFacts(
-        path=posix, module=module,
-        imports=_collect_module_imports(tree, module, is_package),
-        suppressions=dict(suppressions or {}),
-    )
+    facts = ModuleFacts(path=posix, module=module,
+                        imports=_import_table(tree.body, module, is_package),
+                        suppressions=parse_suppressions(source))
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = _FunctionExtractor(node, None).extract()
             facts.functions[fn.qualname] = fn
         elif isinstance(node, ast.ClassDef):
-            _extract_class(node, facts)
+            _extract_class(node, facts, node.name)
         elif isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name) \
                 and isinstance(node.value, ast.Dict):
             table = _dispatch_entries(node.value)
             if table:
                 facts.dispatch_dicts[node.targets[0].id] = table
+    scanner = _SiteScanner(facts)
+    scanner.scan(tree)
+    facts.local_imports = _import_table(scanner.nested_imports, module,
+                                        is_package)
     return facts
 
 
-def _extract_class(node: ast.ClassDef, facts: ModuleFacts) -> None:
+def _extract_class(node: ast.ClassDef, facts: ModuleFacts,
+                   qualname: str) -> None:
     bases = tuple(b for b in (_dotted(base) for base in node.bases) if b)
-    methods: list[str] = []
     attr_annotations: dict[str, tuple[str, ...]] = {}
     for stmt in node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            methods.append(stmt.name)
-            fn = _FunctionExtractor(stmt, node.name).extract()
+            fn = _FunctionExtractor(stmt, qualname).extract()
             facts.functions[fn.qualname] = fn
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             types = _annotation_types(stmt.annotation)
             if types:
                 attr_annotations[stmt.target.id] = types
-    facts.classes[node.name] = ClassFacts(
-        name=node.name, line=node.lineno, bases=bases,
-        methods=tuple(methods), attr_annotations=attr_annotations,
+    facts.classes[qualname] = ClassFacts(
+        name=qualname, bases=bases, attr_annotations=attr_annotations,
+        thread_doc="thread" in (ast.get_docstring(node) or "").lower(),
     )
 
 

@@ -1,153 +1,34 @@
-"""The lint engine: parse modules, run rules, honour inline suppressions.
+"""The lint engine: parse once, extract facts, run the rules, honour suppressions.
 
 The engine is deliberately self-contained (stdlib ``ast`` only) so the CLI can
-run in any environment that can import the package.  A module is parsed once
-into a :class:`ModuleContext` carrying the AST, a parent map and the resolved
-numpy import aliases; every rule walks that shared context.
+run in any environment that can import the package.  Every file is parsed
+once into :mod:`.dataflow.facts`; the files are linked into one project, the
+interprocedural summaries are computed, and each rule reads both to report
+its base-case and closure findings.  An in-memory module is linted the same
+way, as a one-module project.
 
-Inline suppressions follow the familiar lint idiom::
+Inline suppressions follow the familiar lint idiom, with the justification
+after the ids::
 
-    noisy = x + laplace_noise(scale, n, rng)  # privlint: disable=PLxxx
+    noisy = x + laplace_noise(scale, n, rng)  # privlint: disable=<ids> why
 
-``disable=PL003,PL004`` (any real rule ids) silences several rules on one
-line and
-``disable=all`` silences every rule; the comment must sit on the line the
-finding is reported at (the first line of a multi-line statement).
+``<ids>`` is one rule id, a comma list of them, or ``all``; the comment must
+sit on the line the finding is reported at (the first line of a multi-line
+statement).
 """
 
 from __future__ import annotations
 
-import ast
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .findings import Finding, ProjectRule, Rule
+from .dataflow import analyze_sources
+from .findings import Finding, FindingKind
+from .rules import RULES, RULES_BY_ID
 
-__all__ = ["LintResult", "ModuleContext", "UNUSED_SUPPRESSION_RULE",
-           "lint_paths", "lint_source"]
-
-_SUPPRESS_RE = re.compile(r"#\s*privlint:\s*disable=([A-Za-z0-9_,\s]+)")
-
-
-def parse_suppressions(source: str) -> dict[int, set[str]]:
-    """Map line number -> rule ids suppressed on that line (``{"all"}`` for all)."""
-    suppressions: dict[int, set[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _SUPPRESS_RE.search(line)
-        if match:
-            rules = {token.strip() for token in match.group(1).split(",")}
-            suppressions[lineno] = {r for r in rules if r}
-    return suppressions
-
-
-@dataclass
-class ModuleContext:
-    """Everything a rule needs to know about one parsed module."""
-
-    path: str                      #: path as reported in findings (posix)
-    source: str
-    tree: ast.Module
-    suppressions: dict[int, set[str]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self._parents: dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(self.tree):
-            for child in ast.iter_child_nodes(parent):
-                self._parents[child] = parent
-        self.numpy_aliases, self.numpy_random_aliases, self.from_imports = (
-            _collect_imports(self.tree))
-
-    # -- tree navigation ----------------------------------------------------------
-    def parent(self, node: ast.AST) -> ast.AST | None:
-        return self._parents.get(node)
-
-    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
-        current = self._parents.get(node)
-        while current is not None:
-            yield current
-            current = self._parents.get(current)
-
-    def enclosing_functions(self, node: ast.AST) -> list[ast.FunctionDef]:
-        """Innermost-first chain of function definitions containing ``node``."""
-        return [a for a in self.ancestors(node)
-                if isinstance(a, (ast.FunctionDef, ast.AsyncFunctionDef))]
-
-    def enclosing_class(self, node: ast.AST) -> ast.ClassDef | None:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, ast.ClassDef):
-                return ancestor
-        return None
-
-    # -- name resolution ----------------------------------------------------------
-    def dotted_name(self, node: ast.AST) -> str | None:
-        """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            parts.append(node.id)
-            return ".".join(reversed(parts))
-        return None
-
-    def is_numpy_random_call(self, call: ast.Call, attrs: set[str]) -> str | None:
-        """The matched attribute if ``call`` invokes ``numpy.random.<attr>``.
-
-        Resolves ``import numpy as np`` / ``from numpy import random`` /
-        ``from numpy.random import default_rng`` spellings.
-        """
-        name = self.dotted_name(call.func)
-        if name is None:
-            return None
-        parts = name.split(".")
-        if len(parts) == 3 and parts[0] in self.numpy_aliases \
-                and parts[1] == "random" and parts[2] in attrs:
-            return parts[2]
-        if len(parts) == 2 and parts[0] in self.numpy_random_aliases \
-                and parts[1] in attrs:
-            return parts[1]
-        if len(parts) == 1 and self.from_imports.get(parts[0]) in {
-                f"numpy.random.{attr}" for attr in attrs}:
-            return self.from_imports[parts[0]].rsplit(".", 1)[1]
-        return None
-
-    def path_is(self, *suffixes: str) -> bool:
-        """True when the module path ends with any of the posix ``suffixes``."""
-        return any(self.path.endswith(suffix) for suffix in suffixes)
-
-    # -- findings -----------------------------------------------------------------
-    def finding(self, rule: Rule, node: ast.AST | int, message: str) -> Finding:
-        line = node if isinstance(node, int) else getattr(node, "lineno", 1)
-        return Finding(path=self.path, line=line, rule=rule.id,
-                       severity=rule.severity, message=message)
-
-
-def _collect_imports(tree: ast.Module):
-    numpy_aliases: set[str] = set()
-    numpy_random_aliases: set[str] = set()
-    from_imports: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "numpy":
-                    numpy_aliases.add(alias.asname or "numpy")
-                elif alias.name == "numpy.random":
-                    numpy_random_aliases.add(alias.asname or "numpy.random")
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module == "numpy":
-                for alias in node.names:
-                    if alias.name == "random":
-                        numpy_random_aliases.add(alias.asname or "random")
-                    else:
-                        from_imports[alias.asname or alias.name] = \
-                            f"numpy.{alias.name}"
-            elif node.module == "numpy.random":
-                for alias in node.names:
-                    from_imports[alias.asname or alias.name] = \
-                        f"numpy.random.{alias.name}"
-    return numpy_aliases, numpy_random_aliases, from_imports
+__all__ = ["LintResult", "UNUSED_SUPPRESSION_RULE", "lint_paths",
+           "lint_source"]
 
 
 @dataclass
@@ -165,41 +46,30 @@ class LintResult:
         return 1 if self.findings else 0
 
 
-class _UnusedSuppressionRule:
-    """PL100 — a ``# privlint: disable=`` comment that silences nothing.
+#: PL100 — not a rule: the engine synthesises these findings after every
+#: selected rule has run, ruff's unused-``noqa`` style.  A suppression is
+#: judged only for rule ids that actually ran, and always for unknown ids.
+UNUSED_SUPPRESSION_RULE = FindingKind(
+    "PL100", "unused-suppression",
+    "This `# privlint: disable=` comment suppresses nothing; "
+    "either the finding was fixed (delete the comment) or the "
+    "rule id is wrong (the real finding is escaping).",
+    severity="warning")
 
-    Not a real AST rule: the engine synthesises these findings after every
-    selected rule has run, ruff's unused-``noqa`` style.  Only rule ids that
-    actually ran are judged — a suppression for an unselected rule is left
-    alone."""
-
-    id = "PL100"
-    name = "unused-suppression"
-    description = ("This `# privlint: disable=` comment suppresses nothing; "
-                   "either the finding was fixed (delete the comment) or the "
-                   "rule id is wrong (the real finding is escaping).")
-    severity = "warning"
+_ALL_KINDS = tuple(RULES_BY_ID.values())
+_KNOWN_IDS = {*RULES_BY_ID, UNUSED_SUPPRESSION_RULE.id, "all"}
 
 
-UNUSED_SUPPRESSION_RULE = _UnusedSuppressionRule()
-
-
-def _apply_suppressions(raw: Iterable[Finding],
-                        suppressions: dict[int, set[str]],
-                        used: dict[int, set[str]],
-                        findings: list[Finding],
-                        suppressed: list[Finding]) -> None:
-    for finding in raw:
-        disabled = suppressions.get(finding.line, ())
-        if "all" in disabled or finding.rule in disabled:
-            suppressed.append(finding)
-            bucket = used.setdefault(finding.line, set())
-            if finding.rule in disabled:
-                bucket.add(finding.rule)
-            if "all" in disabled:
-                bucket.add("all")
-        else:
-            findings.append(finding)
+def _route(finding: Finding, disabled: set[str], used: set[str],
+          findings: list[Finding], suppressed: list[Finding]) -> None:
+    """Route one finding by the suppressions on its line, recording in
+    ``used`` which of them took effect."""
+    matched = disabled & {finding.rule, "all"}
+    if matched:
+        suppressed.append(finding)
+        used |= matched
+    else:
+        findings.append(finding)
 
 
 def _unused_suppression_findings(
@@ -212,6 +82,7 @@ def _unused_suppression_findings(
             unused = set() if used_ids else {"all"}
         else:
             unused = {i for i in declared & active_ids if i not in used_ids}
+        unused |= declared - _KNOWN_IDS
         if not unused:
             continue
         ids = ", ".join(sorted(unused))
@@ -220,34 +91,41 @@ def _unused_suppression_findings(
             severity=UNUSED_SUPPRESSION_RULE.severity,
             message=f"unused suppression ({ids}): no matching finding on "
                     f"this line — delete the comment or fix the rule id")
-        disabled = suppressions.get(line, ())
-        if UNUSED_SUPPRESSION_RULE.id not in disabled:
+        if UNUSED_SUPPRESSION_RULE.id not in declared:
             findings.append(finding)
     return findings
 
 
-def lint_source(source: str, path: str, rules: Sequence[Rule],
-                filename: str | None = None, *,
-                report_unused: bool = False) -> LintResult:
-    """Lint one in-memory module (the seam the tests and quickstart use)."""
-    try:
-        tree = ast.parse(source, filename=filename or path)
-    except SyntaxError as exc:
-        return LintResult([], [], [f"{path}: syntax error: {exc}"])
-    module = ModuleContext(path=path, source=source, tree=tree,
-                           suppressions=parse_suppressions(source))
+def _lint(sources: Mapping[str, str], rules: Sequence[FindingKind],
+          report_unused: bool, errors: list[str]) -> LintResult:
+    analysis = analyze_sources(sources, errors)
+    active = {kind.id for kind in rules}
     findings: list[Finding] = []
     suppressed: list[Finding] = []
-    used: dict[int, set[str]] = {}
-    for rule in rules:
-        _apply_suppressions(rule.check(module), module.suppressions, used,
-                            findings, suppressed)
+    used: dict[str, dict[int, set[str]]] = {}
+    for rule in RULES:
+        if active.isdisjoint(kind.id for kind in rule.kinds):
+            continue
+        for finding in rule.check(analysis):
+            if finding.rule in active:
+                module = analysis.project.modules[finding.path]
+                _route(finding, module.suppressions.get(finding.line, set()),
+                      used.setdefault(finding.path, {}).setdefault(
+                          finding.line, set()),
+                      findings, suppressed)
     if report_unused:
-        findings.extend(_unused_suppression_findings(
-            path, module.suppressions, used, {rule.id for rule in rules}))
+        for path, module in analysis.project.modules.items():
+            findings.extend(_unused_suppression_findings(
+                path, module.suppressions, used.get(path, {}), active))
     findings.sort()
     suppressed.sort()
-    return LintResult(findings, suppressed, [])
+    return LintResult(findings, suppressed, errors)
+
+
+def lint_source(source: str, path: str, rules: Sequence[FindingKind], *,
+                report_unused: bool = False) -> LintResult:
+    """Lint one in-memory module (the seam the tests and quickstart use)."""
+    return _lint({path: source}, rules, report_unused, [])
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -259,58 +137,18 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield path
 
 
-def lint_paths(paths: Iterable[str | Path], rules: Sequence[Rule], *,
-               project_rules: Sequence[ProjectRule] = (),
-               report_unused: bool = False,
-               cache_path: str | Path | None = None) -> LintResult:
-    """Lint every ``*.py`` under ``paths`` (files or directories).
-
-    Module rules run file-by-file; ``project_rules`` (PL007–PL010) run once
-    over the whole file set through the interprocedural dataflow analysis,
-    with per-module facts cached at ``cache_path`` when given.  With
-    ``report_unused``, suppression comments that silenced nothing become
-    PL100 warnings.
-    """
-    findings: list[Finding] = []
-    suppressed: list[Finding] = []
-    errors: list[str] = []
+def lint_paths(paths: Iterable[str | Path],
+               rules: Sequence[FindingKind] = _ALL_KINDS, *,
+               report_unused: bool = False) -> LintResult:
+    """Lint every ``*.py`` under ``paths`` (files or directories) as one
+    project.  With ``report_unused``, suppression comments that silenced
+    nothing become PL100 warnings."""
     sources: dict[str, str] = {}
-    suppression_maps: dict[str, dict[int, set[str]]] = {}
-    usage: dict[str, dict[int, set[str]]] = {}
+    errors: list[str] = []
     for file_path in iter_python_files(paths):
         posix = file_path.as_posix()
         try:
-            source = file_path.read_text(encoding="utf-8")
+            sources[posix] = file_path.read_text(encoding="utf-8")
         except OSError as exc:
             errors.append(f"{posix}: {exc}")
-            continue
-        sources[posix] = source
-        suppression_maps[posix] = parse_suppressions(source)
-        usage[posix] = {}
-        try:
-            tree = ast.parse(source, filename=posix)
-        except SyntaxError as exc:
-            errors.append(f"{posix}: syntax error: {exc}")
-            continue
-        module = ModuleContext(path=posix, source=source, tree=tree,
-                               suppressions=suppression_maps[posix])
-        for rule in rules:
-            _apply_suppressions(rule.check(module), module.suppressions,
-                                usage[posix], findings, suppressed)
-    if project_rules and sources:
-        from .dataflow import FactsCache, analyze_sources
-        analysis = analyze_sources(sources, cache=FactsCache(cache_path))
-        for project_rule in project_rules:
-            for finding in project_rule.check_project(analysis):
-                _apply_suppressions(
-                    [finding], suppression_maps.get(finding.path, {}),
-                    usage.setdefault(finding.path, {}), findings, suppressed)
-    if report_unused:
-        active = {rule.id for rule in rules} \
-            | {rule.id for rule in project_rules}
-        for posix, suppressions in suppression_maps.items():
-            findings.extend(_unused_suppression_findings(
-                posix, suppressions, usage.get(posix, {}), active))
-    findings.sort()
-    suppressed.sort()
-    return LintResult(findings, suppressed, errors)
+    return _lint(sources, rules, report_unused, errors)

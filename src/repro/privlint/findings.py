@@ -1,4 +1,4 @@
-"""Finding records and the Rule protocol of the privacy-invariant linter.
+"""Finding records and finding kinds of the privacy-invariant linter.
 
 A :class:`Finding` is one violation of one rule at one source location; the
 whole subsystem trades in immutable findings so that suppression filtering,
@@ -7,18 +7,9 @@ baseline matching and output formatting are plain set/list operations.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .engine import ModuleContext
-
-__all__ = ["Finding", "ProjectRule", "Rule", "SEVERITIES"]
-
-#: Recognised severities, most severe first.  Every shipped rule is an
-#: ``error`` (CI gates on them); ``warning`` exists for advisory rules.
-SEVERITIES = ("error", "warning")
+__all__ = ["Finding", "FindingKind"]
 
 
 @dataclass(frozen=True, order=True)
@@ -61,40 +52,12 @@ class Finding:
         }
 
 
-@runtime_checkable
-class Rule(Protocol):
-    """One privacy invariant, checked module-by-module over the AST.
+@dataclass(frozen=True)
+class FindingKind:
+    """One rule id: what ``--rules`` selects, suppressions name, and SARIF
+    describes.  Each invariant's rule owns the kinds it reports."""
 
-    Implementations are stateless: :meth:`check` receives a fully parsed
-    :class:`~repro.privlint.engine.ModuleContext` and yields findings.
-    """
-
-    id: str
-    name: str
+    id: str           #: e.g. ``"PL001"``
+    name: str         #: kebab-case slug
     description: str
-    severity: str
-
-    def check(self, module: "ModuleContext") -> Iterable[Finding]:
-        ...  # pragma: no cover - protocol
-
-
-@runtime_checkable
-class ProjectRule(Protocol):
-    """One privacy invariant checked over the *whole project* at once.
-
-    Project rules consume a :class:`~repro.privlint.dataflow.ProjectAnalysis`
-    (call graph + interprocedural summaries) instead of a single module, so
-    they can reason about flows that cross function and file boundaries.
-    """
-
-    id: str
-    name: str
-    description: str
-    severity: str
-
-    def check_project(self, analysis) -> Iterable[Finding]:
-        ...  # pragma: no cover - protocol
-
-
-def node_line(node: ast.AST) -> int:
-    return getattr(node, "lineno", 1)
+    severity: str = "error"

@@ -1,52 +1,117 @@
-"""The privacy-invariant rules, grounded in this repository's real bug classes.
+"""The four privacy invariants, one rule each.
 
-Every rule id carries the history that motivated it:
+Every rule reads the per-module facts of :mod:`.dataflow.facts` for its
+per-function *base case* and the interprocedural summaries of
+:mod:`.dataflow.engine` for its *closure* (the same invariant carried across
+calls).  Each rule owns the finding kinds it reports, and every kind keeps
+the id that motivated it:
 
-* **PL001** — the determinism contract behind bitwise-identical parallel runs
-  (PR 1): all randomness must flow through a passed-in ``np.random.Generator``
-  derived from the executor's ``SeedSequence`` tree.  A fresh or global RNG
-  anywhere in algorithm/selection code silently breaks serial == parallel.
-* **PL002** — post-processing purity (the PR 3 DAWA leak class): once the
-  noise stage has run, nothing downstream may look at the true data.  The
-  ``infer``/``reconstruct`` stages operate on the plan and the noisy
-  measurements *alone*.
-* **PL003** — noise metering: Laplace/geometric draws belong to the shared,
-  :class:`~repro.algorithms.mechanisms.PrivacyBudget`-metered noise stage
-  (``measure_plan``), the mechanism primitives, or the noise kernel.
-  A draw anywhere else is unaccounted epsilon unless its enclosing function
-  visibly participates in budget accounting.
-* **PL004** — budget arithmetic: multiplying/dividing the raw ``epsilon``
-  outside ``PrivacyBudget``/budget-share helpers is how stage splits drift
-  away from what is actually charged.
-* **PL005** — the PR 6 ``QueryMatrix`` bug class: a lazily built cache
-  published by plain attribute assignment in a class documented as
-  thread-shared is a data race; build once under the lock, then publish.
+* **RNG provenance** — the determinism contract behind bitwise-identical
+  parallel runs (PR 1): all randomness flows through a passed-in
+  ``np.random.Generator`` derived from the executor's ``SeedSequence`` tree.
+  PL001: a fresh or global RNG anywhere; PL009: a fresh generator flowing
+  into a mechanism through any call chain.
+* **Post-processing purity** — the PR 3 DAWA leak class: once the noise stage
+  has run, ``infer``/``reconstruct`` operate on the plan and the noisy
+  measurements *alone*.  PL002: a data-named parameter, ``self`` attribute
+  or free variable read in the stage itself; PL007: true data reaching the
+  stage through any transitive callee.
+* **Metered noise and budget flow** — Laplace/geometric draws belong to the
+  shared, :class:`~repro.algorithms.mechanisms.PrivacyBudget`-metered noise
+  stage, and every split of epsilon is charged.  PL003: a draw where no
+  enclosing ``def`` takes the budget; PL004: raw ``epsilon`` arithmetic
+  outside accounting; PL008: a raw epsilon bound into a noise scale through
+  function indirection.
+* **Lock discipline** — the PR 6 ``QueryMatrix`` race.  PL005: a lazy cache
+  in a thread-shared class published outside the lock; PL010: a read of
+  lock-published state from a method that never takes the lock.
+
+Messages never embed line numbers: a baseline entry's identity is
+``(rule, path, message)``, so unrelated edits do not churn the baseline.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import ClassVar, Iterator
+from typing import Callable, ClassVar, Iterator
 
-from .engine import ModuleContext
-from .findings import Finding
+from .dataflow.callgraph import FuncKey
+from .dataflow.engine import (
+    GENERATOR_DRAWS,
+    ProjectAnalysis,
+    SinkTable,
+    fresh_rng_token,
+    raw_epsilon_token,
+)
+from .dataflow.facts import DATA_NAMES, CallFacts, FunctionFacts
+from .findings import Finding, FindingKind
 
-__all__ = ["DEFAULT_RULES", "RULES_BY_ID",
-           "FreshRngRule", "PostProcessingPurityRule", "UnmeteredNoiseRule",
-           "RawEpsilonArithmeticRule", "UnlockedLazyCacheRule"]
+__all__ = ["RULES", "RULES_BY_ID", "LockDisciplineRule", "MeteredNoiseRule",
+           "PostProcessingPurityRule", "RngProvenanceRule"]
+
+
+def _finding(kind: FindingKind, path: str, line: int, message: str,
+             call: CallFacts | None = None) -> Finding:
+    """A finding at ``line``, spanning ``call`` when one is given."""
+    if call is None:
+        return Finding(path=path, line=line, rule=kind.id,
+                       severity=kind.severity, message=message)
+    return Finding(path=path, line=line, rule=kind.id, severity=kind.severity,
+                   message=message, col=call.col, end_lineno=call.end_lineno)
+
+
+def _sink_bindings(analysis: ProjectAnalysis, sinks: SinkTable,
+                   fkey: FuncKey, call: CallFacts,
+                   offends: Callable[[ProjectAnalysis, FuncKey, str], bool],
+                   ) -> Iterator[str]:
+    """The trace of every callee sink ``call`` binds an offending value into
+    (the first such parameter per callee)."""
+    project = analysis.project
+    follow = lambda k: next(iter(sinks.get(k, {}).values()), None)  # noqa: E731
+    bindings = project.bindings(fkey, call)
+    for callee in sorted(bindings):
+        for param, tokens in bindings[callee].items():
+            witness = sinks.get(callee, {}).get(param)
+            if witness is None \
+                    or not any(offends(analysis, fkey, t) for t in tokens):
+                continue
+            chain = analysis.trace(witness, follow)
+            trace = f"{project.qualified(callee)}({param}=…)"
+            yield trace + (f" → {chain}" if chain else "")
+            break
+
+
+class _Rule:
+    """One invariant: its per-function base case kinds and its closure kind."""
+
+    base: ClassVar[tuple[FindingKind, ...]]
+    closure: ClassVar[FindingKind]
+
+    @property
+    def kinds(self) -> tuple[FindingKind, ...]:
+        return (*self.base, self.closure)
+
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        """Every finding of every kind this rule owns."""
+        raise NotImplementedError
 
 
 # --------------------------------------------------------------------------------------
-# PL001 — no fresh/global RNG in algorithm or selection code
+# RNG provenance: PL001 (base) + PL009 (closure)
 # --------------------------------------------------------------------------------------
 
-class FreshRngRule:
-    id = "PL001"
-    name = "fresh-rng"
-    description = ("Randomness must come from a passed-in np.random.Generator; "
-                   "constructing or seeding one outside the executor entry "
-                   "points breaks the bitwise serial == parallel contract.")
-    severity = "error"
+class RngProvenanceRule(_Rule):
+    base = (FindingKind(
+        "PL001", "fresh-rng",
+        "Randomness must come from a passed-in np.random.Generator; "
+        "constructing or seeding one outside the executor entry "
+        "points breaks the bitwise serial == parallel contract."),)
+    closure = FindingKind(
+        "PL009", "rng-provenance",
+        "Every generator that reaches a mechanism must be threaded "
+        "down from the executor's SeedSequence spawn; a freshly "
+        "constructed generator flowing into a draw through any "
+        "call chain silently breaks the bitwise "
+        "serial == parallel contract (PL001, interprocedural).")
 
     #: numpy.random attributes whose *call* constructs or seeds a generator,
     #: or draws from the legacy global stream.
@@ -60,312 +125,298 @@ class FreshRngRule:
     #: modules that own the seeding currency: the executor derives per-job
     #: SeedSequences, the benchmark turns them into the per-job Generators.
     _ENTRY_POINTS = ("core/executor.py", "core/benchmark.py")
+    #: the sanctioned coercion point (seed -> Generator)
+    _ADAPTER = "as_rng"
 
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if module.path_is(*self._ENTRY_POINTS):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        project = analysis.project
+        (fresh,) = self.base
+        for path, mod in project.modules.items():
+            if path.endswith(self._ENTRY_POINTS):
                 continue
-            matched = module.is_numpy_random_call(node, self._FORBIDDEN)
-            if matched is None:
-                continue
-            functions = module.enclosing_functions(node)
-            # as_rng is the sanctioned coercion point (seed -> Generator).
-            if any(f.name == "as_rng" for f in functions):
-                continue
-            yield module.finding(
-                self, node,
-                f"fresh/global RNG via np.random.{matched}; accept a seeded "
-                f"np.random.Generator argument instead (determinism contract)")
+            for site in mod.call_sites:
+                if site.callee is None or self._ADAPTER in site.scopes:
+                    continue
+                module, _, attr = project.resolve_external_dotted(
+                    mod, site.callee).rpartition(".")
+                if module == "numpy.random" and attr in self._FORBIDDEN:
+                    yield _finding(
+                        fresh, path, site.line,
+                        f"fresh/global RNG via np.random.{attr}; accept a "
+                        f"seeded np.random.Generator argument instead "
+                        f"(determinism contract)")
+            for qualname, fn in mod.functions.items():
+                if fn.name == self._ADAPTER:
+                    continue
+                fkey = (path, qualname)
+                for call in fn.calls:
+                    for trace in _sink_bindings(
+                            analysis, analysis.rng_sink_params, fkey, call,
+                            fresh_rng_token):
+                        yield _finding(
+                            self.closure, path, call.line,
+                            f"freshly constructed generator flows into a "
+                            f"mechanism: {project.qualified(fkey)} → {trace}; "
+                            f"thread the executor-spawned generator through "
+                            f"instead", call)
 
 
 # --------------------------------------------------------------------------------------
-# PL002 — post-processing purity: infer/reconstruct never see the true data
+# Post-processing purity: PL002 (base) + PL007 (closure)
 # --------------------------------------------------------------------------------------
 
-class PostProcessingPurityRule:
-    id = "PL002"
-    name = "post-processing-purity"
-    description = ("infer/reconstruct bodies operate on the plan and the noisy "
-                   "measurements alone; any reference to the true "
-                   "histogram/dataset is a PR-3-class privacy leak.")
-    severity = "error"
+class PostProcessingPurityRule(_Rule):
+    base = (FindingKind(
+        "PL002", "post-processing-purity",
+        "infer/reconstruct bodies operate on the plan and the noisy "
+        "measurements alone; any reference to the true "
+        "histogram/dataset is a PR-3-class privacy leak."),)
+    closure = FindingKind(
+        "PL007", "interprocedural-leak",
+        "infer/reconstruct and everything they call operate on "
+        "sanitized measurements only; a helper that reads stashed "
+        "true data (or a tainted module global) is the PR-3 leak "
+        "class routed around PL002's per-function check.")
 
-    _STAGE_NAMES: ClassVar[set[str]] = {"infer", "reconstruct"}
-    #: conventional names of the true data in this codebase
-    _DATA_NAMES: ClassVar[set[str]] = {"x", "data", "counts", "histogram", "true_x", "true_data",
-                   "raw_data", "dataset"}
+    #: Function names that begin the post-processing stage.
+    _STAGE_NAMES = ("infer", "reconstruct")
 
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        for fkey, fn in analysis.project.functions.items():
+            if fn.name in self._STAGE_NAMES:
+                yield from self._base(fkey[0], fn)
+                yield from self._closure(analysis, fkey, fn)
+
+    def _base(self, path: str, fn: FunctionFacts) -> Iterator[Finding]:
+        (kind,) = self.base
+        stage = f"post-processing stage {fn.name}()"
+        for name in fn.params + tuple(p for p in (fn.vararg, fn.kwarg) if p):
+            if name in DATA_NAMES:
+                yield _finding(
+                    kind, path, fn.line,
+                    f"{stage} takes the true data as parameter {name!r}; it "
+                    f"must consume only the plan and the noisy measurements")
+        for name, line, _col in fn.data_reads:
+            yield _finding(
+                kind, path, line,
+                f"{stage} reads {name!r} from an enclosing scope — the true "
+                f"data must not reach it (PR-3 leak class)")
+        for attr, line, _locked in fn.attr_loads:
+            if attr.lstrip("_") in DATA_NAMES:
+                yield _finding(
+                    kind, path, line,
+                    f"{stage} reads self.{attr} — stashing the true data on "
+                    f"the algorithm and reading it after the noise stage is "
+                    f"a PR-3-class leak")
+
+    def _closure(self, analysis: ProjectAnalysis, fkey: FuncKey,
+                 fn: FunctionFacts) -> Iterator[Finding]:
+        project = analysis.project
+        root = project.qualified(fkey)
+        # (a) the root itself reads a tainted attribute (data-named stashes
+        # are the base case's)
+        tainted = analysis.attr_taint.get(project.component(fkey), {})
+        for attr, line, _locked in fn.attr_loads:
+            origin = tainted.get(attr)
+            if origin is None or attr.lstrip("_") in DATA_NAMES:
                 continue
-            if node.name not in self._STAGE_NAMES:
-                continue
-            yield from self._check_stage(module, node)
-
-    def _check_stage(self, module: ModuleContext,
-                     func: ast.FunctionDef) -> Iterator[Finding]:
-        args = func.args
-        params = [a.arg for a in (args.posonlyargs + args.args
-                                  + args.kwonlyargs)]
-        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
-        for name in params:
-            if name in self._DATA_NAMES:
-                yield module.finding(
-                    self, func,
-                    f"post-processing stage {func.name}() takes the true data "
-                    f"as parameter {name!r}; it must consume only the plan "
-                    f"and the noisy measurements")
-        bound = set(params) | self._locally_bound(func)
-        for inner in ast.walk(func):
-            if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load) \
-                    and inner.id in self._DATA_NAMES and inner.id not in bound:
-                yield module.finding(
-                    self, inner,
-                    f"post-processing stage {func.name}() reads {inner.id!r} "
-                    f"from an enclosing scope — the true data must not reach "
-                    f"it (PR-3 leak class)")
-            elif isinstance(inner, ast.Attribute) \
-                    and isinstance(inner.ctx, ast.Load) \
-                    and isinstance(inner.value, ast.Name) \
-                    and inner.value.id == "self" \
-                    and inner.attr.lstrip("_") in self._DATA_NAMES:
-                yield module.finding(
-                    self, inner,
-                    f"post-processing stage {func.name}() reads "
-                    f"self.{inner.attr} — stashing the true data on the "
-                    f"algorithm and reading it after the noise stage is a "
-                    f"PR-3-class leak")
-
-    @staticmethod
-    def _locally_bound(func: ast.FunctionDef) -> set[str]:
-        bound: set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                bound.add(node.id)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and node is not func:
-                bound.add(node.name)
-        return bound
+            yield _finding(
+                self.closure, fkey[0], line,
+                f"{root} reads self.{attr}, which carries the true data "
+                f"(stored by {project.qualified(origin)}); the "
+                f"post-processing stage must consume only the plan and "
+                f"the sanitized measurements")
+        # (b) a transitive callee touches taint even with clean arguments
+        follow = analysis.touches_taint_clean.get
+        for call in fn.calls:
+            for callee in sorted(project.resolve_call(fkey, call).functions):
+                witness = analysis.touches_taint_clean.get(callee)
+                if witness is None:
+                    continue
+                chain = analysis.trace(witness, follow)
+                chain_text = f"{root} → {project.qualified(callee)}"
+                if chain and not chain.startswith(project.qualified(callee)):
+                    chain_text += f" → {chain}"
+                yield _finding(
+                    self.closure, fkey[0], call.line,
+                    f"true data reaches the post-processing stage via "
+                    f"{chain_text}", call)
+                break  # one finding per call site is enough
 
 
 # --------------------------------------------------------------------------------------
-# PL003 — noise draws only in the metered noise stage / mechanisms / kernels
+# Metered noise and budget flow: PL003 + PL004 (base) + PL008 (closure)
 # --------------------------------------------------------------------------------------
 
-class UnmeteredNoiseRule:
-    id = "PL003"
-    name = "unmetered-noise"
-    description = ("Noise draws (rng.laplace, laplace_noise, rng.geometric, "
-                   "...) belong to mechanisms.py, measure_plan or the noise "
-                   "kernel; elsewhere they must sit inside a function that "
-                   "takes the shared PrivacyBudget (a metered selection "
-                   "stage).")
-    severity = "error"
+class MeteredNoiseRule(_Rule):
+    base = (
+        FindingKind(
+            "PL003", "unmetered-noise",
+            "Noise draws (rng.laplace, laplace_noise, rng.geometric, "
+            "...) belong to mechanisms.py, measure_plan or the noise "
+            "kernel; elsewhere they must sit inside a function that "
+            "takes the shared PrivacyBudget (a metered selection "
+            "stage)."),
+        FindingKind(
+            "PL004", "raw-epsilon-arithmetic",
+            "Multiplying/dividing the raw epsilon is budget splitting; "
+            "it belongs in PrivacyBudget charges or budget-share "
+            "helpers so the accountant sees every split."),
+    )
+    closure = FindingKind(
+        "PL008", "budget-flow",
+        "A noise-scale expression must be derivable from a "
+        "PrivacyBudget charge (budget.spend and friends) along "
+        "every call path; binding a raw epsilon into a parameter "
+        "that reaches a draw through function indirection skips "
+        "the accountant.")
 
+    #: where drawing noise is the module's job
     _SANCTIONED = ("algorithms/mechanisms.py", "core/plan.py",
                    "core/kernels.py")
-    _NOISE_FUNCTIONS: ClassVar[set[str]] = {"laplace_noise", "batched_laplace",
-                        "laplace_mechanism", "geometric_mechanism"}
-    _GENERATOR_DRAWS: ClassVar[set[str]] = {"laplace", "geometric", "normal", "exponential",
-                        "gumbel"}
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if module.path_is(*self._SANCTIONED):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            drawn = self._noise_target(node)
-            if drawn is None:
-                continue
-            functions = module.enclosing_functions(node)
-            if any(self._is_metered(f) for f in functions):
-                continue
-            yield module.finding(
-                self, node,
-                f"noise draw {drawn} outside the metered noise stage; route "
-                f"it through measure_plan, or charge a PrivacyBudget in the "
-                f"enclosing function")
-
-    def _noise_target(self, call: ast.Call) -> str | None:
-        func = call.func
-        if isinstance(func, ast.Name) and func.id in self._NOISE_FUNCTIONS:
-            return f"{func.id}()"
-        if isinstance(func, ast.Attribute) and func.attr in self._GENERATOR_DRAWS:
-            return f".{func.attr}()"
-        return None
-
-    @staticmethod
-    def _is_metered(func: ast.FunctionDef) -> bool:
-        args = func.args
-        names = [a.arg for a in (args.posonlyargs + args.args
-                                 + args.kwonlyargs)]
-        return "budget" in names
-
-
-# --------------------------------------------------------------------------------------
-# PL004 — raw epsilon arithmetic only inside budget accounting
-# --------------------------------------------------------------------------------------
-
-class RawEpsilonArithmeticRule:
-    id = "PL004"
-    name = "raw-epsilon-arithmetic"
-    description = ("Multiplying/dividing the raw epsilon is budget splitting; "
-                   "it belongs in PrivacyBudget charges or budget-share "
-                   "helpers so the accountant sees every split.")
-    severity = "error"
-
-    #: exactly the raw total; derived ``eps_*`` names are PrivacyBudget.spend
-    #: results (already metered) and bare ``eps`` is machine epsilon here.
-    _EPSILON_NAMES: ClassVar[set[str]] = {"epsilon"}
-    #: the release path this rule polices; analysis/tuning modules use epsilon
-    #: as a signal-strength coordinate, not as a budget.
+    _NOISE_FUNCTIONS: ClassVar[set[str]] = {
+        "laplace_noise", "batched_laplace", "laplace_mechanism",
+        "geometric_mechanism"}
+    #: the release path the budget kinds police; analysis/tuning modules use
+    #: epsilon as a signal-strength coordinate, not as a budget.
     _SCOPE = ("core/plan.py", "core/repair.py", "workload/selection.py")
-    _ALLOWED_FUNCTION_TOKENS = ("budget", "allocation", "share", "epsilons",
-                                "split")
 
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        in_scope = module.path_is(*self._SCOPE) \
-            or "/algorithms/" in module.path
-        if not in_scope or module.path_is("algorithms/mechanisms.py"):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.BinOp) \
-                    or not isinstance(node.op, (ast.Mult, ast.Div)):
-                continue
-            operand = self._epsilon_operand(node)
-            if operand is None:
-                continue
-            if self._is_accounted(module, node):
-                continue
-            op = "*" if isinstance(node.op, ast.Mult) else "/"
-            yield module.finding(
-                self, node,
-                f"raw arithmetic on {operand!r} ({op}) outside budget "
-                f"accounting; charge it through PrivacyBudget.spend/"
-                f"spend_fraction or a budget-share helper")
+    def _in_scope(self, path: str) -> bool:
+        return not path.endswith("algorithms/mechanisms.py") and (
+            path.endswith(self._SCOPE) or "/algorithms/" in path)
 
-    def _epsilon_operand(self, node: ast.BinOp) -> str | None:
-        for side in (node.left, node.right):
-            if isinstance(side, ast.Name) and side.id in self._EPSILON_NAMES:
-                return side.id
-        return None
-
-    def _is_accounted(self, module: ModuleContext, node: ast.BinOp) -> bool:
-        for ancestor in module.ancestors(node):
-            # an argument of budget.spend(...)/spend_fraction(...) is charged
-            # on the spot — the accountant sees exactly this expression
-            if isinstance(ancestor, ast.Call) \
-                    and isinstance(ancestor.func, ast.Attribute) \
-                    and ancestor.func.attr.startswith("spend"):
-                return True
-            # comparisons against epsilon bounds are validation, not splitting
-            if isinstance(ancestor, ast.Compare):
-                return True
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and any(token in ancestor.name.lower()
-                            for token in self._ALLOWED_FUNCTION_TOKENS):
-                return True
-        return False
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        project = analysis.project
+        unmetered, raw_split = self.base
+        for path, mod in project.modules.items():
+            if not path.endswith(self._SANCTIONED):
+                for site in mod.call_sites:
+                    if site.metered:
+                        continue
+                    if site.method is None \
+                            and site.callee in self._NOISE_FUNCTIONS:
+                        drawn = f"{site.callee}()"
+                    elif site.method in GENERATOR_DRAWS:
+                        drawn = f".{site.method}()"
+                    else:
+                        continue
+                    yield _finding(
+                        unmetered, path, site.line,
+                        f"noise draw {drawn} outside the metered noise "
+                        f"stage; route it through measure_plan, or charge a "
+                        f"PrivacyBudget in the enclosing function")
+            if not self._in_scope(path):
+                continue
+            for line, op in mod.epsilon_ops:
+                yield _finding(
+                    raw_split, path, line,
+                    f"raw arithmetic on 'epsilon' ({op}) outside budget "
+                    f"accounting; charge it through PrivacyBudget.spend/"
+                    f"spend_fraction or a budget-share helper")
+            for qualname, fn in mod.functions.items():
+                fkey = (path, qualname)
+                for call in fn.calls:
+                    for trace in _sink_bindings(
+                            analysis, analysis.scale_params, fkey, call,
+                            raw_epsilon_token):
+                        yield _finding(
+                            self.closure, path, call.line,
+                            f"raw epsilon flows unmetered into a noise "
+                            f"scale: {project.qualified(fkey)} binds it "
+                            f"into {trace}; route the split through a "
+                            f"PrivacyBudget charge", call)
 
 
 # --------------------------------------------------------------------------------------
-# PL005 — lazy caches in thread-shared classes publish under a lock
+# Lock discipline: PL005 (base) + PL010 (closure)
 # --------------------------------------------------------------------------------------
 
-class UnlockedLazyCacheRule:
-    id = "PL005"
-    name = "unlocked-lazy-cache"
-    description = ("In a class documented as thread-shared (docstring mentions "
-                   "threads, or the class owns a lock), a lazily built cache "
-                   "must be assigned inside `with self._lock:` — plain "
-                   "publication races concurrent readers (the PR 6 "
-                   "QueryMatrix bug).")
-    severity = "error"
+class LockDisciplineRule(_Rule):
+    base = (FindingKind(
+        "PL005", "unlocked-lazy-cache",
+        "In a class documented as thread-shared (docstring mentions "
+        "threads, or the class owns a lock), a lazily built cache "
+        "must be assigned inside `with self._lock:` — plain "
+        "publication races concurrent readers (the PR 6 "
+        "QueryMatrix bug)."),)
+    closure = FindingKind(
+        "PL010", "cross-method-lock-discipline",
+        "An attribute published under `with self._lock:` in one "
+        "method is part of the class's locked state; reading it "
+        "from a method that never acquires the lock races the "
+        "writer (PL005, generalised across methods).")
 
-    _EXEMPT_METHODS: ClassVar[set[str]] = {"__init__", "__new__", "__getstate__", "__setstate__",
-                       "__init_subclass__"}
+    #: methods that run before or after the instance is shared, or only
+    #: render it
+    _EXEMPT_METHODS: ClassVar[set[str]] = {
+        "__init__", "__new__", "__getstate__", "__setstate__",
+        "__init_subclass__", "__del__", "__repr__", "__reduce__"}
 
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef) and self._is_thread_shared(node):
-                yield from self._check_class(module, node)
-
-    def _is_thread_shared(self, cls: ast.ClassDef) -> bool:
-        doc = ast.get_docstring(cls) or ""
-        if "thread" in doc.lower():
-            return True
-        for node in ast.walk(cls):
-            if isinstance(node, ast.Attribute) and "lock" in node.attr.lower() \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == "self":
-                return True
-        return False
-
-    def _check_class(self, module: ModuleContext,
-                     cls: ast.ClassDef) -> Iterator[Finding]:
-        for item in cls.body:
-            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if item.name in self._EXEMPT_METHODS:
-                continue
-            if not self._has_lazy_guard(item):
-                continue
-            for store in self._self_attribute_stores(item):
-                attr = store.attr
-                if not attr.startswith("_") or "lock" in attr.lower():
+    def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        project = analysis.project
+        (lazy,) = self.base
+        for path, mod in project.modules.items():
+            for cls in mod.classes.values():
+                methods = [fn for fn in mod.functions.values()
+                           if fn.class_name == cls.name]
+                attrs = [entry[0] for fn in methods
+                         for entry in (*fn.attr_loads, *fn.attr_stores)]
+                if not (cls.thread_doc
+                        or any("lock" in attr.lower() for attr in attrs)):
                     continue
-                if self._under_lock(module, store):
+                for fn in methods:
+                    if fn.name in self._EXEMPT_METHODS or not fn.lazy_guard:
+                        continue
+                    for attr, _tokens, line, locked in fn.attr_stores:
+                        if locked or not attr.startswith("_") \
+                                or "lock" in attr.lower():
+                            continue
+                        yield _finding(
+                            lazy, path, line,
+                            f"{cls.name}.{fn.name} publishes lazy cache "
+                            f"self.{attr} without holding the lock; build "
+                            f"under `with self._lock:` and publish by one "
+                            f"assignment")
+        yield from self._closure(analysis)
+
+    def _closure(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
+        project = analysis.project
+        # locked attrs per class family, with the writing method
+        locked: dict[int, dict[str, FuncKey]] = {}
+        for fkey, fn in project.functions.items():
+            component = project.component(fkey)
+            if component is None:
+                continue
+            for attr, _tokens, _line, under_lock in fn.attr_stores:
+                if under_lock:
+                    locked.setdefault(component, {}).setdefault(attr, fkey)
+        for fkey, fn in project.functions.items():
+            component = project.component(fkey)
+            if component is None or fn.acquires_lock \
+                    or fn.name in self._EXEMPT_METHODS:
+                continue
+            family_locked = locked.get(component, {})
+            reported: set[str] = set()
+            for attr, line, _under in fn.attr_loads:
+                writer = family_locked.get(attr)
+                if writer is None or writer == fkey or attr in reported:
                     continue
-                yield module.finding(
-                    self, store,
-                    f"{cls.name}.{item.name} publishes lazy cache "
-                    f"self.{attr} without holding the lock; build under "
-                    f"`with self._lock:` and publish by one assignment")
-
-    @staticmethod
-    def _has_lazy_guard(func: ast.FunctionDef) -> bool:
-        """The method contains an ``... is None`` test — the lazy-init shape."""
-        for node in ast.walk(func):
-            if isinstance(node, ast.Compare) \
-                    and any(isinstance(op, (ast.Is, ast.IsNot))
-                            for op in node.ops) \
-                    and any(isinstance(c, ast.Constant) and c.value is None
-                            for c in [node.left, *node.comparators]):
-                return True
-        return False
-
-    @staticmethod
-    def _self_attribute_stores(func: ast.FunctionDef) -> Iterator[ast.Attribute]:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Attribute) \
-                    and isinstance(node.ctx, ast.Store) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == "self":
-                yield node
-
-    @staticmethod
-    def _under_lock(module: ModuleContext, node: ast.AST) -> bool:
-        for ancestor in module.ancestors(node):
-            if isinstance(ancestor, (ast.With, ast.AsyncWith)):
-                for item in ancestor.items:
-                    name = module.dotted_name(item.context_expr) or ""
-                    if "lock" in name.lower():
-                        return True
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                break
-        return False
+                reported.add(attr)
+                yield _finding(
+                    self.closure, fkey[0], line,
+                    f"{project.qualified(fkey)} reads self.{attr} without "
+                    f"the lock, but {project.qualified(writer)} publishes it "
+                    f"under `with self._lock:`; take the lock (or a local "
+                    f"snapshot) before reading")
 
 
-DEFAULT_RULES = (
-    FreshRngRule(),
+RULES = (
+    RngProvenanceRule(),
     PostProcessingPurityRule(),
-    UnmeteredNoiseRule(),
-    RawEpsilonArithmeticRule(),
-    UnlockedLazyCacheRule(),
+    MeteredNoiseRule(),
+    LockDisciplineRule(),
 )
 
-RULES_BY_ID = {rule.id: rule for rule in DEFAULT_RULES}
+#: Every finding kind a rule reports, by id.
+RULES_BY_ID = {kind.id: kind for kind in sorted(
+    (kind for rule in RULES for kind in rule.kinds), key=lambda k: k.id)}

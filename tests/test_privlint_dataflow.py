@@ -22,14 +22,8 @@ import numpy as np
 import pytest
 
 from repro.core.registry import ALGORITHM_REGISTRY
-from repro.privlint import RULES_BY_ID, lint_source
-from repro.privlint.dataflow import (
-    DATAFLOW_RULES,
-    PROJECT_RULES_BY_ID,
-    FactsCache,
-    analyze_paths,
-    analyze_sources,
-)
+from repro.privlint import RULES, RULES_BY_ID, lint_paths, lint_source
+from repro.privlint.dataflow import analyze_sources
 from repro.privlint.taint import is_tainted, sanitized_noise_stage, taint
 from repro.workload.builders import prefix_workload, random_range_workload
 
@@ -42,8 +36,13 @@ def analyze(sources: dict[str, str]):
 
 
 def project_findings(rule_id: str, sources: dict[str, str]):
-    analysis = analyze(sources)
-    return sorted(PROJECT_RULES_BY_ID[rule_id].check_project(analysis))
+    ((path, source),) = sources.items()
+    return lint_source(textwrap.dedent(source), path,
+                       [RULES_BY_ID[rule_id]]).findings
+
+
+#: The interprocedural closures, PL007-PL010: one per invariant.
+DATAFLOW_RULES = tuple(rule.closure for rule in RULES)
 
 
 # -- the committed fixture: the acceptance-criterion pair ----------------------------
@@ -308,47 +307,45 @@ class TestSuppressionPropagation:
         assert findings == []
 
 
-# -- the facts cache -----------------------------------------------------------------
+# -- PL007: interprocedural leak ----------------------------------------------------
 
 
-class TestFactsCache:
-    SOURCE = "def helper(v):\n    return v\n"
+class TestInterproceduralLeak:
+    def test_direct_stash_read_in_the_first_class_family(self):
+        """The first class family linked gets component id 0, which must
+        not read as "no family" when infer reads a tainted attribute."""
+        findings = project_findings("PL007", {"pkg/mod.py": """
+            class Stasher:
+                def select(self, x, workload, budget, rng):
+                    self._stash = x
 
-    def test_second_run_hits(self, tmp_path):
-        store = tmp_path / "facts.json"
-        cold = FactsCache(store)
-        analyze_sources({"pkg/mod.py": self.SOURCE}, cache=cold)
-        assert (cold.hits, cold.misses) == (0, 1)
-        warm = FactsCache(store)
-        analyze_sources({"pkg/mod.py": self.SOURCE}, cache=warm)
-        assert (warm.hits, warm.misses) == (1, 0)
+                def infer(self, measurements, plan):
+                    return measurements + self._stash
+        """})
+        assert [(f.rule, f.line) for f in findings] == [("PL007", 7)]
+        assert "self._stash" in findings[0].message
 
-    def test_content_change_invalidates(self, tmp_path):
-        store = tmp_path / "facts.json"
-        analyze_sources({"pkg/mod.py": self.SOURCE},
-                        cache=FactsCache(store))
-        edited = FactsCache(store)
-        analyze_sources({"pkg/mod.py": self.SOURCE + "\n# edited\n"},
-                        cache=edited)
-        assert (edited.hits, edited.misses) == (0, 1)
 
-    def test_corrupt_store_is_treated_as_empty(self, tmp_path):
-        store = tmp_path / "facts.json"
-        store.write_text("{definitely not json")
-        cache = FactsCache(store)
-        analysis = analyze_sources({"pkg/mod.py": self.SOURCE}, cache=cache)
-        assert ("pkg/mod.py", "helper") in analysis.project.functions
-        assert cache.misses == 1
+# -- fixpoints run to convergence ---------------------------------------------------
 
-    def test_cached_analysis_is_identical(self, tmp_path):
-        store = tmp_path / "facts.json"
-        source = FIXTURE.read_text(encoding="utf-8")
-        sources = {FIXTURE.as_posix(): source}
-        fresh = analyze_sources(sources, cache=FactsCache(store))
-        cached = analyze_sources(sources, cache=FactsCache(store))
-        rule = PROJECT_RULES_BY_ID["PL007"]
-        assert sorted(rule.check_project(fresh)) == \
-            sorted(rule.check_project(cached))
+
+class TestConvergence:
+    def test_pl007_follows_a_60_helper_chain(self):
+        """``infer`` reaches the stash through 60 one-line helpers defined
+        caller-first, so each fixpoint pass moves the taint one hop: a pass
+        cap below the chain length would silently miss the leak."""
+        lines = ["class Deep:",
+                 "    def select(self, x, workload, budget, rng):",
+                 "        self._stash = x",
+                 "",
+                 "    def infer(self, measurements, plan):",
+                 "        return self._h0(measurements)"]
+        for i in range(60):
+            body = f"self._h{i + 1}(v)" if i < 59 else "v + self._stash"
+            lines += ["", f"    def _h{i}(self, v):", f"        return {body}"]
+        findings = project_findings("PL007", {"pkg/deep.py": "\n".join(lines)})
+        assert [(f.rule, f.line) for f in findings] == [("PL007", 6)]
+        assert "pkg.deep.Deep.infer → pkg.deep.Deep._h0" in findings[0].message
 
 
 # -- static/runtime agreement (the cross-check contract) -----------------------------
@@ -371,15 +368,8 @@ RUNTIME_CASES = _runtime_cases()
 @pytest.fixture(scope="module")
 def pl007_flagged_paths():
     """Module paths under src/ where the static PL007 analysis fires."""
-    analysis = analyze_paths(["src"])
-    rule = PROJECT_RULES_BY_ID["PL007"]
-    flagged = set()
-    for finding in rule.check_project(analysis):
-        ids = analysis.project.modules[finding.path].suppressions.get(
-            finding.line, ())
-        if "all" not in ids and finding.rule not in ids:
-            flagged.add(finding.path)
-    return flagged
+    result = lint_paths(["src"], [RULES_BY_ID["PL007"]])
+    return {finding.path for finding in result.findings}
 
 
 class TestStaticRuntimeAgreement:
