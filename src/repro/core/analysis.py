@@ -18,7 +18,6 @@ regret analyses of Section 7.2.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from .results import ResultSet
 
@@ -74,6 +73,9 @@ def competitive_algorithms(
                 if scores[name] <= scores[best_name] * (1 + 1e-9):
                     competitive.append(name)
                 continue
+            # scipy.stats costs ~0.65 s to import; only this t-test needs it.
+            from scipy import stats
+
             _, p_value = stats.ttest_ind(errors, best_errors, equal_var=False)
             if np.isnan(p_value) or p_value > corrected_alpha:
                 competitive.append(name)

@@ -33,7 +33,9 @@ polarity for privacy lint — false negatives are the expensive failure mode.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -81,14 +83,18 @@ _SUPPRESS_RE = re.compile(
 def parse_suppressions(source: str) -> dict[int, set[str]]:
     """Map line number -> rule ids suppressed on that line (``{"all"}`` for all).
 
-    Only the comma-separated id list right after ``disable=`` is parsed; the
-    rest of the line is the justification."""
+    Only real comments count: a ``disable=`` inside a string literal (fixture
+    source in a test, say) suppresses nothing.  Only the comma-separated id
+    list right after ``disable=`` is parsed; the rest of the comment is the
+    justification."""
     suppressions: dict[int, set[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _SUPPRESS_RE.search(line)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _SUPPRESS_RE.search(token.string)
         if match:
-            suppressions[lineno] = {token.strip()
-                                    for token in match.group(1).split(",")}
+            suppressions[token.start[0]] = {
+                rule.strip() for rule in match.group(1).split(",")}
     return suppressions
 
 

@@ -1,11 +1,11 @@
 """The lint engine: parse once, extract facts, run the rules, honour suppressions.
 
-The engine is deliberately self-contained (stdlib ``ast`` only) so the CLI can
-run in any environment that can import the package.  Every file is parsed
-once into :mod:`.dataflow.facts`; the files are linked into one project, the
-interprocedural summaries are computed, and each rule reads both to report
-its base-case and closure findings.  An in-memory module is linted the same
-way, as a one-module project.
+The engine is deliberately self-contained (stdlib ``ast`` and ``tokenize``
+only) so the CLI can run in any environment that can import the package.
+Every file is parsed once into :mod:`.dataflow.facts`; the files are linked
+into one project, the interprocedural summaries are computed, and each rule
+reads both to report its base-case and closure findings.  An in-memory module
+is linted the same way, as a one-module project.
 
 Inline suppressions follow the familiar lint idiom, with the justification
 after the ids::
@@ -14,7 +14,8 @@ after the ids::
 
 ``<ids>`` is one rule id, a comma list of them, or ``all``; the comment must
 sit on the line the finding is reported at (the first line of a multi-line
-statement).
+statement).  Only comment tokens count: the same text inside a string literal
+suppresses nothing.
 """
 
 from __future__ import annotations

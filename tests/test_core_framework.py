@@ -200,6 +200,24 @@ class TestCompetitiveAnalysis:
     def test_empty_input(self):
         assert competitive_algorithms({}) == []
 
+    def test_bonferroni_correction_decides_the_boundary(self):
+        """A Welch p-value between alpha/(k-1) and alpha: competitive among
+        three algorithms (level 0.025), not in a head-to-head (level 0.05)."""
+        from scipy import stats
+
+        best = 1.0 + np.linspace(-0.5, 0.5, 10)
+        close = 1.38 + np.linspace(-0.8, 0.8, 14)
+        far = np.full(10, 9.0) + np.linspace(-0.1, 0.1, 10)
+        p_value = stats.ttest_ind(close, best, equal_var=False).pvalue
+        assert 0.05 / 2 < p_value < 0.05
+        # The pooled-variance test would clear 0.05: the case also pins Welch.
+        assert stats.ttest_ind(close, best).pvalue > 0.05
+
+        three = {"best": best, "close": close, "far": far}
+        assert competitive_algorithms(three, alpha=0.05) == ["best", "close"]
+        pair = {"best": best, "close": close}
+        assert competitive_algorithms(pair, alpha=0.05) == ["best"]
+
     def test_competitive_counts_table(self):
         records = []
         for dataset in ("D1", "D2"):

@@ -420,6 +420,22 @@ class TestSuppressions:
         assert [f.rule for f in result.findings] == ["PL003"]
         assert [f.rule for f in result.suppressed] == ["PL003"]
 
+    def test_disable_inside_a_string_does_not_suppress(self):
+        """Only comment tokens suppress: a string holding ``disable=all`` on
+        the line of a real draw leaves the draw flagged."""
+        result = lint_source(textwrap.dedent("""
+            def smooth(x, rng):
+                return x + laplace_noise(1.0, x.size, rng, "# privlint: disable=all")
+        """), "src/repro/algorithms/demo.py", DEFAULT_RULES, report_unused=True)
+        assert [f.rule for f in result.findings] == ["PL003"]
+        assert result.suppressed == []
+
+    def test_disable_inside_a_string_is_not_an_unused_suppression(self):
+        result = lint_source(
+            'NOTE = "append  # privlint: disable=PL003  to silence a draw"\n',
+            "src/repro/algorithms/demo.py", DEFAULT_RULES, report_unused=True)
+        assert result.findings == []
+
     def test_justification_after_the_ids(self):
         source = textwrap.dedent(self.LEAKY).replace(
             "disable=PL003", "disable=PL003 seeded test draw")
