@@ -92,8 +92,9 @@ class Algorithm(ABC):
 
     Subclasses implement :meth:`_run` and declare a class-level
     :attr:`properties` object.  The public entry point :meth:`run` performs
-    input validation, seeds the random generator and dispatches to
-    :meth:`_run`.
+    input validation, seeds the random generator, builds the run's one
+    :class:`~repro.algorithms.mechanisms.PrivacyBudget` and dispatches to
+    :meth:`_run`, which charges to it every epsilon the algorithm uses.
     """
 
     properties: AlgorithmProperties
@@ -146,7 +147,7 @@ class Algorithm(ABC):
         """
         x = validate_input(x, epsilon, self.properties.supported_dims)
         rng = as_rng(rng)
-        x_hat = self._run(x, float(epsilon), workload, rng)
+        x_hat = self._run(x, PrivacyBudget(float(epsilon)), workload, rng)
         # asanyarray: a subclass-carrying result (e.g. a still-tainted
         # release under the taint sanitizer) must not be laundered here.
         x_hat = np.asanyarray(x_hat, dtype=float)
@@ -160,11 +161,15 @@ class Algorithm(ABC):
     def _run(
         self,
         x: np.ndarray,
-        epsilon: float,
+        budget: PrivacyBudget,
         workload: Workload | None,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Algorithm-specific implementation; must return an array shaped like ``x``."""
+        """Algorithm-specific implementation; must return an array shaped like ``x``.
+
+        Charge every epsilon you use to ``budget`` (its ``total`` is the
+        run's epsilon) before drawing the noise it pays for.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.params})"
@@ -180,9 +185,10 @@ class PlanAlgorithm(Algorithm):
         ``plan = select(); measurements = measure(plan); return infer(...)``
 
     with the shared noise stage (:func:`~repro.core.plan.measure_plan`)
-    metered through a :class:`~repro.algorithms.mechanisms.PrivacyBudget`:
+    metered through the run's :class:`~repro.algorithms.mechanisms.PrivacyBudget`:
     whatever the selection stage spent, the measurement stage can only charge
     the remainder, and over-subscription raises ``BudgetExceededError``.
+    :meth:`run` and :meth:`plan_and_measure` share the select-and-measure body.
 
     The default :meth:`infer` is the generic sparse GLS reconstruction
     (:func:`~repro.core.plan.reconstruct`); overrides exist only as exact
@@ -190,12 +196,16 @@ class PlanAlgorithm(Algorithm):
     post-processing (Uniform's clamp, MWEM's multiplicative weights).
     """
 
-    def _run(self, x: np.ndarray, epsilon: float, workload: Workload | None,
-             rng: np.random.Generator) -> np.ndarray:
-        budget = PrivacyBudget(epsilon)
-        plan = self.select(x, workload, budget, rng)
-        measurements = measure_plan(x, plan, rng, budget=budget)
+    def _run(self, x: np.ndarray, budget: PrivacyBudget,
+             workload: Workload | None, rng: np.random.Generator) -> np.ndarray:
+        plan, measurements = self._measure(x, budget, workload, rng)
         return self.infer(measurements, plan)
+
+    def _measure(self, x: np.ndarray, budget: PrivacyBudget,
+                 workload: Workload | None, rng: np.random.Generator,
+                 ) -> tuple[MeasurementPlan, MeasurementSet]:
+        plan = self.select(x, workload, budget, rng)
+        return plan, measure_plan(x, plan, rng, budget=budget)
 
     @abstractmethod
     def select(self, x: np.ndarray, workload: Workload | None,
@@ -228,7 +238,4 @@ class PlanAlgorithm(Algorithm):
         test asserts.  ``measurements.epsilon_spent`` covers both stages.
         """
         x = validate_input(x, epsilon, self.properties.supported_dims)
-        rng = as_rng(rng)
-        budget = PrivacyBudget(float(epsilon))
-        plan = self.select(x, workload, budget, rng)
-        return plan, measure_plan(x, plan, rng, budget=budget)
+        return self._measure(x, PrivacyBudget(float(epsilon)), workload, as_rng(rng))

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..core.kernels import get_kernel
 from ..core.measurement import MeasurementSet
-from ..core.plan import MeasurementPlan, measure_plan
+from ..core.plan import MeasurementPlan
 from ..workload.builders import prefix_workload
 from ..workload.rangequery import Workload
 from .base import AlgorithmProperties, PlanAlgorithm
@@ -258,9 +258,7 @@ class DAWA(PlanAlgorithm):
         """
         if x.ndim != 1:
             raise ValueError("measure() packages the 1-D (or flattened) stage")
-        budget = PrivacyBudget(epsilon)
-        plan = self.select(x, workload, budget, rng)
-        measurements = measure_plan(x, plan, rng, budget=budget)
+        plan, measurements = self.plan_and_measure(x, epsilon, rng, workload)
         cell_measurements = measurements.through_partition(plan.partition)
         cell_measurements.epsilon_spent = epsilon
         return cell_measurements, plan.partition

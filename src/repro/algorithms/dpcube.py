@@ -25,7 +25,7 @@ import heapq
 import numpy as np
 
 from ..core.measurement import MeasurementSet
-from ..core.plan import MeasurementPlan, measure_plan
+from ..core.plan import MeasurementPlan
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
 from .base import AlgorithmProperties, PlanAlgorithm
@@ -117,9 +117,7 @@ class DPCube(PlanAlgorithm):
         Also returns the phase-1 noisy cells and the partition blocks, which
         the closed-form reconciliation fast path consumes directly.
         """
-        budget = PrivacyBudget(epsilon)
-        plan = self.select(x, None, budget, rng)
-        measurements = measure_plan(x, plan, rng, budget=budget)
+        plan, measurements = self.plan_and_measure(x, epsilon, rng)
         n_cells = int(np.prod(x.shape))
         noisy_cells = measurements.values[:n_cells].reshape(x.shape)
         return measurements, noisy_cells, plan.extras["blocks"]

@@ -39,13 +39,12 @@ class EFPA(Algorithm):
         reference="Acs, Castelluccia, Chen. ICDM 2012",
     )
 
-    def _run(self, x: np.ndarray, epsilon: float, workload: Workload | None,
-             rng: np.random.Generator) -> np.ndarray:
+    def _run(self, x: np.ndarray, budget: PrivacyBudget,
+             workload: Workload | None, rng: np.random.Generator) -> np.ndarray:
         # scipy.fft costs ~0.2 s to import; only EFPA needs it.
         from scipy.fft import dct, idct
 
         n = x.size
-        budget = PrivacyBudget(epsilon)
         eps_select = budget.spend_fraction(0.5, "order-selection")
         eps_noise = budget.spend_all("coefficients")
 
@@ -67,10 +66,7 @@ class EFPA(Algorithm):
         chosen = exponential_mechanism(scores, eps_select, sensitivity=2.0, rng=rng)
         k = int(ks[chosen])
 
-        # Bespoke transform-domain mechanism (documented plan-pipeline
-        # exemption): the draw's scale is eps_noise, charged from the shared
-        # budget via spend_all above.
-        retained = coefficients[:k] + laplace_noise(  # privlint: disable=PL003
+        retained = coefficients[:k] + laplace_noise(
             k * per_coefficient_sensitivity / eps_noise, k, rng
         )
         noisy_coefficients = np.zeros(n)

@@ -149,13 +149,12 @@ class AGrid(Algorithm):
         reference="Qardaji, Yang, Li. ICDE 2013",
     )
 
-    def _run(self, x: np.ndarray, epsilon: float, workload: Workload | None,
-             rng: np.random.Generator) -> np.ndarray:
+    def _run(self, x: np.ndarray, budget: PrivacyBudget,
+             workload: Workload | None, rng: np.random.Generator) -> np.ndarray:
         c = float(self.params["c"])
         c2 = float(self.params["c2"])
         rho = float(self.params["rho"])
-        budget = PrivacyBudget(epsilon)
-        eps_coarse = budget.spend(epsilon * rho, "coarse-grid")
+        eps_coarse = budget.spend(budget.total * rho, "coarse-grid")
         eps_fine = budget.spend_all("fine-grid")
 
         scale = float(x.sum())          # side information: true scale
@@ -163,6 +162,7 @@ class AGrid(Algorithm):
         # Qardaji's grid-size heuristic m ~= sqrt(N * eps / c): epsilon enters
         # as signal strength, not as a budget split (the split is the two
         # spend() calls above).
+        epsilon = budget.total
         coarse_size = max(10, int(np.ceil(np.sqrt(max(scale * epsilon / c, 1.0)) / 2.0)))  # privlint: disable=PL004
         row_edges = _grid_edges(rows, coarse_size)
         col_edges = _grid_edges(cols, coarse_size)
@@ -174,10 +174,8 @@ class AGrid(Algorithm):
         n_blocks = r0.size
         block_sums = _rect_sums(x, r0, c0, height, width)
 
-        # Bespoke interleaved noise (documented plan-pipeline exemption):
-        # eps_coarse and eps_fine were charged by spend()/spend_all() above.
         state = rng.bit_generator.state
-        ahead = laplace_noise(1.0 / eps_coarse, n_blocks + x.size, rng).tolist()  # privlint: disable=PL003
+        ahead = laplace_noise(1.0 / eps_coarse, n_blocks + x.size, rng).tolist()
         rng.bit_generator.state = state
         coarse_counts: list[float] = []
         pieces: list[tuple[int, int]] = []
@@ -196,7 +194,7 @@ class AGrid(Algorithm):
         is_coarse = np.zeros(offset, dtype=bool)
         is_coarse[np.cumsum(n_fine + 1) - n_fine - 1] = True
         scales = np.where(is_coarse, 1.0 / eps_coarse, 1.0 / eps_fine)
-        noise = batched_laplace(rng, scales)  # privlint: disable=PL003
+        noise = batched_laplace(rng, scales)
 
         # Fine cells, block by block and row-major within a block, each cut
         # at the integer edges _grid_edges gives its block.

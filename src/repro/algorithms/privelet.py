@@ -23,7 +23,7 @@ import numpy as np
 
 from ..workload.rangequery import Workload
 from .base import Algorithm, AlgorithmProperties
-from .mechanisms import laplace_noise
+from .mechanisms import PrivacyBudget, laplace_noise
 from .wavelet import haar_forward, haar_inverse, haar_sensitivity, next_power_of_two
 
 __all__ = ["Privelet"]
@@ -61,25 +61,23 @@ class Privelet(Algorithm):
         reference="Xiao, Wang, Gehrke. ICDE 2010",
     )
 
-    def _run(self, x: np.ndarray, epsilon: float, workload: Workload | None,
-             rng: np.random.Generator) -> np.ndarray:
+    def _run(self, x: np.ndarray, budget: PrivacyBudget,
+             workload: Workload | None, rng: np.random.Generator) -> np.ndarray:
         if x.ndim == 1:
-            return self._run_1d(x, epsilon, rng)
-        return self._run_2d(x, epsilon, rng)
+            return self._run_1d(x, budget, rng)
+        return self._run_2d(x, budget, rng)
 
-    def _run_1d(self, x: np.ndarray, epsilon: float,
+    def _run_1d(self, x: np.ndarray, budget: PrivacyBudget,
                 rng: np.random.Generator) -> np.ndarray:
         n = x.size
         sensitivity = haar_sensitivity(n)
+        eps_noise = budget.spend_all("coefficients")
         coefficients = haar_forward(x)
-        # Bespoke wavelet-domain mechanism (documented plan-pipeline
-        # exemption): the whole run budget perturbs the Haar coefficients at
-        # the matching haar_sensitivity, with no split to meter.
-        noisy = [c + laplace_noise(sensitivity / epsilon, c.shape, rng)  # privlint: disable=PL003,PL004,PL008
+        noisy = [c + laplace_noise(sensitivity / eps_noise, c.shape, rng)
                  for c in coefficients]
         return haar_inverse(noisy, original_size=n)
 
-    def _run_2d(self, x: np.ndarray, epsilon: float,
+    def _run_2d(self, x: np.ndarray, budget: PrivacyBudget,
                 rng: np.random.Generator) -> np.ndarray:
         rows, cols = x.shape
         padded_rows = next_power_of_two(rows)
@@ -89,8 +87,8 @@ class Privelet(Algorithm):
         h_row = _haar_matrix(padded_rows)
         h_col = _haar_matrix(padded_cols)
         sensitivity = haar_sensitivity(rows) * haar_sensitivity(cols)
+        eps_noise = budget.spend_all("coefficients")
         coefficients = h_row @ padded @ h_col.T
-        # Same exemption as the 1-D path: whole budget, 2-D Haar sensitivity.
-        noisy = coefficients + laplace_noise(sensitivity / epsilon, coefficients.shape, rng)  # privlint: disable=PL003,PL004,PL008
+        noisy = coefficients + laplace_noise(sensitivity / eps_noise, coefficients.shape, rng)
         reconstructed = np.linalg.solve(h_row, np.linalg.solve(h_col, noisy.T).T)
         return reconstructed[:rows, :cols]

@@ -69,18 +69,14 @@ class HybridTree(Algorithm):
         reference="Cormode, Procopiuc, Shen, Srivastava, Yu. ICDE 2012",
     )
 
-    def _run(self, x: np.ndarray, epsilon: float, workload: Workload | None,
-             rng: np.random.Generator) -> np.ndarray:
+    def _run(self, x: np.ndarray, budget: PrivacyBudget,
+             workload: Workload | None, rng: np.random.Generator) -> np.ndarray:
         kd_levels = int(self.params["kd_levels"])
         max_height = int(self.params["max_height"])
         rho = float(self.params["rho"])
-        budget = PrivacyBudget(epsilon)
-        eps_split = budget.spend(epsilon * rho, "kd-splits")
-        eps_counts = budget.spend_all("counts")
-
-        blocks = self._kd_blocks(x, kd_levels, eps_split, rng)
+        blocks = self._kd_blocks(x, kd_levels, budget, rho, rng)
+        eps_per_block = budget.spend_all("counts")  # disjoint: parallel composition
         estimate = np.zeros(x.shape)
-        eps_per_block = eps_counts  # blocks are disjoint: parallel composition
         for slices in blocks:
             sub = x[slices]
             remaining_height = max(1, max_height - kd_levels)
@@ -90,9 +86,11 @@ class HybridTree(Algorithm):
         return estimate
 
     @staticmethod
-    def _kd_blocks(x: np.ndarray, kd_levels: int, eps_split: float,
-                   rng: np.random.Generator) -> list[tuple[slice, ...]]:
-        """Recursively split on noisy-marginal medians for ``kd_levels`` rounds."""
+    def _kd_blocks(x: np.ndarray, kd_levels: int, budget: PrivacyBudget,
+                   rho: float, rng: np.random.Generator) -> list[tuple[slice, ...]]:
+        """Recursively split on noisy-marginal medians for ``kd_levels``
+        rounds, paying ``rho`` of the budget's total for the splits."""
+        eps_split = budget.spend(budget.total * rho, "kd-splits")
         blocks = [tuple(slice(0, s) for s in x.shape)]
         eps_per_level = eps_split / max(kd_levels, 1)
         for level in range(kd_levels):
@@ -106,10 +104,7 @@ class HybridTree(Algorithm):
                 profile = x[block]
                 if x.ndim == 2:
                     profile = profile.sum(axis=1 - axis)
-                # Median-split noise draw inside the selection stage;
-                # eps_split (of which eps_per_level is the per-round share)
-                # was charged by the caller's PrivacyBudget before recursing.
-                noisy_profile = profile + laplace_noise(1.0 / eps_per_level, profile.shape, rng)  # privlint: disable=PL003
+                noisy_profile = profile + laplace_noise(1.0 / eps_per_level, profile.shape, rng)
                 noisy_profile = np.maximum(noisy_profile, 0.0)
                 cumulative = np.cumsum(noisy_profile)
                 total = cumulative[-1]

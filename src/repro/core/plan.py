@@ -72,8 +72,10 @@ class ReleaseMetadata:
     every published release with this record so clients can audit what they
     are querying: which registered algorithm produced it, the budget it was
     run at, what it actually spent (``epsilon_spent`` covers both the
-    selection and noise stages for plan algorithms), and how many noisy
-    measurements back the reconstruction.
+    selection and noise stages for plan algorithms; for the others it is the
+    run's epsilon, which the registry-wide budget test checks each of them
+    spends exactly), and how many noisy measurements back the
+    reconstruction.
     """
 
     algorithm: str

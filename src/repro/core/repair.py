@@ -56,16 +56,17 @@ class SideInformationRepair(Algorithm):
         )
         self.params = dict(inner.params)
 
-    def _run(self, x: np.ndarray, epsilon: float, workload: Workload | None,
-             rng: np.random.Generator) -> np.ndarray:
-        budget = PrivacyBudget(epsilon)
+    def _run(self, x: np.ndarray, budget: PrivacyBudget,
+             workload: Workload | None, rng: np.random.Generator) -> np.ndarray:
         eps_scale = budget.spend_fraction(self._rho_total, "scale-estimate")
         eps_rest = budget.spend_all("inner-algorithm")
-        # Scale-estimate noise: eps_scale was charged by spend_fraction just
-        # above; float(x.sum()) is declassified by the immediately-added draw.
-        noisy_scale = max(float(x.sum()) + float(laplace_noise(1.0 / eps_scale, (), rng)), 1.0)  # privlint: disable=PL003
+        # float(x.sum()) is declassified by the immediately-added draw.
+        noisy_scale = max(float(x.sum()) + float(laplace_noise(1.0 / eps_scale, (), rng)), 1.0)
 
-        parameter_name = _SCALE_PARAMETER.get(self._inner.name)
-        if parameter_name is not None and parameter_name in self._inner.params:
-            self._inner.params[parameter_name] = noisy_scale
-        return self._inner.run(x, eps_rest, workload=workload, rng=rng)
+        # The inner algorithm splits its own total, so it runs on eps_rest;
+        # the noisy scale goes to a per-run copy, never the shared instance.
+        inner = self._inner
+        parameter_name = _SCALE_PARAMETER.get(inner.name)
+        if parameter_name in inner.params:
+            inner = type(inner)(**{**inner.params, parameter_name: noisy_scale})
+        return inner.run(x, eps_rest, workload=workload, rng=rng)

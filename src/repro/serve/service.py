@@ -122,7 +122,9 @@ class ReleaseService:
         (``plan_and_measure`` then ``infer`` — bitwise-identical to ``run``,
         as pinned by the registry-wide post-processing test), so the metadata
         records the true budget spent and the number of noisy measurements
-        backing the release.
+        backing the release.  Other algorithms record the release's epsilon
+        as spent; the registry-wide budget test checks that every one of
+        them charges exactly that to the budget ``run`` hands it.
         """
         epsilon = self._epsilon if epsilon is None else float(epsilon)
         algorithm = self._algorithm

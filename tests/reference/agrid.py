@@ -16,13 +16,12 @@ from repro.workload.rangequery import Workload
 class AGridReference(AGrid):
     """AGrid with the historical per-cell noise loop."""
 
-    def _run(self, x: np.ndarray, epsilon: float, workload: Workload | None,
-             rng: np.random.Generator) -> np.ndarray:
+    def _run(self, x: np.ndarray, budget: PrivacyBudget,
+             workload: Workload | None, rng: np.random.Generator) -> np.ndarray:
         c = float(self.params["c"])
         c2 = float(self.params["c2"])
         rho = float(self.params["rho"])
-        budget = PrivacyBudget(epsilon)
-        eps_coarse = budget.spend(epsilon * rho, "coarse-grid")
+        eps_coarse = budget.spend(budget.total * rho, "coarse-grid")
         eps_fine = budget.spend_all("fine-grid")
 
         scale = float(x.sum())          # side information: true scale
@@ -30,6 +29,7 @@ class AGridReference(AGrid):
         # Qardaji's grid-size heuristic m ~= sqrt(N * eps / c): epsilon enters
         # as signal strength, not as a budget split (the split is the two
         # spend() calls above).
+        epsilon = budget.total
         coarse_size = max(10, int(np.ceil(np.sqrt(max(scale * epsilon / c, 1.0)) / 2.0)))
         row_edges = _grid_edges(rows, coarse_size)
         col_edges = _grid_edges(cols, coarse_size)
@@ -42,11 +42,10 @@ class AGridReference(AGrid):
                 block = x[r0:r1, c0:c1]
                 if block.size == 0:
                     continue
-                # Bespoke per-block interleaved noise (documented plan-pipeline
-                # exemption); eps_coarse was charged by spend() above.  The
-                # float() around the true block total is the taint sanitizer's
-                # declassification point: the very next operation noised it.
-                coarse_count = float(block.sum()) + float(laplace_noise(1.0 / eps_coarse, (), rng))  # privlint: disable=PL003
+                # The float() around the true block total is the taint
+                # sanitizer's declassification point: the very next operation
+                # noised it.
+                coarse_count = float(block.sum()) + float(laplace_noise(1.0 / eps_coarse, (), rng))
                 fine_size = int(np.ceil(np.sqrt(max(coarse_count, 0.0) * eps_fine / c2)))
                 fine_size = int(np.clip(fine_size, 1, max(block.shape)))
                 sub_row_edges = _grid_edges(block.shape[0], fine_size)
@@ -59,9 +58,7 @@ class AGridReference(AGrid):
                         fine_block = block[fr0:fr1, fc0:fc1]
                         if fine_block.size == 0:
                             continue
-                        # Same exemption as the coarse pass; eps_fine was
-                        # charged by spend_all() above.
-                        noisy = float(fine_block.sum()) + float(laplace_noise(1.0 / eps_fine, (), rng))  # privlint: disable=PL003
+                        noisy = float(fine_block.sum()) + float(laplace_noise(1.0 / eps_fine, (), rng))
                         fine_values.append(noisy)
                         fine_slices.append((slice(r0 + fr0, r0 + fr1), slice(c0 + fc0, c0 + fc1)))
                 fine_values = np.array(fine_values)

@@ -307,6 +307,19 @@ class TestSideInformationRepair:
         with pytest.raises(ValueError):
             SideInformationRepair(Uniform(), rho_total=1.5)
 
+    def test_run_leaves_wrapped_algorithm_untouched(self):
+        """The noisy scale goes to a per-run copy of the wrapped algorithm,
+        never into the shared instance (regression: it was written into
+        ``inner.params`` and leaked into later unwrapped runs)."""
+        x = np.repeat([0.0, 50.0, 0.0, 200.0, 5.0, 0.0, 80.0, 0.0], 8)
+        inner = StructureFirst()
+        params = dict(inner.params)
+        SideInformationRepair(inner).run(x * 1000, 1.0, rng=0)
+        assert inner.params == params
+        for seed in range(20):
+            assert np.array_equal(inner.run(x, 1.0, rng=seed),
+                                  StructureFirst().run(x, 1.0, rng=seed))
+
     def test_costs_budget_relative_to_original(self):
         # With most of the budget diverted to the scale estimate, the repaired
         # algorithm must be noisier than the original.

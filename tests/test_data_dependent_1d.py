@@ -213,7 +213,7 @@ class TestDAWA:
 
         algorithm = DAWA()
         x = np.array([4.0, -9.0, 3.0, -2.5, 8.0, 0.0, -1.0, 5.0] * 8)
-        release = algorithm._run(x, 1.0, None, np.random.default_rng(11))
+        release = algorithm._run(x, PrivacyBudget(1.0), None, np.random.default_rng(11))
         budget = PrivacyBudget(1.0)
         rng = np.random.default_rng(11)
         plan = algorithm.select(x, None, budget, rng)

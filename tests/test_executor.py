@@ -382,7 +382,7 @@ class _ConstructionCounter(Algorithm):
         type(self).constructed += 1
         super().__init__(**overrides)
 
-    def _run(self, x, epsilon, workload, rng):
+    def _run(self, x, budget, workload, rng):
         return x
 
 
@@ -398,7 +398,7 @@ class _Explosive2D(Algorithm):
         super().__init__(**overrides)
         raise RuntimeError("constructing a 2-D algorithm for a 1-D grid")
 
-    def _run(self, x, epsilon, workload, rng):  # pragma: no cover
+    def _run(self, x, budget, workload, rng):  # pragma: no cover
         return x
 
 

@@ -10,10 +10,16 @@ import numpy as np
 import pytest
 
 import repro
-from repro import ALGORITHM_REGISTRY, ResultSet, SerialExecutor, benchmark_1d
+from repro import (
+    ALGORITHM_REGISTRY,
+    ResultSet,
+    SerialExecutor,
+    SideInformationRepair,
+    benchmark_1d,
+)
 from repro.algorithms.base import PlanAlgorithm, validate_input
 from repro.algorithms.greedy_h import greedy_budget_allocation
-from repro.algorithms.mechanisms import BudgetExceededError, PrivacyBudget
+from repro.algorithms.mechanisms import BudgetExceededError, PrivacyBudget, as_rng
 from repro.algorithms.tree import HierarchicalTree
 from repro.core.plan import MeasurementPlan, measure_plan, reconstruct
 from repro.core.results import merge_run_logs
@@ -31,6 +37,17 @@ PLAN_NAMES_1D = [n for n in PLAN_NAMES
                  if 1 in ALGORITHM_REGISTRY[n].properties.supported_dims]
 PLAN_NAMES_2D = [n for n in PLAN_NAMES
                  if 2 in ALGORITHM_REGISTRY[n].properties.supported_dims]
+#: Every registry entry in every dimension it supports, plus the scale repair
+#: wrapped around the two side-information algorithms it serves.
+BUDGET_CASES = [(name, ndim) for name, cls in sorted(ALGORITHM_REGISTRY.items())
+                for ndim in cls.properties.supported_dims] \
+    + [("SF+noisy-scale", 1), ("AGrid+noisy-scale", 2)]
+
+
+def _make(name):
+    inner, repaired, _ = name.partition("+noisy-scale")
+    algorithm = repro.make_algorithm(inner)
+    return SideInformationRepair(algorithm) if repaired else algorithm
 
 
 @pytest.fixture(scope="module")
@@ -144,25 +161,28 @@ class TestMeasurementPlan:
 
 
 class TestRegistryBudgetAccounting:
-    """Satellite: every plan algorithm's total epsilon spend equals its
-    budget, and overdraw raises BudgetExceededError."""
+    """Every algorithm charges its whole budget to the one PrivacyBudget
+    ``Algorithm.run`` hands it, and overdraw raises BudgetExceededError
+    before any noise is drawn."""
 
-    @pytest.mark.parametrize("name", PLAN_NAMES_1D)
-    def test_full_budget_spent_1d(self, name, data_1d):
-        x, workload = data_1d
-        algorithm = repro.make_algorithm(name)
-        plan, mset = algorithm.plan_and_measure(x, 0.7, rng=11, workload=workload)
-        assert mset.epsilon_spent == pytest.approx(0.7)
+    @pytest.mark.parametrize("name,ndim", BUDGET_CASES)
+    def test_run_spends_whole_budget(self, name, ndim, data_1d, data_2d):
+        x, workload = data_1d if ndim == 1 else data_2d
         budget = PrivacyBudget(0.7)
-        algorithm.select(x, workload, budget, np.random.default_rng(11))
-        assert budget.spent + plan.epsilon_required() == pytest.approx(0.7)
+        _make(name)._run(x.copy(), budget, workload, as_rng(11))
+        assert budget.spent == pytest.approx(0.7, rel=1e-12)
 
-    @pytest.mark.parametrize("name", PLAN_NAMES_2D)
-    def test_full_budget_spent_2d(self, name, data_2d):
-        x, workload = data_2d
-        algorithm = repro.make_algorithm(name)
-        _, mset = algorithm.plan_and_measure(x, 0.9, rng=12, workload=workload)
-        assert mset.epsilon_spent == pytest.approx(0.9)
+    @pytest.mark.parametrize("name,ndim", BUDGET_CASES)
+    def test_exhausted_budget_raises_before_any_draw(self, name, ndim,
+                                                      data_1d, data_2d):
+        x, workload = data_1d if ndim == 1 else data_2d
+        budget = PrivacyBudget(0.7)
+        budget.spend_all()
+        rng = as_rng(13)
+        state = rng.bit_generator.state
+        with pytest.raises(BudgetExceededError):
+            _make(name)._run(x.copy(), budget, workload, rng)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("name,params", [
         ("DAWA", {"rho": 1.0}), ("DPCube", {"rho": 1.0}),
@@ -187,6 +207,7 @@ class TestRegistryBudgetAccounting:
         budget = PrivacyBudget(0.7)
         rng = np.random.default_rng(13)
         plan = algorithm.select(x, workload, budget, rng)
+        assert budget.spent + plan.epsilon_required() == pytest.approx(0.7)
         if plan.epsilon_required() == 0:        # fully pre-measured (MWEM)
             pytest.skip("selection measures everything itself")
         plan.epsilons = plan.epsilons * 1.5
@@ -208,6 +229,7 @@ class TestReleaseIsPostProcessing:
             x, 0.5, workload=workload, rng=np.random.default_rng(21))
         plan, mset = repro.make_algorithm(name).plan_and_measure(
             x, 0.5, rng=np.random.default_rng(21), workload=workload)
+        assert mset.epsilon_spent == pytest.approx(0.5)
         plan.extras.pop("estimate", None)       # force MWEM's genuine replay
         rebuilt = repro.make_algorithm(name).infer(mset, plan)
         assert np.array_equal(np.asarray(rebuilt), release)
@@ -219,6 +241,7 @@ class TestReleaseIsPostProcessing:
             x, 0.5, workload=workload, rng=np.random.default_rng(22))
         plan, mset = repro.make_algorithm(name).plan_and_measure(
             x, 0.5, rng=np.random.default_rng(22), workload=workload)
+        assert mset.epsilon_spent == pytest.approx(0.5)
         plan.extras.pop("estimate", None)
         rebuilt = repro.make_algorithm(name).infer(mset, plan)
         assert np.array_equal(np.asarray(rebuilt), release)

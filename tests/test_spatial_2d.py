@@ -17,6 +17,7 @@ from repro import (
     scaled_average_per_query_error,
 )
 from repro.algorithms.grids import _grid_edges
+from repro.algorithms.mechanisms import PrivacyBudget
 
 
 def _mean_error(algorithm, x, workload, epsilon, trials=5, seed=0):
@@ -150,7 +151,8 @@ class TestHybridTree:
 
     def test_kd_blocks_partition_domain(self):
         x = np.random.default_rng(2).random((16, 16)) * 10
-        blocks = HybridTree._kd_blocks(x, 3, 1.0, np.random.default_rng(0))
+        blocks = HybridTree._kd_blocks(x, 3, PrivacyBudget(10.0), 0.1,
+                                       np.random.default_rng(0))
         covered = np.zeros((16, 16), dtype=int)
         for block in blocks:
             covered[block] += 1
