@@ -326,8 +326,7 @@ class LeakyUniform(PlanAlgorithm):
     #     arrays (bounds, levels, parents, CSR child offsets) and built by a
     #     vectorised level-at-a-time pass — no per-node Python objects — so
     #     the ~22.4M-node tree over a 16.8M-cell grid costs ~48 bytes/node
-    #     and builds in seconds-not-minutes; tree.nodes still hands out
-    #     TreeNode proxies on demand for spot checks.  The full-size
+    #     and builds in seconds-not-minutes.  The full-size
     #     Identity/GreedyH/DAWA numbers live in benchmarks/results/
     #     bench_large_domain_4096.json (regenerate with DPBENCH_LARGE=1).
     from repro.algorithms.tree import HierarchicalTree

@@ -23,11 +23,11 @@ import math
 import numpy as np
 
 from ..core.kernels import batched_laplace
-from ..core.plan import MeasurementPlan
+from ..core.plan import MeasurementPlan, segment_sums
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
 from .base import Algorithm, AlgorithmProperties, PlanAlgorithm
-from .inference import inverse_variance_combine_rows, segment_sums
+from .inference import inverse_variance_combine_rows
 from .mechanisms import PrivacyBudget, laplace_noise
 
 __all__ = ["UGrid", "AGrid"]
@@ -135,7 +135,7 @@ class AGrid(Algorithm):
     ends in the same state.  The reconciliation then runs on whole arrays,
     with each block's fine total summed over a row of an exact
     ``(blocks, m)`` matrix, the same pairwise summation as the block's own
-    array (:func:`~repro.algorithms.inference.segment_sums`).
+    array (:func:`~repro.core.plan.segment_sums`).
     """
 
     properties = AlgorithmProperties(

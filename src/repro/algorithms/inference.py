@@ -20,7 +20,7 @@ from ..core.kernels import get_kernel
 from .tree import HierarchicalTree
 
 __all__ = ["tree_least_squares", "inverse_variance_combine",
-           "inverse_variance_combine_rows", "segment_sums"]
+           "inverse_variance_combine_rows"]
 
 
 def inverse_variance_combine(values: np.ndarray, variances: np.ndarray) -> tuple[float, float]:
@@ -48,21 +48,6 @@ def inverse_variance_combine_rows(values: np.ndarray, variances: np.ndarray) -> 
     weighted = (weights * values).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(total_weight == 0, values.mean(axis=1), weighted / total_weight)
-
-
-def segment_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``values[start:start + length].sum()`` for every segment, bit for bit.
-
-    Segments of one length are gathered as the rows of an exact
-    ``(rows, length)`` matrix and reduced along its contiguous last axis,
-    which numpy sums with the same pairwise summation as each segment's own
-    1-D ``sum`` (the grouping :func:`_inference_plan` relies on as well).
-    """
-    sums = np.empty(len(starts))
-    for length in np.unique(lengths).tolist():
-        group = np.flatnonzero(lengths == length)
-        sums[group] = values[starts[group][:, None] + np.arange(length)].sum(axis=1)
-    return sums
 
 
 def _inference_plan(tree: HierarchicalTree) -> list[tuple[np.ndarray, np.ndarray]]:

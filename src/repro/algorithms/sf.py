@@ -24,11 +24,11 @@ import bisect
 import numpy as np
 
 from ..core.measurement import MeasurementSet
-from ..core.plan import MeasurementPlan
+from ..core.plan import MeasurementPlan, segment_sums
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
 from .base import AlgorithmProperties, PlanAlgorithm
-from .inference import inverse_variance_combine_rows, segment_sums
+from .inference import inverse_variance_combine_rows
 from .mechanisms import BudgetExceededError, PrivacyBudget, exponential_mechanism
 
 __all__ = ["StructureFirst"]
@@ -114,7 +114,8 @@ class StructureFirst(PlanAlgorithm):
         inverse-variance weighting and distribute the residual evenly over
         the cell estimates, which keeps the algorithm consistent.  All
         buckets are solved at once, with the per-bucket float operations of
-        a bucket-at-a-time loop (cell sums by :func:`segment_sums`)."""
+        a bucket-at-a-time loop (cell sums by
+        :func:`~repro.core.plan.segment_sums`)."""
         edges = np.asarray(plan.extras["boundaries"])
         lo, width = edges[:-1], np.diff(edges)
         values, variances = measurements.values, measurements.variances

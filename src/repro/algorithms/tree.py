@@ -2,19 +2,21 @@
 
 Hierarchical algorithms (H, Hb, GreedyH, QuadTree, the second stage of DAWA)
 measure noisy totals of nested blocks of the domain arranged in a tree.  This
-module provides the tree structure, range-query decomposition over the tree,
-and block/cell bookkeeping shared by those algorithms.
+module provides the tree structure, the per-level usage counts of a
+workload's canonical decompositions over the tree, and block/cell
+bookkeeping shared by those algorithms.
 
 Flyweight layout
 ----------------
 :class:`HierarchicalTree` stores no per-node Python objects.  The whole
-hierarchy lives in seven flat int64 arrays (structure of arrays):
+hierarchy lives in six flat int64 arrays (structure of arrays):
 
 * ``_lo`` / ``_hi`` — ``(n_nodes, ndim)`` inclusive per-dimension bounds;
 * ``_level`` — ``(n_nodes,)`` depth of every node (root at 0);
 * ``_parent`` — ``(n_nodes,)`` parent index (-1 at the root);
-* ``_child_offsets`` / ``_children`` — CSR child lists: the children of node
-  ``i`` are ``_children[_child_offsets[i]:_child_offsets[i + 1]]``;
+* ``_child_offsets`` — ``(n_nodes + 1,)`` CSR child offsets: nodes are
+  emitted in parent order, so the children of node ``i`` are the index run
+  ``_child_offsets[i] + 1 .. _child_offsets[i + 1]``;
 * ``_level_offsets`` — ``(n_levels + 1,)`` index ranges of each level (nodes
   are laid out breadth-first, so every level is one contiguous index run).
 
@@ -25,17 +27,9 @@ float64 operations to array endpoints as to scalars), at array speed.  The
 historical per-node builder is retained in ``tests/reference/tree_nodes.py``;
 it is the executable specification the property suite pins the arrays
 against.
-
-Compatibility: ``tree.nodes``, ``tree.levels()`` and ``tree.leaves()`` still
-yield :class:`TreeNode` values — lightweight proxies materialised on demand
-from the arrays — so existing consumers and tests run unchanged.  Hot paths
-(inference plans, GLS expansion, level tables, usage counts) read the arrays
-directly and never materialise a node.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,8 +80,7 @@ def _workload_bounds(workload) -> tuple[np.ndarray, np.ndarray]:
         his = np.array([q.hi for q in workload], dtype=np.intp)
     return np.atleast_2d(los), np.atleast_2d(his)
 
-__all__ = ["TreeNode", "HierarchicalTree", "IrregularTreeLevels", "build_tree",
-           "optimal_branching"]
+__all__ = ["HierarchicalTree", "IrregularTreeLevels", "optimal_branching"]
 
 
 class IrregularTreeLevels(ValueError):
@@ -96,74 +89,9 @@ class IrregularTreeLevels(ValueError):
     The vectorised 2-D usage counts require every level to be (a subset of)
     the cross product of one interval partition per axis.  Trees built by
     :class:`HierarchicalTree` satisfy this on regular domains; pathological
-    ragged domains (where siblings split different axes) may not, and callers
-    then fall back to the per-query recursion.
+    ragged domains (where siblings split different axes) may not, and
+    :meth:`HierarchicalTree.level_usage` then walks the node arrays instead.
     """
-
-
-@dataclass
-class TreeNode:
-    """A node in a hierarchical decomposition.
-
-    ``lo``/``hi`` are inclusive per-dimension bounds of the block the node
-    covers.  ``level`` 0 is the root.
-    """
-
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
-    level: int
-    index: int = -1                       # position in the flat node list
-    parent: int | None = None             # parent index in the flat node list
-    children: list[int] = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        size = 1
-        for a, b in zip(self.lo, self.hi):
-            size *= b - a + 1
-        return size
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def slices(self) -> tuple[slice, ...]:
-        return tuple(slice(a, b + 1) for a, b in zip(self.lo, self.hi))
-
-
-class _NodeView:
-    """Sequence view over a tree's node arrays, yielding :class:`TreeNode`
-    proxies on demand.  Supports ``len``, indexing (including negative
-    indices and slices) and iteration — the container protocol the historical
-    ``list[TreeNode]`` attribute offered — without holding any per-node
-    object alive."""
-
-    __slots__ = ("_tree",)
-
-    def __init__(self, tree: "HierarchicalTree"):
-        self._tree = tree
-
-    def __len__(self) -> int:
-        return self._tree.n_nodes
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._tree._node(i)
-                    for i in range(*index.indices(self._tree.n_nodes))]
-        index = int(index)
-        n = self._tree.n_nodes
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("tree node index out of range")
-        return self._tree._node(index)
-
-    def __iter__(self):
-        for i in range(self._tree.n_nodes):
-            yield self._tree._node(i)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{self._tree.n_nodes} tree nodes>"
 
 
 def _validated_params(domain_shape, branching, split_axes):
@@ -202,8 +130,7 @@ class HierarchicalTree:
     marginal grids).  A scheduled axis that can no longer split falls back to
     every splittable axis, so the tree always bottoms out at single cells.
 
-    The hierarchy is stored as flat int64 arrays (see the module docstring);
-    ``nodes`` is a proxy view materialising :class:`TreeNode` values lazily.
+    The hierarchy is stored as flat int64 arrays (see the module docstring).
     """
 
     def __init__(self, domain_shape: tuple[int, ...], branching: int = 2,
@@ -380,23 +307,12 @@ class HierarchicalTree:
                                 level_sizes)
         self._child_offsets = np.zeros(n_nodes + 1, dtype=np.int64)
         np.cumsum(np.concatenate(child_counts), out=self._child_offsets[1:])
-        # Children are emitted in parent-index order, so the concatenated
-        # child lists enumerate every non-root node in index order — the CSR
-        # child array is always arange(1, n_nodes) and is materialised lazily
-        # (268 MB at 33M nodes that most consumers never need: they read the
-        # offsets and derive child runs arithmetically).
-        self._children: np.ndarray | None = None
 
     # -- flyweight accessors -------------------------------------------------------
     @property
     def n_nodes(self) -> int:
         """Total number of tree nodes."""
         return self._lo.shape[0]
-
-    @property
-    def nodes(self) -> _NodeView:
-        """Sequence of :class:`TreeNode` proxies (materialised on demand)."""
-        return _NodeView(self)
 
     def node_levels(self) -> np.ndarray:
         """Per-node depth, ``(n_nodes,)`` — the flat ``_level`` array."""
@@ -410,19 +326,8 @@ class HierarchicalTree:
         """``(n_nodes + 1,)`` CSR offsets: node ``i`` has
         ``offsets[i + 1] - offsets[i]`` children, and under the breadth-first
         layout they are the contiguous node-index run
-        ``offsets[i] + 1 .. offsets[i + 1]``.  Prefer this over
-        :meth:`children_spans` when the child indices themselves are not
-        needed — it avoids materialising the O(nodes) child array."""
+        ``offsets[i] + 1 .. offsets[i + 1]``."""
         return self._child_offsets
-
-    def children_spans(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR child lists ``(offsets, children)``: the children of node
-        ``i`` are ``children[offsets[i]:offsets[i + 1]]`` (always a
-        contiguous index run under breadth-first layout; the child array is
-        materialised lazily on first request)."""
-        if self._children is None:
-            self._children = np.arange(1, self.n_nodes, dtype=np.int64)
-        return self._child_offsets, self._children
 
     def level_spans(self) -> np.ndarray:
         """``(n_levels + 1,)`` node-index offsets of each level."""
@@ -441,21 +346,6 @@ class HierarchicalTree:
             self._sizes = (self._hi - self._lo + 1).prod(axis=1)
         return self._sizes
 
-    def _node(self, index: int) -> TreeNode:
-        """Materialise one :class:`TreeNode` proxy from the arrays."""
-        index = int(index)
-        parent = int(self._parent[index])
-        a = int(self._child_offsets[index])
-        b = int(self._child_offsets[index + 1])
-        return TreeNode(
-            lo=tuple(int(v) for v in self._lo[index]),
-            hi=tuple(int(v) for v in self._hi[index]),
-            level=int(self._level[index]),
-            index=index,
-            parent=None if parent < 0 else parent,
-            children=list(range(a + 1, b + 1)),
-        )
-
     # -- accessors ----------------------------------------------------------------
     @property
     def height(self) -> int:
@@ -464,14 +354,6 @@ class HierarchicalTree:
     @property
     def n_levels(self) -> int:
         return self.height + 1
-
-    def levels(self) -> list[list[TreeNode]]:
-        off = self._level_offsets
-        return [[self._node(i) for i in range(int(off[lvl]), int(off[lvl + 1]))]
-                for lvl in range(self.n_levels)]
-
-    def leaves(self) -> list[TreeNode]:
-        return [self._node(i) for i in self.leaf_indices()]
 
     def node_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-node inclusive bounds as ``(q, ndim)`` arrays (cached)."""
@@ -495,58 +377,51 @@ class HierarchicalTree:
         los, his = self.node_bounds()
         return PrefixSum(np.asarray(x, dtype=float)).range_sums(los, his)
 
-    # -- range decomposition -------------------------------------------------------
-    def decompose_range(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> list[int]:
-        """Canonical decomposition of a range into a minimal set of tree nodes.
+    # -- workload usage counts ----------------------------------------------------
+    def level_usage(self, workload, measured=None) -> np.ndarray:
+        """Per-level count of the nodes used by the canonical decompositions
+        of the workload's queries when only the ``measured`` levels (default:
+        all) are measured.  Drives the per-level budgets of GreedyH and DAWA
+        and GreedyW's level pruning.
 
-        Greedy top-down: a node fully inside the range is taken whole,
-        a node disjoint from the range is skipped, otherwise recurse into its
-        children (or, at a leaf covering several cells, the leaf is accepted
-        as a partial overlap — this is where aggregated-leaf bias appears).
+        A node at a measured level is used by a query iff it lies inside the
+        query and its nearest measured proper ancestor does not (by
+        laminarity, that ancestor is at the *previous* measured level); a
+        leaf that only partially overlaps the query (an aggregated leaf at
+        its boundary) is used as well.  Unmeasured levels report zero: their
+        queries re-route to the nearest measured descendants.  Every leaf
+        level must be measured, otherwise cells would be unidentifiable.
+
+        Rank queries count every query at once, O((q + nodes) log nodes),
+        over the sorted per-level interval tables in 1-D and the per-level
+        grid tables in 2-D; only 2-D trees with irregular levels
+        (:class:`IrregularTreeLevels`) fall back to a walk over the node
+        arrays.  Raises ``ValueError`` for queries of another dimension than
+        the tree or outside its domain.
         """
-        qlo = tuple(int(v) for v in lo)
-        qhi = tuple(int(v) for v in hi)
-        ndim = len(qlo)
-        lo_a, hi_a, offsets = self._lo, self._hi, self._child_offsets
-        selected: list[int] = []
-        stack = [0]
-        while stack:
-            idx = stack.pop()
-            nlo, nhi = lo_a[idx], hi_a[idx]
-            if any(int(nhi[d]) < qlo[d] or int(nlo[d]) > qhi[d]
-                   for d in range(ndim)):
-                continue
-            inside = all(qlo[d] <= int(nlo[d]) and int(nhi[d]) <= qhi[d]
-                         for d in range(ndim))
-            a, b = int(offsets[idx]), int(offsets[idx + 1])
-            if inside or a == b:
-                selected.append(idx)
-            else:
-                stack.extend(range(a + 1, b + 1))
-        return selected
-
-    def level_usage(self, workload) -> np.ndarray:
-        """Number of nodes per level used by the canonical decomposition of
-        every workload query.  Drives GreedyH's budget allocation.
-
-        The counts are computed with vectorised rank queries —
-        O((q + nodes) log nodes) instead of one recursive decomposition per
-        query — over the sorted per-level interval tables in 1-D and the
-        per-level grid tables in 2-D; only 2-D trees with irregular levels
-        (:class:`IrregularTreeLevels`) fall back to the recursion.
-        """
-        if len(self.domain_shape) == 1:
-            return self._level_usage_1d(workload)
+        if measured is None:
+            measured = np.ones(self.n_levels, dtype=bool)
+        else:
+            measured = np.asarray(measured, dtype=bool)
+            if measured.shape != (self.n_levels,):
+                raise ValueError("need one measured flag per tree level")
+            if not measured[self._level[self.leaf_indices()]].all():
+                raise ValueError("every leaf level must be measured")
+        los, his = _workload_bounds(workload)
+        ndim = len(self.domain_shape)
+        if los.shape[1] != ndim or his.shape[1] != ndim:
+            raise ValueError(f"{los.shape[1]}-D workload queries on a "
+                             f"{ndim}-D tree")
+        if los.size and (los.min() < 0
+                         or np.any(his.max(axis=0) >= self.domain_shape)):
+            raise ValueError("workload queries fall outside the tree's "
+                             f"domain {self.domain_shape}")
+        if ndim == 1:
+            return self._usage_1d(los[:, 0], his[:, 0], measured)
         try:
-            return self._subset_usage_2d(workload,
-                                         np.ones(self.n_levels, dtype=bool))
+            return self._usage_2d(los, his, measured)
         except IrregularTreeLevels:
-            pass
-        usage = np.zeros(self.n_levels)
-        for query in workload:
-            for idx in self.decompose_range(query.lo, query.hi):
-                usage[int(self._level[idx])] += 1
-        return usage
+            return self._usage_walk(los, his, measured)
 
     def _level_tables_1d(self):
         """Sorted per-level interval tables used by the vectorised usage count."""
@@ -577,34 +452,31 @@ class HierarchicalTree:
             }
         return self._levels_1d, self._leaves_1d
 
-    def _level_usage_1d(self, workload) -> np.ndarray:
+    def _usage_1d(self, los: np.ndarray, his: np.ndarray,
+                  measured: np.ndarray) -> np.ndarray:
         tables, leaves = self._level_tables_1d()
-        qlos, qhis = _workload_bounds(workload)
-        los, his = qlos[:, 0], qhis[:, 0]
         usage = np.zeros(self.n_levels)
 
-        # A node is used iff it lies inside the query while its parent does
-        # not (the root is used whenever it is inside).  Per level, the inside
-        # nodes form a contiguous run of the sorted intervals, and the number
-        # of nodes whose parent is inside is the child count of the previous
-        # level's inside run.
-        prev_run = None
-        for level, table in enumerate(tables):
+        # Per measured level, the nodes inside a query form a contiguous run
+        # [i, j) of the sorted intervals, and those below the previous
+        # measured level's inside run [pi, pj) form the run
+        # [desc[pi], desc[pj]): ``desc`` is that level's cumulative child
+        # counts carried down through the unmeasured levels in between.
+        prev = None
+        for level in np.flatnonzero(measured).tolist():
+            table = tables[level]
             i = np.searchsorted(table["starts"], los, side="left")
             j = np.searchsorted(table["ends"], his, side="right")
             inside = np.maximum(j - i, 0)
             covered = 0
-            if prev_run is not None:
-                pi, pj, ptable = prev_run
-                valid = pj > pi
-                covered = np.where(
-                    valid,
-                    ptable["kids_cum"][np.minimum(pj, ptable["kids_cum"].size - 1)]
-                    - ptable["kids_cum"][np.minimum(pi, ptable["kids_cum"].size - 1)],
-                    0,
-                )
+            if prev is not None:
+                pi, pj, plevel = prev
+                desc = tables[plevel]["kids_cum"]
+                for between in range(plevel + 1, level):
+                    desc = tables[between]["kids_cum"][desc]
+                covered = np.where(pj > pi, desc[pj] - desc[pi], 0)
             usage[level] = float(np.sum(inside - covered))
-            prev_run = (i, j, table)
+            prev = (i, j, level)
 
         # Partial-overlap leaves: an intersecting but not-inside leaf at each
         # end of the query (at most one per side, possibly the same leaf).
@@ -620,6 +492,32 @@ class HierarchicalTree:
         right_only = right & ~same
         if np.any(right_only):
             np.add.at(usage, leaves["levels"][j0[right_only] - 1], 1.0)
+        return usage
+
+    def _usage_walk(self, los: np.ndarray, his: np.ndarray,
+                    measured: np.ndarray) -> np.ndarray:
+        """The canonical decompositions walked top-down over the node
+        arrays, every query at once: each step keeps the (query, node) pairs
+        that intersect, takes the ones at a measured level that are inside
+        (or leaves), and replaces the rest by their children."""
+        lo, hi = self.node_bounds()
+        offsets = self._child_offsets
+        usage = np.zeros(self.n_levels)
+        query = np.arange(los.shape[0])
+        node = np.zeros(los.shape[0], dtype=np.intp)
+        while query.size:
+            nlo, nhi, qlo, qhi = lo[node], hi[node], los[query], his[query]
+            hit = ((nhi >= qlo) & (nlo <= qhi)).all(axis=1)
+            inside = ((qlo <= nlo) & (nhi <= qhi)).all(axis=1)
+            kids = offsets[node + 1] - offsets[node]
+            taken = hit & measured[self._level[node]] & (inside | (kids == 0))
+            usage += np.bincount(self._level[node[taken]],
+                                 minlength=self.n_levels)
+            walk = hit & ~taken
+            query, node, kids = query[walk], node[walk], kids[walk]
+            query = np.repeat(query, kids)
+            node = np.repeat(offsets[node] + 1 - (np.cumsum(kids) - kids),
+                             kids) + np.arange(query.size)
         return usage
 
     # -- 2-D level grids -----------------------------------------------------------
@@ -649,7 +547,7 @@ class HierarchicalTree:
         the leaves among them), so the number of nodes inside any rectangle
         of grid positions is an O(1) lookup.  Raises
         :class:`IrregularTreeLevels` when the product structure does not hold
-        (callers fall back to the per-query recursion).
+        (:meth:`level_usage` then walks the node arrays).
         """
         if len(self.domain_shape) != 2:
             raise ValueError("2-D level tables require a 2-D domain")
@@ -692,10 +590,9 @@ class HierarchicalTree:
                            "count": count, "leaf_count": leaf_count})
         return tables
 
-    def _subset_usage_2d(self, workload, measured: np.ndarray) -> np.ndarray:
-        """2-D analogue of the 1-D subset usage: per-level counts of the
-        nodes used by the canonical decomposition of every workload rectangle
-        when only the ``measured`` levels exist.
+    def _usage_2d(self, los: np.ndarray, his: np.ndarray,
+                  measured: np.ndarray) -> np.ndarray:
+        """:meth:`level_usage` of a 2-D tree on its level grid tables.
 
         A node at a measured level is used iff it lies inside the rectangle
         while its ancestor at the previous measured level does not; per level
@@ -704,11 +601,9 @@ class HierarchicalTree:
         ancestor-inside nodes occupy the grid rectangle spanned by the
         previous run's descendants.  Partially overlapping leaves (aggregated
         leaves at the rectangle boundary) count once each: leaves
-        intersecting minus leaves inside.  Callers must keep every leaf level
-        measured.  O((q + nodes) log nodes) total, no per-query recursion.
+        intersecting minus leaves inside.
         """
         tables = self._level_tables_2d()
-        los, his = _workload_bounds(workload)
         qlo0, qlo1 = los[:, 0], los[:, 1]
         qhi0, qhi1 = his[:, 0], his[:, 1]
         usage = np.zeros(self.n_levels)
@@ -765,10 +660,3 @@ def optimal_branching(n: int, max_branching: int = 16) -> int:
             best_b, best_cost = b, cost
     return best_b
 
-
-def build_tree(domain_shape: tuple[int, ...], branching: int = 2,
-               max_height: int | None = None,
-               split_axes: tuple[int, ...] | None = None) -> HierarchicalTree:
-    """Convenience constructor for :class:`HierarchicalTree`."""
-    return HierarchicalTree(domain_shape, branching=branching,
-                            max_height=max_height, split_axes=split_axes)

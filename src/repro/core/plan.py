@@ -59,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..workload.rangequery import Workload
 
 __all__ = ["MeasurementPlan", "ReleaseMetadata", "SelectionStrategy",
-           "measure_plan", "reconstruct"]
+           "measure_plan", "reconstruct", "segment_sums"]
 
 
 @dataclass(frozen=True)
@@ -191,11 +191,8 @@ class MeasurementPlan:
         """The vector the plan's queries refer to, derived from the data.
 
         Applies ``ordering`` then ``partition``: for a partition plan this is
-        the vector of bucket totals.  Buckets of equal width are gathered
-        into one ``(k, width)`` matrix and summed along its rows, so each
-        total is numpy's pairwise sum over the bucket's cells in cell order
-        — bitwise the historical per-bucket ``x[lo:hi].sum()`` — at one
-        numpy call per distinct width instead of one per bucket.
+        the vector of bucket totals, bitwise the historical per-bucket
+        ``x[lo:hi].sum()`` (:func:`segment_sums`).
         """
         vector = np.asarray(x, dtype=float)
         if self.ordering is not None:
@@ -204,7 +201,7 @@ class MeasurementPlan:
             edges = self.partition
             if vector.ndim != 1 or edges[-1] != vector.size:
                 raise ValueError("partition edges must cover the flat domain")
-            vector = _bucket_sums(vector, edges)
+            vector = segment_sums(vector, edges[:-1], np.diff(edges))
         return vector
 
     def epsilon_required(self) -> float:
@@ -224,24 +221,26 @@ class MeasurementPlan:
         return float(self.queries.rmatvec(shares).max())
 
 
-#: Cells gathered per row-sum call in :func:`_bucket_sums`: the gathered
-#: copy stays cache-sized however large the domain or its buckets.
+#: Cells gathered per row-sum call in :func:`segment_sums`: the gathered
+#: copy stays cache-sized however large the domain or its segments.
 _GATHER_CELLS = 1 << 16
 
 
-def _bucket_sums(vector: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """``vector[lo:hi].sum()`` for every bucket of the (validated) edges.
+def segment_sums(values: np.ndarray, starts: np.ndarray,
+                 widths: np.ndarray) -> np.ndarray:
+    """``values[start:start + width].sum()`` for every segment, bit for bit.
 
-    Buckets that share their width with others are gathered by one fancy
+    Segments that share their width with others are gathered by one fancy
     index into the rows of a ``(k, width)`` matrix, and the row sums reduce
     each contiguous row in the same pairwise order as a slice sum.
     (``np.add.reduceat`` sums in a different order and is not
-    bitwise-equal.)  A bucket alone at its width, or wider than
+    bitwise-equal.)  A segment alone at its width, or wider than
     ``_GATHER_CELLS``, is summed as a slice in place: a gather would cost
     it more than it saves.
     """
-    starts, ends = edges[:-1], edges[1:]
-    widths = ends - starts
+    if widths.size == 0:
+        return np.empty(0)
+    ends = starts + widths
     by_width = np.argsort(widths, kind="stable")
     sorted_widths = widths[by_width]
     cuts = np.flatnonzero(sorted_widths[1:] != sorted_widths[:-1]) + 1
@@ -251,7 +250,7 @@ def _bucket_sums(vector: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
     sums = np.empty(widths.size)
     lone = by_width[np.repeat(~shared, run_hi - run_lo)]
-    sums[lone] = [vector[lo:hi].sum()
+    sums[lone] = [values[lo:hi].sum()
                   for lo, hi in zip(starts[lone].tolist(), ends[lone].tolist())]
     for first, last in zip(run_lo[shared].tolist(), run_hi[shared].tolist()):
         width = int(sorted_widths[first])
@@ -259,7 +258,7 @@ def _bucket_sums(vector: np.ndarray, edges: np.ndarray) -> np.ndarray:
         rows = _GATHER_CELLS // width
         for lo in range(first, last, rows):
             part = by_width[lo:min(lo + rows, last)]
-            sums[part] = vector[starts[part, None] + offsets].sum(axis=1)
+            sums[part] = values[starts[part, None] + offsets].sum(axis=1)
     return sums
 
 
@@ -397,11 +396,8 @@ def _disjoint_estimate(measured: MeasurementSet,
     return estimate
 
 
-def reconstruct(
-    plan: MeasurementPlan,
-    measurements: MeasurementSet,
-    method: str = "auto",
-) -> np.ndarray:
+def reconstruct(plan: MeasurementPlan,
+                measurements: MeasurementSet) -> np.ndarray:
     """The inference stage: consistent cell estimates from the measurements.
 
     Solves the weighted least-squares problem over the measurement domain —
@@ -419,8 +415,8 @@ def reconstruct(
     (:meth:`~repro.workload.linops.QueryMatrix.cell_counts`).  Both rules
     pick the same solver.
     """
-    if plan.tree is not None or method != "auto":
-        estimate = solve_gls(measurements, method=method)
+    if plan.tree is not None:
+        estimate = solve_gls(measurements)
     else:
         measured = measurements.measured()
         cells = _single_cells(measured.queries) if len(measured) else None

@@ -21,11 +21,11 @@ a greedy, data-independent selection over hierarchical candidate strategies:
   it); the tests cross-check the ranking against the exact dense GLS
   covariance on small domains.
 
-Everything is computed through the sorted per-level interval tables (1-D) or
-per-level grid tables (2-D) of
-:class:`~repro.algorithms.tree.HierarchicalTree` — vectorised rank queries,
-no dense strategy or workload matrices, and in 2-D no lossy Hilbert-span
-detour: the true rectangle workload is scored natively.
+A pruned candidate's usage counts are ``tree.level_usage(workload,
+measured)`` (:meth:`~repro.algorithms.tree.HierarchicalTree.level_usage`):
+vectorised rank queries on the tree's per-level interval (1-D) or grid
+(2-D) tables, no dense strategy or workload matrices, and in 2-D no lossy
+Hilbert-span detour: the true rectangle workload is scored natively.
 
 The result plugs straight into the plan pipeline: ``GreedyW``
 (:mod:`repro.algorithms.greedy_w`) wraps :func:`greedy_tree_strategy` as a
@@ -39,117 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..algorithms.tree import HierarchicalTree, IrregularTreeLevels, \
-    _workload_bounds
+from ..algorithms.tree import HierarchicalTree
 
-__all__ = ["TreeStrategy", "candidate_trees", "subset_level_usage",
-           "subset_usage_reference", "predicted_workload_variance",
+__all__ = ["TreeStrategy", "candidate_trees", "predicted_workload_variance",
            "greedy_tree_strategy"]
-
-
-def subset_usage_reference(tree: HierarchicalTree, workload,
-                           measured: np.ndarray) -> np.ndarray:
-    """Per-query recursive reference for :func:`subset_level_usage`.
-
-    Walks the canonical decomposition over the measured levels only: a node
-    at a measured level is taken when inside the query (or when it is a
-    partially overlapping leaf); any other intersecting node recurses into
-    its children.  Exact for every tree shape — the executable specification
-    the vectorised rank-query paths are tested against, and the fallback for
-    trees whose 2-D levels are not grid products.
-    """
-    measured = np.asarray(measured, dtype=bool)
-    usage = np.zeros(tree.n_levels)
-    for query in workload:
-        stack = [0]
-        while stack:
-            node = tree.nodes[stack.pop()]
-            if any(nhi < qlo or nlo > qhi
-                   for nlo, nhi, qlo, qhi in zip(node.lo, node.hi,
-                                                 query.lo, query.hi)):
-                continue
-            inside = all(qlo <= nlo and nhi <= qhi
-                         for nlo, nhi, qlo, qhi in zip(node.lo, node.hi,
-                                                       query.lo, query.hi))
-            if measured[node.level] and (inside or node.is_leaf):
-                usage[node.level] += 1
-            else:
-                stack.extend(node.children)
-    return usage
-
-
-def subset_level_usage(tree: HierarchicalTree, workload,
-                       measured: np.ndarray) -> np.ndarray:
-    """Per-level usage counts when only a subset of levels is measured.
-
-    Generalises :meth:`HierarchicalTree.level_usage`: a node at a measured
-    level is used by a query iff it lies inside the query and its nearest
-    measured proper ancestor does not (by laminarity, that ancestor is at
-    the *previous* measured level).  Unmeasured levels report zero.
-    Partially overlapping leaves at the query boundary count as in the full
-    decomposition; every leaf level must be measured, otherwise cells would
-    be unidentifiable.
-
-    Vectorised over the workload via rank queries on the sorted per-level
-    interval tables (1-D) or the per-level grid tables (2-D) —
-    O((q + nodes) log nodes), no per-query recursion.  2-D trees whose
-    levels are not grid products fall back to the exact recursion.
-    """
-    measured = np.asarray(measured, dtype=bool)
-    if measured.shape != (tree.n_levels,):
-        raise ValueError("need one measured flag per tree level")
-    leaf_levels = np.unique(tree.node_levels()[tree.leaf_indices()])
-    if not measured[leaf_levels].all():
-        raise ValueError("every leaf level must be measured")
-    if len(tree.domain_shape) == 2:
-        try:
-            return tree._subset_usage_2d(workload, measured)
-        except IrregularTreeLevels:
-            return subset_usage_reference(tree, workload, measured)
-
-    tables, leaves = tree._level_tables_1d()
-    qlos, qhis = _workload_bounds(workload)
-    los, his = qlos[:, 0], qhis[:, 0]
-    usage = np.zeros(tree.n_levels)
-
-    prev_run = None
-    for level, table in enumerate(tables):
-        if not measured[level]:
-            continue
-        i = np.searchsorted(table["starts"], los, side="left")
-        j = np.searchsorted(table["ends"], his, side="right")
-        inside = np.maximum(j - i, 0)
-        covered = 0
-        if prev_run is not None:
-            # Descendants (at this level) of the previous measured level's
-            # inside-run: the nodes lying within the run's interval span.
-            pi, pj, ptable = prev_run
-            valid = pj > pi
-            last = np.minimum(np.maximum(pj - 1, 0), ptable["starts"].size - 1)
-            first = np.minimum(pi, ptable["starts"].size - 1)
-            span_lo = ptable["starts"][first]
-            span_hi = ptable["ends"][last]
-            i2 = np.searchsorted(table["starts"], span_lo, side="left")
-            j2 = np.searchsorted(table["ends"], span_hi, side="right")
-            covered = np.where(valid, np.maximum(j2 - i2, 0), 0)
-        usage[level] = float(np.sum(inside - covered))
-        prev_run = (i, j, table)
-
-    # Partial-overlap leaves: an intersecting but not-inside leaf at each
-    # end of the query (at most one per side, possibly the same leaf).
-    i0 = np.searchsorted(leaves["ends"], los, side="left")
-    j0 = np.searchsorted(leaves["starts"], his, side="right")
-    i1 = np.searchsorted(leaves["starts"], los, side="left")
-    j1 = np.searchsorted(leaves["ends"], his, side="right")
-    left = i1 > i0
-    right = j0 > j1
-    same = left & right & (i0 == j0 - 1)
-    if np.any(left):
-        np.add.at(usage, leaves["levels"][i0[left]], 1.0)
-    right_only = right & ~same
-    if np.any(right_only):
-        np.add.at(usage, leaves["levels"][j0[right_only] - 1], 1.0)
-    return usage
 
 
 def predicted_workload_variance(usage: np.ndarray, epsilon: float = 1.0) -> float:
@@ -188,7 +81,7 @@ def _greedy_prune(tree: HierarchicalTree, workload) -> TreeStrategy:
     queries to their descendants), until no single drop helps."""
     leaf_levels = set(tree.node_levels()[tree.leaf_indices()].tolist())
     measured = np.ones(tree.n_levels, dtype=bool)
-    usage = subset_level_usage(tree, workload, measured)
+    usage = tree.level_usage(workload, measured)
     score = predicted_workload_variance(usage)
     while True:
         best_drop = None
@@ -197,7 +90,7 @@ def _greedy_prune(tree: HierarchicalTree, workload) -> TreeStrategy:
                 continue
             trial = measured.copy()
             trial[level] = False
-            trial_usage = subset_level_usage(tree, workload, trial)
+            trial_usage = tree.level_usage(workload, trial)
             trial_score = predicted_workload_variance(trial_usage)
             if trial_score < score and (
                     best_drop is None or trial_score < best_drop[0]):
@@ -241,7 +134,8 @@ def greedy_tree_strategy(
     (:func:`_greedy_prune`) and the best pruned candidate wins.  Ties keep
     the earlier candidate, so the search is deterministic.  In 2-D the
     workload's rectangles are scored natively on the candidate trees' grid
-    tables — no Hilbert flattening, no dense matrices.
+    tables — no Hilbert flattening, no dense matrices.  Raises
+    ``ValueError`` when a workload query lies outside ``domain``.
     """
     domain_shape = (int(domain),) if np.isscalar(domain) \
         else tuple(int(d) for d in domain)

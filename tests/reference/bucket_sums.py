@@ -1,7 +1,8 @@
 """The historical partition bucket totals: one ``vector[lo:hi].sum()`` per
 bucket in a Python comprehension.  Kept as the oracle the grouped row sums
-of :meth:`repro.core.plan.MeasurementPlan.measurement_vector` are pinned
-against (bitwise)."""
+of :func:`repro.core.plan.segment_sums` (behind
+:meth:`~repro.core.plan.MeasurementPlan.measurement_vector`, SF's inference
+and AGrid's reconciliation) are pinned against (bitwise)."""
 
 from __future__ import annotations
 

@@ -7,9 +7,32 @@ gate."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
-from repro.algorithms.tree import TreeNode, _validated_params
+from repro.algorithms.tree import _validated_params
+
+
+@dataclass
+class TreeNode:
+    """One node of the reference builder: inclusive per-dimension bounds
+    ``lo``/``hi``, depth ``level`` (root at 0), its position ``index`` in the
+    node list, its ``parent`` index and its ``children`` indices."""
+
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    level: int
+    index: int = -1
+    parent: int | None = None
+    children: list[int] = field(default_factory=list)
+
+    @property
+    def size(self) -> int:
+        size = 1
+        for a, b in zip(self.lo, self.hi):
+            size *= b - a + 1
+        return size
 
 
 def build_reference_nodes(domain_shape: tuple[int, ...], branching: int = 2,

@@ -29,7 +29,7 @@ class TestTreeLeastSquares:
         totals = tree.node_totals(x)
         if noise:
             totals = totals + rng.normal(0, noise, size=totals.shape)
-        variances = np.full(len(tree.nodes), max(noise, 1e-12) ** 2 * 2 + 1e-12)
+        variances = np.full(tree.n_nodes, max(noise, 1e-12) ** 2 * 2 + 1e-12)
         return totals, variances
 
     def test_exact_measurements_recovered(self):
@@ -38,8 +38,9 @@ class TestTreeLeastSquares:
         totals, variances = self._measure(tree, x)
         consistent = tree_least_squares(tree, totals, variances)
         leaf_values = np.zeros(16)
-        for leaf in tree.leaves():
-            leaf_values[leaf.slices()] = consistent[leaf.index]
+        lo, hi = tree.node_bounds()
+        for leaf in tree.leaf_indices():
+            leaf_values[lo[leaf, 0]:hi[leaf, 0] + 1] = consistent[leaf]
         assert np.allclose(leaf_values, x, atol=1e-6)
 
     def test_output_is_consistent(self):
@@ -48,11 +49,13 @@ class TestTreeLeastSquares:
         tree = HierarchicalTree((32,), branching=2)
         totals, variances = self._measure(tree, x, noise=3.0, rng=rng)
         consistent = tree_least_squares(tree, totals, variances)
-        for node in tree.nodes:
-            if node.is_leaf:
+        offsets = tree.child_offsets()
+        for i in range(tree.n_nodes):
+            first, last = int(offsets[i]), int(offsets[i + 1])
+            if first == last:
                 continue
-            child_sum = sum(consistent[c] for c in node.children)
-            assert consistent[node.index] == pytest.approx(child_sum, abs=1e-6)
+            child_sum = consistent[first + 1:last + 1].sum()
+            assert consistent[i] == pytest.approx(child_sum, abs=1e-6)
 
     def test_reduces_leaf_error_vs_raw(self):
         rng = np.random.default_rng(1)
@@ -61,12 +64,13 @@ class TestTreeLeastSquares:
         raw_errors, ls_errors = [], []
         for seed in range(20):
             trial_rng = np.random.default_rng(seed)
-            noisy = tree.node_totals(x) + trial_rng.laplace(0, 5.0, size=len(tree.nodes))
-            variances = np.full(len(tree.nodes), 2 * 5.0 ** 2)
+            noisy = tree.node_totals(x) + trial_rng.laplace(0, 5.0, size=tree.n_nodes)
+            variances = np.full(tree.n_nodes, 2 * 5.0 ** 2)
             consistent = tree_least_squares(tree, noisy, variances)
-            leaf_ls = np.array([consistent[l.index] for l in tree.leaves()])
-            leaf_raw = np.array([noisy[l.index] for l in tree.leaves()])
-            truth = np.array([x[l.slices()].sum() for l in tree.leaves()])
+            leaves = tree.leaf_indices()
+            leaf_ls = consistent[leaves]
+            leaf_raw = noisy[leaves]
+            truth = tree.node_totals(x)[leaves]
             raw_errors.append(np.mean((leaf_raw - truth) ** 2))
             ls_errors.append(np.mean((leaf_ls - truth) ** 2))
         assert np.mean(ls_errors) < np.mean(raw_errors)
@@ -75,7 +79,7 @@ class TestTreeLeastSquares:
         x = np.arange(8, dtype=float)
         tree = HierarchicalTree((8,), branching=2)
         totals = tree.node_totals(x)
-        variances = np.full(len(tree.nodes), 1e-12)
+        variances = np.full(tree.n_nodes, 1e-12)
         # Drop the root measurement entirely.
         totals[0] = np.nan
         variances[0] = np.inf
@@ -93,7 +97,7 @@ class TestTreeLeastSquares:
         x = np.full(16, 10.0)
         tree = HierarchicalTree((16,), branching=2)
         totals = tree.node_totals(x).astype(float)
-        variances = np.full(len(tree.nodes), 1e6)
+        variances = np.full(tree.n_nodes, 1e6)
         totals[0] = 170.0            # true total is 160
         variances[0] = 1e-6
         consistent = tree_least_squares(tree, totals, variances)

@@ -155,7 +155,7 @@ def _random_tree_case(seed: int, branching: int, n_leaves: int,
                       unmeasured_frac: float = 0.0):
     tree = HierarchicalTree((n_leaves,), branching=branching)
     rng = np.random.default_rng(seed)
-    n_nodes = len(tree.nodes)
+    n_nodes = tree.n_nodes
     measurements = rng.normal(100.0, 30.0, n_nodes)
     variances = rng.uniform(0.5, 8.0, n_nodes)
     if unmeasured_frac:
@@ -206,10 +206,12 @@ class TestTreeTwoPass:
         out = tree_least_squares(tree, meas, var)
         assert seen == ["tree_two_pass"]
         # Consistency: every parent equals the sum of its children.
-        for node in tree.nodes:
-            if node.children:
-                assert out[node.index] == pytest.approx(
-                    sum(out[c] for c in node.children), rel=1e-9)
+        offsets = tree.child_offsets()
+        for i in range(tree.n_nodes):
+            first, last = int(offsets[i]), int(offsets[i + 1])
+            if first < last:
+                assert out[i] == pytest.approx(
+                    out[first + 1:last + 1].sum(), rel=1e-9)
 
 
 # -- streaming memory bounds -----------------------------------------------------------
@@ -230,7 +232,7 @@ class TestStreamingMemory:
         """A 2**20-leaf binary-tree GLS must allocate no per-level dense
         intermediate beyond the block: peak traced memory is the O(n) solver
         state plus a block-sized allowance.  (The plan is built heap-style
-        here — building 2M python TreeNode objects is what this kernel
+        here — building 2M python node objects is what this kernel
         design avoids having to do in the hot path.)"""
         depth = 20
         n_nodes = 2**(depth + 1) - 1

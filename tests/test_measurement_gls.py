@@ -36,7 +36,7 @@ class TestMeasurementSet:
         tree = HierarchicalTree((8,), branching=2)
         mset = measure_tree(np.arange(8, dtype=float), tree,
                             np.full(tree.n_levels, 0.1), np.random.default_rng(0))
-        assert len(mset) == len(tree.nodes)
+        assert len(mset) == tree.n_nodes
         assert mset.tree is tree
         assert mset.epsilon_spent == pytest.approx(0.1 * tree.n_levels)
         assert mset.measured_mask.all()
@@ -47,10 +47,10 @@ class TestMeasurementSet:
         budgets[1] = 0.0
         mset = measure_tree(np.arange(8, dtype=float), tree, budgets,
                             np.random.default_rng(0))
-        unmeasured = [i for i, node in enumerate(tree.nodes) if node.level == 1]
+        unmeasured = np.flatnonzero(tree.node_levels() == 1)
         assert not mset.measured_mask[unmeasured].any()
         measured = mset.measured()
-        assert len(measured) == len(tree.nodes) - len(unmeasured)
+        assert len(measured) == tree.n_nodes - len(unmeasured)
         assert measured.tree is None            # rows no longer align with nodes
 
     def test_validation(self):
@@ -196,7 +196,7 @@ class TestGLSReproducesTreeFastPath:
         rng = np.random.default_rng(4)
         x = rng.integers(0, 50, size=(16, 16)).astype(float)
         tree = HierarchicalTree((16, 16), branching=2, max_height=2)
-        assert any(leaf.size > 1 for leaf in tree.leaves())
+        assert np.any(tree.node_sizes()[tree.leaf_indices()] > 1)
         mset = measure_tree(x, tree, np.full(tree.n_levels, 0.3), rng)
         fast = solve_gls(mset, method="tree")
         assert _relative_diff(fast, solve_gls(mset, method="lsmr")) < 1e-8

@@ -1,7 +1,8 @@
 """The plan pipeline's whole-array structural stages against their
 historical loops (``tests/reference/``).
 
-* partition bucket totals: grouped row sums vs one slice sum per bucket;
+* partition bucket totals and other segment sums: grouped row sums vs one
+  slice sum per segment;
 * Hilbert workload flattening: a bounds-array workload vs one
   ``RangeQuery`` per span;
 * single-cell plans (Identity, AHP, PHP): answers gathered at the flat cell
@@ -94,6 +95,21 @@ def test_bucket_sums_of_an_ordering_permuted_vector():
     edges = _random_edges(rng, n, 400)
     assert _bits(_plan_sums(x, edges, ordering)) \
         == _bits(bucket_sums_reference(x[ordering], edges))
+
+
+def test_segment_sums_of_gapped_segments():
+    """SF and AGrid sum segments that skip rows between them (SF's bucket
+    totals sit before each bucket's cells): every segment's slice sum,
+    bitwise, whatever the gaps, plus no segments at all."""
+    rng = _generator(13)
+    widths = rng.integers(1, 40, 3_000)
+    gaps = rng.integers(0, 3, widths.size)
+    ends = np.cumsum(widths + gaps)
+    starts = ends - widths
+    values = (rng.random(int(ends[-1])) - 0.5) * 10.0 ** rng.integers(-3, 7, int(ends[-1]))
+    expected = np.array([values[s:e].sum() for s, e in zip(starts, ends)])
+    assert _bits(plan_module.segment_sums(values, starts, widths)) == _bits(expected)
+    assert plan_module.segment_sums(values, starts[:0], widths[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("n", [1, 7, 9000, 65_536, 70_000])

@@ -28,7 +28,6 @@ from repro.workload.rangequery import RangeQuery, Workload
 from repro.workload.selection import (
     greedy_tree_strategy,
     predicted_workload_variance,
-    subset_level_usage,
 )
 
 PLAN_NAMES = sorted(name for name, cls in ALGORITHM_REGISTRY.items()
@@ -307,16 +306,16 @@ class TestGreedyWSelection:
         for branching in (2, 3, 4):
             tree = HierarchicalTree((128,), branching=branching)
             full = tree.level_usage(workload)
-            subset = subset_level_usage(tree, workload,
-                                        np.ones(tree.n_levels, dtype=bool))
-            np.testing.assert_allclose(subset, full)
+            subset = tree.level_usage(workload,
+                                      np.ones(tree.n_levels, dtype=bool))
+            np.testing.assert_array_equal(subset, full)
 
     def test_subset_usage_reroutes_dropped_levels(self):
         tree = HierarchicalTree((16,), branching=2)
         workload = Workload([RangeQuery((0,), (7,))], (16,), name="half")
         measured = np.ones(tree.n_levels, dtype=bool)
         measured[1] = False                      # the level that answers [0,7]
-        usage = subset_level_usage(tree, workload, measured)
+        usage = tree.level_usage(workload, measured)
         assert usage[1] == 0
         # the query reroutes to its two level-2 children
         assert usage[2] == 2
@@ -326,7 +325,7 @@ class TestGreedyWSelection:
         measured = np.ones(tree.n_levels, dtype=bool)
         measured[-1] = False
         with pytest.raises(ValueError, match="leaf level"):
-            subset_level_usage(tree, prefix_workload(16), measured)
+            tree.level_usage(prefix_workload(16), measured)
 
     def test_greedy_strategy_never_worse_than_full_binary_tree(self):
         workload = self._skewed_workload()
@@ -343,7 +342,7 @@ class TestGreedyWSelection:
         workload = self._skewed_workload(n=n, seed=1)
 
         def exact_variance(tree, level_epsilons):
-            levels = np.array([node.level for node in tree.nodes])
+            levels = tree.node_levels()
             eps = np.asarray(level_epsilons)[levels]
             measured = eps > 0
             design = tree.as_query_matrix().to_dense()[measured]

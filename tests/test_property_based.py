@@ -81,13 +81,15 @@ def test_hilbert_flatten_roundtrip(x):
 def test_tree_least_squares_always_consistent(x, noise, seed):
     tree = HierarchicalTree((x.size,), branching=2)
     rng = np.random.default_rng(seed)
-    measurements = tree.node_totals(x) + rng.laplace(0, noise, size=len(tree.nodes))
-    variances = np.full(len(tree.nodes), 2 * noise ** 2)
+    measurements = tree.node_totals(x) + rng.laplace(0, noise, size=tree.n_nodes)
+    variances = np.full(tree.n_nodes, 2 * noise ** 2)
     consistent = tree_least_squares(tree, measurements, variances)
-    for node in tree.nodes:
-        if not node.is_leaf:
-            child_sum = sum(consistent[c] for c in node.children)
-            assert np.isclose(consistent[node.index], child_sum, atol=1e-6)
+    offsets = tree.child_offsets()
+    for i in range(tree.n_nodes):
+        first, last = int(offsets[i]), int(offsets[i + 1])
+        if first < last:
+            child_sum = consistent[first + 1:last + 1].sum()
+            assert np.isclose(consistent[i], child_sum, atol=1e-6)
 
 
 @SETTINGS

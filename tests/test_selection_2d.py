@@ -2,7 +2,8 @@
 
 Covers the kd/marginal split schedules of :class:`HierarchicalTree`, the
 per-level 2-D grid tables and their vectorised rank-query usage counts
-(pinned exactly against the per-query recursion), the greedy 2-D strategy
+(pinned exactly against the per-query recursion in
+``tests/reference/level_usage.py``), the greedy 2-D strategy
 search, the exact dense-GLS cross-checks of the scoring model, and GreedyW's
 native 2-D entry point (the Hilbert-flattened path remains its fallback and
 GreedyH/DAWA's prescription).
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro
+from reference.level_usage import canonical_decomposition, level_usage_reference
 from repro.algorithms.greedy_h import greedy_budget_allocation
 from repro.algorithms.hilbert import flatten_workload, hilbert_ordering_for
 from repro.algorithms.tree import HierarchicalTree, IrregularTreeLevels
@@ -21,9 +23,16 @@ from repro.workload.selection import (
     candidate_trees,
     greedy_tree_strategy,
     predicted_workload_variance,
-    subset_level_usage,
-    subset_usage_reference,
 )
+
+
+def leaf_coverage(tree):
+    """How many leaves cover each cell of the domain."""
+    lo, hi = tree.node_bounds()
+    covered = np.zeros(tree.domain_shape, dtype=int)
+    for leaf in tree.leaf_indices():
+        covered[lo[leaf, 0]:hi[leaf, 0] + 1, lo[leaf, 1]:hi[leaf, 1] + 1] += 1
+    return covered
 
 
 class TestSplitSchedules:
@@ -33,26 +42,23 @@ class TestSplitSchedules:
     @pytest.mark.parametrize("axes", [(0, 1), (1, 0)])
     def test_leaves_partition_domain_into_cells(self, shape, axes):
         tree = HierarchicalTree(shape, branching=2, split_axes=axes)
-        covered = np.zeros(shape, dtype=int)
-        for leaf in tree.leaves():
-            covered[leaf.slices()] += 1
-        assert np.all(covered == 1)
-        assert all(leaf.size == 1 for leaf in tree.leaves())
+        assert np.all(leaf_coverage(tree) == 1)
+        assert np.all(tree.node_sizes()[tree.leaf_indices()] == 1)
 
     def test_schedule_respected_on_square_domain(self):
         tree = HierarchicalTree((8, 8), branching=2, split_axes=(0, 1))
-        root = tree.nodes[0]
-        assert len(root.children) == 2          # one axis split, not four
-        for child_idx in root.children:
-            child = tree.nodes[child_idx]
-            assert child.hi[1] - child.lo[1] == 7     # axis 1 untouched
-            assert child.hi[0] - child.lo[0] == 3     # axis 0 halved
+        offsets = tree.child_offsets()
+        assert offsets[1] - offsets[0] == 2     # one axis split, not four
+        lo, hi = tree.node_bounds()
+        for child in range(int(offsets[0]) + 1, int(offsets[1]) + 1):
+            assert hi[child, 1] - lo[child, 1] == 7     # axis 1 untouched
+            assert hi[child, 0] - lo[child, 0] == 3     # axis 0 halved
 
     def test_exhausted_axis_falls_back(self):
         """Once the scheduled axis is down to single cells the other axis is
         split instead, so the tree still bottoms out at cells."""
         tree = HierarchicalTree((2, 16), branching=2, split_axes=(0, 1))
-        assert all(leaf.size == 1 for leaf in tree.leaves())
+        assert np.all(tree.node_sizes()[tree.leaf_indices()] == 1)
 
     def test_invalid_schedule_rejected(self):
         with pytest.raises(ValueError, match="split_axes"):
@@ -65,13 +71,15 @@ class TestSplitSchedules:
         quadtree construction."""
         default = HierarchicalTree((8, 8), branching=2)
         explicit = HierarchicalTree((8, 8), branching=2, split_axes=None)
-        assert [(n.lo, n.hi, n.level) for n in default.nodes] == \
-            [(n.lo, n.hi, n.level) for n in explicit.nodes]
-        assert len(default.nodes[0].children) == 4
+        for a, b in zip(default.node_bounds(), explicit.node_bounds()):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(default.node_levels(),
+                                      explicit.node_levels())
+        assert default.child_offsets()[1] == 4
 
 
 def _random_measured(tree, rng):
-    leaf_levels = {node.level for node in tree.leaves()}
+    leaf_levels = set(tree.node_levels()[tree.leaf_indices()].tolist())
     measured = np.ones(tree.n_levels, dtype=bool)
     for level in range(tree.n_levels):
         if level not in leaf_levels and rng.random() < 0.4:
@@ -91,7 +99,8 @@ class TestSubsetUsage2D:
         dict(branching=2, max_height=3),            # aggregated leaves
     ]
 
-    @pytest.mark.parametrize("shape", [(16, 16), (13, 7), (9, 9)])
+    @pytest.mark.parametrize("shape", [(16, 16), (13, 7), (9, 9), (1, 17),
+                                       (17, 1), (3, 5), (37, 53)])
     @pytest.mark.parametrize("kwargs", TREES)
     def test_matches_recursion_exactly(self, shape, kwargs):
         rng = np.random.default_rng(hash((shape, str(kwargs))) % 2**32)
@@ -99,8 +108,8 @@ class TestSubsetUsage2D:
         workload = random_range_workload(shape, 40, rng=rng)
         for _ in range(4):
             measured = _random_measured(tree, rng)
-            fast = subset_level_usage(tree, workload, measured)
-            reference = subset_usage_reference(tree, workload, measured)
+            fast = tree.level_usage(workload, measured)
+            reference = level_usage_reference(tree, workload, measured)
             np.testing.assert_array_equal(fast, reference)
 
     @pytest.mark.parametrize("kwargs", TREES)
@@ -108,41 +117,39 @@ class TestSubsetUsage2D:
         """`level_usage` now rides the same 2-D grid tables."""
         tree = HierarchicalTree((16, 16), **kwargs)
         workload = random_range_workload((16, 16), 60, rng=7)
-        all_measured = np.ones(tree.n_levels, dtype=bool)
         np.testing.assert_array_equal(
             tree.level_usage(workload),
-            subset_usage_reference(tree, workload, all_measured))
+            level_usage_reference(tree, workload))
 
     def test_irregular_levels_fall_back_to_recursion(self):
         """Ragged kd trees can break the grid-product level structure; the
-        tables refuse and the subset usage falls back to the recursion."""
+        tables refuse and the usage count walks the node arrays instead."""
         tree = HierarchicalTree((3, 8), branching=2, split_axes=(0, 1))
         with pytest.raises(IrregularTreeLevels):
             tree._level_tables_2d()
         workload = random_range_workload((3, 8), 30, rng=1)
         measured = np.ones(tree.n_levels, dtype=bool)
         np.testing.assert_array_equal(
-            subset_level_usage(tree, workload, measured),
-            subset_usage_reference(tree, workload, measured))
+            tree.level_usage(workload, measured),
+            level_usage_reference(tree, workload, measured))
 
     def test_leaf_level_must_stay_measured(self):
         tree = HierarchicalTree((8, 8), branching=2)
         measured = np.ones(tree.n_levels, dtype=bool)
         measured[-1] = False
         with pytest.raises(ValueError, match="leaf level"):
-            subset_level_usage(tree, random_range_workload((8, 8), 5, rng=0),
-                               measured)
+            tree.level_usage(random_range_workload((8, 8), 5, rng=0),
+                             measured)
 
     def test_dropped_level_reroutes_to_children(self):
         tree = HierarchicalTree((8, 8), branching=2)
         # the whole top-left quadrant: answered by one level-1 node
         workload = Workload([RangeQuery((0, 0), (3, 3))], (8, 8), name="q")
-        full = subset_level_usage(tree, workload,
-                                  np.ones(tree.n_levels, dtype=bool))
+        full = tree.level_usage(workload)
         assert full[1] == 1
         measured = np.ones(tree.n_levels, dtype=bool)
         measured[1] = False
-        dropped = subset_level_usage(tree, workload, measured)
+        dropped = tree.level_usage(workload, measured)
         assert dropped[1] == 0
         assert dropped[2] == 4                  # its four level-2 children
 
@@ -185,32 +192,21 @@ class TestGreedyStrategy2D:
         for kwargs in [dict(branching=2), dict(branching=2, split_axes=(0, 1))]:
             tree = HierarchicalTree((12, 12), **kwargs)
             measured = _random_measured(tree, rng)
-            eps_levels = greedy_budget_allocation(
-                subset_level_usage(tree, workload, measured), 1.0)
+            usage = tree.level_usage(workload, measured)
+            eps_levels = greedy_budget_allocation(usage, 1.0)
             eps_levels[~measured] = 0.0
             # model: per-level usage times per-level Laplace variance
-            usage = subset_level_usage(tree, workload, measured)
             level_variance = np.zeros(tree.n_levels)
             level_variance[eps_levels > 0] = 2.0 / eps_levels[eps_levels > 0] ** 2
             model = float(np.sum(usage * level_variance))
             # dense walk: decompose every query over the measured levels and
             # accumulate each used node's variance
+            levels = tree.node_levels()
             dense = 0.0
             for query in workload:
-                stack = [0]
-                while stack:
-                    node = tree.nodes[stack.pop()]
-                    if any(nhi < qlo or nlo > qhi
-                           for nlo, nhi, qlo, qhi in zip(node.lo, node.hi,
-                                                         query.lo, query.hi)):
-                        continue
-                    inside = all(qlo <= nlo and nhi <= qhi
-                                 for nlo, nhi, qlo, qhi in zip(
-                                     node.lo, node.hi, query.lo, query.hi))
-                    if measured[node.level] and (inside or node.is_leaf):
-                        dense += 2.0 / eps_levels[node.level] ** 2
-                    else:
-                        stack.extend(node.children)
+                for node in canonical_decomposition(tree, query.lo, query.hi,
+                                                    measured):
+                    dense += 2.0 / eps_levels[levels[node]] ** 2
             assert abs(model - dense) <= 1e-8 * max(1.0, abs(dense))
 
     def test_native_selection_beats_hilbert_span_in_exact_gls_variance(self):
@@ -231,7 +227,7 @@ class TestGreedyStrategy2D:
 
         strategy = greedy_tree_strategy((n, n), workload)
         eps = greedy_budget_allocation(strategy.usage, 1.0)
-        levels = np.array([node.level for node in strategy.tree.nodes])
+        levels = strategy.tree.node_levels()
         native = exact_variance(strategy.tree.as_query_matrix().to_dense(),
                                 eps[levels])
 
@@ -239,16 +235,16 @@ class TestGreedyStrategy2D:
         flat = flatten_workload(workload, ordering, (n, n))
         flat_strategy = greedy_tree_strategy(n * n, flat)
         flat_eps = greedy_budget_allocation(flat_strategy.usage, 1.0)
-        flat_levels = np.array([node.level
-                                for node in flat_strategy.tree.nodes])
-        rows = np.zeros((len(flat_strategy.tree.nodes), n * n))
-        for k, node in enumerate(flat_strategy.tree.nodes):
-            rows[k, ordering[node.lo[0]: node.hi[0] + 1]] = 1.0
+        flat_levels = flat_strategy.tree.node_levels()
+        flat_lo, flat_hi = flat_strategy.tree.node_bounds()
+        rows = np.zeros((flat_strategy.tree.n_nodes, n * n))
+        for k in range(flat_strategy.tree.n_nodes):
+            rows[k, ordering[flat_lo[k, 0]: flat_hi[k, 0] + 1]] = 1.0
         hilbert = exact_variance(rows, flat_eps[flat_levels])
 
         quadtree = HierarchicalTree((n, n), branching=2)
         quad_eps = greedy_budget_allocation(quadtree.level_usage(workload), 1.0)
-        quad_levels = np.array([node.level for node in quadtree.nodes])
+        quad_levels = quadtree.node_levels()
         full = exact_variance(quadtree.as_query_matrix().to_dense(),
                               quad_eps[quad_levels])
 

@@ -14,7 +14,6 @@ int64 overflow guards at 16M+ cell domains).
 import time
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -30,7 +29,8 @@ def assert_trees_identical(tree: HierarchicalTree, reference) -> None:
     assert tree.n_nodes == len(reference)
     levels = tree.node_levels()
     parents = tree.node_parents()
-    offsets, children = tree.children_spans()
+    offsets = tree.child_offsets()
+    sizes = tree.node_sizes()
     lo, hi = tree.node_bounds()
     for i, ref in enumerate(reference):
         assert tuple(int(v) for v in lo[i]) == ref.lo
@@ -38,10 +38,8 @@ def assert_trees_identical(tree: HierarchicalTree, reference) -> None:
         assert int(levels[i]) == ref.level
         assert int(parents[i]) == (ref.parent if ref.parent is not None else -1)
         a, b = int(offsets[i]), int(offsets[i + 1])
-        assert children[a:b].tolist() == ref.children
-        proxy = tree.nodes[i]
-        assert proxy.lo == ref.lo and proxy.hi == ref.hi
-        assert proxy.level == ref.level and proxy.children == ref.children
+        assert list(range(a + 1, b + 1)) == ref.children
+        assert int(sizes[i]) == ref.size
     ref_leaves = [i for i, n in enumerate(reference) if not n.children]
     assert tree.leaf_indices().tolist() == ref_leaves
 
@@ -94,14 +92,14 @@ def test_levels_are_contiguous_index_runs():
 
 def test_children_are_contiguous_runs_after_parent_offset():
     tree = HierarchicalTree((37, 21), branching=3)
-    offsets, children = tree.children_spans()
+    offsets = tree.child_offsets()
     parents = tree.node_parents()
-    # BFS emission order: the CSR child array enumerates every non-root node
-    # in index order, so child runs are offsets[i]+1 .. offsets[i+1].
-    assert children.tolist() == list(range(1, tree.n_nodes))
+    # BFS emission order: the child lists enumerate every non-root node in
+    # index order, so child runs are offsets[i]+1 .. offsets[i+1].
+    assert int(offsets[0]) == 0 and int(offsets[-1]) == tree.n_nodes - 1
     for i in range(tree.n_nodes):
-        for c in range(int(offsets[i]), int(offsets[i + 1])):
-            assert int(parents[int(children[c])]) == i
+        for c in range(int(offsets[i]) + 1, int(offsets[i + 1]) + 1):
+            assert int(parents[c]) == i
 
 
 # -- construction-cost contracts -------------------------------------------------
