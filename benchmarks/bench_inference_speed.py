@@ -57,9 +57,9 @@ from _shared import format_table, report, run_once
 from repro import MWEM, prefix_workload
 from repro.algorithms.hier import measure_tree
 from repro.algorithms.mechanisms import exponential_mechanism, laplace_noise
-from repro.algorithms.mwem import _query_mask, multiplicative_weights_update
 from repro.algorithms.tree import HierarchicalTree
 from repro.core.gls import solve_gls
+from reference.mwem_dense import multiplicative_weights_update, query_mask
 
 SMOKE = os.environ.get("DPBENCH_SMOKE", "0") not in ("", "0")
 
@@ -90,7 +90,7 @@ def _dense_matrix_mwem(x, epsilon, workload, rng, rounds, scale):
         errors = np.abs(true_answers - approx)
         chosen = exponential_mechanism(errors, eps_round / 2.0, sensitivity=1.0, rng=rng)
         measured = true_answers[chosen] + float(laplace_noise(2.0 / eps_round, (), rng))
-        mask = _query_mask(workload[chosen], x.shape)
+        mask = query_mask(workload[chosen], x.shape)
         estimate = multiplicative_weights_update(estimate, mask, measured, scale)
         average += estimate
     return average / rounds
@@ -107,7 +107,7 @@ def _prefix_mask_mwem(x, epsilon, workload, rng, rounds, scale):
         errors = np.abs(true_answers - approx)
         chosen = exponential_mechanism(errors, eps_round / 2.0, sensitivity=1.0, rng=rng)
         measured = true_answers[chosen] + float(laplace_noise(2.0 / eps_round, (), rng))
-        mask = _query_mask(workload[chosen], x.shape)
+        mask = query_mask(workload[chosen], x.shape)
         estimate = multiplicative_weights_update(estimate, mask, measured, scale)
         average += estimate
     return average / rounds

@@ -25,7 +25,7 @@ from ..workload.rangequery import Workload
 from .base import AlgorithmProperties, PlanAlgorithm
 from .mechanisms import PrivacyBudget, exponential_mechanism, laplace_noise
 
-__all__ = ["MWEM", "MWEMStar", "default_mwem_rounds", "multiplicative_weights_update"]
+__all__ = ["MWEM", "MWEMStar", "default_mwem_rounds"]
 
 
 def default_mwem_rounds(epsilon_scale_product: float) -> int:
@@ -41,35 +41,6 @@ def default_mwem_rounds(epsilon_scale_product: float) -> int:
     # Linear in the log of the signal: T = 2 at product 1e2, T = 100 at 1e7.
     rounds = int(round(2.0 + 19.6 * (np.log10(product) - 2.0)))
     return int(np.clip(rounds, 2, 100))
-
-
-def _query_mask(query, shape: tuple[int, ...]) -> np.ndarray:
-    mask = np.zeros(shape)
-    slices = tuple(slice(a, b + 1) for a, b in zip(query.lo, query.hi))
-    mask[slices] = 1.0
-    return mask
-
-
-def multiplicative_weights_update(
-    estimate: np.ndarray,
-    query_mask: np.ndarray,
-    measured_answer: float,
-    total: float,
-) -> np.ndarray:
-    """One multiplicative-weights update step.
-
-    Re-weights cells inside the query region toward the measured answer and
-    re-normalises so the estimate keeps the assumed total.
-    """
-    current_answer = float((estimate * query_mask).sum())
-    if total <= 0:
-        return estimate
-    exponent = query_mask * (measured_answer - current_answer) / (2.0 * total)
-    updated = estimate * np.exp(exponent)
-    updated_sum = updated.sum()
-    if updated_sum <= 0:
-        return estimate
-    return updated * (total / updated_sum)
 
 
 def _mwem_rounds(

@@ -64,22 +64,6 @@ def _descendant_run(pstarts, pends, pi, pj, starts, ends):
     return a, b
 
 
-def _workload_bounds(workload) -> tuple[np.ndarray, np.ndarray]:
-    """Per-query ``(los, his)`` bound arrays of a workload, shape ``(q, ndim)``.
-
-    :class:`~repro.workload.rangequery.Workload` already carries the bounds as
-    arrays — read them directly instead of looping over a million query
-    objects.  Plain query sequences (tests, ad-hoc lists) fall back to the
-    historical comprehension; either way the values are identical, so every
-    rank-query consumer stays bitwise-unchanged.
-    """
-    los = getattr(workload, "_los", None)
-    his = getattr(workload, "_his", None)
-    if los is None or his is None:
-        los = np.array([q.lo for q in workload], dtype=np.intp)
-        his = np.array([q.hi for q in workload], dtype=np.intp)
-    return np.atleast_2d(los), np.atleast_2d(his)
-
 __all__ = ["HierarchicalTree", "IrregularTreeLevels", "optimal_branching"]
 
 
@@ -407,13 +391,13 @@ class HierarchicalTree:
                 raise ValueError("need one measured flag per tree level")
             if not measured[self._level[self.leaf_indices()]].all():
                 raise ValueError("every leaf level must be measured")
-        los, his = _workload_bounds(workload)
+        # The workload's operator already holds 0 <= lo <= hi per query.
+        los, his = workload.operator.los, workload.operator.his
         ndim = len(self.domain_shape)
-        if los.shape[1] != ndim or his.shape[1] != ndim:
+        if los.shape[1] != ndim:
             raise ValueError(f"{los.shape[1]}-D workload queries on a "
                              f"{ndim}-D tree")
-        if los.size and (los.min() < 0
-                         or np.any(his.max(axis=0) >= self.domain_shape)):
+        if np.any(his.max(axis=0) >= self.domain_shape):
             raise ValueError("workload queries fall outside the tree's "
                              f"domain {self.domain_shape}")
         if ndim == 1:

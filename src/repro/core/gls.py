@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..algorithms.inference import tree_least_squares
-from ..workload.linops import _expand_runs
+from ..workload.linops import rectangle_cells
 from .measurement import MeasurementSet
 
 __all__ = ["solve_gls"]
@@ -42,9 +42,10 @@ def _solve_tree(measurements: MeasurementSet) -> np.ndarray:
 
     Everything runs on the tree's flyweight arrays — leaf indices, sizes and
     bounds — with no per-node object in sight; the aggregated-leaf 2-D path
-    scatters row runs instead of looping leaf slices.  Per-leaf float
-    divisions are elementwise, so every path is bitwise-identical to the
-    historical per-node loops.
+    scatters the leaves' :func:`~repro.workload.linops.rectangle_cells`
+    instead of looping leaf slices.  Per-leaf float divisions are
+    elementwise, so every path is bitwise-identical to the historical
+    per-node loops.
     """
     tree = measurements.tree
     consistent = tree_least_squares(tree, measurements.values, measurements.variances)
@@ -66,17 +67,11 @@ def _solve_tree(measurements: MeasurementSet) -> np.ndarray:
         # this is bitwise-identical to the historical per-leaf loop.
         estimate[los[indices, 0], los[indices, 1]] = consistent[indices] / sizes
         return estimate
-    # Aggregated 2-D leaves (fixed-height quadtrees on large domains): expand
-    # every leaf rectangle into per-row cell runs and fill them with one flat
-    # scatter.  Leaves are disjoint, so the assignment order cannot matter.
-    values = consistent[indices] / sizes
-    heights = (his[indices, 0] - los[indices, 0] + 1).astype(np.intp)
-    widths = (his[indices, 1] - los[indices, 1] + 1).astype(np.intp)
-    leaf_of_row = np.repeat(np.arange(indices.size), heights)
-    rows = _expand_runs(los[indices, 0], heights)
-    row_starts = rows * tree.domain_shape[1] + los[indices, 1][leaf_of_row]
-    cells = _expand_runs(row_starts, widths[leaf_of_row])
-    estimate.ravel()[cells] = np.repeat(values[leaf_of_row], widths[leaf_of_row])
+    # Aggregated 2-D leaves (fixed-height quadtrees on large domains): one
+    # flat scatter over every leaf's cells.  Leaves are disjoint, so the
+    # assignment order cannot matter.
+    cells, areas = rectangle_cells(los[indices], his[indices], tree.domain_shape)
+    estimate.ravel()[cells] = np.repeat(consistent[indices] / sizes, areas)
     return estimate
 
 

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 import numpy as np
 
 from ..algorithms.mechanisms import PrivacyBudget
-from ..workload.linops import QueryMatrix, _expand_runs
+from ..workload.linops import QueryMatrix, rectangle_cells
 from .gls import solve_gls
 from .kernels import batched_laplace
 from .measurement import MeasurementSet
@@ -374,25 +374,10 @@ def _disjoint_estimate(measured: MeasurementSet,
         # A single cell's answer divided by its size 1 is the answer itself.
         estimate.reshape(-1)[cells] = measured.values
         return estimate
-    per_cell = measured.values / queries.query_sizes()
-    if queries.ndim == 1:
-        lengths = queries.his[:, 0] - queries.los[:, 0] + 1
-        cells = _expand_runs(queries.los[:, 0], lengths)
-        estimate[cells] = np.repeat(per_cell, lengths)
-        return estimate
-    # 2-D scatter, vectorised run-by-run exactly like to_sparse: one run per
-    # covered row of each rectangle, flat cell indices per run.  Disjointness
-    # makes the write order irrelevant, and each cell receives the very same
-    # float the per-rectangle slice assignments wrote, so the result is
-    # bitwise-identical to the historical Python loop.
-    _, cols = queries.domain_shape
-    heights = queries.his[:, 0] - queries.los[:, 0] + 1
-    widths = queries.his[:, 1] - queries.los[:, 1] + 1
-    run_rows = _expand_runs(queries.los[:, 0], heights)
-    run_query = np.repeat(np.arange(queries.n_queries), heights)
-    starts = run_rows * cols + queries.los[run_query, 1]
-    cells = _expand_runs(starts, widths[run_query])
-    estimate.reshape(-1)[cells] = np.repeat(per_cell, heights * widths)
+    # Disjointness makes the write order irrelevant, and each cell receives
+    # the very same float the per-rectangle slice assignments wrote.
+    cells, sizes = rectangle_cells(queries.los, queries.his, queries.domain_shape)
+    estimate.reshape(-1)[cells] = np.repeat(measured.values / sizes, sizes)
     return estimate
 
 

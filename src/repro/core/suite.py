@@ -3,12 +3,14 @@
 The paper's full grid (6 scales x 4 domain sizes x 18/9 datasets x 14
 algorithms x 5 data vectors x 10 trials = 7,920 configurations, roughly 22
 CPU-days) is far beyond what a test run should require, so this module builds
-the same benchmarks at a configurable resolution.  The environment variable
-``DPBENCH_FULL=1`` switches the benches to the paper's full settings.
+the same benchmarks at a configurable resolution.  Both modes sweep the same
+three scales per study; the environment variable ``DPBENCH_FULL=1`` switches
+the domain to the paper's (4096 cells in 1-D, 128x128 in 2-D) and the
+repetitions to its 5 data samples x 10 trials.
 
 The defaults reproduce the *structure* of every figure and table: the same
-datasets, the same algorithms, the same scale/domain sweeps, with smaller
-domains, fewer repetitions and a subset of scales.
+datasets, the same algorithms, the same scale sweeps, with smaller domains
+(1024 and 64x64) and fewer repetitions (1 sample x 3 trials).
 """
 
 from __future__ import annotations
@@ -53,11 +55,11 @@ def full_mode() -> bool:
 
 
 def default_scales_1d() -> tuple[int, ...]:
-    return PAPER_SCALES_1D if full_mode() else (10 ** 3, 10 ** 5, 10 ** 7)
+    return PAPER_SCALES_1D
 
 
 def default_scales_2d() -> tuple[int, ...]:
-    return PAPER_SCALES_2D if full_mode() else (10 ** 4, 10 ** 6, 10 ** 8)
+    return PAPER_SCALES_2D
 
 
 def default_domain_1d() -> tuple[int, ...]:
@@ -95,6 +97,34 @@ def _resolve_algorithms(algorithms, ndim: int) -> dict:
     return resolved
 
 
+def _benchmark(
+    task: str,
+    ndim: int,
+    default_scales: tuple[int, ...],
+    default_domain: tuple[int, ...],
+    datasets, algorithms, scales, domain_shapes, epsilons,
+    n_data_samples, n_trials, dataset_limit, executor, checkpoint, resume,
+) -> DPBench:
+    """The one builder behind :func:`benchmark_1d` and :func:`benchmark_2d`."""
+    samples, trials = default_repetitions()
+    grid = BenchmarkGrid(
+        scales=tuple(scales or default_scales),
+        domain_shapes=tuple(domain_shapes or (default_domain,)),
+        epsilons=tuple(epsilons),
+        n_data_samples=n_data_samples or samples,
+        n_trials=n_trials or trials,
+    )
+    return DPBench(
+        task=task,
+        datasets=_resolve_datasets(datasets, ndim, dataset_limit),
+        algorithms=_resolve_algorithms(algorithms, ndim),
+        grid=grid,
+        executor=executor,
+        checkpoint=checkpoint,
+        resume=resume,
+    )
+
+
 def benchmark_1d(
     datasets: Sequence | None = None,
     algorithms: Sequence | None = None,
@@ -115,23 +145,10 @@ def benchmark_1d(
     checkpoint="run_1d.jsonl", resume=True)`` builds a sweep that fans out
     over 8 processes and skips cells already in the run-log.
     """
-    samples, trials = default_repetitions()
-    grid = BenchmarkGrid(
-        scales=tuple(scales or default_scales_1d()),
-        domain_shapes=tuple(domain_shapes or (default_domain_1d(),)),
-        epsilons=tuple(epsilons),
-        n_data_samples=n_data_samples or samples,
-        n_trials=n_trials or trials,
-    )
-    return DPBench(
-        task="1D range queries",
-        datasets=_resolve_datasets(datasets, 1, dataset_limit),
-        algorithms=_resolve_algorithms(algorithms, 1),
-        grid=grid,
-        executor=executor,
-        checkpoint=checkpoint,
-        resume=resume,
-    )
+    return _benchmark("1D range queries", 1, default_scales_1d(), default_domain_1d(),
+                      datasets, algorithms, scales, domain_shapes, epsilons,
+                      n_data_samples, n_trials, dataset_limit, executor,
+                      checkpoint, resume)
 
 
 def benchmark_2d(
@@ -152,20 +169,7 @@ def benchmark_2d(
     ``executor``, ``checkpoint`` and ``resume`` are forwarded as the defaults
     of :meth:`DPBench.run`, as in :func:`benchmark_1d`.
     """
-    samples, trials = default_repetitions()
-    grid = BenchmarkGrid(
-        scales=tuple(scales or default_scales_2d()),
-        domain_shapes=tuple(domain_shapes or (default_domain_2d(),)),
-        epsilons=tuple(epsilons),
-        n_data_samples=n_data_samples or samples,
-        n_trials=n_trials or trials,
-    )
-    return DPBench(
-        task="2D range queries",
-        datasets=_resolve_datasets(datasets, 2, dataset_limit),
-        algorithms=_resolve_algorithms(algorithms, 2),
-        grid=grid,
-        executor=executor,
-        checkpoint=checkpoint,
-        resume=resume,
-    )
+    return _benchmark("2D range queries", 2, default_scales_2d(), default_domain_2d(),
+                      datasets, algorithms, scales, domain_shapes, epsilons,
+                      n_data_samples, n_trials, dataset_limit, executor,
+                      checkpoint, resume)

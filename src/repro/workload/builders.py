@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..algorithms.mechanisms import as_rng
-from .rangequery import RangeQuery, Workload
+from .rangequery import Workload
 
 __all__ = [
     "prefix_workload",
@@ -51,18 +51,17 @@ def identity_workload(domain_shape: tuple[int, ...]) -> Workload:
 
 
 def all_range_workload(n: int, max_queries: int | None = None) -> Workload:
-    """All ``n (n + 1) / 2`` 1-D range queries (optionally truncated).
+    """All ``n (n + 1) / 2`` 1-D range queries, ordered by ``lo`` then ``hi``
+    (optionally truncated to the first ``max_queries``).
 
     Quadratic in the domain size, so intended for small domains (tests and
     analyses of data-independent error).
     """
-    queries = []
-    for lo in range(n):
-        for hi in range(lo, n):
-            queries.append(RangeQuery((lo,), (hi,)))
-            if max_queries is not None and len(queries) >= max_queries:
-                return Workload(queries, (n,), name=f"allrange[{n}]")
-    return Workload(queries, (n,), name=f"allrange[{n}]")
+    if max_queries is not None and max_queries < 1:
+        raise ValueError("max_queries must be positive")
+    los, his = np.triu_indices(n)
+    return Workload.from_bounds(los[:max_queries], his[:max_queries], (n,),
+                                name=f"allrange[{n}]")
 
 
 def random_range_workload(
@@ -79,15 +78,14 @@ def random_range_workload(
     domain_shape = tuple(int(d) for d in domain_shape)
     if n_queries < 1:
         raise ValueError("n_queries must be positive")
-    queries = []
-    for _ in range(n_queries):
-        lo, hi = [], []
-        for d in domain_shape:
-            a, b = sorted(rng.integers(0, d, size=2).tolist())
-            lo.append(int(a))
-            hi.append(int(b))
-        queries.append(RangeQuery(tuple(lo), tuple(hi)))
-    return Workload(queries, domain_shape, name=f"random-range[{n_queries}]")
+    # One sorted two-value draw per (query, axis), in this order: the
+    # generator stream is part of every seeded benchmark's identity.
+    draws = [sorted(rng.integers(0, d, size=2).tolist())
+             for _ in range(n_queries) for d in domain_shape]
+    bounds = np.array(draws, dtype=np.intp).reshape(n_queries, len(domain_shape), 2)
+    return Workload.from_bounds(bounds[..., 0].copy(), bounds[..., 1].copy(),
+                                domain_shape,
+                                name=f"random-range[{n_queries}]")
 
 
 def default_workload(

@@ -6,15 +6,17 @@ column per domain cell.  Materialising ``W`` densely is O(q * n); this module
 provides :class:`QueryMatrix`, which exploits the range structure twice over:
 
 * **implicit application** — ``W @ x`` is answered through a summed-area
-  table (O(n + q)), and the adjoint ``W.T @ y`` through 1-D/2-D difference
-  arrays (O(q + n)), so neither direction ever touches a matrix entry;
+  table (O(n + q)), and the adjoint ``W.T @ y`` (like the per-cell query
+  counts) through one 1-D/2-D difference-array corner scatter (O(q + n)), so
+  neither direction ever touches a matrix entry;
 * **sparse materialisation** — when an explicit matrix is genuinely needed
-  (normal equations, matrix-mechanism analyses) a CSR matrix is built with
-  fully vectorised run-length expansion and cached.
+  (normal equations, matrix-mechanism analyses) a CSR matrix is built from
+  :func:`rectangle_cells` and cached.
 
-:class:`QueryMatrix` is the single currency shared by workload evaluation,
-:class:`~repro.core.measurement.MeasurementSet` and the generic least-squares
-solver in :mod:`repro.core.gls`.
+:class:`QueryMatrix` is the one representation of a set of rectangles (a
+:class:`~repro.workload.rangequery.Workload` is a named one, and it is the
+query currency of :class:`~repro.core.measurement.MeasurementSet` and
+:mod:`repro.core.gls`); :func:`rectangle_cells` is their one cell expansion.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .prefix_sum import PrefixSum
 
-__all__ = ["QueryMatrix"]
+__all__ = ["QueryMatrix", "rectangle_cells"]
 
 
 def _expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -39,6 +41,25 @@ def _expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     run_ids = np.repeat(np.arange(lengths.size), lengths)
     run_offsets = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     return np.asarray(starts, dtype=np.intp)[run_ids] + run_offsets
+
+
+def rectangle_cells(los: np.ndarray, his: np.ndarray,
+                    domain_shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (C-order) indices of the cells each inclusive rectangle covers,
+    grouped by rectangle in input order, and every rectangle's cell count:
+    ``np.repeat(values / sizes, sizes)`` lines per-rectangle values up with
+    ``cells``.  One run of cells per 1-D rectangle or per covered row of a
+    2-D one, with no per-rectangle Python loop."""
+    los = np.asarray(los, dtype=np.intp)
+    his = np.asarray(his, dtype=np.intp)
+    heights = his[:, 0] - los[:, 0] + 1
+    if len(domain_shape) == 1:
+        return _expand_runs(los[:, 0], heights), heights
+    widths = his[:, 1] - los[:, 1] + 1
+    run_rect = np.repeat(np.arange(los.shape[0]), heights)
+    run_rows = _expand_runs(los[:, 0], heights)
+    starts = run_rows * domain_shape[1] + los[run_rect, 1]
+    return _expand_runs(starts, widths[run_rect]), heights * widths
 
 
 class QueryMatrix:
@@ -167,20 +188,27 @@ class QueryMatrix:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_queries,):
             raise ValueError(f"expected {self.n_queries} coefficients, got shape {y.shape}")
+        return self._corner_scatter(y)
+
+    def _corner_scatter(self, weights: np.ndarray) -> np.ndarray:
+        """Per cell, the summed weights of the queries covering it: each
+        query scatters its weight onto the corners of its range in a
+        difference array, and cumulative sums spread it over the covered
+        cells.  Exact in ``weights.dtype`` (integer weights count exactly)."""
         if self.ndim == 1:
             (n,) = self._domain_shape
-            diff = np.zeros(n + 1)
-            np.add.at(diff, self._los[:, 0], y)
-            np.add.at(diff, self._his[:, 0] + 1, -y)
+            diff = np.zeros(n + 1, dtype=weights.dtype)
+            np.add.at(diff, self._los[:, 0], weights)
+            np.add.at(diff, self._his[:, 0] + 1, -weights)
             return np.cumsum(diff)[:-1]
         rows, cols = self._domain_shape
-        diff = np.zeros((rows + 1, cols + 1))
+        diff = np.zeros((rows + 1, cols + 1), dtype=weights.dtype)
         r0, c0 = self._los[:, 0], self._los[:, 1]
         r1, c1 = self._his[:, 0] + 1, self._his[:, 1] + 1
-        np.add.at(diff, (r0, c0), y)
-        np.add.at(diff, (r0, c1), -y)
-        np.add.at(diff, (r1, c0), -y)
-        np.add.at(diff, (r1, c1), y)
+        np.add.at(diff, (r0, c0), weights)
+        np.add.at(diff, (r0, c1), -weights)
+        np.add.at(diff, (r1, c0), -weights)
+        np.add.at(diff, (r1, c1), weights)
         return diff.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
 
     def cell_counts(self) -> np.ndarray:
@@ -189,25 +217,9 @@ class QueryMatrix:
         if counts is None:
             with self._lock:
                 if self._cell_counts is None:
-                    if self.ndim == 1:
-                        (n,) = self._domain_shape
-                        diff = np.zeros(n + 1, dtype=np.int64)
-                        np.add.at(diff, self._los[:, 0], 1)
-                        np.add.at(diff, self._his[:, 0] + 1, -1)
-                        counts = np.cumsum(diff)[:-1]
-                    else:
-                        rows, cols = self._domain_shape
-                        diff = np.zeros((rows + 1, cols + 1), dtype=np.int64)
-                        r0, c0 = self._los[:, 0], self._los[:, 1]
-                        r1, c1 = self._his[:, 0] + 1, self._his[:, 1] + 1
-                        np.add.at(diff, (r0, c0), 1)
-                        np.add.at(diff, (r0, c1), -1)
-                        np.add.at(diff, (r1, c0), -1)
-                        np.add.at(diff, (r1, c1), 1)
-                        counts = diff.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
-                    self._cell_counts = counts
-                else:
-                    counts = self._cell_counts
+                    self._cell_counts = self._corner_scatter(
+                        np.ones(self.n_queries, dtype=np.int64))
+                counts = self._cell_counts
         return counts
 
     def sensitivity(self) -> int:
@@ -312,29 +324,12 @@ class QueryMatrix:
                 if self._csr is None:
                     from scipy import sparse
 
-                    if self.ndim == 1:
-                        starts = self._los[:, 0]
-                        lengths = self._his[:, 0] - self._los[:, 0] + 1
-                    else:
-                        _, cols = self._domain_shape
-                        heights = self._his[:, 0] - self._los[:, 0] + 1
-                        # One run per covered row of each rectangle.
-                        run_rows = _expand_runs(self._los[:, 0], heights)
-                        run_query = np.repeat(np.arange(self.n_queries), heights)
-                        starts = run_rows * cols + self._los[run_query, 1]
-                        lengths = (self._his[:, 1] - self._los[:, 1] + 1)[run_query]
-                    indices = _expand_runs(starts, lengths)
-                    if self.ndim == 1:
-                        indptr = np.zeros(self.n_queries + 1, dtype=np.intp)
-                        np.cumsum(lengths, out=indptr[1:])
-                    else:
-                        per_query = np.zeros(self.n_queries, dtype=np.intp)
-                        np.add.at(per_query, run_query, lengths)
-                        indptr = np.zeros(self.n_queries + 1, dtype=np.intp)
-                        np.cumsum(per_query, out=indptr[1:])
-                    data = np.ones(indices.size)
+                    indices, sizes = rectangle_cells(self._los, self._his,
+                                                     self._domain_shape)
+                    indptr = np.zeros(self.n_queries + 1, dtype=np.intp)
+                    np.cumsum(sizes, out=indptr[1:])
                     self._csr = sparse.csr_matrix(
-                        (data, indices, indptr),
+                        (np.ones(indices.size), indices, indptr),
                         shape=(self.n_queries, self.domain_size))
                 csr = self._csr
         return csr

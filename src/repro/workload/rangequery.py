@@ -3,13 +3,14 @@
 A :class:`RangeQuery` is an axis-aligned inclusive hyper-rectangle over a
 1-D or 2-D count array ``x``; its answer is the sum of the cells it covers.
 A :class:`Workload` is an ordered collection of range queries over a common
-domain, with vectorised evaluation and (for small domains) a dense matrix
-representation used by matrix-mechanism style analyses.
+domain: a name plus one :class:`~repro.workload.linops.QueryMatrix`, the
+single representation of the queries' bounds.  Evaluation, sensitivity and
+the sparse/dense matrices all go through that operator; :class:`RangeQuery`
+values are only built when someone indexes or iterates the workload.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -66,7 +67,8 @@ class RangeQuery:
 
 
 class Workload:
-    """An ordered set of range queries over a fixed domain.
+    """An ordered set of range queries over a fixed domain: a name plus one
+    :class:`QueryMatrix` holding every query's bounds.
 
     Parameters
     ----------
@@ -78,8 +80,9 @@ class Workload:
     name:
         Optional human-readable name used in reports.
 
-    Instances are thread-shared by the parallel executor: lazy caches are
-    built under ``self._lock`` and published once (privlint rule PL005).
+    Both constructors build the ``(q, ndim)`` bound arrays and hand them to
+    :class:`QueryMatrix`, the one validator; :class:`RangeQuery` values are
+    built on demand from the arrays when the workload is indexed or iterated.
     """
 
     def __init__(
@@ -89,23 +92,9 @@ class Workload:
         name: str = "workload",
     ):
         queries = list(queries)
-        if not queries:
-            raise ValueError("a workload must contain at least one query")
-        domain_shape = tuple(int(d) for d in domain_shape)
-        ndim = len(domain_shape)
-        for q in queries:
-            if q.ndim != ndim:
-                raise ValueError("all queries must match the domain dimensionality")
-            if any(h >= d for h, d in zip(q.hi, domain_shape)):
-                raise ValueError(f"query {q} exceeds domain {domain_shape}")
-        self._queries: list[RangeQuery] | None = queries
-        self._domain_shape = domain_shape
-        self.name = name
-        self._los = np.array([q.lo for q in queries], dtype=np.intp)
-        self._his = np.array([q.hi for q in queries], dtype=np.intp)
-        # Built once under the lock, then published (see QueryMatrix's caches).
-        self._lock = threading.Lock()
-        self._operator: QueryMatrix | None = None
+        self._set_bounds(np.array([q.lo for q in queries], dtype=np.intp),
+                         np.array([q.hi for q in queries], dtype=np.intp),
+                         domain_shape, name)
 
     @classmethod
     def from_bounds(
@@ -115,108 +104,56 @@ class Workload:
         domain_shape: tuple[int, ...],
         name: str = "workload",
     ) -> "Workload":
-        """Build a workload directly from ``(q, ndim)`` bound arrays.
+        """Build a workload directly from ``(q, ndim)`` bound arrays (``(q,)``
+        in 1-D) without creating a :class:`RangeQuery` per query: a
+        million-query prefix workload is two arrays, not a million frozen
+        dataclasses."""
+        self = cls.__new__(cls)
+        self._set_bounds(los, his, domain_shape, name)
+        return self
 
-        The flyweight constructor: no per-query :class:`RangeQuery` objects
-        are created (a million-query prefix workload is two arrays, not a
-        million frozen dataclasses).  Array consumers — the tree usage
-        counts, :class:`QueryMatrix`, evaluation — read the bounds directly;
-        the query-object view is materialised lazily (under the lock) only
-        if someone iterates the workload.  Validation is vectorised but
-        enforces exactly the per-query invariants of :class:`RangeQuery`.
-        """
-        domain_shape = tuple(int(d) for d in domain_shape)
-        if len(domain_shape) not in (1, 2):
-            raise ValueError("only 1-D and 2-D domains are supported")
+    def _set_bounds(self, los, his, domain_shape, name) -> None:
+        """Both constructors' one path: :class:`QueryMatrix` validates."""
         los = np.asarray(los, dtype=np.intp)
         his = np.asarray(his, dtype=np.intp)
         if los.ndim == 1:
             los = los[:, None]
         if his.ndim == 1:
             his = his[:, None]
-        if los.shape != his.shape or los.ndim != 2 \
-                or los.shape[1] != len(domain_shape):
-            raise ValueError("los/his must have shape (q, ndim) matching the domain")
         if los.shape[0] == 0:
             raise ValueError("a workload must contain at least one query")
-        if np.any(los < 0) or np.any(his < los):
-            raise ValueError("queries must satisfy 0 <= lo <= hi")
-        if np.any(his >= np.asarray(domain_shape, dtype=np.intp)):
-            raise ValueError(f"queries exceed domain {domain_shape}")
-        self = cls.__new__(cls)
-        self._queries = None
-        self._domain_shape = domain_shape
+        self.operator = QueryMatrix(los, his, domain_shape)
         self.name = name
-        self._los = los
-        self._his = his
-        self._lock = threading.Lock()
-        self._operator = None
-        return self
-
-    def _materialised(self) -> list[RangeQuery]:
-        """The per-query object view, built once under the lock on first use
-        (bounds-array workloads defer it; see :meth:`from_bounds`)."""
-        queries = self._queries
-        if queries is None:
-            with self._lock:
-                if self._queries is None:
-                    self._queries = [
-                        RangeQuery(tuple(int(v) for v in lo),
-                                   tuple(int(v) for v in hi))
-                        for lo, hi in zip(self._los, self._his)]
-                queries = self._queries
-        return queries
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_lock"] = None          # locks do not pickle; recreated on load
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     # -- basic container protocol -------------------------------------------------
     def __len__(self) -> int:
-        return self._los.shape[0]
+        return self.operator.n_queries
 
     def __iter__(self) -> Iterator[RangeQuery]:
-        return iter(self._materialised())
+        for lo, hi in zip(self.operator.los.tolist(), self.operator.his.tolist()):
+            yield RangeQuery(tuple(lo), tuple(hi))
 
     def __getitem__(self, i: int) -> RangeQuery:
-        return self._materialised()[i]
+        return RangeQuery(tuple(self.operator.los[i].tolist()),
+                          tuple(self.operator.his[i].tolist()))
 
     @property
     def queries(self) -> list[RangeQuery]:
-        return list(self._materialised())
+        return list(self)
 
     @property
     def domain_shape(self) -> tuple[int, ...]:
-        return self._domain_shape
+        return self.operator.domain_shape
 
     @property
     def ndim(self) -> int:
-        return len(self._domain_shape)
+        return self.operator.ndim
 
     @property
     def domain_size(self) -> int:
-        return int(np.prod(self._domain_shape))
+        return self.operator.domain_size
 
     # -- evaluation ---------------------------------------------------------------
-    @property
-    def operator(self) -> QueryMatrix:
-        """The workload's :class:`QueryMatrix` — a sparse linear operator
-        shared by every consumer (evaluation, MWEM's update loop, sensitivity
-        analysis, the GLS solver).  Built once per workload and cached."""
-        operator = self._operator
-        if operator is None:
-            with self._lock:
-                if self._operator is None:
-                    self._operator = QueryMatrix(self._los, self._his,
-                                                 self._domain_shape)
-                operator = self._operator
-        return operator
-
     def evaluate(self, x: np.ndarray | PrefixSum) -> np.ndarray:
         """Answer every query against ``x`` (returned in workload order).
 
@@ -226,9 +163,9 @@ class Workload:
         if isinstance(x, PrefixSum):
             return self.operator.matvec(x)
         x = np.asarray(x, dtype=float)
-        if x.shape != self._domain_shape:
+        if x.shape != self.domain_shape:
             raise ValueError(
-                f"data shape {x.shape} does not match workload domain {self._domain_shape}"
+                f"data shape {x.shape} does not match workload domain {self.domain_shape}"
             )
         return self.operator.matvec(x)
 
@@ -269,19 +206,21 @@ class Workload:
         *entirely outside* are dropped (previously they were clamped onto the
         last cell, silently re-weighting the boundary in domain-size sweeps).
         Raises ``ValueError`` if no query intersects the new domain, because a
-        workload cannot be empty.
+        workload cannot be empty, or if the new domain has another dimension.
         """
         domain_shape = tuple(int(d) for d in domain_shape)
-        kept = []
-        for q in self._materialised():
-            if any(l >= d for l, d in zip(q.lo, domain_shape)):
-                continue                              # entirely outside: drop
-            hi = tuple(min(h, d - 1) for h, d in zip(q.hi, domain_shape))
-            kept.append(RangeQuery(q.lo, hi))
-        if not kept:
+        if len(domain_shape) != self.ndim:
+            raise ValueError(f"cannot restrict a {self.ndim}-D workload to the "
+                             f"domain {domain_shape}")
+        limits = np.asarray(domain_shape, dtype=np.intp)
+        inside = np.all(self.operator.los < limits, axis=1)
+        if not inside.any():
             raise ValueError(
                 f"no query of {self.name!r} intersects the domain {domain_shape}")
-        return Workload(kept, domain_shape, name=self.name)
+        return Workload.from_bounds(
+            self.operator.los[inside],
+            np.minimum(self.operator.his[inside], limits - 1),
+            domain_shape, name=self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Workload(name={self.name!r}, queries={len(self)}, domain={self._domain_shape})"
+        return f"Workload(name={self.name!r}, queries={len(self)}, domain={self.domain_shape})"

@@ -20,7 +20,8 @@ from repro import (
 )
 from repro.algorithms.ahp import greedy_value_clustering
 from repro.algorithms.dawa import l1_partition
-from repro.algorithms.mwem import default_mwem_rounds, multiplicative_weights_update
+from repro.algorithms.mwem import default_mwem_rounds
+from reference.mwem_dense import multiplicative_weights_update
 
 
 def _mean_error(algorithm, x, workload, epsilon, trials=6, seed=0):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.workload import (
     QueryMatrix,
@@ -12,6 +14,7 @@ from repro.workload import (
     prefix_workload,
     random_range_workload,
 )
+from repro.workload.linops import rectangle_cells
 
 
 def _operator(workload: Workload) -> QueryMatrix:
@@ -73,6 +76,7 @@ class TestQueryMatrix:
     def test_cell_counts_and_sensitivity(self, workload):
         counts = _brute_force_counts(workload)
         assert np.array_equal(_operator(workload).cell_counts(), counts)
+        assert _operator(workload).cell_counts().dtype == np.int64   # exact counts
         assert workload.sensitivity() == counts.max()
 
     @pytest.mark.parametrize("workload", WORKLOAD_CASES, ids=lambda w: w.name)
@@ -127,6 +131,45 @@ class TestQueryMatrix:
             operator.rmatvec(np.zeros(9))
 
 
+#: 1-D and 2-D shapes with the degenerate sides a domain may have: one
+#: cell, 1xN and Nx1 strips, prime sides.
+RECTANGLE_SHAPES = [(1,), (2,), (13,), (64,), (1, 1), (1, 17), (17, 1),
+                    (3, 5), (7, 11), (13, 13), (8, 16)]
+
+
+@st.composite
+def _rectangles(draw):
+    """A domain shape and rectangles inside it, always including one
+    single-cell and one full-domain rectangle."""
+    shape = draw(st.sampled_from(RECTANGLE_SHAPES))
+    los, his = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        bounds = [sorted(draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2)))
+                  for d in shape]
+        los.append([b[0] for b in bounds])
+        his.append([b[1] for b in bounds])
+    cell = [draw(st.integers(0, d - 1)) for d in shape]
+    los += [cell, [0] * len(shape)]
+    his += [cell, [d - 1 for d in shape]]
+    order = draw(st.permutations(range(len(los))))
+    return (shape, np.array(los, dtype=np.intp)[order],
+            np.array(his, dtype=np.intp)[order])
+
+
+class TestRectangleCells:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_rectangles())
+    def test_matches_per_rectangle_slices(self, case):
+        shape, los, his = case
+        flat = np.arange(int(np.prod(shape))).reshape(shape)
+        blocks = [flat[tuple(slice(a, b + 1) for a, b in zip(lo, hi))].ravel()
+                  for lo, hi in zip(los, his)]
+        cells, sizes = rectangle_cells(los, his, shape)
+        assert np.array_equal(cells, np.concatenate(blocks))
+        assert sizes.tolist() == [block.size for block in blocks]
+
+
 class TestWorkloadOperatorIntegration:
     def test_evaluate_routes_through_cached_operator(self):
         workload = prefix_workload(32)
@@ -164,6 +207,37 @@ class TestRestrictedTo:
         workload = Workload([RangeQuery((6,), (7,))], (8,))
         with pytest.raises(ValueError, match="no query"):
             workload.restricted_to((4,))
+
+    @staticmethod
+    def _restricted_reference(workload, domain_shape):
+        """The historical per-query restriction loop."""
+        kept = []
+        for q in workload:
+            if any(lo >= d for lo, d in zip(q.lo, domain_shape)):
+                continue
+            hi = tuple(min(h, d - 1) for h, d in zip(q.hi, domain_shape))
+            kept.append(RangeQuery(q.lo, hi))
+        return Workload(kept, domain_shape, name=workload.name)
+
+    @pytest.mark.parametrize("shape, new_shape", [
+        ((64,), (40,)), ((64,), (64,)), ((64,), (1,)), ((37,), (80,)),
+        ((16, 16), (9, 5)), ((16, 16), (1, 16)), ((17, 1), (4, 1)), ((37, 53), (20, 31)),
+    ])
+    def test_matches_per_query_loop(self, shape, new_shape):
+        workload = random_range_workload(shape, n_queries=300, rng=11)
+        got = workload.restricted_to(new_shape)
+        want = self._restricted_reference(workload, new_shape)
+        assert np.array_equal(got.operator.los, want.operator.los)
+        assert np.array_equal(got.operator.his, want.operator.his)
+        assert got.name == want.name and got.domain_shape == want.domain_shape
+
+    def test_other_dimension_raises(self):
+        planar = random_range_workload((8, 8), n_queries=20, rng=0)
+        for shape in [(4, 4, 4), (4,)]:
+            with pytest.raises(ValueError):
+                planar.restricted_to(shape)
+        with pytest.raises(ValueError):
+            prefix_workload(8).restricted_to((4, 4))
 
 
 class TestPartitionMappings:

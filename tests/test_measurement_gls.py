@@ -282,7 +282,7 @@ class TestMWEMSparseLoop:
     def _dense_mwem(x, epsilon, workload, rng, rounds, scale):
         """The pre-refactor dense round loop, kept as an executable spec."""
         from repro.algorithms.mechanisms import exponential_mechanism, laplace_noise
-        from repro.algorithms.mwem import _query_mask, multiplicative_weights_update
+        from reference.mwem_dense import multiplicative_weights_update, query_mask
 
         estimate = np.full(x.shape, scale / x.size)
         average = np.zeros(x.shape)
@@ -294,7 +294,7 @@ class TestMWEMSparseLoop:
             chosen = exponential_mechanism(errors, eps_round / 2.0,
                                            sensitivity=1.0, rng=rng)
             measured = true_answers[chosen] + float(laplace_noise(2.0 / eps_round, (), rng))
-            mask = _query_mask(workload[chosen], x.shape)
+            mask = query_mask(workload[chosen], x.shape)
             estimate = multiplicative_weights_update(estimate, mask, measured, scale)
             average += estimate
         return average / rounds

@@ -1,8 +1,11 @@
 """Unit tests for range queries, workloads and prefix-sum evaluation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.algorithms.mechanisms import as_rng
 from repro.workload import (
     PrefixSum,
     RangeQuery,
@@ -161,6 +164,68 @@ class TestWorkload:
         assert all(isinstance(q, RangeQuery) for q in workload)
 
 
+class TestOneRepresentation:
+    """``Workload(queries)`` and ``Workload.from_bounds`` build the same
+    workload: one :class:`QueryMatrix` and a name."""
+
+    CASES = (((1,), 1), ((7,), 9), ((1, 17), 12), ((17, 1), 12), ((37, 53), 40))
+
+    @staticmethod
+    def _pair(shape, n_queries, seed):
+        bounds = random_range_workload(shape, n_queries=n_queries, rng=seed)
+        los, his = bounds.operator.los, bounds.operator.his
+        queries = [RangeQuery(tuple(lo), tuple(hi))
+                   for lo, hi in zip(los.tolist(), his.tolist())]
+        return (Workload(queries, shape, name="w"),
+                Workload.from_bounds(los, his, shape, name="w"))
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert np.array_equal(a.operator.los, b.operator.los)
+        assert np.array_equal(a.operator.his, b.operator.his)
+        assert a.operator.los.dtype == b.operator.los.dtype == np.intp
+        assert (a.name, a.domain_shape, len(a)) == (b.name, b.domain_shape, len(b))
+        assert list(a) == list(b) == a.queries == b.queries
+        assert all(a[i] == b[i] for i in (0, -1, len(a) // 2))
+
+    @pytest.mark.parametrize("shape, n_queries", CASES)
+    def test_constructors_agree(self, shape, n_queries):
+        self._assert_same(*self._pair(shape, n_queries, seed=3))
+
+    @pytest.mark.parametrize("shape, n_queries", CASES)
+    def test_pickle_round_trip(self, shape, n_queries):
+        for workload in self._pair(shape, n_queries, seed=4):
+            workload.to_sparse()
+            clone = pickle.loads(pickle.dumps(workload))
+            self._assert_same(clone, workload)
+            x = np.arange(np.prod(shape), dtype=float).reshape(shape) % 7
+            assert np.array_equal(clone.evaluate(x), workload.evaluate(x))
+            assert clone.sensitivity() == workload.sensitivity()
+
+    def test_queries_built_on_demand_from_the_bounds(self):
+        workload = prefix_workload(5)
+        assert workload[-1] == RangeQuery((0,), (4,))
+        assert all(type(v) is int for q in workload for v in q.lo + q.hi)
+        with pytest.raises(IndexError):
+            workload[5]
+
+    def test_one_dimensional_bounds_shorthand(self):
+        workload = Workload.from_bounds(np.array([0, 2]), np.array([1, 3]), (4,))
+        assert workload.queries == [RangeQuery((0,), (1,)), RangeQuery((2,), (3,))]
+
+    def test_invalid_bounds_rejected_by_both_constructors(self):
+        with pytest.raises(ValueError, match="exceed domain"):
+            Workload([RangeQuery((0, 0), (1, 4))], (4, 4))
+        with pytest.raises(ValueError, match="exceed domain"):
+            Workload.from_bounds(np.array([[0, 0]]), np.array([[1, 4]]), (4, 4))
+        with pytest.raises(ValueError, match="matching the domain"):
+            Workload([RangeQuery((0, 0), (1, 1))], (4,))
+        with pytest.raises(ValueError, match="0 <= lo <= hi"):
+            Workload.from_bounds(np.array([[2]]), np.array([[1]]), (4,))
+        with pytest.raises(ValueError, match="at least one query"):
+            Workload.from_bounds(np.zeros((0, 2)), np.zeros((0, 2)), (4, 4))
+
+
 class TestBuilders:
     def test_prefix_workload_definition(self):
         workload = prefix_workload(5)
@@ -184,6 +249,35 @@ class TestBuilders:
 
     def test_all_range_truncation(self):
         assert len(all_range_workload(10, max_queries=17)) == 17
+
+    @pytest.mark.parametrize("n, max_queries", [(1, None), (6, None), (10, 17),
+                                                 (10, 1), (5, 15), (5, 100)])
+    def test_all_range_order_matches_nested_loop(self, n, max_queries):
+        want = [((lo,), (hi,)) for lo in range(n) for hi in range(lo, n)]
+        workload = all_range_workload(n, max_queries=max_queries)
+        assert [(q.lo, q.hi) for q in workload] == want[:max_queries]
+        assert workload.name == f"allrange[{n}]"
+
+    @pytest.mark.parametrize("max_queries", [0, -1])
+    def test_all_range_rejects_non_positive_truncation(self, max_queries):
+        """Regression: the loop appended before checking the limit, so
+        ``max_queries=0`` (or negative) returned the one query ``[0, 0]``."""
+        with pytest.raises(ValueError, match="max_queries"):
+            all_range_workload(10, max_queries=max_queries)
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (64,), (1, 17), (17, 1), (3, 5), (37, 53)])
+    def test_random_range_keeps_the_generator_stream(self, shape):
+        """Same bounds and same final generator state as the historical
+        per-query draw loop."""
+        rng = as_rng(20160626)
+        want = []
+        for _ in range(50):
+            bounds = [sorted(rng.integers(0, d, size=2).tolist()) for d in shape]
+            want.append((tuple(b[0] for b in bounds), tuple(b[1] for b in bounds)))
+        fresh = as_rng(20160626)
+        workload = random_range_workload(shape, n_queries=50, rng=fresh)
+        assert [(q.lo, q.hi) for q in workload] == want
+        assert fresh.bit_generator.state == rng.bit_generator.state
 
     def test_random_range_within_domain(self):
         workload = random_range_workload((20, 30), n_queries=200, rng=0)
