@@ -8,8 +8,10 @@ million uniformly random in-bounds rectangles through each query path:
 * **batch, cached** — the same request again, served from the keyed result
   cache;
 * **point** — per-rectangle ``query`` calls (O(2^d) table lookups each, plus
-  cache bookkeeping), on a subset sized so the bench stays fast;
-* **point, cached** — the same subset again, all cache hits.
+  cache bookkeeping), on a subset sized so the bench stays fast, once with
+  numpy-int corner tuples (the ``operator.index`` fallback) and once with
+  plain-int tuples (the form ``service.query(100, 200)`` callers send);
+* **point, cached** — the same subsets again, all cache hits.
 
 Correctness is asserted the hard way before any timing is trusted: the batch
 answers over the full million rectangles must agree **bitwise** with
@@ -18,7 +20,11 @@ agree bitwise on its subset.
 
 The CI gate is the queries/sec floor on the batch paths (the serving layer's
 reason to exist); the point path gets a soft floor two orders of magnitude
-lower, since it pays Python per-call overhead by design.
+lower, since it pays Python per-call overhead by design.  The cached point
+path is gated against its own floor in the same process: a plain-int cache
+hit may cost at most ``HIT_RATIO_CEILING`` times one bare
+``service.cache.get`` of the same key (best of repeats), so overhead around
+the lookup shows up on any host.
 
 Run with ``python -m pytest benchmarks/bench_serve_throughput.py -q``.
 ``DPBENCH_SMOKE=1`` shrinks only the point-path subset; the 1M-rectangle
@@ -49,9 +55,14 @@ N_POINT = 20_000 if SMOKE else 100_000
 BATCH_FLOOR = 1_000_000
 CACHED_FLOOR = 1_000_000
 POINT_FLOOR = 10_000
+#: A cached plain-int point query is one store read, two corner
+#: canonicalisations and one cache lookup; about 2.5x the bare lookup on a
+#: 2-core x86-64 host.
+HIT_RATIO_CEILING = 5.0
 
 
 def _time(fn, repeats: int = 3) -> tuple[float, object]:
+    """Best wall time of ``repeats`` calls, and the last call's result."""
     best, result = float("inf"), None
     for _ in range(repeats):
         start = time.perf_counter()
@@ -92,22 +103,42 @@ def test_serve_throughput(benchmark):
         assert cached_answers.tobytes() == reference.tobytes()
 
         # Point path on a subset: per-query prefix lookups + cache misses,
-        # then the same subset again as pure cache hits.
+        # then the same subset again as pure cache hits; numpy-int corners
+        # first, then plain-int corners.
         subset = slice(0, N_POINT)
-        point_queries = list(zip(map(tuple, los[subset]), map(tuple, his[subset])))
-        service.invalidate_cache()
+        corner_forms = {
+            "numpy ints": list(zip(map(tuple, los[subset]), map(tuple, his[subset]))),
+            "plain ints": list(zip(map(tuple, los[subset].tolist()),
+                                   map(tuple, his[subset].tolist()))),
+        }
+        query = service.query
+        point_times = {}
+        for form, point_queries in corner_forms.items():
+            service.invalidate_cache()
 
-        def point_uncached():
-            return [service.query(lo, hi) for lo, hi in point_queries]
+            def point_pass(point_queries=point_queries):
+                return [query(lo, hi) for lo, hi in point_queries]
 
-        t_point, point_answers = _time(point_uncached, repeats=1)
-        assert np.asarray(point_answers).tobytes() == \
-            reference[subset].tobytes(), \
-            "serve point answers diverged from QueryMatrix.matvec"
-        t_point_hit, hit_answers = _time(point_uncached)   # now all cache hits
-        assert np.asarray(hit_answers).tobytes() == reference[subset].tobytes()
+            t_point, point_answers = _time(point_pass, repeats=1)
+            assert np.asarray(point_answers).tobytes() == \
+                reference[subset].tobytes(), \
+                f"serve point answers ({form}) diverged from QueryMatrix.matvec"
+            t_point_hit, hit_answers = _time(point_pass, repeats=5)   # all hits
+            assert np.asarray(hit_answers).tobytes() == reference[subset].tobytes()
+            point_times[form] = (t_point, t_point_hit)
 
         stats = service.stats()
+
+        # The hit-path gate: the same cached keys, looked up bare.  Timed
+        # after the stats snapshot, since these lookups count as queries.
+        keys = [(release.version, "point", lo, hi)
+                for lo, hi in corner_forms["plain ints"]]
+        get = service.cache.get
+        t_get, got = _time(lambda: [get(key) for key in keys], repeats=5)
+        assert np.asarray(got).tobytes() == reference[subset].tobytes(), \
+            "hit-path gate keys are not the service's cached point keys"
+        hit_ratio = point_times["plain ints"][1] / t_get
+
         rows = [
             {"path": f"release (Identity, {SIDE}x{SIDE})", "queries": 1,
              "seconds": t_release, "qps": float("nan")},
@@ -117,21 +148,31 @@ def test_serve_throughput(benchmark):
             {"path": f"batch cached ({N_RECTANGLES} rects)",
              "queries": N_RECTANGLES, "seconds": t_cached,
              "qps": N_RECTANGLES / t_cached},
-            {"path": f"point uncached ({N_POINT} rects)", "queries": N_POINT,
-             "seconds": t_point, "qps": N_POINT / t_point},
-            {"path": f"point cached ({N_POINT} rects)", "queries": N_POINT,
-             "seconds": t_point_hit, "qps": N_POINT / t_point_hit},
         ]
+        for form, (t_point, t_point_hit) in point_times.items():
+            rows += [
+                {"path": f"point uncached, {form} ({N_POINT} rects)",
+                 "queries": N_POINT, "seconds": t_point, "qps": N_POINT / t_point},
+                {"path": f"point cached, {form} ({N_POINT} rects)",
+                 "queries": N_POINT, "seconds": t_point_hit,
+                 "qps": N_POINT / t_point_hit},
+            ]
+        rows.append({"path": f"bare cache.get ({N_POINT} keys)", "queries": N_POINT,
+                     "seconds": t_get, "qps": N_POINT / t_get})
+        point_qps = N_POINT / point_times["numpy ints"][0]
         return rows, (N_RECTANGLES / t_batch, N_RECTANGLES / t_cached,
-                      N_POINT / t_point, stats)
+                      point_qps, hit_ratio, stats)
 
-    rows, (batch_qps, cached_qps, point_qps, stats) = run_once(benchmark, study)
+    rows, (batch_qps, cached_qps, point_qps, hit_ratio, stats) = \
+        run_once(benchmark, study)
     cache = stats["cache"]
     summary = (f"cache: {cache['hits']} hits / {cache['lookups']} lookups "
                f"(hit rate {cache['hit_rate']:.1%}), "
                f"{cache['evictions']} evictions, "
                f"{cache['invalidations']} invalidations; "
-               f"service answered {stats['queries']} queries")
+               f"service answered {stats['queries']} queries; a cached "
+               f"plain-int point query costs {hit_ratio:.2f}x a bare cache.get "
+               f"(ceiling {HIT_RATIO_CEILING}x)")
     report("bench_serve_throughput",
            f"Online release service throughput ({SIDE}x{SIDE} release, "
            f"1M random rectangles, bitwise-exact vs QueryMatrix.matvec)",
@@ -142,3 +183,6 @@ def test_serve_throughput(benchmark):
         f"cached batch path only {cached_qps:,.0f} rectangles/sec (floor {CACHED_FLOOR:,})"
     assert point_qps >= POINT_FLOOR, \
         f"point path only {point_qps:,.0f} rectangles/sec (floor {POINT_FLOOR:,})"
+    assert hit_ratio <= HIT_RATIO_CEILING, \
+        f"a cached point query costs {hit_ratio:.2f}x a bare cache lookup " \
+        f"(ceiling {HIT_RATIO_CEILING}x)"

@@ -66,6 +66,13 @@ _LOCKISH = ("lock", "mutex", "cv", "cond")
 _STRUCTURAL_ATTRS = {"shape", "ndim", "size", "dtype", "itemsize", "nbytes",
                      "flags"}
 
+#: Container methods that mutate their receiver in place: ``self._x.append(v)``
+#: under the lock publishes ``_x`` as surely as ``self._x = ...`` does.
+_MUTATING_METHODS = {"add", "append", "appendleft", "clear", "discard",
+                     "extend", "extendleft", "insert", "move_to_end", "pop",
+                     "popitem", "popleft", "remove", "reverse", "setdefault",
+                     "sort", "update"}
+
 #: The raw total budget: ``*``/``/`` on it outside accounting is a split the
 #: accountant never sees.  Derived ``eps_*`` names are already-metered
 #: ``PrivacyBudget.spend`` results, and bare ``eps`` is machine epsilon here.
@@ -163,6 +170,9 @@ class FunctionFacts:
     #: ``(name, line, col)`` of every read of a data-named free variable
     data_reads: tuple[tuple[str, int, int], ...] = ()
     lazy_guard: bool = False      #: body tests ``... is None`` (lazy init)
+    #: ``(attr, line, under_lock)`` for every in-place mutation of
+    #: ``self.attr``: a mutating method call or a subscript ``del``
+    attr_mutations: tuple[tuple[str, int, bool], ...] = ()
 
     def __post_init__(self):
         self._calls_by_key = {call.key: call for call in self.calls}
@@ -326,6 +336,7 @@ class _FunctionExtractor:
         self.calls: dict[str, CallFacts] = {}
         self.attr_stores: dict[tuple[str, int], tuple[str, set[str], int, bool]] = {}
         self.attr_loads: set[tuple[str, int, bool]] = set()
+        self.attr_mutations: set[tuple[str, int, bool]] = set()
         self.data_reads: set[tuple[str, int, int]] = set()
         self.lazy_guard = False
         self.returns: set[str] = set()
@@ -359,6 +370,8 @@ class _FunctionExtractor:
             data_reads=tuple(sorted(read for read in self.data_reads
                                     if read[0] not in self.env)),
             lazy_guard=self.lazy_guard,
+            attr_mutations=tuple(sorted(self.attr_mutations,
+                                        key=lambda e: (e[1], e[0]))),
         )
 
     # -- statements ---------------------------------------------------------------
@@ -428,6 +441,10 @@ class _FunctionExtractor:
         elif isinstance(stmt, ast.Expr):
             self._tokens(stmt.value, locked)
         elif isinstance(stmt, (ast.Assert, ast.Raise, ast.Delete)):
+            if isinstance(stmt, ast.Delete):
+                for target in stmt.targets:
+                    if isinstance(target, ast.Subscript):
+                        self._mutation(target.value, locked)
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):
                     self._tokens(child, locked)
@@ -454,6 +471,12 @@ class _FunctionExtractor:
             self._bind(target.value, tokens, locked)
         elif isinstance(target, ast.Starred):
             self._bind(target.value, tokens, locked)
+
+    def _mutation(self, target: ast.expr, locked: bool) -> None:
+        """Record an in-place mutation of ``target`` if it is ``self.attr``."""
+        if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) \
+                and target.value.id == "self":
+            self.attr_mutations.add((target.attr, target.lineno, locked))
 
     # -- expressions --------------------------------------------------------------
     def _tokens(self, node: ast.expr | None, locked: bool) -> set[str]:
@@ -546,6 +569,8 @@ class _FunctionExtractor:
             self._tokens(node.func.slice, locked)
         elif isinstance(node.func, ast.Attribute):
             base_tokens = self._tokens(node.func.value, locked)
+            if node.func.attr in _MUTATING_METHODS:
+                self._mutation(node.func.value, locked)
         elif isinstance(node.func, ast.Call):
             base_tokens = self._tokens(node.func, locked)
         if _is_lockish(callee) and callee and callee.endswith(

@@ -24,7 +24,8 @@ the id that motivated it:
   function indirection.
 * **Lock discipline** — the PR 6 ``QueryMatrix`` race.  PL005: a lazy cache
   in a thread-shared class published outside the lock; PL010: a read of
-  lock-published state from a method that never takes the lock.
+  lock-published state (assigned, subscript-stored or mutated in place under
+  the lock) from a method that never takes the lock.
 
 Messages never embed line numbers: a baseline entry's identity is
 ``(rule, path, message)``, so unrelated edits do not churn the baseline.
@@ -342,7 +343,9 @@ class LockDisciplineRule(_Rule):
     closure = FindingKind(
         "PL010", "cross-method-lock-discipline",
         "An attribute published under `with self._lock:` in one "
-        "method is part of the class's locked state; reading it "
+        "method (assigned, subscript-stored, or mutated in place by "
+        "a call such as `.append`) is part of the class's locked "
+        "state; reading it "
         "from a method that never acquires the lock races the "
         "writer (PL005, generalised across methods).")
 
@@ -387,7 +390,9 @@ class LockDisciplineRule(_Rule):
             component = project.component(fkey)
             if component is None:
                 continue
-            for attr, _tokens, _line, under_lock in fn.attr_stores:
+            writes = [*((attr, lk) for attr, _tokens, _line, lk in fn.attr_stores),
+                      *((attr, lk) for attr, _line, lk in fn.attr_mutations)]
+            for attr, under_lock in writes:
                 if under_lock:
                     locked.setdefault(component, {}).setdefault(attr, fkey)
         for fkey, fn in project.functions.items():

@@ -13,7 +13,15 @@ privacy cost.  This package exploits exactly that:
 * :class:`QueryCache` — the keyed result cache in front (normalize-query ->
   key -> answer) with TTL, LRU bounds, invalidation-on-re-release and
   hit/miss/eviction counters;
-* :class:`ServiceStats` — throughput and usage counters.
+* :class:`ServiceStats` — throughput and usage counters (the point-query
+  count is derived from the cache's lookups, so a cached point query never
+  touches it).
+
+Query corners are integers, as :func:`operator.index` defines them (Python
+or numpy ints, or sequences of them); floats, strings and float or object
+batches raise ``TypeError``.  A cached point query is O(1) pure-Python work
+— one store read, one canonicalisation per corner, one cache lookup — and
+costs about three bare cache lookups.
 
 Quick start::
 

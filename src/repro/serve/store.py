@@ -108,4 +108,5 @@ class ReleaseStore:
     @property
     def history(self) -> list[ReleaseMetadata]:
         """Metadata of every release ever published, oldest first."""
-        return list(self._history)
+        with self._lock:
+            return list(self._history)

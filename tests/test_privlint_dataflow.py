@@ -292,6 +292,50 @@ class TestLockDiscipline:
         """})
         assert findings == []
 
+    @pytest.mark.parametrize("mutation", [
+        "self._history.append(item)",
+        "self._history.extend([item])",
+        "del self._history[item]",
+    ])
+    def test_in_place_mutation_under_the_lock_is_locked_state(self, mutation):
+        """The ReleaseStore.history shape: published by mutation, read bare."""
+        findings = project_findings("PL010", {"src/repro/serve/demo.py": f"""
+            import threading
+
+            class Store:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._history = []
+
+                def publish(self, item):
+                    with self._lock:
+                        {mutation}
+
+                @property
+                def history(self):
+                    return list(self._history)
+        """})
+        assert [f.rule for f in findings] == ["PL010"]
+        assert "history" in findings[0].message
+        assert "publish" in findings[0].message
+
+    def test_in_place_mutation_outside_the_lock_is_not_locked_state(self):
+        findings = project_findings("PL010", {"src/repro/serve/demo.py": """
+            import threading
+
+            class Store:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._history = []
+
+                def publish(self, item):
+                    self._history.append(item)
+
+                def history(self):
+                    return list(self._history)
+        """})
+        assert findings == []
+
 
 # -- suppression-as-declassification -------------------------------------------------
 

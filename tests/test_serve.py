@@ -8,6 +8,9 @@ invalidation-on-re-release and the consistency of the stats counters, all
 under an injected fake clock.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,59 @@ class TestAnswersAreExactPostProcessing:
             service.query(3, 64)
         with pytest.raises(ValueError):
             service.query_batch([[0], [5]], [[63], [64]])
+
+    @pytest.mark.parametrize("domain_shape, lo, hi", [
+        ((64,), 3.7, 9), ((64,), "3", 9), ((64,), (3.7,), 9),
+        ((64,), 3, np.float64(9.0)), ((64,), np.True_, 9), ((64,), [[3]], 9),
+        ((16, 16), (1.5, 2), (3, 4)), ((16, 16), ("1", 2), (3, 4)),
+    ], ids=["float", "str", "float-tuple", "numpy-float", "numpy-bool", "nested",
+            "2d-float", "2d-str"])
+    def test_non_integer_corners_raise(self, domain_shape, lo, hi):
+        """Corners are what operator.index accepts: no silent truncation."""
+        service = _released_service(domain_shape, seed=7)
+        with pytest.raises(TypeError):
+            service.query(lo, hi)
+
+    @pytest.mark.parametrize("corner", [
+        3, (3,), [3], np.intp(3), np.int32(3), np.uint8(3), np.array(3),
+        np.array([3]), (np.int64(3),),
+    ])
+    def test_integer_corners_share_one_key(self, corner):
+        service = _released_service((64,), seed=6)
+        first = service.query(3, 9)
+        assert service.query(corner, 9) == first
+        stats = service.stats()["cache"]
+        assert stats["hits"] == 1 and stats["misses"] == 1
+
+    @pytest.mark.parametrize("domain_shape, los, his", [
+        ((64,), [[3.7]], [[9.9]]), ((64,), [[3.0]], [[9.0]]),
+        ((64,), [["3"]], [["9"]]),
+        ((64,), np.array([[3]], dtype=object), np.array([[9]], dtype=object)),
+        ((64,), [[True]], [[True]]), ((16, 16), [[1.5, 2.0]], [[3.0, 4.0]]),
+    ], ids=["float", "integral-float", "str", "object", "bool", "2d-float"])
+    def test_non_integer_batches_raise(self, domain_shape, los, his):
+        service = _released_service(domain_shape, seed=7)
+        with pytest.raises(TypeError):
+            service.query_batch(los, his)
+
+    @pytest.mark.parametrize("domain_shape", [(64,), (16, 16)], ids=["1d", "2d"])
+    def test_empty_batch_answers_empty(self, domain_shape):
+        service = _released_service(domain_shape, seed=7)
+        for empty in ([], np.empty((0, len(domain_shape)), dtype=np.intp)):
+            answers = service.query_batch(empty, empty)
+            assert answers.shape == (0,)
+
+    def test_batch_shapes(self):
+        """A bare vector is q corners in 1-D and one corner in 2-D; a 2-D
+        array is never reshaped into more 1-D corners than it has rows."""
+        one_d = _released_service((64,), seed=7)
+        assert one_d.query_batch([1, 2], [5, 6]).tolist() == \
+            [one_d.query(1, 5), one_d.query(2, 6)]
+        with pytest.raises(ValueError, match="shape"):
+            one_d.query_batch([[1, 2]], [[5, 6]])
+        two_d = _released_service((16, 16), seed=7)
+        assert two_d.query_batch([1, 2], [5, 6]).tolist() == \
+            [two_d.query((1, 2), (5, 6))]
 
     def test_query_before_release_raises(self):
         service = ReleaseService("Identity", epsilon=1.0)
@@ -217,6 +273,25 @@ class TestStatsCounters:
         assert stats["qps"] == pytest.approx(stats["queries"] / 2.0)
         assert 0.0 < cache["hit_rate"] < 1.0
 
+    def test_rejected_queries_are_not_counted_as_answered(self):
+        service = _released_service((64,), seed=14)
+        service.query(0, 5)
+        for lo, hi in ((3, 64), (-1, 3), (9, 2)):
+            with pytest.raises(ValueError):
+                service.query(lo, hi)                # a lookup, then rejected
+        with pytest.raises(ValueError):
+            service.query_batch([[0], [5]], [[63], [64]])
+        with pytest.raises(ValueError):
+            service.query_workload(repro.prefix_workload(32))
+        with pytest.raises(TypeError):
+            service.query(1.5, 3)                    # rejected before lookup
+        service.query_batch([[0]], [[3]])
+        stats = service.stats()
+        assert stats["point_queries"] == 1
+        assert stats["batch_queries"] == 1
+        assert stats["queries"] == 2
+        assert stats["cache"]["lookups"] == 7
+
     def test_release_metadata_and_history(self):
         workload = repro.prefix_workload(64)
         service = ReleaseService("DAWA", epsilon=0.5, workload=workload)
@@ -243,3 +318,83 @@ class TestStatsCounters:
         assert store.version == 0
         with pytest.raises(RuntimeError):
             store.current()
+
+
+class TestConcurrentServing:
+    N_THREADS = 8
+    ROUNDS = 150
+
+    def test_threads_share_one_service_exactly(self, rng):
+        """Eight threads interleave cached and uncached point queries,
+        batches and rejected queries on one 2-D service: every answer is
+        bitwise ``QueryMatrix.matvec``, and the derived counters are exact."""
+        domain_shape = (48, 40)
+        service = _released_service(domain_shape, seed=30, cache_size=256)
+        histogram = service.current_release.histogram
+        hot_los, hot_his = _random_rectangles(rng, domain_shape, 16)
+        hot = [(tuple(map(int, lo)), tuple(map(int, hi)))
+               for lo, hi in zip(hot_los, hot_his)]
+        barrier = threading.Barrier(self.N_THREADS, timeout=30)
+        results = [None] * self.N_THREADS
+        client_rngs = rng.spawn(self.N_THREADS)
+
+        def client(index):
+            rng = client_rngs[index]
+            points, batches, rejected = [], [], 0
+            barrier.wait()
+            for round_ in range(self.ROUNDS):
+                kind = round_ % 5
+                if kind in (0, 1):                   # cached: a hot rectangle
+                    lo, hi = hot[int(rng.integers(len(hot)))]
+                elif kind == 2:                      # most likely uncached
+                    los, his = _random_rectangles(rng, domain_shape, 1)
+                    lo, hi = tuple(los[0]), tuple(his[0])
+                elif kind == 3:
+                    los, his = _random_rectangles(rng, domain_shape, 5)
+                    batches.append((los, his, service.query_batch(los, his)))
+                    continue
+                else:                                # out of bounds
+                    with pytest.raises(ValueError):
+                        service.query((0, 0), (domain_shape[0], 0))
+                    rejected += 1
+                    continue
+                points.append((lo, hi, service.query(lo, hi)))
+            results[index] = (points, batches, rejected)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(i,))
+                       for i in range(self.N_THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result is not None for result in results), "a client raised"
+
+        n_points = n_batches = n_rows = n_rejected = 0
+        for points, batches, rejected in results:
+            los = np.array([lo for lo, _, _ in points])
+            his = np.array([hi for _, hi, _ in points])
+            reference = QueryMatrix(los, his, domain_shape).matvec(histogram)
+            answers = np.array([answer for _, _, answer in points])
+            assert answers.tobytes() == reference.tobytes()
+            for los, his, answer in batches:
+                reference = QueryMatrix(los, his, domain_shape).matvec(histogram)
+                assert answer.tobytes() == reference.tobytes()
+                n_rows += len(los)
+            n_points += len(points)
+            n_batches += len(batches)
+            n_rejected += rejected
+
+        stats = service.stats()
+        cache = stats["cache"]
+        assert stats["point_queries"] == n_points
+        assert stats["batch_queries"] == n_batches
+        assert stats["queries"] == n_points + n_rows
+        assert cache["lookups"] == cache["hits"] + cache["misses"] \
+            == n_points + n_batches + n_rejected
+        assert cache["hits"] > 0
