@@ -48,6 +48,7 @@ acceptance criteria.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 
@@ -55,10 +56,11 @@ import numpy as np
 
 from _shared import format_table, report, run_once
 from repro import MWEM, prefix_workload
-from repro.algorithms.hier import measure_tree
+from repro.algorithms.hier import tree_plan
 from repro.algorithms.mechanisms import exponential_mechanism, laplace_noise
 from repro.algorithms.tree import HierarchicalTree
 from repro.core.gls import solve_gls
+from repro.core.plan import measure_plan
 from reference.mwem_dense import multiplicative_weights_update, query_mask
 
 SMOKE = os.environ.get("DPBENCH_SMOKE", "0") not in ("", "0")
@@ -160,11 +162,13 @@ def test_gls_sparse_vs_dense(benchmark):
         rows = []
         rng = np.random.default_rng(0)
 
-        # Dense-feasible domain: all three solvers against np.linalg.lstsq.
+        # Dense-feasible domain: both solvers against np.linalg.lstsq.  The
+        # tree tag picks the solver, so LSMR is timed on the untagged copy.
         n = GLS_DENSE_DOMAIN
         tree = HierarchicalTree((n,), branching=2)
         x = rng.multinomial(50_000, rng.dirichlet(np.ones(n))).astype(float)
-        mset = measure_tree(x, tree, np.full(tree.n_levels, 0.1), rng)
+        mset = measure_plan(x, tree_plan(tree, np.full(tree.n_levels, 0.1)), rng)
+        untagged = dataclasses.replace(mset, tree=None)
 
         measured = mset.measured()
         scales = 1.0 / np.sqrt(measured.variances)
@@ -172,10 +176,9 @@ def test_gls_sparse_vs_dense(benchmark):
         target = measured.values * scales
         t_dense, y_dense = _time(
             lambda: np.linalg.lstsq(design, target, rcond=None)[0], repeats=1)
-        t_tree, y_tree = _time(lambda: solve_gls(mset, method="tree"))
-        t_lsmr, y_lsmr = _time(lambda: solve_gls(mset, method="lsmr"))
-        t_normal, y_normal = _time(lambda: solve_gls(mset, method="normal"))
-        for y in (y_tree, y_lsmr, y_normal):
+        t_tree, y_tree = _time(lambda: solve_gls(mset))
+        t_lsmr, y_lsmr = _time(lambda: solve_gls(untagged))
+        for y in (y_tree, y_lsmr):
             assert np.abs(y - y_dense).max() / max(1.0, np.abs(y_dense).max()) < 1e-8
         rows += [
             {"solver": f"dense lstsq (n={n})", "seconds": t_dense, "speedup": 1.0},
@@ -183,17 +186,16 @@ def test_gls_sparse_vs_dense(benchmark):
              "speedup": t_dense / t_tree},
             {"solver": f"sparse LSMR (n={n})", "seconds": t_lsmr,
              "speedup": t_dense / t_lsmr},
-            {"solver": f"sparse normal eqs (n={n})", "seconds": t_normal,
-             "speedup": t_dense / t_normal},
         ]
 
         # Large domain: the sparse paths keep working where dense cannot.
         n = GLS_SPARSE_DOMAIN
         tree = HierarchicalTree((n,), branching=2)
         x = rng.multinomial(500_000, rng.dirichlet(np.ones(n))).astype(float)
-        mset = measure_tree(x, tree, np.full(tree.n_levels, 0.1), rng)
-        t_tree, y_tree = _time(lambda: solve_gls(mset, method="tree"))
-        t_lsmr, y_lsmr = _time(lambda: solve_gls(mset, method="lsmr"))
+        mset = measure_plan(x, tree_plan(tree, np.full(tree.n_levels, 0.1)), rng)
+        untagged = dataclasses.replace(mset, tree=None)
+        t_tree, y_tree = _time(lambda: solve_gls(mset))
+        t_lsmr, y_lsmr = _time(lambda: solve_gls(untagged))
         assert np.abs(y_tree - y_lsmr).max() / max(1.0, np.abs(y_tree).max()) < 1e-8
         rows += [
             {"solver": f"tree two-pass (n={n})", "seconds": t_tree, "speedup": float("nan")},

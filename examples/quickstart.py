@@ -11,6 +11,7 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 import time
 from pathlib import Path
@@ -88,31 +89,36 @@ def main() -> None:
     for algorithm in parallel.algorithms():
         print(f"  {algorithm:10s} {parallel.mean_error(algorithm):.3e}")
 
-    # 6. Under the hood: every mechanism is "measure, then infer".  A
+    # 6. Under the hood: every mechanism is "select, measure, infer".  A
     #    mechanism's measurements — noisy linear queries with per-query
     #    variances and the budget spent — are packaged as a MeasurementSet
     #    over a sparse query operator, and consistency post-processing is a
-    #    generic weighted least-squares solve on that set.  Hierarchical
-    #    algorithms get an exact O(nodes) tree fast path; anything else is
-    #    solved matrix-free (LSMR over prefix-sum matvecs).
-    from repro.algorithms.hier import measure_tree
+    #    generic weighted least-squares solve on that set.  The set's tree
+    #    tag picks the solver: tree-tagged sets get the exact O(nodes)
+    #    two-pass solve, anything else is solved matrix-free (LSMR over
+    #    prefix-sum matvecs).
+    from repro.algorithms.hier import tree_plan
     from repro.algorithms.tree import HierarchicalTree
+    from repro.core.plan import measure_plan
 
     x = dataset.counts
     tree = HierarchicalTree(x.shape, branching=2)
-    measurements = repro.MeasurementSet.from_tree(
-        tree, *_noisy_tree_measurements(x, tree, epsilon))
+    measurements = repro.MeasurementSet(
+        tree.as_query_matrix(), *_noisy_tree_measurements(x, tree, epsilon),
+        tree=tree)
     del measurements  # constructed by hand above just to show the shape...
 
-    #    ...but mechanisms build it for you: measure_tree draws one Laplace
-    #    noise per node and returns the MeasurementSet directly.
+    #    ...but mechanisms build it for you: tree_plan selects every node
+    #    with its level's budget share, and the shared noise stage
+    #    measure_plan draws one Laplace noise per node and returns the
+    #    tree-tagged MeasurementSet directly.
     rng6 = np.random.default_rng(1)
     level_budgets = np.full(tree.n_levels, epsilon / tree.n_levels)
-    measurements = measure_tree(x, tree, level_budgets, rng6)
-    estimate = repro.solve_gls(measurements)              # tree fast path
-    generic = repro.solve_gls(measurements.measured(), method="lsmr")
+    measurements = measure_plan(x, tree_plan(tree, level_budgets), rng6)
+    estimate = repro.solve_gls(measurements)              # two-pass tree solve
+    generic = repro.solve_gls(dataclasses.replace(measurements, tree=None))  # LSMR
     print(f"\nMeasurementSet -> GLS: {measurements!r}")
-    print(f"tree fast path vs generic LSMR max diff: "
+    print(f"tree solve vs generic LSMR max diff: "
           f"{np.abs(estimate - generic).max():.2e}")
 
     #    A new algorithm plugs in by emitting a MeasurementSet for whatever
@@ -125,17 +131,20 @@ def main() -> None:
     #        estimate = repro.solve_gls(mset)
 
     # 7. Data-dependent mechanisms speak the same currency.  DAWA privately
-    #    partitions the domain (a vectorised O(n log n) search), measures the
-    #    bucket hierarchy GreedyH-style, and its whole stage two is one
-    #    MeasurementSet over the cells — so it fuses with any other
-    #    mechanism's measurements of the same data: combine and solve once.
+    #    partitions the domain (a vectorised O(n log n) search) and measures
+    #    the bucket hierarchy GreedyH-style.  plan_and_measure runs just the
+    #    private stages; read over the cells through the plan's partition,
+    #    the whole stage two is one MeasurementSet (its epsilon_spent covers
+    #    both stages) — so it fuses with any other mechanism's measurements
+    #    of the same data: combine and solve once.
     from repro.algorithms.dawa import DAWA
 
-    dawa_mset, edges = DAWA().measure(x, epsilon, np.random.default_rng(2),
-                                      workload=workload)
+    plan, bucket_mset = DAWA().plan_and_measure(
+        x, epsilon, np.random.default_rng(2), workload=workload)
+    dawa_mset = bucket_mset.through_partition(plan.partition)
     fused = dawa_mset.combined_with(measurements)    # + the Hb-style tree view
     fused_estimate = repro.solve_gls(fused)
-    print(f"\nDAWA measurements: {dawa_mset!r} over {edges.size - 1} buckets")
+    print(f"\nDAWA measurements: {dawa_mset!r} over {plan.partition.size - 1} buckets")
     print(f"fused DAWA+tree release (eps={fused.epsilon_spent:.2f}) error: "
           f"{repro.scaled_average_per_query_error(true_answers, workload.evaluate(fused_estimate), dataset.scale):.3e}")
 

@@ -9,10 +9,12 @@ expands each bucket uniformly over its cells.
 
 Stage two is expressed in the shared measurement/inference currency: the
 bucket-tree measurements are a :class:`~repro.core.measurement.MeasurementSet`
-(emitted via :func:`~repro.algorithms.hier.measure_tree` on the bucket
-domain), solved by :func:`~repro.core.gls.solve_gls`, and re-expressible over
-the cell domain through :meth:`MeasurementSet.through_partition` so DAWA
-composes with cross-mechanism fusion (``MeasurementSet.combined_with``).
+(a :func:`~repro.algorithms.hier.tree_plan` over the bucket domain, measured
+by the shared noise stage), solved by :func:`~repro.core.gls.solve_gls`, and
+re-expressible over the cell domain so DAWA composes with cross-mechanism
+fusion: for a 1-D ``x``, ``plan, m = DAWA().plan_and_measure(x, epsilon,
+rng)`` then ``m.through_partition(plan.partition)`` is a cell-domain set
+whose ``epsilon_spent`` covers both stages, ready for ``combined_with``.
 
 Implementation notes (documented substitutions from the original):
 
@@ -38,7 +40,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.kernels import get_kernel
-from ..core.measurement import MeasurementSet
 from ..core.plan import MeasurementPlan
 from ..workload.builders import prefix_workload
 from ..workload.rangequery import Workload
@@ -241,24 +242,3 @@ class DAWA(PlanAlgorithm):
                          ordering=ordering, partition=edges)
         plan.epsilon_selection = eps_partition
         return plan
-
-    def measure(
-        self, x: np.ndarray, epsilon: float, rng: np.random.Generator,
-        workload: Workload | None = None,
-    ) -> tuple[MeasurementSet, np.ndarray]:
-        """Run both private stages and package the output as a cell-domain
-        :class:`MeasurementSet` (plus the private bucket edges).
-
-        The bucket-tree measurements are re-expressed over the cells through
-        :meth:`MeasurementSet.through_partition`, so they compose with any
-        other mechanism's measurements of the same data
-        (``combined_with`` + :func:`~repro.core.gls.solve_gls`).
-        ``epsilon_spent`` covers *both* stages: the edges themselves are a
-        noisy-partition release paid for by the stage-one budget.
-        """
-        if x.ndim != 1:
-            raise ValueError("measure() packages the 1-D (or flattened) stage")
-        plan, measurements = self.plan_and_measure(x, epsilon, rng, workload)
-        cell_measurements = measurements.through_partition(plan.partition)
-        cell_measurements.epsilon_spent = epsilon
-        return cell_measurements, plan.partition

@@ -30,7 +30,7 @@ from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
 from .base import AlgorithmProperties, PlanAlgorithm
 from .identity import identity_queries
-from .inference import inverse_variance_combine
+from .inference import inverse_variance_combine_rows
 from .mechanisms import BudgetExceededError, PrivacyBudget, laplace_noise
 
 __all__ = ["DPCube"]
@@ -108,20 +108,6 @@ class DPCube(PlanAlgorithm):
                                plan.extras["cell_variance"],
                                plan.extras["partition_variance"])
 
-    def measure(
-        self, x: np.ndarray, epsilon: float, rng: np.random.Generator,
-    ) -> tuple[MeasurementSet, np.ndarray, list[tuple[slice, ...]]]:
-        """Measure and package as a :class:`MeasurementSet`: one point query
-        per cell (phase 1) plus one total per kd partition (phase 2).
-
-        Also returns the phase-1 noisy cells and the partition blocks, which
-        the closed-form reconciliation fast path consumes directly.
-        """
-        plan, measurements = self.plan_and_measure(x, epsilon, rng)
-        n_cells = int(np.prod(x.shape))
-        noisy_cells = measurements.values[:n_cells].reshape(x.shape)
-        return measurements, noisy_cells, plan.extras["blocks"]
-
     @staticmethod
     def _reconcile(noisy_cells: np.ndarray, blocks: list[tuple[slice, ...]],
                    fresh_totals: np.ndarray, cell_variance: float,
@@ -133,15 +119,16 @@ class DPCube(PlanAlgorithm):
         combination of the two partition totals — the generic sparse solver
         (:func:`repro.core.gls.solve_gls`) reproduces it, as pinned by tests.
         """
+        sizes = np.array([noisy_cells[slices].size for slices in blocks])
+        phase1_totals = np.array([noisy_cells[slices].sum() for slices in blocks])
+        combined = inverse_variance_combine_rows(
+            np.column_stack([fresh_totals, phase1_totals]),
+            np.column_stack([np.full(len(blocks), partition_variance),
+                             cell_variance * sizes]),
+        )
+        corrections = (combined - phase1_totals) / sizes
         estimate = noisy_cells.astype(float).copy()
-        for fresh_total, slices in zip(fresh_totals, blocks):
-            size = noisy_cells[slices].size
-            phase1_total = float(noisy_cells[slices].sum())
-            combined, _ = inverse_variance_combine(
-                np.array([fresh_total, phase1_total]),
-                np.array([partition_variance, cell_variance * size]),
-            )
-            correction = (combined - phase1_total) / size
+        for correction, slices in zip(corrections, blocks):
             estimate[slices] = noisy_cells[slices] + correction
         return estimate
 

@@ -16,16 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.gls import solve_gls
-from ..core.measurement import MeasurementSet
-from ..core.plan import MeasurementPlan, measure_plan
+from ..core.plan import MeasurementPlan
 from ..workload.rangequery import Workload
 from .base import AlgorithmProperties, PlanAlgorithm
 from .mechanisms import PrivacyBudget
 from .tree import HierarchicalTree, optimal_branching
 
-__all__ = ["HierarchicalH", "HierarchicalHb", "tree_plan", "measure_tree",
-           "run_hierarchical"]
+__all__ = ["HierarchicalH", "HierarchicalHb", "tree_plan"]
 
 
 def tree_plan(
@@ -42,6 +39,12 @@ def tree_plan(
     through consistency.  The levels partition the domain, so the exact
     measurement cost is ``sum(level_epsilons)`` by parallel-within-level /
     sequential-across-level composition, passed as ``epsilon_measure``.
+
+    ``measure_plan(x, tree_plan(tree, level_epsilons), rng)`` measures every
+    node of ``tree`` over ``x``; the "domain" need not be raw cells (DAWA
+    measures its vector of bucket totals, whose per-bucket sensitivity is
+    likewise 1).  Noise is drawn in node-index order — the draw order is
+    part of the reproducibility contract (golden values pin it).
     """
     level_epsilons = np.asarray(level_epsilons, dtype=float)
     if level_epsilons.size != tree.n_levels:
@@ -57,44 +60,6 @@ def tree_plan(
         partition=partition,
         epsilon_measure=float(np.maximum(level_epsilons, 0.0).sum()),
     )
-
-
-def measure_tree(
-    x: np.ndarray,
-    tree: HierarchicalTree,
-    level_epsilons: np.ndarray,
-    rng: np.random.Generator,
-) -> MeasurementSet:
-    """Measure every tree node with its level's Laplace budget.
-
-    A thin wrapper over :func:`tree_plan` + the shared noise stage; kept as
-    the historical entry point (DAWA's stage two, tests, the quickstart).
-    Returns the mechanism's full output as a :class:`MeasurementSet` over the
-    tree's node regions; the total budget spent is ``sum(level_epsilons)``.
-    The "domain" need not be raw cells: DAWA calls this on its vector of
-    bucket totals, whose per-bucket sensitivity is likewise 1.
-
-    Noise is drawn node-by-node in node-index order — the draw order is part
-    of the reproducibility contract (golden values pin it).
-    """
-    return measure_plan(x, tree_plan(tree, level_epsilons), rng)
-
-
-def run_hierarchical(
-    x: np.ndarray,
-    epsilon: float,
-    tree: HierarchicalTree,
-    level_epsilons: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Measure every tree node with its level's budget and return consistent
-    cell estimates: ``measure_tree`` followed by the generic GLS solve (which
-    dispatches to the exact two-pass tree fast path)."""
-    level_epsilons = np.asarray(level_epsilons, dtype=float)
-    if level_epsilons.sum() > epsilon * (1 + 1e-9):
-        raise ValueError("per-level budgets exceed the total epsilon")
-    measurements = measure_tree(x, tree, level_epsilons, rng)
-    return solve_gls(measurements)
 
 
 class HierarchicalH(PlanAlgorithm):

@@ -19,30 +19,16 @@ import numpy as np
 from ..core.kernels import get_kernel
 from .tree import HierarchicalTree
 
-__all__ = ["tree_least_squares", "inverse_variance_combine",
-           "inverse_variance_combine_rows"]
-
-
-def inverse_variance_combine(values: np.ndarray, variances: np.ndarray) -> tuple[float, float]:
-    """Combine independent unbiased estimates by inverse-variance weighting.
-
-    Returns the combined estimate and its variance.  Infinite variances denote
-    "no measurement" and are handled gracefully.
-    """
-    values = np.asarray(values, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    weights = np.where(np.isfinite(variances) & (variances > 0), 1.0 / variances, 0.0)
-    total_weight = weights.sum()
-    if total_weight == 0:
-        return float(values.mean()), float("inf")
-    estimate = float((weights * values).sum() / total_weight)
-    return estimate, float(1.0 / total_weight)
+__all__ = ["tree_least_squares", "inverse_variance_combine_rows"]
 
 
 def inverse_variance_combine_rows(values: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """:func:`inverse_variance_combine` of every row of ``values`` /
-    ``variances`` at once (the combined estimates only), with the same float
-    operations per row."""
+    """Combine each row of independent unbiased estimates by inverse-variance
+    weighting and return the combined estimate of every row.
+
+    Infinite variances denote "no measurement"; a row with no finite
+    variance falls back to the plain mean of its values.
+    """
     weights = np.where(np.isfinite(variances) & (variances > 0), 1.0 / variances, 0.0)
     total_weight = weights.sum(axis=1)
     weighted = (weights * values).sum(axis=1)

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.plan import MeasurementPlan
+from ..core.gls import solve_gls
+from ..core.plan import MeasurementPlan, measure_plan
 from ..workload.rangequery import Workload
 from .base import Algorithm, AlgorithmProperties, PlanAlgorithm
-from .hier import run_hierarchical, tree_plan
+from .hier import tree_plan
 from .mechanisms import PrivacyBudget, laplace_noise
 from .tree import HierarchicalTree
 
@@ -82,7 +83,8 @@ class HybridTree(Algorithm):
             remaining_height = max(1, max_height - kd_levels)
             tree = HierarchicalTree(sub.shape, branching=2, max_height=remaining_height)
             level_epsilons = np.full(tree.n_levels, eps_per_block / tree.n_levels)
-            estimate[slices] = run_hierarchical(sub, eps_per_block, tree, level_epsilons, rng)
+            estimate[slices] = solve_gls(
+                measure_plan(sub, tree_plan(tree, level_epsilons), rng))
         return estimate
 
     @staticmethod

@@ -33,6 +33,7 @@ the same :class:`ResultSet` an uninterrupted run would have produced.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -153,10 +154,16 @@ class DPBench:
         if isinstance(factory, Algorithm) or (not isinstance(factory, type)
                                               and hasattr(factory, "run")):
             return factory
+        # The call form comes from the signature, not from a TypeError the
+        # factory itself may raise.
+        args = (epsilon, scale, domain_size)
         try:
-            return factory(epsilon, scale, domain_size)
+            inspect.signature(factory).bind(*args)
         except TypeError:
-            return factory()
+            args = ()
+        except ValueError:          # no introspectable signature
+            pass
+        return factory(*args)
 
     def _workload_for(self, domain_shape: tuple[int, ...]) -> Workload:
         rng = as_rng(self.workload_seed)
@@ -252,12 +259,12 @@ class DPBench:
         if supported is False:
             return None
         domain_size = int(np.prod(setting.domain_shape))
-        algorithm = self._instantiate(name, factory, epsilon, scale, domain_size,
-                                      cache=instance_cache)
-        if supported is None and not algorithm.supports(ndim):
-            return None
         errors: list[float] = []
         try:
+            algorithm = self._instantiate(name, factory, epsilon, scale, domain_size,
+                                          cache=instance_cache)
+            if supported is None and not algorithm.supports(ndim):
+                return None
             for sample, answers in zip(samples, true_answers):
                 for _ in range(self.grid.n_trials):
                     estimate = algorithm.run(sample.counts, epsilon,

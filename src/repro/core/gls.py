@@ -4,25 +4,20 @@ Consistency post-processing is the single biggest accuracy lever identified by
 the paper (Section 5, Finding 9): mutually redundant noisy measurements are
 reconciled by (weighted) least squares.  This module solves that problem for
 *any* :class:`~repro.core.measurement.MeasurementSet` — the measurements do
-not need to form a tree:
+not need to form a tree.  There are two solvers, and the set's ``tree`` tag
+picks between them:
 
-* ``tree`` — when the measurement set is tagged with a
-  :class:`~repro.algorithms.tree.HierarchicalTree`, the classic two-pass
-  algorithm (:func:`~repro.algorithms.inference.tree_least_squares`) computes
-  the exact GLS solution in O(nodes); this is the fast path used by H, Hb,
-  GreedyH, QuadTree and DAWA's stage two (a tree over its private buckets).
-* ``normal`` — sparse normal equations ``(WᵀΛW) x = WᵀΛy`` with
-  ``Λ = diag(1/σ²)``, factorised by SuperLU.  Fast and exact for
-  well-conditioned full-column-rank measurement sets (e.g. anything that
-  measures every cell, like DPCube), but the normal equations square the
-  condition number, so it is opt-in rather than the default.
-* ``lsmr`` — matrix-free LSMR on the variance-whitened implicit operator
-  (prefix-sum matvec / difference-array rmatvec, nothing materialised).
-  Converges to the *minimum-norm* least-squares solution, which for
-  rank-deficient tree systems (aggregated leaves) coincides with the uniform
-  within-leaf expansion the tree fast path uses.
-
-``method="auto"`` picks the tree fast path when available and LSMR otherwise.
+* tree-tagged sets — the classic two-pass algorithm
+  (:func:`~repro.algorithms.inference.tree_least_squares`) computes the
+  exact GLS solution in O(nodes); this is the path of H, Hb, GreedyH,
+  QuadTree and DAWA's stage two (a tree over its private buckets).
+* untagged sets — matrix-free LSMR on the variance-whitened implicit
+  operator (prefix-sum matvec / difference-array rmatvec, nothing
+  materialised).  Converges to the *minimum-norm* least-squares solution,
+  which for rank-deficient tree systems (aggregated leaves) coincides with
+  the uniform within-leaf expansion the tree solve uses.  To solve a
+  tree-tagged set this way, drop the tag:
+  ``solve_gls(dataclasses.replace(measurements, tree=None))``.
 """
 
 from __future__ import annotations
@@ -84,7 +79,7 @@ def _whitened(measurements: MeasurementSet):
     return measured.queries, measured.values * scales, scales
 
 
-def _solve_lsmr(measurements: MeasurementSet, atol: float, maxiter: int | None) -> np.ndarray:
+def _solve_lsmr(measurements: MeasurementSet) -> np.ndarray:
     from scipy.sparse.linalg import LinearOperator, lsmr
 
     queries, b, scales = _whitened(measurements)
@@ -93,52 +88,18 @@ def _solve_lsmr(measurements: MeasurementSet, atol: float, maxiter: int | None) 
         matvec=lambda x: queries.matvec(x) * scales,
         rmatvec=lambda y: queries.rmatvec(np.asarray(y).ravel() * scales).ravel(),
     )
-    if maxiter is None:
-        maxiter = max(200, 10 * queries.domain_size)
-    solution = lsmr(operator, b, atol=atol, btol=atol, conlim=0.0, maxiter=maxiter)[0]
+    maxiter = max(200, 10 * queries.domain_size)
+    solution = lsmr(operator, b, atol=1e-12, btol=1e-12, conlim=0.0, maxiter=maxiter)[0]
     return solution.reshape(measurements.domain_shape)
 
 
-def _solve_normal(measurements: MeasurementSet) -> np.ndarray:
-    import warnings
-
-    from scipy import sparse
-    from scipy.sparse.linalg import MatrixRankWarning, spsolve
-
-    queries, b, scales = _whitened(measurements)
-    design = sparse.diags(scales) @ queries.to_sparse()
-    normal = (design.T @ design).tocsc()
-    rhs = design.T @ b
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", MatrixRankWarning)
-            solution = spsolve(normal, rhs)
-    except MatrixRankWarning as exc:
-        raise np.linalg.LinAlgError("singular normal equations") from exc
-    if not np.all(np.isfinite(solution)):
-        raise np.linalg.LinAlgError("singular normal equations")
-    return np.asarray(solution).reshape(measurements.domain_shape)
-
-
-def solve_gls(
-    measurements: MeasurementSet,
-    method: str = "auto",
-    atol: float = 1e-12,
-    maxiter: int | None = None,
-) -> np.ndarray:
+def solve_gls(measurements: MeasurementSet) -> np.ndarray:
     """Weighted least-squares cell estimates from a measurement set.
 
     Minimises ``sum_i (W_i x - y_i)^2 / sigma_i^2`` over the measured queries
-    and returns the estimate shaped like the domain.  See the module docstring
-    for the available ``method`` values; ``"auto"`` dispatches to the cheapest
-    applicable solver.
+    and returns the estimate shaped like the domain: the exact two-pass solve
+    when the set is tree-tagged, LSMR otherwise (see the module docstring).
     """
-    if method not in ("auto", "tree", "normal", "lsmr"):
-        raise ValueError(f"unknown GLS method {method!r}")
-    if method == "tree" or (method == "auto" and measurements.tree is not None):
-        if measurements.tree is None:
-            raise ValueError("method='tree' requires a tree-tagged measurement set")
+    if measurements.tree is not None:
         return _solve_tree(measurements)
-    if method == "normal":
-        return _solve_normal(measurements)
-    return _solve_lsmr(measurements, atol, maxiter)
+    return _solve_lsmr(measurements)

@@ -45,15 +45,16 @@ class MeasurementSet:
         Per-measurement noise variances, strictly positive; ``inf`` marks an
         unmeasured query.  Zero-variance (exact) measurements are rejected:
         the solvers do weighted least squares, not constrained least squares,
-        and an infinite weight would silently poison every method — express a
+        and an infinite weight would silently poison either solver — express a
         hard constraint as a tiny positive variance instead.
     epsilon_spent:
         Total privacy budget consumed to obtain the values.
     tree:
         When the queries are exactly the nodes of a
         :class:`~repro.algorithms.tree.HierarchicalTree` (in node-index
-        order), the tree itself — unlocking the exact two-pass least-squares
-        fast path in :mod:`repro.core.gls`.
+        order, i.e. ``queries=tree.as_query_matrix()``), the tree itself.
+        The tag picks the solver: :func:`~repro.core.gls.solve_gls` runs
+        the exact two-pass solve on tagged sets and LSMR on untagged ones.
     """
 
     queries: QueryMatrix
@@ -109,18 +110,6 @@ class MeasurementSet:
         )
 
     # -- construction helpers -----------------------------------------------------
-    @classmethod
-    def from_tree(
-        cls,
-        tree: "HierarchicalTree",
-        values: np.ndarray,
-        variances: np.ndarray,
-        epsilon_spent: float = 0.0,
-    ) -> "MeasurementSet":
-        """Measurements of every node of a hierarchy, in node-index order."""
-        return cls(queries=tree.as_query_matrix(), values=values,
-                   variances=variances, epsilon_spent=epsilon_spent, tree=tree)
-
     def through_partition(self, edges: np.ndarray) -> "MeasurementSet":
         """Re-express bucket-domain measurements over the underlying cells.
 
@@ -164,10 +153,6 @@ class MeasurementSet:
         )
 
     # -- diagnostics --------------------------------------------------------------
-    def expected_answers(self, x: np.ndarray) -> np.ndarray:
-        """Noise-free answers of the measurement queries on ``x``."""
-        return self.queries.matvec(x)
-
     def residual(self, x: np.ndarray) -> np.ndarray:
         """Measured-minus-expected answers over the measured queries."""
         mask = self.measured_mask

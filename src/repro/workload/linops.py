@@ -10,7 +10,7 @@ provides :class:`QueryMatrix`, which exploits the range structure twice over:
   counts) through one 1-D/2-D difference-array corner scatter (O(q + n)), so
   neither direction ever touches a matrix entry;
 * **sparse materialisation** — when an explicit matrix is genuinely needed
-  (normal equations, matrix-mechanism analyses) a CSR matrix is built from
+  (dense test oracles, matrix-mechanism analyses) a CSR matrix is built from
   :func:`rectangle_cells` and cached.
 
 :class:`QueryMatrix` is the one representation of a set of rectangles (a

@@ -1,16 +1,32 @@
 """AGrid's historical per-block loop: one scalar Laplace draw per coarse
 block and per fine cell, interleaved block by block, plus one
-``inverse_variance_combine`` per block.  Kept verbatim as the oracle for
-the draw-ahead-and-replay :meth:`repro.algorithms.grids.AGrid._run`."""
+scalar inverse-variance combine per block.  Kept verbatim as the oracle for
+the draw-ahead-and-replay :meth:`repro.algorithms.grids.AGrid._run`,
+including a private copy of the historical scalar combine."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.algorithms.grids import AGrid, _grid_edges
-from repro.algorithms.inference import inverse_variance_combine
 from repro.algorithms.mechanisms import PrivacyBudget, laplace_noise
 from repro.workload.rangequery import Workload
+
+
+def _inverse_variance_combine(values: np.ndarray, variances: np.ndarray) -> tuple[float, float]:
+    """Combine independent unbiased estimates by inverse-variance weighting.
+
+    Returns the combined estimate and its variance.  Infinite variances denote
+    "no measurement" and are handled gracefully.
+    """
+    values = np.asarray(values, dtype=float)
+    variances = np.asarray(variances, dtype=float)
+    weights = np.where(np.isfinite(variances) & (variances > 0), 1.0 / variances, 0.0)
+    total_weight = weights.sum()
+    if total_weight == 0:
+        return float(values.mean()), float("inf")
+    estimate = float((weights * values).sum() / total_weight)
+    return estimate, float(1.0 / total_weight)
 
 
 class AGridReference(AGrid):
@@ -65,7 +81,7 @@ class AGridReference(AGrid):
 
                 # Reconcile the coarse measurement with the fine measurements.
                 fine_total = float(fine_values.sum())
-                combined, _ = inverse_variance_combine(
+                combined, _ = _inverse_variance_combine(
                     np.array([coarse_count, fine_total]),
                     np.array([coarse_variance, fine_variance * len(fine_values)]),
                 )

@@ -131,6 +131,44 @@ class TestDPBenchRunner:
         bench.run(rng=0)
         assert (0.5, 100, 32) in seen and (0.5, 200, 32) in seen
 
+    def test_zero_argument_factory(self, tiny_datasets):
+        bench = self._bench(tiny_datasets[:1], {"Plain": lambda: make_algorithm("Identity")})
+        results = bench.run(rng=0)
+        assert len(results) == 1 and not results.records[0].failed
+
+    def test_factory_type_error_is_not_masked(self, tiny_datasets):
+        """A setting-scoped factory's own TypeError is the recorded failure,
+        not a zero-argument retry's "missing arguments"."""
+        def factory(epsilon, scale, domain_size):
+            raise TypeError("bad parameter for this setting")
+
+        bench = self._bench(tiny_datasets[:1], {"Tuned": factory})
+        results = bench.run(rng=0)
+        assert len(results) == 1 and results.records[0].failed
+        assert results.records[0].failure_message == \
+            "TypeError: bad parameter for this setting"
+        with pytest.raises(TypeError, match="bad parameter"):
+            bench.run(rng=0, on_error="raise")
+
+    def test_factory_failure_recorded_not_raised(self, tiny_datasets):
+        """A failing factory is a failed record under on_error="record" (the
+        sweep goes on) and its own exception under on_error="raise"."""
+        def factory():
+            raise ValueError("cannot build")
+
+        bench = self._bench(tiny_datasets, {
+            "Broken": factory,
+            "Identity": make_algorithm("Identity"),
+        })
+        results = bench.run(rng=0)
+        assert len(results) == 4
+        broken = results.filter(algorithm="Broken").records
+        assert [r.failed for r in broken] == [True, True]
+        assert broken[0].failure_message == "ValueError: cannot build"
+        assert not any(r.failed for r in results.filter(algorithm="Identity"))
+        with pytest.raises(ValueError, match="cannot build"):
+            bench.run(rng=0, on_error="raise")
+
     def test_progress_callback_invoked(self, tiny_datasets):
         messages = []
         bench = self._bench(tiny_datasets[:1], {"Identity": make_algorithm("Identity")})

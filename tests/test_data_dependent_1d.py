@@ -194,10 +194,12 @@ class TestDAWA:
 
         x, workload = sparse_small_scale
         release = DAWA().run(x, 1.0, workload=workload, rng=np.random.default_rng(3))
-        mset, edges = DAWA().measure(x, 1.0, np.random.default_rng(3),
-                                     workload=workload)
+        plan, measurements = DAWA().plan_and_measure(
+            x, 1.0, np.random.default_rng(3), workload=workload)
+        edges = plan.partition
+        mset = measurements.through_partition(edges)
         assert mset.domain_shape == x.shape
-        assert mset.epsilon_spent == pytest.approx(1.0)   # both stages accounted
+        assert mset.epsilon_spent == 1.0                  # both stages accounted
         assert mset.tree is None
         assert edges[0] == 0 and edges[-1] == x.size
         reconstructed = solve_gls(mset)

@@ -3,25 +3,31 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.inference import inverse_variance_combine, tree_least_squares
+from repro.algorithms.inference import inverse_variance_combine_rows, tree_least_squares
 from repro.algorithms.tree import HierarchicalTree
 
 
 class TestInverseVarianceCombine:
     def test_equal_variances_average(self):
-        estimate, variance = inverse_variance_combine(np.array([2.0, 4.0]), np.array([1.0, 1.0]))
-        assert estimate == pytest.approx(3.0)
-        assert variance == pytest.approx(0.5)
+        estimate = inverse_variance_combine_rows(np.array([[2.0, 4.0]]), np.array([[1.0, 1.0]]))
+        assert estimate.shape == (1,)
+        assert estimate[0] == pytest.approx(3.0)
 
     def test_prefers_precise_measurement(self):
-        estimate, _ = inverse_variance_combine(np.array([0.0, 10.0]), np.array([100.0, 0.01]))
-        assert estimate == pytest.approx(10.0, abs=0.1)
+        estimate = inverse_variance_combine_rows(np.array([[0.0, 10.0]]),
+                                                 np.array([[100.0, 0.01]]))
+        assert estimate[0] == pytest.approx(10.0, abs=0.1)
 
     def test_all_infinite_variances(self):
-        estimate, variance = inverse_variance_combine(np.array([1.0, 3.0]),
-                                                      np.array([np.inf, np.inf]))
-        assert estimate == pytest.approx(2.0)
-        assert variance == np.inf
+        estimate = inverse_variance_combine_rows(np.array([[1.0, 3.0]]),
+                                                 np.array([[np.inf, np.inf]]))
+        assert estimate[0] == pytest.approx(2.0)
+
+    def test_rows_combine_independently(self):
+        values = np.array([[2.0, 4.0], [0.0, 10.0], [1.0, 3.0]])
+        variances = np.array([[1.0, 1.0], [1.0, 4.0], [np.inf, np.inf]])
+        estimate = inverse_variance_combine_rows(values, variances)
+        np.testing.assert_allclose(estimate, [3.0, 2.0, 2.0])
 
 
 class TestTreeLeastSquares:

@@ -2,6 +2,8 @@
 sparse GLS solver, its agreement with the tree fast path and with dense
 ``np.linalg.lstsq``, and the golden-value pins that protect the refactor."""
 
+import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,10 @@ import repro
 from repro import MeasurementSet, solve_gls
 from repro.algorithms.dpcube import DPCube
 from repro.algorithms.greedy_h import greedy_budget_allocation
-from repro.algorithms.hier import measure_tree
+from repro.algorithms.hier import tree_plan
 from repro.algorithms.tree import HierarchicalTree
+from repro.core import gls
+from repro.core.plan import measure_plan
 from repro.workload import QueryMatrix, prefix_workload, random_range_workload
 
 GOLDEN = Path(__file__).parent / "golden" / "algorithm_outputs.npz"
@@ -31,21 +35,32 @@ def _dense_min_norm(measurements: MeasurementSet) -> np.ndarray:
     return solution.reshape(measurements.domain_shape)
 
 
+def _untagged(measurements: MeasurementSet) -> MeasurementSet:
+    """The same measurements without the tree tag: ``solve_gls`` runs LSMR."""
+    return dataclasses.replace(measurements, tree=None)
+
+
 class TestMeasurementSet:
-    def test_from_tree_and_metadata(self):
+    def test_tree_tag_and_metadata(self):
         tree = HierarchicalTree((8,), branching=2)
-        mset = measure_tree(np.arange(8, dtype=float), tree,
-                            np.full(tree.n_levels, 0.1), np.random.default_rng(0))
+        x = np.arange(8, dtype=float)
+        mset = measure_plan(x, tree_plan(tree, np.full(tree.n_levels, 0.1)),
+                            np.random.default_rng(0))
         assert len(mset) == tree.n_nodes
         assert mset.tree is tree
         assert mset.epsilon_spent == pytest.approx(0.1 * tree.n_levels)
         assert mset.measured_mask.all()
+        # A hand-built node measurement set is tagged through the constructor.
+        by_hand = MeasurementSet(tree.as_query_matrix(), mset.values,
+                                 mset.variances, epsilon_spent=0.4, tree=tree)
+        assert by_hand.tree is tree
+        assert solve_gls(by_hand).tobytes() == solve_gls(mset).tobytes()
 
     def test_unmeasured_levels_masked(self):
         tree = HierarchicalTree((8,), branching=2)
         budgets = np.full(tree.n_levels, 0.1)
         budgets[1] = 0.0
-        mset = measure_tree(np.arange(8, dtype=float), tree, budgets,
+        mset = measure_plan(np.arange(8, dtype=float), tree_plan(tree, budgets),
                             np.random.default_rng(0))
         unmeasured = np.flatnonzero(tree.node_levels() == 1)
         assert not mset.measured_mask[unmeasured].any()
@@ -74,7 +89,7 @@ class TestMeasurementSet:
         both = a.combined_with(b)
         assert len(both) == 2
         assert both.epsilon_spent == pytest.approx(0.3)
-        assert np.allclose(both.expected_answers(np.ones(4)), [4.0, 2.0])
+        assert np.allclose(both.queries.matvec(np.ones(4)), [4.0, 2.0])
 
     def test_residual(self):
         queries = QueryMatrix(np.array([[0], [2]]), np.array([[1], [3]]), (4,))
@@ -99,10 +114,10 @@ class TestGLSAgainstDense:
         tree = HierarchicalTree((n,), branching=branching)
         x = rng.integers(0, 50, size=n).astype(float)
         budgets = rng.uniform(0.05, 0.5, size=tree.n_levels)
-        mset = measure_tree(x, tree, budgets, rng)
+        mset = measure_plan(x, tree_plan(tree, budgets), rng)
         dense = _dense_min_norm(mset)
-        for method in ("tree", "normal", "lsmr"):
-            assert _relative_diff(dense, solve_gls(mset, method=method)) < 1e-8
+        for measurements in (mset, _untagged(mset)):      # tree solve, LSMR
+            assert _relative_diff(dense, solve_gls(measurements)) < 1e-8
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_measurement_sets_match_dense(self, seed):
@@ -116,28 +131,47 @@ class TestGLSAgainstDense:
         values = operator.matvec(x) + rng.normal(0, 2.0, size=len(workload))
         variances = rng.uniform(0.5, 8.0, size=len(workload))
         mset = MeasurementSet(operator, values, variances)
-        dense = _dense_min_norm(mset)
-        assert _relative_diff(dense, solve_gls(mset, method="lsmr")) < 1e-8
-        assert _relative_diff(dense, solve_gls(mset)) < 1e-8
+        assert _relative_diff(_dense_min_norm(mset), solve_gls(mset)) < 1e-8
 
-    def test_2d_tree_matches_dense(self):
-        rng = np.random.default_rng(7)
-        tree = HierarchicalTree((6, 5), branching=2)
-        x = rng.integers(0, 20, size=(6, 5)).astype(float)
-        mset = measure_tree(x, tree, np.full(tree.n_levels, 0.2), rng)
-        dense = _dense_min_norm(mset)
-        for method in ("tree", "normal", "lsmr"):
-            assert _relative_diff(dense, solve_gls(mset, method=method)) < 1e-8
-
-    def test_unknown_method_and_empty_measured(self):
+    def test_empty_measured_set(self):
         queries = QueryMatrix(np.array([[0]]), np.array([[1]]), (2,))
         mset = MeasurementSet(queries, np.array([np.nan]), np.array([np.inf]))
-        with pytest.raises(ValueError, match="unknown GLS method"):
-            solve_gls(mset, method="qr")
         with pytest.raises(ValueError, match="no measured query"):
-            solve_gls(mset, method="lsmr")
-        with pytest.raises(ValueError, match="tree-tagged"):
-            solve_gls(mset, method="tree")
+            solve_gls(mset)
+
+    def test_solve_gls_takes_only_the_measurements(self):
+        assert list(inspect.signature(solve_gls).parameters) == ["measurements"]
+
+
+class TestTagPicksSolver:
+    """The tree tag is the only solver switch: tagged sets take the two-pass
+    solve, untagged copies take LSMR, and both land on the dense min-norm
+    solution — in 1-D, in 2-D and on 2-D trees with aggregated leaves."""
+
+    @pytest.mark.parametrize("shape,max_height,seed", [
+        ((64,), None, 11), ((6, 5), None, 7), ((16, 16), 2, 13)],
+        ids=["1d", "2d", "2d-aggregated-leaves"])
+    def test_tagged_and_untagged_match_dense(self, monkeypatch, shape, max_height, seed):
+        rng = np.random.default_rng(seed)
+        tree = HierarchicalTree(shape, branching=2, max_height=max_height)
+        if max_height is not None:
+            assert np.any(tree.node_sizes()[tree.leaf_indices()] > 1)
+        x = rng.integers(0, 40, size=shape).astype(float)
+        mset = measure_plan(x, tree_plan(tree, rng.uniform(0.05, 0.5, tree.n_levels)),
+                            rng)
+        dense = _dense_min_norm(mset)
+
+        def forbidden(measurements):
+            raise AssertionError("solve_gls took the solver the tag rules out")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gls, "_solve_lsmr", forbidden)
+            tagged = solve_gls(mset)
+        with monkeypatch.context() as patch:
+            patch.setattr(gls, "_solve_tree", forbidden)
+            untagged = solve_gls(_untagged(mset))
+        assert _relative_diff(dense, tagged) < 1e-8
+        assert _relative_diff(dense, untagged) < 1e-8
 
 
 class TestGLSReproducesTreeFastPath:
@@ -145,19 +179,15 @@ class TestGLSReproducesTreeFastPath:
     on the measurements of every hierarchical algorithm."""
 
     def _assert_generic_matches_tree(self, mset):
-        fast = solve_gls(mset, method="tree")
-        for method in ("normal", "lsmr"):
-            try:
-                generic = solve_gls(mset, method=method)
-            except np.linalg.LinAlgError:
-                continue                       # singular: normal path declines
-            assert _relative_diff(fast, generic) < 1e-8
+        assert mset.tree is not None
+        fast = solve_gls(mset)
+        assert _relative_diff(fast, solve_gls(_untagged(mset))) < 1e-8
 
     def test_h_measurements(self):
         rng = np.random.default_rng(0)
         x = rng.integers(0, 100, size=64).astype(float)
         tree = HierarchicalTree((64,), branching=2)
-        mset = measure_tree(x, tree, np.full(tree.n_levels, 0.1), rng)
+        mset = measure_plan(x, tree_plan(tree, np.full(tree.n_levels, 0.1)), rng)
         self._assert_generic_matches_tree(mset)
 
     def test_hb_measurements(self):
@@ -166,7 +196,7 @@ class TestGLSReproducesTreeFastPath:
         rng = np.random.default_rng(1)
         x = rng.integers(0, 100, size=100).astype(float)
         tree = HierarchicalTree((100,), branching=optimal_branching(100))
-        mset = measure_tree(x, tree, np.full(tree.n_levels, 0.1), rng)
+        mset = measure_plan(x, tree_plan(tree, np.full(tree.n_levels, 0.1)), rng)
         self._assert_generic_matches_tree(mset)
 
     def test_greedyh_measurements(self):
@@ -178,7 +208,7 @@ class TestGLSReproducesTreeFastPath:
         usage[2] = 0.0                          # force an unmeasured level
         budgets = greedy_budget_allocation(usage, 1.0)
         budgets[2] = 0.0
-        mset = measure_tree(x, tree, budgets, rng)
+        mset = measure_plan(x, tree_plan(tree, budgets), rng)
         assert not mset.measured_mask.all()
         self._assert_generic_matches_tree(mset)
 
@@ -186,7 +216,7 @@ class TestGLSReproducesTreeFastPath:
         rng = np.random.default_rng(3)
         x = rng.integers(0, 50, size=(8, 8)).astype(float)
         tree = HierarchicalTree((8, 8), branching=2, max_height=10)
-        mset = measure_tree(x, tree, np.full(tree.n_levels, 0.2), rng)
+        mset = measure_plan(x, tree_plan(tree, np.full(tree.n_levels, 0.2)), rng)
         self._assert_generic_matches_tree(mset)
 
     def test_quadtree_aggregated_leaves_singular_system(self):
@@ -197,11 +227,9 @@ class TestGLSReproducesTreeFastPath:
         x = rng.integers(0, 50, size=(16, 16)).astype(float)
         tree = HierarchicalTree((16, 16), branching=2, max_height=2)
         assert np.any(tree.node_sizes()[tree.leaf_indices()] > 1)
-        mset = measure_tree(x, tree, np.full(tree.n_levels, 0.3), rng)
-        fast = solve_gls(mset, method="tree")
-        assert _relative_diff(fast, solve_gls(mset, method="lsmr")) < 1e-8
-        untagged = MeasurementSet(mset.queries, mset.values, mset.variances)
-        assert _relative_diff(fast, solve_gls(untagged)) < 1e-8   # auto -> lsmr
+        mset = measure_plan(x, tree_plan(tree, np.full(tree.n_levels, 0.3)), rng)
+        fast = solve_gls(mset)
+        assert _relative_diff(fast, solve_gls(_untagged(mset))) < 1e-8
         assert _relative_diff(fast, _dense_min_norm(mset)) < 1e-8
 
     def test_dpcube_measurements(self):
@@ -209,17 +237,18 @@ class TestGLSReproducesTreeFastPath:
         of its cells-plus-partitions measurement set."""
         x = np.random.default_rng(99).integers(0, 40, size=32).astype(float)
         algorithm = DPCube()
-        mset, noisy_cells, blocks = algorithm.measure(x, 1.0, np.random.default_rng(5))
-        n_cells = noisy_cells.size
+        plan, mset = algorithm.plan_and_measure(x, 1.0, rng=5)
+        n_cells = x.size
         closed_form = algorithm._reconcile(
-            noisy_cells, blocks, mset.values[n_cells:],
+            mset.values[:n_cells].reshape(x.shape), plan.extras["blocks"],
+            mset.values[n_cells:],
             float(mset.variances[0]), float(mset.variances[n_cells]))
-        # measure() consumes the same noise draws as _run, so the closed form
-        # equals the algorithm's actual output for the same seed.
-        assert np.array_equal(closed_form,
-                              DPCube().run(x, 1.0, rng=np.random.default_rng(5)))
-        assert _relative_diff(closed_form, solve_gls(mset, method="normal")) < 1e-8
-        assert _relative_diff(closed_form, solve_gls(mset, method="lsmr")) < 1e-8
+        # plan_and_measure consumes the same noise draws as run, so the closed
+        # form equals the algorithm's actual output for the same seed.
+        assert np.array_equal(closed_form, DPCube().run(x, 1.0, rng=5))
+        assert mset.tree is None                            # solve_gls -> LSMR
+        assert _relative_diff(closed_form, solve_gls(mset)) < 1e-8
+        assert _relative_diff(closed_form, _dense_min_norm(mset)) < 1e-8
 
 
 class TestGoldenValues:
@@ -315,16 +344,30 @@ class TestMWEMSparseLoop:
 
 
 class TestDAWAFusion:
-    """DAWA emits the shared currency: its cell-domain measurements compose
-    with any other mechanism's via combined_with + solve_gls."""
+    """DAWA emits the shared currency: its bucket-tree measurements, read
+    over the cells through the plan's partition, compose with any other
+    mechanism's via combined_with + solve_gls."""
+
+    @staticmethod
+    def _cell_measurements(x, epsilon, seed):
+        from repro.algorithms.dawa import DAWA
+
+        plan, measurements = DAWA().plan_and_measure(x, epsilon, rng=seed)
+        return measurements.through_partition(plan.partition)
+
+    @pytest.mark.parametrize("epsilon", [0.4, 0.5, 1.0])
+    def test_cell_measurements_account_both_stages(self, epsilon):
+        x = np.arange(64, dtype=float) % 7
+        cells = self._cell_measurements(x, epsilon, seed=5)
+        assert cells.domain_shape == x.shape and cells.tree is None
+        assert cells.epsilon_spent == epsilon     # partition + bucket tree
 
     def test_fusion_with_precise_cell_measurements(self):
-        from repro.algorithms.dawa import DAWA
         from repro.workload import identity_workload
 
         rng = np.random.default_rng(0)
         x = rng.integers(0, 40, size=64).astype(float)
-        dawa_mset, _ = DAWA().measure(x, 0.5, np.random.default_rng(1))
+        dawa_mset = self._cell_measurements(x, 0.5, seed=1)
         precise = MeasurementSet(identity_workload((64,)).operator,
                                  x.copy(), np.full(64, 1e-6))
         combined = dawa_mset.combined_with(precise)
@@ -334,17 +377,14 @@ class TestDAWAFusion:
         np.testing.assert_allclose(estimate, x, atol=1e-2)
 
     def test_fusion_with_hierarchical_measurements(self):
-        from repro.algorithms.dawa import DAWA
-
         rng = np.random.default_rng(2)
         x = rng.multinomial(4000, rng.dirichlet(np.ones(64))).astype(float)
-        dawa_mset, _ = DAWA().measure(x, 0.4, np.random.default_rng(3))
+        dawa_mset = self._cell_measurements(x, 0.4, seed=3)
         tree = HierarchicalTree((64,), branching=2)
-        tree_mset = measure_tree(x, tree, np.full(tree.n_levels, 0.4 / tree.n_levels),
-                                 np.random.default_rng(4))
-        combined = dawa_mset.combined_with(
-            MeasurementSet(tree_mset.queries, tree_mset.values,
-                           tree_mset.variances, tree_mset.epsilon_spent))
+        tree_mset = measure_plan(
+            x, tree_plan(tree, np.full(tree.n_levels, 0.4 / tree.n_levels)),
+            np.random.default_rng(4))
+        combined = dawa_mset.combined_with(tree_mset)      # drops the tag
         assert combined.epsilon_spent == pytest.approx(0.8)
         fused = solve_gls(combined)
         alone = solve_gls(dawa_mset)
