@@ -25,12 +25,16 @@ operator in the measurement/inference refactor:
   incremental gains refilled only where the chosen cut lands.
 * **AGrid's noise** — one scalar Laplace draw per coarse block and fine
   cell versus one draw-ahead buffer and one batched replay.
+* **MWEM*'s round kernels** at 64 x 64 — the historical ``np.clip`` bounds,
+  2-D fancy-index summed-area gathers and ``Generator.choice`` draw versus
+  flat-index gathers and one-uniform inverse-CDF draws.
 * **the plan pipeline's overhead** — a whole Identity release at 1024 x 1024
   against the one Laplace draw it cannot avoid: single-cell answers are a
   gather and their disjointness a distinct-index check, so the release must
   stay within 5x of the draw.
 
-The historical loops of SF and AGrid live in ``tests/reference/``.  Every
+The historical loops of SF and AGrid, and MWEM*'s historical kernels, live
+in ``tests/reference/``.  Every
 reference path is pinned bitwise-identical to the fast one.
 
 The selection-quality benches exercise the plan pipeline's seam: GreedyW's
@@ -346,6 +350,59 @@ def test_agrid_speed(benchmark):
     report("bench_agrid_speed", "AGrid noise paths (64x64, scale 1e8, eps 0.1)",
            format_table(rows, floatfmt="{:.4f}"))
     assert speedup >= 3.0, f"batched AGrid only {speedup:.1f}x over the reference loop"
+
+
+def test_mwem_2d_round_speed(benchmark, monkeypatch):
+    """MWEM* at 64 x 64 on the 2000-query default workload: the flat-index
+    summed-area gathers and the one-uniform exponential-mechanism draw vs
+    the historical kernels (``tests/reference/``: ``np.clip`` and 2-D fancy
+    indexing in ``overlap_sums`` and ``range_sums``, ``Generator.choice``
+    re-validating ``p`` on every draw), swapped in for one run.
+
+    The releases and the final generator state must be bitwise-equal, and
+    the current kernels must hold a >= 1.8x margin.
+    """
+    from reference.exponential_mechanism import exponential_mechanism_reference
+    from reference.summed_area import overlap_sums_reference, range_sums_reference
+    from repro import MWEMStar
+    from repro.algorithms import mwem
+    from repro.workload.builders import default_workload
+    from repro.workload.linops import QueryMatrix
+    from repro.workload.prefix_sum import PrefixSum
+
+    def study():
+        rng = _generator(20160626)
+        x = rng.multinomial(10 ** 5, rng.dirichlet(np.ones(64 * 64))).astype(float)
+        x = x.reshape(64, 64)
+        workload = default_workload(x.shape, rng=_generator(1))
+        algorithm = MWEMStar()
+
+        def release():
+            rng = _generator(7)
+            return (algorithm.run(x, 0.1, workload=workload, rng=rng).tobytes(),
+                    rng.bit_generator.state)
+
+        t_fast, out_fast = _time(release, repeats=7)
+        with monkeypatch.context() as patch:
+            patch.setattr(QueryMatrix, "overlap_sums", overlap_sums_reference)
+            patch.setattr(PrefixSum, "range_sums", range_sums_reference)
+            patch.setattr(mwem, "exponential_mechanism",
+                          exponential_mechanism_reference)
+            t_ref, out_ref = _time(release, repeats=7)
+        assert out_fast == out_ref, "MWEM* diverged from the reference kernels"
+        rows = [
+            {"path": "reference kernels (clip, 2-D fancy index, choice)",
+             "seconds": t_ref, "speedup": 1.0},
+            {"path": "flat-index gathers, one-uniform draw", "seconds": t_fast,
+             "speedup": t_ref / t_fast},
+        ]
+        return rows, t_ref / t_fast
+
+    rows, speedup = run_once(benchmark, study)
+    report("bench_mwem_2d_round_speed",
+           "MWEM* round kernels (64x64, 2000 random ranges, eps 0.1)",
+           format_table(rows, floatfmt="{:.4f}"))
+    assert speedup >= 1.8, f"MWEM* kernels only {speedup:.1f}x over the reference"
 
 
 IDENTITY_SIDE = 1024

@@ -109,7 +109,17 @@ def exponential_mechanism(
 
     ``scores`` is a one-dimensional array of utilities (larger is better).
     Returns the selected index.  With ``epsilon == inf`` the argmax is
-    returned, matching Lemma 2 of the paper.
+    returned, matching Lemma 2 of the paper, and ``rng`` is not touched.
+
+    Draw contract: a finite-epsilon call consumes exactly one
+    ``rng.random()`` and returns the index ``rng.choice(len(scores),
+    p=probabilities)`` would, leaving the generator in the same state — it
+    performs ``Generator.choice``'s one-draw inverse-CDF step (normalised
+    cumulative sum, ``searchsorted(side="right")``) without re-validating
+    ``p`` on every call.  Scores whose probabilities are NaN (a NaN or
+    ``+inf`` score, all scores ``-inf``, or an overflowing
+    ``epsilon * score``) raise ``ValueError`` before any draw, as
+    ``Generator.choice`` does.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 1 or scores.size == 0:
@@ -121,11 +131,16 @@ def exponential_mechanism(
     rng = as_rng(rng)
     if np.isinf(epsilon):
         return int(np.argmax(scores))
-    logits = epsilon * scores / (2.0 * sensitivity)
-    logits = logits - logits.max()  # numerical stability
-    weights = np.exp(logits)
+    logits = epsilon * scores
+    logits /= 2.0 * sensitivity
+    logits -= logits.max()  # numerical stability
+    weights = np.exp(logits, out=logits)
     probabilities = weights / weights.sum()
-    return int(rng.choice(scores.size, p=probabilities))
+    cdf = probabilities.cumsum()
+    if cdf[-1] != cdf[-1]:  # a NaN probability poisons the running total
+        raise ValueError("probabilities contain NaN")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 class BudgetExceededError(RuntimeError):

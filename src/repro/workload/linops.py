@@ -25,7 +25,7 @@ import threading
 
 import numpy as np
 
-from .prefix_sum import PrefixSum
+from .prefix_sum import PrefixSum, check_corners
 
 __all__ = ["QueryMatrix", "rectangle_cells"]
 
@@ -235,31 +235,61 @@ class QueryMatrix:
         changes by ``(factor - 1)`` times its overlap with the update region.
         Cost is O(|region| + q) — a local summed-area table over the region
         plus one vectorised lookup per query.
+
+        The region takes one corner coordinate per axis and must satisfy
+        ``0 <= lo <= hi < domain_shape`` (``ValueError`` otherwise).  A query
+        whose intersection with the region is empty gets ``0.0``: in 1-D it
+        clamps to an empty span of the local table (``+0.0`` whenever the
+        region's mass is finite); in 2-D — empty in rows or in columns —
+        each of its four corners is gathered from the local table's zero
+        row or zero column, so its overlap is exactly ``+0.0`` even when
+        the region holds ``inf`` or ``nan``.
         """
+        check_corners(lo, hi, self._domain_shape)
         x = self._as_domain(x)
         if self.ndim == 1:
-            # Flat fast path: clamp into the region and look the overlaps up
-            # in one local prefix table; empty intersections clamp to an
-            # empty [lo, lo) span and contribute exactly zero.
-            local = np.zeros(hi[0] - lo[0] + 2)
-            np.cumsum(x[lo[0]: hi[0] + 1], out=local[1:])
-            a = np.clip(self._los[:, 0], lo[0], hi[0] + 1)
-            b = np.clip(self._his[:, 0] + 1, lo[0], hi[0] + 1)
-            return local[b - lo[0]] - local[a - lo[0]]
-        a = np.maximum(self._los, np.asarray(lo, dtype=np.intp))
-        b = np.minimum(self._his, np.asarray(hi, dtype=np.intp))
-        valid = np.all(a <= b, axis=1)
-        out = np.zeros(self.n_queries)
-        if not np.any(valid):
-            return out
-        sub = x[lo[0]: hi[0] + 1, lo[1]: hi[1] + 1]
-        local = np.zeros((sub.shape[0] + 1, sub.shape[1] + 1))
-        local[1:, 1:] = sub.cumsum(axis=0).cumsum(axis=1)
-        r0 = a[valid, 0] - lo[0]
-        c0 = a[valid, 1] - lo[1]
-        r1 = b[valid, 0] - lo[0] + 1
-        c1 = b[valid, 1] - lo[1] + 1
-        out[valid] = local[r1, c1] - local[r0, c1] - local[r1, c0] + local[r0, c0]
+            # Clamp into the region and look the overlaps up in one local
+            # prefix table (np.maximum/np.minimum: np.clip's scalar-bound
+            # path costs several times more on a few thousand queries).
+            (l0,), (h0,) = lo, hi
+            local = np.zeros(h0 - l0 + 2)
+            np.cumsum(x[l0: h0 + 1], out=local[1:])
+            a = np.maximum(self._los[:, 0], l0)
+            np.minimum(a, h0 + 1, out=a)
+            a -= l0
+            b = np.maximum(self._his[:, 0], l0 - 1)
+            np.minimum(b, h0, out=b)
+            b += 1 - l0
+            return local[b] - local[a]
+        (l0, l1), (h0, h1) = lo, hi
+        width = h1 - l1 + 2
+        local = np.zeros((h0 - l0 + 2, width))
+        core = local[1:, 1:]
+        x[l0: h0 + 1, l1: h1 + 1].cumsum(axis=0, out=core)
+        core.cumsum(axis=1, out=core)
+        # Local corners of each intersection: rows [r0, r1), columns [c0, c1).
+        r0 = np.maximum(self._los[:, 0], l0)
+        r0 -= l0
+        r1 = np.minimum(self._his[:, 0], h0)
+        r1 -= l0 - 1
+        c0 = np.maximum(self._los[:, 1], l1)
+        c0 -= l1
+        c1 = np.minimum(self._his[:, 1], h1)
+        c1 -= l1 - 1
+        # An intersection empty in rows gets both row offsets zeroed, one
+        # empty in columns both column offsets, so each of its four corners
+        # lies in the table's zero row or zero column.
+        row_step = (r0 < r1) * width
+        r0 *= row_step
+        r1 *= row_step
+        col_ok = c0 < c1
+        c0 *= col_ok
+        c1 *= col_ok
+        flat = local.ravel()
+        out = flat.take(r1 + c1)
+        out -= flat.take(r0 + c1)
+        out -= flat.take(r1 + c0)
+        out += flat.take(r0 + c0)
         return out
 
     # -- partition mappings -------------------------------------------------------

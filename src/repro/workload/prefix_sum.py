@@ -13,6 +13,21 @@ import numpy as np
 __all__ = ["PrefixSum"]
 
 
+def check_corners(lo: tuple[int, ...], hi: tuple[int, ...],
+                  shape: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless ``lo`` and ``hi`` are one inclusive box in
+    ``shape``: one coordinate per axis and ``0 <= lo <= hi < shape``."""
+    if len(lo) != len(shape) or len(hi) != len(shape):
+        raise ValueError(
+            f"corners must have one coordinate per axis of {shape}; got "
+            f"lo={tuple(lo)}, hi={tuple(hi)}")
+    for a, b, d in zip(lo, hi, shape):
+        if not 0 <= a <= b < d:
+            raise ValueError(
+                f"corners must satisfy 0 <= lo <= hi < shape; got "
+                f"lo={tuple(lo)}, hi={tuple(hi)} over {shape}")
+
+
 class PrefixSum:
     """Summed-area table over a 1-D or 2-D count array.
 
@@ -55,14 +70,7 @@ class PrefixSum:
         corners raise ``ValueError`` (a negative index would otherwise wrap
         onto the far end of the table and return a silently wrong sum).
         """
-        if len(lo) != len(self._shape) or len(hi) != len(self._shape):
-            raise ValueError(
-                f"corners must have one coordinate per axis of {self._shape}")
-        for a, b, d in zip(lo, hi, self._shape):
-            if not 0 <= a <= b < d:
-                raise ValueError(
-                    f"corners must satisfy 0 <= lo <= hi < shape; got "
-                    f"lo={tuple(lo)}, hi={tuple(hi)} over {self._shape}")
+        check_corners(lo, hi, self._shape)
         if len(self._shape) == 1:
             return float(self._table[hi[0] + 1] - self._table[lo[0]])
         t = self._table
@@ -91,7 +99,17 @@ class PrefixSum:
                 f"corners must satisfy 0 <= lo <= hi < shape over {self._shape}")
         if len(self._shape) == 1:
             return self._table[his[:, 0] + 1] - self._table[los[:, 0]]
-        t = self._table
-        r0, c0 = los[:, 0], los[:, 1]
-        r1, c1 = his[:, 0] + 1, his[:, 1] + 1
-        return t[r1, c1] - t[r0, c1] - t[r1, c0] + t[r0, c0]
+        # Four-corner gather on the flat table (index r * width + c): one
+        # 1-D take per corner is much cheaper than 2-D fancy indexing.
+        flat = self._table.ravel()
+        width = self._table.shape[1]
+        r0 = los[:, 0] * width
+        r1 = his[:, 0] * width
+        r1 += width
+        c0 = los[:, 1]
+        c1 = his[:, 1] + 1
+        out = flat.take(r1 + c1)
+        out -= flat.take(r0 + c1)
+        out -= flat.take(r1 + c0)
+        out += flat.take(r0 + c0)
+        return out

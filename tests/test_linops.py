@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.workload import (
     QueryMatrix,
@@ -15,6 +16,8 @@ from repro.workload import (
     random_range_workload,
 )
 from repro.workload.linops import rectangle_cells
+from repro.workload.prefix_sum import PrefixSum
+from reference.summed_area import overlap_sums_reference, range_sums_reference
 
 
 def _operator(workload: Workload) -> QueryMatrix:
@@ -94,7 +97,24 @@ class TestQueryMatrix:
             else:
                 slices = tuple(slice(ai, bi + 1) for ai, bi in zip(a, b))
                 expected.append(float(x[slices].sum()))
-        assert np.allclose(operator.overlap_sums(x, region.lo, region.hi), expected)
+        got = operator.overlap_sums(x, region.lo, region.hi)
+        assert got.tobytes() == overlap_sums_reference(
+            operator, x, region.lo, region.hi).tobytes()
+        assert np.allclose(got, expected)
+
+    def test_overlap_sums_rejects_bad_regions(self):
+        operator = _operator(prefix_workload(8))
+        x = np.ones(8)
+        for lo, hi in [((-2,), (3,)), ((2,), (1,)), ((0, 0), (3,)),
+                       ((0,), (0, 3)), ((0,), (8,)), ((), ())]:
+            with pytest.raises(ValueError, match="corners"):
+                operator.overlap_sums(x, lo, hi)
+        operator_2d = _operator(random_range_workload((4, 5), n_queries=10, rng=0))
+        x_2d = np.ones((4, 5))
+        for lo, hi in [((-1, 0), (2, 2)), ((0, 0), (4, 2)), ((0, 3), (2, 2)),
+                       ((0,), (2,))]:
+            with pytest.raises(ValueError, match="corners"):
+                operator_2d.overlap_sums(x_2d, lo, hi)
 
     def test_row_subset(self):
         operator = _operator(prefix_workload(16))
@@ -168,6 +188,83 @@ class TestRectangleCells:
         cells, sizes = rectangle_cells(los, his, shape)
         assert np.array_equal(cells, np.concatenate(blocks))
         assert sizes.tolist() == [block.size for block in blocks]
+
+
+@st.composite
+def _region(draw, shape):
+    """A region inside ``shape``, often flush with one or both borders."""
+    lo, hi = [], []
+    for d in shape:
+        a, b = sorted(draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2)))
+        lo.append(0 if draw(st.booleans()) else a)
+        hi.append(d - 1 if draw(st.booleans()) else b)
+    return tuple(lo), tuple(hi)
+
+
+@st.composite
+def _values(draw, shape, special):
+    """Cell values from 0 to 1e12 at a drawn scale, with ``special`` (inf,
+    nan, ...) in one or two cells when it is not None."""
+    x = draw(arrays(np.float64, shape, elements=st.floats(0.0, 1e12)))
+    if special is not None:
+        cells = draw(st.lists(st.integers(0, x.size - 1), min_size=1, max_size=2))
+        x.flat[cells] = special
+    return x * 10.0 ** draw(st.integers(-15, 0))
+
+
+class TestSummedAreaGathersMatchReference:
+    """The flat-index gathers are bitwise the historical fancy-index ones
+    (``tests/reference/summed_area.py``), non-finite tables included."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_rectangles(), data=st.data(),
+           special=st.sampled_from([None, np.inf, -np.inf, np.nan]))
+    def test_overlap_sums_bitwise(self, case, data, special):
+        shape, los, his = case
+        lo, hi = data.draw(_region(shape))
+        operator = QueryMatrix(los, his, shape)
+        x = data.draw(_values(shape, special))
+        with np.errstate(invalid="ignore"):
+            got = operator.overlap_sums(x, lo, hi)
+            want = overlap_sums_reference(operator, x, lo, hi)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_rectangles(), data=st.data(),
+           special=st.sampled_from([None, np.inf, -np.inf, np.nan]))
+    def test_range_sums_2d_bitwise(self, case, data, special):
+        shape, los, his = case
+        if len(shape) != 2:
+            shape = (1, *shape)
+            los = np.hstack([np.zeros_like(los), los])
+            his = np.hstack([np.zeros_like(his), his])
+        prefix = PrefixSum(data.draw(_values(shape, special)))
+        with np.errstate(invalid="ignore"):
+            got = prefix.range_sums(los, his)
+            want = range_sums_reference(prefix, los, his)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+    def test_empty_intersections_are_positive_zero(self, special):
+        """Row-only and column-only empty intersections read exactly +0.0,
+        sign bit included, though the region's table holds ``special``."""
+        los = np.array([[0, 2], [2, 5], [4, 0], [5, 3], [2, 0], [0, 0]])
+        his = np.array([[1, 4], [3, 6], [5, 1], [5, 4], [3, 1], [5, 6]])
+        operator = QueryMatrix(los, his, (6, 7))
+        x = np.ones((6, 7))
+        x[2, 2] = special
+        with np.errstate(invalid="ignore"):
+            got = operator.overlap_sums(x, (2, 2), (3, 4))
+            want = overlap_sums_reference(operator, x, (2, 2), (3, 4))
+        # rows-only empty: 0 (above), 3 (below); columns-only empty: 1
+        # (right), 4 (left); 2 is empty in both, 5 covers the region.
+        empty = [0, 1, 2, 3, 4]
+        assert np.all(got[empty] == 0.0)
+        assert not np.signbit(got[empty]).any()
+        assert not np.isfinite(got[5])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestWorkloadOperatorIntegration:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.mechanisms import (
     BudgetExceededError,
@@ -12,6 +14,7 @@ from repro.algorithms.mechanisms import (
     laplace_mechanism,
     laplace_noise,
 )
+from reference.exponential_mechanism import exponential_mechanism_reference
 
 
 class TestAsRng:
@@ -128,6 +131,66 @@ class TestExponentialMechanism:
         scores = np.array([1e9, 1e9 + 1])
         index = exponential_mechanism(scores, 1.0, rng=0)
         assert index in (0, 1)
+
+
+def _seeded(seed: int) -> np.random.Generator:
+    # The stream-contract tests race two draws from one pinned seed and
+    # compare the generator states they leave behind.
+    return np.random.default_rng(seed)  # privlint: disable=PL001
+
+
+@st.composite
+def _scores(draw):
+    """Score vectors of 1 to ~3000 entries spanning 1e-300 to 1e300, with
+    ties (values from a small pool) and ``-inf`` entries mixed in."""
+    n = draw(st.integers(1, 3000))
+    rng = _seeded(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        scores = rng.choice(rng.random(draw(st.integers(1, 4))), size=n)
+    else:
+        scores = rng.random(n)
+    scores *= 10.0 ** draw(st.integers(-300, 300))
+    if draw(st.booleans()):
+        scores[rng.random(n) < draw(st.floats(0.0, 1.0))] = -np.inf
+    return scores
+
+
+def _draw(mechanism, scores, epsilon, sensitivity, seed):
+    """The mechanism's pick (or its ValueError) and the generator state after."""
+    rng = _seeded(seed)
+    try:
+        outcome = mechanism(scores, epsilon, sensitivity=sensitivity, rng=rng)
+    except ValueError:
+        outcome = ValueError
+    return outcome, rng.bit_generator.state
+
+
+class TestExponentialMechanismStream:
+    """The one-uniform draw is ``Generator.choice(n, p=...)`` bit for bit:
+    same index, same generator state afterwards, same ValueError cases."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scores=_scores(), log_epsilon=st.floats(-6.0, 6.0),
+           sensitivity=st.sampled_from([1.0, 2.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_generator_choice(self, scores, log_epsilon, sensitivity, seed):
+        epsilon = 10.0 ** log_epsilon
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _draw(exponential_mechanism, scores, epsilon, sensitivity, seed)
+            want = _draw(exponential_mechanism_reference, scores, epsilon,
+                         sensitivity, seed)
+        assert got == want
+
+    @pytest.mark.parametrize("scores", [[1.0, np.nan, 2.0], [1.0, np.inf, 2.0],
+                                        [-np.inf, -np.inf]],
+                             ids=["nan", "+inf", "all -inf"])
+    def test_nan_probabilities_raise_before_drawing(self, scores):
+        rng = _seeded(0)
+        before = rng.bit_generator.state
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
+            exponential_mechanism(np.array(scores), 1.0, rng=rng)
+        assert rng.bit_generator.state == before
 
 
 class TestPrivacyBudget:
