@@ -248,11 +248,11 @@ def main() -> None:
     #     service: run the algorithm once, precompute the prefix-sum cube
     #     (every query is O(2^d) table lookups), answer bulk clients through
     #     the QueryMatrix.matvec batch path, and front both with a keyed
-    #     TTL + LRU result cache that is invalidated on re-release.
+    #     LRU result cache that is invalidated on re-release.
     from repro.serve import ReleaseService
 
     service = ReleaseService("DAWA", epsilon=epsilon, workload=workload,
-                             cache_size=4096, ttl=3600.0)
+                             cache_size=4096)
     release = service.release(dataset.counts, rng=8)   # the only eps-spending call
     meta = release.metadata
     print(f"\nserving release v{release.version}: {meta.algorithm} at "

@@ -104,7 +104,6 @@ class AHP(PlanAlgorithm):
             domain_shape=x.shape,
             ordering=order,
             partition=edges,
-            epsilon_selection=eps_cluster,
             epsilon_measure=eps_counts,       # clusters are disjoint
         )
 

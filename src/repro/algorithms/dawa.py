@@ -238,7 +238,5 @@ class DAWA(PlanAlgorithm):
             bucket_workload = prefix_workload(len(buckets))
         usage = tree.level_usage(bucket_workload)
         level_epsilons = greedy_budget_allocation(usage, eps_measure)
-        plan = tree_plan(tree, level_epsilons, domain_shape=x.shape,
+        return tree_plan(tree, level_epsilons, domain_shape=x.shape,
                          ordering=ordering, partition=edges)
-        plan.epsilon_selection = eps_partition
-        return plan

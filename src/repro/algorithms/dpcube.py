@@ -91,7 +91,6 @@ class DPCube(PlanAlgorithm):
             domain_shape=x.shape,
             values=values,
             variances=variances,
-            epsilon_selection=eps_cells,
             epsilon_measure=eps_partitions,    # kd blocks are disjoint
             extras={"blocks": blocks,
                     "cell_variance": 2.0 / eps_cells ** 2,

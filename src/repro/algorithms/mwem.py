@@ -181,7 +181,6 @@ class MWEM(PlanAlgorithm):
             domain_shape=x.shape,
             values=np.asarray(measured_log, dtype=float),
             variances=np.full(rounds, 2.0 * (2.0 / eps_round) ** 2),
-            epsilon_selection=budget.spent,
             epsilon_measure=0.0,
             extras={"estimate": release, "operator": operator,
                     "chosen": chosen_idx, "scale": scale, "rounds": rounds},

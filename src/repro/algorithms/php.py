@@ -123,6 +123,5 @@ class PHP(PlanAlgorithm):
             epsilons=np.full(len(buckets), eps_counts),
             domain_shape=x.shape,
             partition=edges,
-            epsilon_selection=eps_partition,
             epsilon_measure=eps_counts,       # buckets are disjoint
         )

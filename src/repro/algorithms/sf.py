@@ -100,7 +100,6 @@ class StructureFirst(PlanAlgorithm):
             queries=queries,
             epsilons=epsilons,
             domain_shape=x.shape,
-            epsilon_selection=eps_structure,
             # Two passes over disjoint buckets: totals + cells compose
             # sequentially at eps_counts / 2 each.
             epsilon_measure=eps_counts,

@@ -123,10 +123,6 @@ class MeasurementPlan:
         cells, MWEM's round measurements), already paid for out of the
         selection budget.  ``nan``/``inf`` rows are measured by the noise
         stage.  A row may not be both pre-measured and budgeted.
-    epsilon_selection:
-        Budget the selection stage spent (data-dependent choices and any
-        pre-measured values).  Informational: the strategy charges it to the
-        shared :class:`PrivacyBudget` itself.
     epsilon_measure:
         Explicit total epsilon of the noise stage.  When ``None`` it is
         bounded from the per-query shares (see :meth:`epsilon_required`);
@@ -145,7 +141,6 @@ class MeasurementPlan:
     partition: np.ndarray | None = None
     values: np.ndarray | None = None
     variances: np.ndarray | None = None
-    epsilon_selection: float = 0.0
     epsilon_measure: float | None = None
     extras: dict = field(default_factory=dict)
 
@@ -307,7 +302,8 @@ def measure_plan(
     the stage (:meth:`MeasurementPlan.epsilon_required`) is charged against
     ``budget`` *before* any noise is drawn, so an over-subscribed plan raises
     :class:`~repro.algorithms.mechanisms.BudgetExceededError` without
-    touching the generator.
+    touching the generator.  The set's ``epsilon_spent`` is ``budget.spent``
+    (selection included) or, without a budget, the stage's own cost.
 
     Per-bucket/per-node sensitivity is 1 for the count workloads handled
     here (every plan query is a sum of disjoint cells of the measurement
@@ -352,10 +348,7 @@ def measure_plan(
         values[mask] = answers[mask] + batched_laplace(rng, scales)
         variances[mask] = 2.0 * scales ** 2
 
-    if budget is not None:
-        epsilon_spent = budget.spent
-    else:
-        epsilon_spent = plan.epsilon_selection + eps_measure
+    epsilon_spent = eps_measure if budget is None else budget.spent
     return MeasurementSet(plan.queries, values, variances,
                           epsilon_spent=float(epsilon_spent), tree=plan.tree)
 

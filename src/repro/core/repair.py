@@ -5,11 +5,11 @@ Two repairs make algorithm comparisons end-to-end private and fair:
 * ``Rparam`` — learning free parameters on held-out synthetic data — lives in
   :mod:`repro.core.tuning`.
 * ``Rside`` — removing reliance on non-private side information — is provided
-  here: :class:`SideInformationRepair` wraps an algorithm that assumes the
-  dataset scale is public (SF, MWEM, UGrid, AGrid), spends a fraction
-  ``rho_total`` of the privacy budget on a Laplace estimate of the scale, and
-  runs the wrapped algorithm with the remaining budget (passing the noisy
-  scale to algorithms that accept it as a parameter).
+  here: :class:`SideInformationRepair` spends a fraction ``rho_total`` of the
+  privacy budget on a Laplace estimate of the dataset scale and runs the
+  wrapped algorithm with the remaining budget and the noisy scale as the
+  parameter it reads the scale from (SF's ``count_bound``).  MWEM, UGrid and
+  AGrid read ``x.sum()`` directly, so wrapping them raises ``ValueError``.
 
 Section 6.4 of the paper reports that ``rho_total = 0.05`` achieves reasonable
 performance, with a modest error increase attributable to the reduced budget.
@@ -37,6 +37,12 @@ class SideInformationRepair(Algorithm):
     def __init__(self, inner: Algorithm, rho_total: float = 0.05):
         if not 0 < rho_total < 1:
             raise ValueError(f"rho_total must be in (0, 1), got {rho_total}")
+        if "scale" in inner.properties.side_information \
+                and _SCALE_PARAMETER.get(inner.name) not in inner.params:
+            raise ValueError(
+                f"{inner.name} reads the dataset scale from the data and has "
+                f"no parameter to receive a noisy estimate; it cannot be "
+                f"repaired")
         self._inner = inner
         self._rho_total = float(rho_total)
         inner_properties = inner.properties

@@ -11,7 +11,7 @@ privacy cost.  This package exploits exactly that:
   histogram with its precomputed prefix-sum cube (point queries are O(2^d)
   table lookups; batches ride the ``QueryMatrix.matvec`` path);
 * :class:`QueryCache` — the keyed result cache in front (normalize-query ->
-  key -> answer) with TTL, LRU bounds, invalidation-on-re-release and
+  key -> answer) with an LRU bound, invalidation-on-re-release and
   hit/miss/eviction counters;
 * :class:`ServiceStats` — throughput and usage counters (the point-query
   count is derived from the cache's lookups, so a cached point query never

@@ -5,16 +5,16 @@ canonicalises every request (corner tuples for a point query, corner bytes
 for a batch) and prefixes the key with the release version, so a re-release
 can never serve a stale answer even before the explicit invalidation runs.
 
-The cache itself is a plain TTL + LRU map: entries expire ``ttl`` seconds
-after insertion (lazily, on lookup), the least-recently-used entry is evicted
-once ``maxsize`` is reached, and every interesting event (hit, miss,
-expiration, eviction, invalidation) is counted for the stats endpoint.
+The cache itself is a plain LRU map: the least-recently-used entry is
+evicted once ``maxsize`` is reached, every entry is dropped when the service
+re-releases, and every interesting event (hit, miss, eviction, invalidation)
+is counted for the stats endpoint.  Entries need no expiry: an answer is
+fixed for the life of its release version.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 
@@ -31,7 +31,6 @@ class CacheStats:
     hits: int
     misses: int
     evictions: int        #: entries dropped by the LRU size bound
-    expirations: int      #: entries dropped because their TTL lapsed
     invalidations: int    #: whole-cache clears (one per re-release)
     insertions: int
     size: int
@@ -51,7 +50,7 @@ class CacheStats:
 
 
 class QueryCache:
-    """Bounded TTL + LRU map from normalized query keys to answers.
+    """Bounded LRU map from normalized query keys to answers.
 
     Parameters
     ----------
@@ -59,46 +58,28 @@ class QueryCache:
         Maximum number of cached answers; the least-recently-used entry is
         evicted when a new answer would exceed it.  ``0`` disables caching
         (every lookup is a miss, nothing is stored).
-    ttl:
-        Seconds an entry stays valid after insertion; ``None`` means no
-        expiry.  Expiry is lazy: an expired entry is dropped (and counted)
-        when it is next looked up, or swept in bulk by :meth:`purge_expired`.
-    clock:
-        Zero-argument callable returning seconds (injectable for tests).
 
     All operations are O(1) under one lock, so the cache is safe to share
     between serving threads.
     """
 
-    def __init__(self, maxsize: int = 4096, ttl: float | None = None,
-                 clock=time.monotonic):
+    def __init__(self, maxsize: int = 4096):
         if maxsize < 0:
             raise ValueError(f"maxsize must be non-negative, got {maxsize}")
-        if ttl is not None and ttl <= 0:
-            raise ValueError(f"ttl must be positive (or None), got {ttl}")
         self._maxsize = int(maxsize)
-        self._ttl = ttl
-        self._clock = clock
         self._lock = threading.Lock()
-        self._entries: OrderedDict = OrderedDict()   # key -> (expires_at, value)
+        self._entries: OrderedDict = OrderedDict()   # key -> value
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._expirations = 0
         self._invalidations = 0
         self._insertions = 0
 
     def get(self, key):
         """The cached answer for ``key``, or the :data:`MISSING` sentinel."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return MISSING
-            expires_at, value = entry
-            if expires_at is not None and self._clock() >= expires_at:
-                del self._entries[key]
-                self._expirations += 1
+            value = self._entries.get(key, MISSING)
+            if value is MISSING:
                 self._misses += 1
                 return MISSING
             self._entries.move_to_end(key)
@@ -109,11 +90,10 @@ class QueryCache:
         """Cache ``value`` under ``key``, evicting LRU entries as needed."""
         if self._maxsize == 0:
             return
-        expires_at = None if self._ttl is None else self._clock() + self._ttl
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = (expires_at, value)
+            self._entries[key] = value
             self._insertions += 1
             while len(self._entries) > self._maxsize:
                 self._entries.popitem(last=False)
@@ -125,19 +105,6 @@ class QueryCache:
             self._entries.clear()
             self._invalidations += 1
 
-    def purge_expired(self) -> int:
-        """Eagerly drop every expired entry; returns how many were dropped."""
-        if self._ttl is None:
-            return 0
-        now = self._clock()
-        with self._lock:
-            stale = [key for key, (expires_at, _) in self._entries.items()
-                     if expires_at is not None and now >= expires_at]
-            for key in stale:
-                del self._entries[key]
-            self._expirations += len(stale)
-            return len(stale)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -146,17 +113,12 @@ class QueryCache:
     def maxsize(self) -> int:
         return self._maxsize
 
-    @property
-    def ttl(self) -> float | None:
-        return self._ttl
-
     def stats(self) -> CacheStats:
         with self._lock:
             return CacheStats(
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,
-                expirations=self._expirations,
                 invalidations=self._invalidations,
                 insertions=self._insertions,
                 size=len(self._entries),

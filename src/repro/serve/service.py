@@ -16,7 +16,7 @@ answered from the reconstruction forever at zero additional privacy cost.
   operator;
 * **cache in front** — every request is normalized to a canonical key
   (version-prefixed, so re-releases can never serve stale answers), answered
-  from a bounded TTL + LRU :class:`~repro.serve.cache.QueryCache`, and counted
+  from a bounded LRU :class:`~repro.serve.cache.QueryCache`, and counted
   by :class:`~repro.serve.stats.ServiceStats`.
 
 Corners are integers, as :func:`operator.index` defines them: Python and
@@ -110,11 +110,10 @@ class ReleaseService:
     workload:
         Optional target workload handed to workload-aware algorithms at
         release time.
-    cache_size, ttl:
-        Result-cache bound and expiry; ``cache_size=0`` disables caching,
-        ``ttl=None`` disables expiry.
+    cache_size:
+        Result-cache bound; ``cache_size=0`` disables caching.
     clock:
-        Injectable time source shared by the cache and the stats counters.
+        Injectable time source of the stats counters' uptime and qps.
     """
 
     def __init__(
@@ -124,7 +123,6 @@ class ReleaseService:
         workload: Workload | None = None,
         *,
         cache_size: int = 4096,
-        ttl: float | None = None,
         clock=time.monotonic,
     ):
         if isinstance(algorithm, str):
@@ -134,7 +132,7 @@ class ReleaseService:
         self._algorithm = algorithm
         self._epsilon = float(epsilon)
         self._workload = workload
-        self._cache = QueryCache(maxsize=cache_size, ttl=ttl, clock=clock)
+        self._cache = QueryCache(maxsize=cache_size)
         self._stats = ServiceStats(self._cache, clock=clock)
         self._store = ReleaseStore()
 

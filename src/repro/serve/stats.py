@@ -47,7 +47,7 @@ class ServiceStats:
     ``cache`` is the service's result cache, whose lookup count the point
     count is derived from.  ``clock`` is any zero-argument callable returning
     seconds (defaults to :func:`time.monotonic`); tests inject a fake clock
-    to pin qps and TTL behaviour deterministically.
+    to pin uptime and qps deterministically.
     """
 
     def __init__(self, cache: QueryCache, clock=time.monotonic):

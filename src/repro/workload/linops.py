@@ -238,12 +238,11 @@ class QueryMatrix:
 
         The region takes one corner coordinate per axis and must satisfy
         ``0 <= lo <= hi < domain_shape`` (``ValueError`` otherwise).  A query
-        whose intersection with the region is empty gets ``0.0``: in 1-D it
-        clamps to an empty span of the local table (``+0.0`` whenever the
-        region's mass is finite); in 2-D — empty in rows or in columns —
-        each of its four corners is gathered from the local table's zero
-        row or zero column, so its overlap is exactly ``+0.0`` even when
-        the region holds ``inf`` or ``nan``.
+        whose intersection with the region is empty gets exactly ``+0.0``,
+        even when the region holds ``inf`` or ``nan``: in 1-D both of its
+        offsets are zeroed; in 2-D — empty in rows or in columns — each of
+        its four corners is gathered from the local table's zero row or zero
+        column.
         """
         check_corners(lo, hi, self._domain_shape)
         x = self._as_domain(x)
@@ -260,6 +259,9 @@ class QueryMatrix:
             b = np.maximum(self._his[:, 0], l0 - 1)
             np.minimum(b, h0, out=b)
             b += 1 - l0
+            nonempty = a < b               # empty: local[0] - local[0]
+            a *= nonempty
+            b *= nonempty
             return local[b] - local[a]
         (l0, l1), (h0, h1) = lo, hi
         width = h1 - l1 + 2

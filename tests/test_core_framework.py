@@ -20,6 +20,7 @@ from repro import (
     bias_variance_decomposition,
     competitive_algorithms,
     competitive_counts,
+    make_algorithm,
     mean_vs_p95_disagreements,
     regret,
     scaled_average_per_query_error,
@@ -306,6 +307,15 @@ class TestSideInformationRepair:
     def test_invalid_rho(self):
         with pytest.raises(ValueError):
             SideInformationRepair(Uniform(), rho_total=1.5)
+
+    @pytest.mark.parametrize("name", ["AGrid", "UGrid", "MWEM"])
+    def test_rejects_scale_readers_without_a_scale_parameter(self, name):
+        """These read ``x.sum()`` themselves: a noisy scale could not reach
+        them, so wrapping them would spend budget and repair nothing."""
+        inner = make_algorithm(name)
+        assert "scale" in inner.properties.side_information
+        with pytest.raises(ValueError, match="cannot be repaired"):
+            SideInformationRepair(inner)
 
     def test_run_leaves_wrapped_algorithm_untouched(self):
         """The noisy scale goes to a per-run copy of the wrapped algorithm,

@@ -228,7 +228,12 @@ class TestSummedAreaGathersMatchReference:
         with np.errstate(invalid="ignore"):
             got = operator.overlap_sums(x, lo, hi)
             want = overlap_sums_reference(operator, x, lo, hi)
-        assert got.tobytes() == want.tobytes()
+        # Rows with a non-empty intersection match the oracle bit for bit;
+        # empty ones read exactly +0.0 (the 1-D oracle reads inf - inf = nan
+        # for a query right of a region holding inf).
+        empty = np.any(np.maximum(los, lo) > np.minimum(his, hi), axis=1)
+        assert got[~empty].tobytes() == want[~empty].tobytes()
+        assert np.all(got[empty] == 0.0) and not np.signbit(got[empty]).any()
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -245,6 +250,18 @@ class TestSummedAreaGathersMatchReference:
             got = prefix.range_sums(los, his)
             want = range_sums_reference(prefix, los, his)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_1d_query_right_of_an_infinite_region_is_zero(self):
+        """Regression: the 1-D path subtracted two equal prefix sums for a
+        query wholly right of the region, ``inf - inf = nan`` (with a
+        RuntimeWarning) where the 2-D path reads ``0.0``."""
+        x = np.ones(8)
+        x[3] = np.inf
+        got = QueryMatrix([[0], [2], [6]], [[1], [4], [7]], (8,)).overlap_sums(
+            x, (2,), (4,))
+        assert got.tolist() == [0.0, np.inf, 0.0]
+        assert not np.signbit(got[[0, 2]]).any()
 
     @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
     def test_empty_intersections_are_positive_zero(self, special):

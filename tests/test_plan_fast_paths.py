@@ -125,12 +125,13 @@ def test_one_bucket_spanning_the_whole_domain(n):
 # -- Hilbert workload flattening ----------------------------------------------------
 
 
-@pytest.mark.parametrize("shape", [(64, 64), (16, 16), (8, 12), (1, 16)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 5), (13, 7),
+                                   (8, 12), (16, 16), (64, 64), (128, 128)])
 def test_flattened_workload_matches_range_query_oracle(shape):
     workload = random_range_workload(shape, 300, rng=_generator(5))
-    ordering = hilbert_ordering_for(shape)
-    got = flatten_workload(workload, ordering, shape)
-    want = flatten_workload_reference(workload, ordering, shape)
+    got = flatten_workload(workload, shape)
+    want = flatten_workload_reference(workload, hilbert_ordering_for(shape),
+                                      shape)
     assert got.name == want.name == f"{workload.name}|flattened"
     assert got.domain_shape == want.domain_shape == (shape[0] * shape[1],)
     for attr in ("los", "his"):

@@ -37,10 +37,10 @@ PLAN_NAMES_1D = [n for n in PLAN_NAMES
 PLAN_NAMES_2D = [n for n in PLAN_NAMES
                  if 2 in ALGORITHM_REGISTRY[n].properties.supported_dims]
 #: Every registry entry in every dimension it supports, plus the scale repair
-#: wrapped around the two side-information algorithms it serves.
+#: wrapped around SF, the side-information algorithm it serves.
 BUDGET_CASES = [(name, ndim) for name, cls in sorted(ALGORITHM_REGISTRY.items())
                 for ndim in cls.properties.supported_dims] \
-    + [("SF+noisy-scale", 1), ("AGrid+noisy-scale", 2)]
+    + [("SF+noisy-scale", 1)]
 
 
 def _make(name):

@@ -6,13 +6,21 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from reference.dawa_partition import l1_partition_reference
-from repro import Dataset, PrefixSum, RangeQuery, Workload, scaled_average_per_query_error
+from repro import (
+    Dataset,
+    PrefixSum,
+    QueryMatrix,
+    RangeQuery,
+    Workload,
+    scaled_average_per_query_error,
+)
 from repro.algorithms.ahp import greedy_value_clustering
 from repro.algorithms.dawa import l1_partition
-from repro.algorithms.hilbert import flatten_2d, unflatten_2d
+from repro.algorithms.hilbert import hilbert_ordering_for
 from repro.algorithms.inference import tree_least_squares
 from repro.algorithms.tree import HierarchicalTree
 from repro.algorithms.wavelet import haar_forward, haar_inverse
+from repro.core.plan import MeasurementPlan, measure_plan, reconstruct
 from repro.data.synthetic import apply_sparsity
 
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -68,10 +76,18 @@ def test_haar_roundtrip_is_identity(x):
 @given(x=hnp.arrays(dtype=np.float64,
                     shape=st.sampled_from([(4, 4), (8, 8), (16, 16), (3, 7)]),
                     elements=st.floats(0, 100, allow_nan=False)))
-def test_hilbert_flatten_roundtrip(x):
-    flat, ordering = flatten_2d(x)
-    assert np.allclose(unflatten_2d(flat, ordering, x.shape), x)
-    assert np.isclose(flat.sum(), x.sum())
+def test_reconstruct_inverts_plan_ordering(x):
+    """Exact single-cell measurements of the flattened vector come back
+    through ``reconstruct`` as the 2-D array, bitwise."""
+    n = x.size
+    ordering = hilbert_ordering_for(x.shape)
+    cells = np.arange(n, dtype=np.intp)[:, None]
+    plan = MeasurementPlan(QueryMatrix(cells, cells, (n,)), np.zeros(n),
+                           x.shape, ordering=ordering,
+                           values=x.ravel()[ordering], variances=np.ones(n))
+    estimate = reconstruct(plan, measure_plan(x, plan, None))
+    assert estimate.shape == x.shape
+    assert estimate.tobytes() == x.tobytes()
 
 
 @SETTINGS

@@ -232,7 +232,7 @@ class TestGreedyStrategy2D:
                                 eps[levels])
 
         ordering = hilbert_ordering_for((n, n))
-        flat = flatten_workload(workload, ordering, (n, n))
+        flat = flatten_workload(workload, (n, n))
         flat_strategy = greedy_tree_strategy(n * n, flat)
         flat_eps = greedy_budget_allocation(flat_strategy.usage, 1.0)
         flat_levels = flat_strategy.tree.node_levels()

@@ -3,9 +3,9 @@
 The correctness contract: every serve answer — point or batch, cached or
 uncached — is exactly ``QueryMatrix.matvec`` of the released histogram
 (bitwise, not approximately), because serving is pure post-processing of the
-release.  The cache-semantics tests pin TTL expiry, LRU eviction,
-invalidation-on-re-release and the consistency of the stats counters, all
-under an injected fake clock.
+release.  The cache-semantics tests pin LRU eviction and
+invalidation-on-re-release, and the stats tests the consistency of the
+counters under an injected fake clock.
 """
 
 import sys
@@ -21,7 +21,7 @@ from repro.serve.cache import MISSING
 
 
 class FakeClock:
-    """A manually advanced clock for deterministic TTL / qps tests."""
+    """A manually advanced clock for deterministic uptime / qps tests."""
 
     def __init__(self, start: float = 0.0):
         self.now = float(start)
@@ -163,19 +163,6 @@ class TestAnswersAreExactPostProcessing:
 
 
 class TestCacheSemantics:
-    def test_ttl_expiry(self):
-        clock = FakeClock()
-        service = _released_service((64,), seed=9, ttl=10.0, clock=clock)
-        service.query(0, 5)
-        clock.advance(9.999)
-        service.query(0, 5)                      # still fresh: hit
-        clock.advance(0.002)
-        service.query(0, 5)                      # past the TTL: recomputed
-        stats = service.stats()["cache"]
-        assert stats["hits"] == 1
-        assert stats["expirations"] == 1
-        assert stats["misses"] == 2              # initial miss + expired miss
-
     def test_lru_eviction_order(self):
         cache = QueryCache(maxsize=2)
         cache.put("a", 1)
@@ -227,22 +214,9 @@ class TestCacheSemantics:
         stats = service.stats()["cache"]
         assert stats["hits"] == 0 and stats["misses"] == 2
 
-    def test_purge_expired(self):
-        clock = FakeClock()
-        cache = QueryCache(maxsize=8, ttl=5.0, clock=clock)
-        cache.put("a", 1)
-        clock.advance(3)
-        cache.put("b", 2)
-        clock.advance(3)                         # "a" expired, "b" fresh
-        assert cache.purge_expired() == 1
-        assert cache.get("b") == 2
-        assert cache.stats().expirations == 1
-
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
             QueryCache(maxsize=-1)
-        with pytest.raises(ValueError):
-            QueryCache(ttl=0.0)
         with pytest.raises(ValueError):
             ReleaseService("Identity", epsilon=0.0)
 

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.hilbert import flatten_2d, hilbert_order, unflatten_2d
+from reference.flatten_workload import position_table, rectangle_spans_reference
+from repro.algorithms.hilbert import (
+    flatten_workload,
+    hilbert_order,
+    hilbert_ordering_for,
+)
 from repro.algorithms.wavelet import (
     haar_forward,
     haar_inverse,
@@ -84,54 +89,34 @@ class TestHilbert:
         with pytest.raises(ValueError):
             hilbert_order(6)
 
-    def test_flatten_roundtrip_square(self):
-        rng = np.random.default_rng(2)
-        x = rng.random((16, 16))
-        flat, ordering = flatten_2d(x)
-        assert np.allclose(unflatten_2d(flat, ordering, x.shape), x)
-
-    def test_flatten_roundtrip_rectangular_fallback(self):
-        rng = np.random.default_rng(3)
-        x = rng.random((5, 9))
-        flat, ordering = flatten_2d(x)
-        assert np.allclose(unflatten_2d(flat, ordering, x.shape), x)
-
-    def test_flatten_preserves_mass(self):
-        x = np.random.default_rng(4).random((8, 8))
-        flat, _ = flatten_2d(x)
-        assert flat.sum() == pytest.approx(x.sum())
-
-    def test_flatten_rejects_1d(self):
-        with pytest.raises(ValueError):
-            flatten_2d(np.zeros(8))
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (5, 9),
+                                       (8, 8), (16, 16), (12, 16)])
+    def test_ordering_for_is_permutation(self, shape):
+        ordering = hilbert_ordering_for(shape)
+        assert ordering.dtype == np.intp
+        assert np.array_equal(np.sort(ordering),
+                              np.arange(shape[0] * shape[1]))
 
 
 class TestFlattenWorkload:
     def test_spans_cover_query_cells(self):
-        from repro.algorithms.hilbert import flatten_workload
         from repro.workload import random_range_workload
 
-        x = np.arange(64, dtype=float).reshape(8, 8)
-        _, ordering = flatten_2d(x)
-        position = np.empty(64, dtype=int)
-        position[ordering] = np.arange(64)
+        position = position_table(hilbert_ordering_for((8, 8)), (8, 8))
         workload = random_range_workload((8, 8), n_queries=40, rng=2)
-        flat = flatten_workload(workload, ordering, (8, 8))
+        flat = flatten_workload(workload, (8, 8))
         assert flat.domain_shape == (64,)
         assert len(flat) == len(workload)
         for q2d, q1d in zip(workload, flat):
-            block = position.reshape(8, 8)[q2d.lo[0]:q2d.hi[0] + 1,
-                                           q2d.lo[1]:q2d.hi[1] + 1]
+            block = position[q2d.lo[0]:q2d.hi[0] + 1, q2d.lo[1]:q2d.hi[1] + 1]
             # the mapped span is the tightest range containing the cells
             assert q1d.lo[0] == block.min() and q1d.hi[0] == block.max()
 
     def test_full_domain_query_maps_to_full_range(self):
-        from repro.algorithms.hilbert import flatten_workload
         from repro.workload import RangeQuery, Workload
 
         workload = Workload([RangeQuery((0, 0), (7, 7))], (8, 8))
-        _, ordering = flatten_2d(np.zeros((8, 8)))
-        flat = flatten_workload(workload, ordering, (8, 8))
+        flat = flatten_workload(workload, (8, 8))
         assert flat[0].lo == (0,) and flat[0].hi == (63,)
 
 
@@ -156,60 +141,30 @@ class TestHilbertOrderVectorised:
 
 
 class TestRectangleSpansVectorised:
-    """Satellite regression: the boundary-run span computation matches the
-    slice-based reference on random rectangle workloads."""
-
-    def _position_table(self, shape, ordering):
-        position = np.empty(shape[0] * shape[1], dtype=np.intp)
-        position[ordering] = np.arange(shape[0] * shape[1], dtype=np.intp)
-        return position.reshape(shape)
+    """The boundary-run (Hilbert) and corner (row-major) span computations
+    match the slice-based reference on random rectangle workloads."""
 
     @pytest.mark.parametrize("shape", [(16, 16), (32, 32), (13, 7), (1, 9),
                                        (9, 1)])
     def test_matches_reference_on_supported_orderings(self, shape):
-        from repro.algorithms.hilbert import (
-            _rectangle_spans,
-            _rectangle_spans_reference,
-            hilbert_ordering_for,
-        )
         from repro.workload import random_range_workload
 
         ordering = hilbert_ordering_for(shape)      # Hilbert or row-major
-        table = self._position_table(shape, ordering)
         workload = random_range_workload(shape, 300, rng=6)
-        los, his = workload.operator.los, workload.operator.his
-        fast = _rectangle_spans(table, los, his)
-        reference = _rectangle_spans_reference(table, los, his)
-        np.testing.assert_array_equal(fast[0], reference[0])
-        np.testing.assert_array_equal(fast[1], reference[1])
-
-    def test_arbitrary_ordering_falls_back_to_reference(self):
-        """A scrambled ordering is neither curve-continuous nor row-major:
-        boundary extrema would be wrong, so the exact reference path runs."""
-        from repro.algorithms.hilbert import (
-            _rectangle_spans,
-            _rectangle_spans_reference,
-        )
-        from repro.workload import random_range_workload
-
-        shape = (12, 9)
-        ordering = np.random.default_rng(5).permutation(108)
-        table = self._position_table(shape, ordering)
-        workload = random_range_workload(shape, 150, rng=7)
-        los, his = workload.operator.los, workload.operator.his
-        fast = _rectangle_spans(table, los, his)
-        reference = _rectangle_spans_reference(table, los, his)
-        np.testing.assert_array_equal(fast[0], reference[0])
-        np.testing.assert_array_equal(fast[1], reference[1])
+        flat = flatten_workload(workload, shape).operator
+        reference = rectangle_spans_reference(position_table(ordering, shape),
+                                              workload.operator.los,
+                                              workload.operator.his)
+        np.testing.assert_array_equal(flat.los[:, 0], reference[0])
+        np.testing.assert_array_equal(flat.his[:, 0], reference[1])
 
     def test_curve_endpoints_inside_interior(self):
         """The curve's start/end may realise the extremum strictly inside a
         rectangle; the endpoint correction catches both."""
-        from repro.algorithms.hilbert import _rectangle_spans, hilbert_order
         from repro.workload import RangeQuery, Workload
 
         side = 8
-        table = self._position_table((side, side), hilbert_order(side))
+        table = position_table(hilbert_order(side), (side, side))
         start = np.argwhere(table == 0)[0]
         end = np.argwhere(table == side * side - 1)[0]
         queries = []
@@ -217,8 +172,6 @@ class TestRectangleSpansVectorised:
             lo = (max(int(r) - 1, 0), max(int(c) - 1, 0))
             hi = (min(int(r) + 1, side - 1), min(int(c) + 1, side - 1))
             queries.append(RangeQuery(lo, hi))
-        workload = Workload(queries, (side, side))
-        los, his = workload.operator.los, workload.operator.his
-        span_lo, span_hi = _rectangle_spans(table, los, his)
-        assert span_lo[0] == 0
-        assert span_hi[1] == side * side - 1
+        flat = flatten_workload(Workload(queries, (side, side)), (side, side))
+        assert flat.operator.los[0, 0] == 0
+        assert flat.operator.his[1, 0] == side * side - 1
