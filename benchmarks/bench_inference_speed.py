@@ -20,9 +20,6 @@ operator in the measurement/inference refactor:
 * **the Hilbert curve builder** — the historical pure-Python ``_d2xy`` loop
   (O(n) interpreter iterations, a million at 1024 x 1024) versus the
   vectorised bit-twiddling, pinned bitwise-identical.
-* **workload flattening** over a row-major (non-Hilbert) domain — spans
-  read off the rectangles' corners, so 2,000 rectangles over 1000 x 1000 fit
-  an absolute 50 ms budget; spans equal the slice oracle.
 * **SF's boundary search** — the per-round rebuild of every segment's
   candidate gains (O(k^2) interpreter iterations for k buckets) versus
   incremental gains refilled only where the chosen cut lands.
@@ -485,52 +482,6 @@ def test_hilbert_order_speed(benchmark):
            format_table(rows, floatfmt="{:.4f}"))
     assert speedup >= 5.0, \
         f"vectorised hilbert_order only {speedup:.1f}x over the Python loop"
-
-
-FLATTEN_SHAPE = (1000, 1000)
-FLATTEN_QUERIES = 2000
-FLATTEN_BUDGET_S = 0.05
-
-
-def test_flatten_workload_speed(benchmark):
-    """Flattening a workload over a row-major (non-Hilbert) domain.
-
-    Row-major spans are the rectangles' corner positions, so 2,000 random
-    rectangles over 1000 x 1000 must flatten in <= 50 ms — an absolute
-    budget: a span computation that touches the position table or each
-    rectangle's cells costs tens of times more.  Correctness is checked
-    against the slice oracle on a small row-major domain first.
-    """
-    from reference.flatten_workload import flatten_workload_reference
-    from repro.algorithms.hilbert import flatten_workload, hilbert_ordering_for
-    from repro.workload import random_range_workload
-
-    small = (40, 30)
-    workload = random_range_workload(small, 300, rng=_generator(11))
-    got = flatten_workload(workload, small)
-    want = flatten_workload_reference(workload, hilbert_ordering_for(small), small)
-    assert got.operator.los.tobytes() == want.operator.los.tobytes()
-    assert got.operator.his.tobytes() == want.operator.his.tobytes()
-
-    workload = random_range_workload(FLATTEN_SHAPE, FLATTEN_QUERIES,
-                                     rng=_generator(12))
-    workload.operator                       # built once, outside the timing
-
-    def study():
-        seconds, _ = _time(lambda: flatten_workload(workload, FLATTEN_SHAPE),
-                           repeats=5)
-        rows = [{"path": f"flatten_workload ({FLATTEN_QUERIES} rectangles, "
-                         f"{FLATTEN_SHAPE[0]}x{FLATTEN_SHAPE[1]})",
-                 "seconds": seconds}]
-        return rows, seconds
-
-    rows, seconds = run_once(benchmark, study)
-    report("bench_flatten_workload_speed",
-           "Row-major workload flattening",
-           format_table(rows, floatfmt="{:.4f}"))
-    assert seconds <= FLATTEN_BUDGET_S, \
-        f"flattening took {seconds * 1e3:.1f} ms (budget " \
-        f"{FLATTEN_BUDGET_S * 1e3:.0f} ms)"
 
 
 SELECTION_DOMAIN = 1024

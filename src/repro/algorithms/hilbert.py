@@ -71,18 +71,13 @@ def hilbert_order(side: int) -> np.ndarray:
     return out
 
 
-def _is_hilbert_shape(shape: tuple[int, int]) -> bool:
-    rows, cols = shape
-    return rows == cols and rows >= 1 and (rows & (rows - 1)) == 0
-
-
 def hilbert_ordering_for(shape: tuple[int, int]) -> np.ndarray:
     """The flattening order of a 2-D domain: the Hilbert curve for square
     power-of-two grids, row-major for everything else.  This is the
     ``ordering`` the flattened plan-pipeline algorithms (GreedyH, GreedyW,
     DAWA) attach to their :class:`~repro.core.plan.MeasurementPlan`."""
     rows, cols = shape
-    if _is_hilbert_shape(shape):
+    if rows == cols and rows >= 1 and (rows & (rows - 1)) == 0:
         return hilbert_order(rows)
     return np.arange(rows * cols, dtype=np.intp)
 
@@ -102,14 +97,13 @@ def _segment_extrema(values: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 def _flatten(workload, shape: tuple[int, int], ordering: np.ndarray):
     """:func:`flatten_workload` under ``ordering = hilbert_ordering_for(shape)``.
 
-    Row-major positions are the flat indices themselves, so a rectangle's
-    extremes are its top-left and bottom-right corners.  On the Hilbert
+    A rectangle's smallest position lies on its boundary unless it is the
+    curve's start cell (likewise the largest / end cell): on the Hilbert
     curve consecutive positions are 4-adjacent cells, so the minimum is where
-    the curve enters the rectangle — a boundary cell — unless it is the
-    curve's start cell (likewise the maximum / end cell).  Each edge of the
-    rectangle is one contiguous run of the position table (top/bottom) or of
-    its transpose (left/right), folded with ``reduceat`` instead of one 2-D
-    slice per query.
+    the curve enters the rectangle, and in row-major order it is the top-left
+    corner.  Each edge of the rectangle is one contiguous run of the position
+    table (top/bottom) or of its transpose (left/right), folded with
+    ``reduceat`` instead of one 2-D slice per query.
     """
     from ..workload.rangequery import Workload
 
@@ -118,29 +112,26 @@ def _flatten(workload, shape: tuple[int, int], ordering: np.ndarray):
     los, his = workload.operator.los, workload.operator.his
     r0, c0 = los[:, 0], los[:, 1]
     r1, c1 = his[:, 0], his[:, 1]
-    if not _is_hilbert_shape(shape):
-        span_lo, span_hi = r0 * cols + c0, r1 * cols + c1
-    else:
-        position = np.empty(n, dtype=np.intp)
-        position[ordering] = np.arange(n, dtype=np.intp)
-        position_t = position.reshape(rows, cols).T.reshape(-1)
-        # (table, run start, run end) of the top, bottom, left, right edges.
-        edges = [(position, r0 * cols + c0, r0 * cols + c1 + 1),
-                 (position, r1 * cols + c0, r1 * cols + c1 + 1),
-                 (position_t, c0 * rows + r0, c0 * rows + r1 + 1),
-                 (position_t, c1 * rows + r0, c1 * rows + r1 + 1)]
-        span_lo = np.minimum.reduce([
-            _segment_extrema(np.append(table, n), a, b, np.minimum)
-            for table, a, b in edges])
-        span_hi = np.maximum.reduce([
-            _segment_extrema(np.append(table, -1), a, b, np.maximum)
-            for table, a, b in edges])
-        # The curve's endpoints may realise the extremum strictly inside the
-        # rectangle (nothing enters before the start or leaves after the end).
-        for cell, span, value in ((ordering[0], span_lo, 0),
-                                  (ordering[-1], span_hi, n - 1)):
-            r, c = divmod(int(cell), cols)
-            span[(r0 <= r) & (r <= r1) & (c0 <= c) & (c <= c1)] = value
+    position = np.empty(n, dtype=np.intp)
+    position[ordering] = np.arange(n, dtype=np.intp)
+    position_t = position.reshape(rows, cols).T.reshape(-1)
+    # (table, run start, run end) of the top, bottom, left, right edges.
+    edges = [(position, r0 * cols + c0, r0 * cols + c1 + 1),
+             (position, r1 * cols + c0, r1 * cols + c1 + 1),
+             (position_t, c0 * rows + r0, c0 * rows + r1 + 1),
+             (position_t, c1 * rows + r0, c1 * rows + r1 + 1)]
+    span_lo = np.minimum.reduce([
+        _segment_extrema(np.append(table, n), a, b, np.minimum)
+        for table, a, b in edges])
+    span_hi = np.maximum.reduce([
+        _segment_extrema(np.append(table, -1), a, b, np.maximum)
+        for table, a, b in edges])
+    # The curve's endpoints may realise the extremum strictly inside the
+    # rectangle (nothing enters before the start or leaves after the end).
+    for cell, span, value in ((ordering[0], span_lo, 0),
+                              (ordering[-1], span_hi, n - 1)):
+        r, c = divmod(int(cell), cols)
+        span[(r0 <= r) & (r <= r1) & (c0 <= c) & (c <= c1)] = value
     return Workload.from_bounds(span_lo, span_hi, (n,),
                                 name=f"{workload.name}|flattened")
 

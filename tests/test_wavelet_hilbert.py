@@ -141,8 +141,8 @@ class TestHilbertOrderVectorised:
 
 
 class TestRectangleSpansVectorised:
-    """The boundary-run (Hilbert) and corner (row-major) span computations
-    match the slice-based reference on random rectangle workloads."""
+    """The boundary-run span computation matches the slice-based reference
+    on random rectangle workloads, for Hilbert and row-major shapes."""
 
     @pytest.mark.parametrize("shape", [(16, 16), (32, 32), (13, 7), (1, 9),
                                        (9, 1)])
