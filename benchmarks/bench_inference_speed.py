@@ -20,6 +20,9 @@ operator in the measurement/inference refactor:
 * **the Hilbert curve builder** — the historical pure-Python ``_d2xy`` loop
   (O(n) interpreter iterations, a million at 1024 x 1024) versus the
   vectorised bit-twiddling, pinned bitwise-identical.
+* **the Hilbert workload flattening** — one 2-D slice per query versus
+  ``reduceat`` over the rectangles' edge runs, at 1024 x 1024 with 2,000
+  rectangles, pinned bitwise-identical.
 * **SF's boundary search** — the per-round rebuild of every segment's
   candidate gains (O(k^2) interpreter iterations for k buckets) versus
   incremental gains refilled only where the chosen cut lands.
@@ -482,6 +485,49 @@ def test_hilbert_order_speed(benchmark):
            format_table(rows, floatfmt="{:.4f}"))
     assert speedup >= 5.0, \
         f"vectorised hilbert_order only {speedup:.1f}x over the Python loop"
+
+
+FLATTEN_SIDE = 1024
+FLATTEN_QUERIES = 2000
+
+
+def test_flatten_workload_speed(benchmark):
+    """The Hilbert workload flattening vs the slice-per-query oracle.
+
+    At 1024 x 1024 with 2,000 random rectangles, ``_flatten``'s edge-run
+    reductions must give the oracle's spans bitwise and hold a >= 5x margin
+    over its O(q * area) slices.  The runs are folded in order of their
+    start, so the gaps a ``reduceat`` call also folds stay disjoint; folding
+    them in query order walks up to the whole table per rectangle, which
+    made the flattening slower than the oracle.
+    """
+    from reference.flatten_workload import position_table, rectangle_spans_reference
+    from repro.algorithms.hilbert import _flatten, hilbert_ordering_for
+    from repro.workload.builders import random_range_workload
+
+    def study():
+        shape = (FLATTEN_SIDE, FLATTEN_SIDE)
+        workload = random_range_workload(shape, FLATTEN_QUERIES, rng=20160626)
+        ordering = hilbert_ordering_for(shape)
+        position = position_table(ordering, shape)
+        los, his = workload.operator.los, workload.operator.his
+        t_ref, (span_lo, span_hi) = _time(
+            lambda: rectangle_spans_reference(position, los, his), repeats=1)
+        t_fast, flat = _time(lambda: _flatten(workload, shape, ordering))
+        assert flat.operator.los[:, 0].tobytes() == span_lo.tobytes()
+        assert flat.operator.his[:, 0].tobytes() == span_hi.tobytes()
+        rows = [
+            {"path": "reference slice per query", "seconds": t_ref, "speedup": 1.0},
+            {"path": "edge-run reduceat", "seconds": t_fast, "speedup": t_ref / t_fast},
+        ]
+        return rows, t_ref / t_fast
+
+    rows, speedup = run_once(benchmark, study)
+    report("bench_flatten_speed",
+           f"Hilbert workload flattening ({FLATTEN_SIDE}^2, {FLATTEN_QUERIES} rectangles)",
+           format_table(rows, floatfmt="{:.4f}"))
+    assert speedup >= 5.0, \
+        f"_flatten only {speedup:.1f}x over the slice-per-query reference"
 
 
 SELECTION_DOMAIN = 1024

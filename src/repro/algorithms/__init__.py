@@ -1,8 +1,9 @@
 """Differentially private release algorithms evaluated by DPBench.
 
 The module exposes the DP primitives, the shared substrates (hierarchies,
-wavelets, Hilbert curves, inference) and all algorithms from Table 1 of the
-paper plus the HybridTree extra.
+wavelets, Hilbert curves) and all algorithms from Table 1 of the paper plus
+the HybridTree extra.  Their least-squares solves live in
+:mod:`repro.core.gls`.
 """
 
 from .base import Algorithm, AlgorithmProperties, PlanAlgorithm

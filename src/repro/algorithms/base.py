@@ -192,7 +192,8 @@ class PlanAlgorithm(Algorithm):
 
     The default :meth:`infer` is the generic sparse GLS reconstruction
     (:func:`~repro.core.plan.reconstruct`); overrides exist only as exact
-    closed forms of that solve (DPCube, SF) or documented non-GLS
+    closed forms of that solve (DPCube and SF, both through
+    :func:`~repro.core.gls.reconcile_shift`) or documented non-GLS
     post-processing (Uniform's clamp, MWEM's multiplicative weights).
     """
 

@@ -24,13 +24,13 @@ import heapq
 
 import numpy as np
 
+from ..core.gls import reconcile_shift
 from ..core.measurement import MeasurementSet
 from ..core.plan import MeasurementPlan
-from ..workload.linops import QueryMatrix
+from ..workload.linops import QueryMatrix, rectangle_cells
 from ..workload.rangequery import Workload
 from .base import AlgorithmProperties, PlanAlgorithm
 from .identity import identity_queries
-from .inference import inverse_variance_combine_rows
 from .mechanisms import BudgetExceededError, PrivacyBudget, laplace_noise
 
 __all__ = ["DPCube"]
@@ -92,43 +92,31 @@ class DPCube(PlanAlgorithm):
             values=values,
             variances=variances,
             epsilon_measure=eps_partitions,    # kd blocks are disjoint
-            extras={"blocks": blocks,
-                    "cell_variance": 2.0 / eps_cells ** 2,
-                    "partition_variance": 2.0 / eps_partitions ** 2},
+            extras={"partition_variance": 2.0 / eps_partitions ** 2},
         )
 
     def infer(self, measurements: MeasurementSet,
               plan: MeasurementPlan) -> np.ndarray:
-        blocks = plan.extras["blocks"]
-        n_cells = int(np.prod(plan.domain_shape))
-        noisy_cells = measurements.values[:n_cells].reshape(plan.domain_shape)
-        fresh_totals = measurements.values[n_cells:]
-        return self._reconcile(noisy_cells, blocks, fresh_totals,
-                               plan.extras["cell_variance"],
-                               plan.extras["partition_variance"])
-
-    @staticmethod
-    def _reconcile(noisy_cells: np.ndarray, blocks: list[tuple[slice, ...]],
-                   fresh_totals: np.ndarray, cell_variance: float,
-                   partition_variance: float) -> np.ndarray:
         """Closed-form GLS solve of the DPCube measurements.
 
-        Within each partition the exact weighted least-squares solution is a
-        uniform shift of the phase-1 cells toward the inverse-variance
-        combination of the two partition totals — the generic sparse solver
+        Within each kd block (the plan's rows after the cells) the exact
+        weighted least-squares solution shifts the phase-1 cells uniformly
+        toward the inverse-variance combination of the block's two totals
+        (:func:`~repro.core.gls.reconcile_shift`); the generic sparse solver
         (:func:`repro.core.gls.solve_gls`) reproduces it, as pinned by tests.
         """
-        sizes = np.array([noisy_cells[slices].size for slices in blocks])
-        phase1_totals = np.array([noisy_cells[slices].sum() for slices in blocks])
-        combined = inverse_variance_combine_rows(
-            np.column_stack([fresh_totals, phase1_totals]),
-            np.column_stack([np.full(len(blocks), partition_variance),
-                             cell_variance * sizes]),
-        )
-        corrections = (combined - phase1_totals) / sizes
-        estimate = noisy_cells.astype(float).copy()
-        for correction, slices in zip(corrections, blocks):
-            estimate[slices] = noisy_cells[slices] + correction
+        shape = plan.domain_shape
+        n_cells = int(np.prod(shape))
+        noisy_cells = measurements.values[:n_cells].reshape(shape)
+        los, his = plan.queries.los[n_cells:], plan.queries.his[n_cells:]
+        cells, sizes = rectangle_cells(los, his, shape)
+        phase1_totals = np.array([noisy_cells[tuple(map(slice, lo, hi + 1))].sum()
+                                  for lo, hi in zip(los, his)])
+        shift = reconcile_shift(measurements.values[n_cells:],
+                                plan.extras["partition_variance"], phase1_totals,
+                                measurements.variances[0], sizes)
+        estimate = noisy_cells.copy()
+        estimate.ravel()[cells] += np.repeat(shift, sizes)
         return estimate
 
     @staticmethod
@@ -139,8 +127,6 @@ class DPCube(PlanAlgorithm):
         its longest axis, at the point where the cumulative noisy count
         reaches half of the block total (a median split on noisy counts).
         """
-        if noisy.ndim == 1:
-            noisy = noisy  # handled uniformly through tuple indexing below
         full_block = tuple(slice(0, s) for s in noisy.shape)
 
         def block_weight(block: tuple[slice, ...]) -> float:

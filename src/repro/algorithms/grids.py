@@ -22,12 +22,12 @@ import math
 
 import numpy as np
 
+from ..core.gls import reconcile_shift
 from ..core.kernels import batched_laplace
 from ..core.plan import MeasurementPlan, segment_sums
-from ..workload.linops import QueryMatrix
+from ..workload.linops import QueryMatrix, rectangle_cells
 from ..workload.rangequery import Workload
 from .base import Algorithm, AlgorithmProperties, PlanAlgorithm
-from .inference import inverse_variance_combine_rows
 from .mechanisms import PrivacyBudget, laplace_noise
 
 __all__ = ["UGrid", "AGrid"]
@@ -211,17 +211,13 @@ class AGrid(Algorithm):
 
         # Reconcile the coarse measurement with the fine measurements.
         fine_total = segment_sums(fine_values, first, n_fine)
-        combined = inverse_variance_combine_rows(
-            np.column_stack([coarse_counts, fine_total]),
-            np.column_stack([np.full(n_blocks, 2.0 / eps_coarse ** 2),
-                             2.0 / eps_fine ** 2 * n_fine]))
-        fine_values = fine_values + ((combined - fine_total) / n_fine)[block]
+        fine_values = fine_values + reconcile_shift(
+            np.array(coarse_counts), 2.0 / eps_coarse ** 2, fine_total,
+            2.0 / eps_fine ** 2, n_fine)[block]
 
         # Spread each fine cell's value evenly over its cells.
-        size = (f_r1 - f_r0) * (f_c1 - f_c0)
-        cell = np.repeat(np.arange(block.size), size)
-        within = np.arange(cell.size) - np.repeat(np.cumsum(size) - size, size)
-        row_in, col_in = np.divmod(within, (f_c1 - f_c0)[cell])
+        cells, size = rectangle_cells(np.stack([f_r0, f_c0], axis=1),
+                                      np.stack([f_r1 - 1, f_c1 - 1], axis=1), x.shape)
         estimate = np.zeros(x.shape)
-        estimate[f_r0[cell] + row_in, f_c0[cell] + col_in] = (fine_values / size)[cell]
+        estimate.ravel()[cells] = np.repeat(fine_values / size, size)
         return estimate

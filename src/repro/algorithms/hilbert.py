@@ -82,16 +82,26 @@ def hilbert_ordering_for(shape: tuple[int, int]) -> np.ndarray:
     return np.arange(rows * cols, dtype=np.intp)
 
 
-def _segment_extrema(values: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                     ufunc) -> np.ndarray:
-    """Per-segment reduction ``ufunc(values[starts[k]:ends[k]])`` for disjoint
-    half-open segments, in one ``reduceat`` call.  ``values`` must carry one
-    trailing sentinel element (neutral for ``ufunc``) so an end index may
-    point one past the last real element."""
+def _segment_extrema(low_table: np.ndarray, high_table: np.ndarray,
+                     starts: np.ndarray, ends: np.ndarray):
+    """``(low_table[a:b].min(), high_table[a:b].max())`` for every half-open
+    run ``[a, b) = [starts[k], ends[k])``, one ``reduceat`` call each.  The
+    tables carry one trailing sentinel (neutral for the reduction) so a run
+    may end one past the last real element.
+
+    ``reduceat`` also folds the gap from each run's end to the next run's
+    start; the runs are visited in order of their start, so those gaps are
+    disjoint or empty and the two calls cost O(runs' length + table).
+    """
+    order = np.argsort(starts, kind="stable")
     bounds = np.empty(2 * starts.size, dtype=np.intp)
-    bounds[0::2] = starts
-    bounds[1::2] = ends
-    return ufunc.reduceat(values, bounds)[0::2]
+    bounds[0::2] = starts[order]
+    bounds[1::2] = ends[order]
+    low = np.empty(starts.size, dtype=low_table.dtype)
+    high = np.empty(starts.size, dtype=high_table.dtype)
+    low[order] = np.minimum.reduceat(low_table, bounds)[0::2]
+    high[order] = np.maximum.reduceat(high_table, bounds)[0::2]
+    return low, high
 
 
 def _flatten(workload, shape: tuple[int, int], ordering: np.ndarray):
@@ -115,17 +125,17 @@ def _flatten(workload, shape: tuple[int, int], ordering: np.ndarray):
     position = np.empty(n, dtype=np.intp)
     position[ordering] = np.arange(n, dtype=np.intp)
     position_t = position.reshape(rows, cols).T.reshape(-1)
-    # (table, run start, run end) of the top, bottom, left, right edges.
-    edges = [(position, r0 * cols + c0, r0 * cols + c1 + 1),
-             (position, r1 * cols + c0, r1 * cols + c1 + 1),
-             (position_t, c0 * rows + r0, c0 * rows + r1 + 1),
-             (position_t, c1 * rows + r0, c1 * rows + r1 + 1)]
-    span_lo = np.minimum.reduce([
-        _segment_extrema(np.append(table, n), a, b, np.minimum)
-        for table, a, b in edges])
-    span_hi = np.maximum.reduce([
-        _segment_extrema(np.append(table, -1), a, b, np.maximum)
-        for table, a, b in edges])
+    # Each table with a trailing sentinel for the min and for the max pass.
+    by_row = (np.append(position, n), np.append(position, -1))
+    by_col = (np.append(position_t, n), np.append(position_t, -1))
+    # (tables, run start, run end) of the top, bottom, left, right edges.
+    edges = [(by_row, r0 * cols + c0, r0 * cols + c1 + 1),
+             (by_row, r1 * cols + c0, r1 * cols + c1 + 1),
+             (by_col, c0 * rows + r0, c0 * rows + r1 + 1),
+             (by_col, c1 * rows + r0, c1 * rows + r1 + 1)]
+    lows, highs = zip(*(_segment_extrema(*tables, a, b) for tables, a, b in edges))
+    span_lo = np.minimum.reduce(lows)
+    span_hi = np.maximum.reduce(highs)
     # The curve's endpoints may realise the extremum strictly inside the
     # rectangle (nothing enters before the start or leaves after the end).
     for cell, span, value in ((ordering[0], span_lo, 0),

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.plan import MeasurementPlan
+from ..core.plan import MeasurementPlan, segment_sse
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
 from .base import AlgorithmProperties, PlanAlgorithm
@@ -33,23 +33,6 @@ from .mechanisms import (
 )
 
 __all__ = ["PHP"]
-
-
-class _SegmentCost:
-    """O(1) SSE of any half-open segment of a fixed vector, via prefix sums."""
-
-    def __init__(self, x: np.ndarray):
-        self._prefix = np.concatenate([[0.0], np.cumsum(x)])
-        self._prefix_sq = np.concatenate([[0.0], np.cumsum(x ** 2)])
-
-    def sse(self, lo, hi):
-        """Vectorised sum of squared deviations from the mean over ``x[lo:hi]``."""
-        lo = np.asarray(lo)
-        hi = np.asarray(hi)
-        width = np.maximum(hi - lo, 1)
-        total = self._prefix[hi] - self._prefix[lo]
-        total_sq = self._prefix_sq[hi] - self._prefix_sq[lo]
-        return np.maximum(total_sq - total * total / width, 0.0)
 
 
 class PHP(PlanAlgorithm):
@@ -83,7 +66,7 @@ class PHP(PlanAlgorithm):
                 "bucket counts")
 
         n = x.size
-        cost = _SegmentCost(x)
+        sse = segment_sse(x)
         max_iterations = max(1, int(np.ceil(np.log2(max(n, 2)))))
         eps_per_split = eps_partition / max_iterations
 
@@ -94,8 +77,8 @@ class PHP(PlanAlgorithm):
             if hi - lo <= 1:
                 break
             candidates = np.arange(lo + 1, hi)
-            left_cost = cost.sse(np.full(candidates.size, lo), candidates)
-            right_cost = cost.sse(candidates, np.full(candidates.size, hi))
+            left_cost = sse(np.full(candidates.size, lo), candidates)
+            right_cost = sse(candidates, np.full(candidates.size, hi))
             scores = -(left_cost + right_cost)
             # Adding one record changes a squared-deviation cost by O(count);
             # we use the conservative bound 2 * max(x) + 1.
@@ -105,7 +88,7 @@ class PHP(PlanAlgorithm):
             split = int(candidates[chosen])
             left, right = (lo, split), (split, hi)
             # Freeze the more uniform piece, keep refining the other.
-            if float(cost.sse(*left)) <= float(cost.sse(*right)):
+            if float(sse(*left)) <= float(sse(*right)):
                 buckets.append(left)
                 current = right
             else:

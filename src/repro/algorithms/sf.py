@@ -23,12 +23,12 @@ import bisect
 
 import numpy as np
 
+from ..core.gls import reconcile_shift
 from ..core.measurement import MeasurementSet
-from ..core.plan import MeasurementPlan, segment_sums
+from ..core.plan import MeasurementPlan, segment_sse, segment_sums
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
 from .base import AlgorithmProperties, PlanAlgorithm
-from .inference import inverse_variance_combine_rows
 from .mechanisms import BudgetExceededError, PrivacyBudget, exponential_mechanism
 
 __all__ = ["StructureFirst"]
@@ -111,10 +111,10 @@ class StructureFirst(PlanAlgorithm):
         """Two-level least squares within each bucket (Section 6.2
         modification): combine the two measurements of the bucket total by
         inverse-variance weighting and distribute the residual evenly over
-        the cell estimates, which keeps the algorithm consistent.  All
-        buckets are solved at once, with the per-bucket float operations of
-        a bucket-at-a-time loop (cell sums by
-        :func:`~repro.core.plan.segment_sums`)."""
+        the cell estimates (:func:`~repro.core.gls.reconcile_shift`), which
+        keeps the algorithm consistent.  All buckets are solved at once,
+        with the per-bucket float operations of a bucket-at-a-time loop
+        (cell sums by :func:`~repro.core.plan.segment_sums`)."""
         edges = np.asarray(plan.extras["boundaries"])
         lo, width = edges[:-1], np.diff(edges)
         values, variances = measurements.values, measurements.variances
@@ -127,13 +127,11 @@ class StructureFirst(PlanAlgorithm):
 
         lo, width, first = lo[~single], width[~single], first[~single]
         cells_sum = segment_sums(values, first + 1, width)
-        combined_total = inverse_variance_combine_rows(
-            np.column_stack([values[first], cells_sum]),
-            np.column_stack([variances[first], width * variances[first + 1]]))
+        shift = reconcile_shift(values[first], variances[first], cells_sum,
+                                variances[first + 1], width)
         bucket = np.repeat(np.arange(lo.size), width)
         cell = np.arange(bucket.size) - np.repeat(np.cumsum(width) - width, width)
-        estimate[lo[bucket] + cell] = (values[first[bucket] + 1 + cell]
-                                       + ((combined_total - cells_sum) / width)[bucket])
+        estimate[lo[bucket] + cell] = values[first[bucket] + 1 + cell] + shift[bucket]
         return estimate
 
     # -- structure selection -------------------------------------------------------
@@ -154,14 +152,7 @@ class StructureFirst(PlanAlgorithm):
         n = x.size
         if n_buckets <= 1 or eps_structure <= 0:
             return [0, n]
-        prefix = np.concatenate([[0.0], np.cumsum(x)])
-        prefix_sq = np.concatenate([[0.0], np.cumsum(x ** 2)])
-
-        def sse(lo, hi):
-            width = np.maximum(hi - lo, 1)
-            total = prefix[hi] - prefix[lo]
-            total_sq = prefix_sq[hi] - prefix_sq[lo]
-            return np.maximum(total_sq - total * total / width, 0.0)
+        sse = segment_sse(x)
 
         # gains[c - 1] scores cut c against the segment (lo, hi) holding it:
         # sse(lo, hi) - sse(lo, c) - sse(c, hi).  One sse pass over the three

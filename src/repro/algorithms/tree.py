@@ -130,6 +130,7 @@ class HierarchicalTree:
         self._levels_2d: list[dict] | None = None
         self._leaf_indices: np.ndarray | None = None
         self._sizes: np.ndarray | None = None
+        self._sibling_groups: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     # -- construction -------------------------------------------------------------
     @staticmethod
@@ -329,6 +330,29 @@ class HierarchicalTree:
         if self._sizes is None:
             self._sizes = (self._hi - self._lo + 1).prod(axis=1)
         return self._sizes
+
+    def sibling_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The internal nodes as ``(parents, children)`` index groups in
+        top-down level order (cached): per level, one group per child count
+        ``k``, in ascending ``k``, with ``parents`` ``(rows,)`` in node order
+        and ``children`` ``(rows, k)``.  Every group is an exact matrix, and
+        a node's children sit one level below it, so streaming the list
+        top-down or bottom-up keeps the level-by-level data dependencies of
+        the two-pass tree solve (:func:`repro.core.gls.tree_least_squares`).
+        """
+        if self._sibling_groups is None:
+            counts = np.diff(self._child_offsets)
+            groups = []
+            for s, e in zip(self._level_offsets[:-1].tolist(),
+                            self._level_offsets[1:].tolist()):
+                internal = np.flatnonzero(counts[s:e]) + s
+                internal_counts = counts[internal]
+                for k in np.unique(internal_counts).tolist():
+                    parents = internal[internal_counts == k].astype(np.intp, copy=False)
+                    children = self._child_offsets[parents][:, None] + np.arange(1, k + 1)
+                    groups.append((parents, children.astype(np.intp, copy=False)))
+            self._sibling_groups = groups
+        return self._sibling_groups
 
     # -- accessors ----------------------------------------------------------------
     @property

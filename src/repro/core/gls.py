@@ -8,9 +8,9 @@ not need to form a tree.  There are two solvers, and the set's ``tree`` tag
 picks between them:
 
 * tree-tagged sets — the classic two-pass algorithm
-  (:func:`~repro.algorithms.inference.tree_least_squares`) computes the
-  exact GLS solution in O(nodes); this is the path of H, Hb, GreedyH,
-  QuadTree and DAWA's stage two (a tree over its private buckets).
+  (:func:`tree_least_squares`) computes the exact GLS solution in
+  O(nodes); this is the path of H, Hb, GreedyH, QuadTree and DAWA's stage
+  two (a tree over its private buckets).
 * untagged sets — matrix-free LSMR on the variance-whitened implicit
   operator (prefix-sum matvec / difference-array rmatvec, nothing
   materialised).  Converges to the *minimum-norm* least-squares solution,
@@ -18,17 +18,80 @@ picks between them:
   the uniform within-leaf expansion the tree solve uses.  To solve a
   tree-tagged set this way, drop the tag:
   ``solve_gls(dataclasses.replace(measurements, tree=None))``.
+
+The one closed form that is not a tree is :func:`reconcile_shift`: a group
+of cells measured one by one whose total is also measured directly (SF's
+buckets, DPCube's kd blocks, AGrid's coarse cells).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..algorithms.inference import tree_least_squares
 from ..workload.linops import rectangle_cells
+from .kernels import get_kernel
 from .measurement import MeasurementSet
 
-__all__ = ["solve_gls"]
+__all__ = ["reconcile_shift", "solve_gls", "tree_least_squares"]
+
+
+def reconcile_shift(totals, total_variances, sums, member_variance, sizes):
+    """The GLS correction of every member of a group of cells whose total
+    was measured twice.
+
+    A group of ``sizes`` members, each measured with variance
+    ``member_variance``, sums to ``sums``; its total was also measured
+    directly, as ``totals`` with variance ``total_variances``.  The
+    least-squares solution combines the two totals by inverse variance and
+    shifts every member by the same amount; this returns that shift,
+    ``(combined - sums) / sizes``.  A zero or infinite variance carries no
+    weight, and a group with no weight falls back to the mean of its two
+    totals.  All arguments broadcast against each other.
+    """
+    sum_variances = member_variance * sizes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_total = np.where(np.isfinite(total_variances) & (total_variances > 0),
+                           1.0 / total_variances, 0.0)
+        w_sum = np.where(np.isfinite(sum_variances) & (sum_variances > 0),
+                         1.0 / sum_variances, 0.0)
+        weight = w_total + w_sum
+        combined = np.where(weight == 0, (totals + sums) / 2,
+                            (w_total * totals + w_sum * sums) / weight)
+    return (combined - sums) / sizes
+
+
+def tree_least_squares(tree, measurements: np.ndarray,
+                       variances: np.ndarray) -> np.ndarray:
+    """Least-squares consistent estimates of every node total of ``tree``
+    (a :class:`~repro.algorithms.tree.HierarchicalTree`), such that every
+    internal node equals the sum of its children.
+
+    ``measurements`` and ``variances`` hold one entry per node, in node
+    order; ``nan`` or an infinite variance marks an unmeasured node.
+
+    Pass 1 (bottom-up) combines each node's own measurement with the sum of
+    its children's combined estimates by inverse variance.  Pass 2
+    (top-down) distributes the residual between a parent's final value and
+    the sum of its children's pass-1 values over the children, in
+    proportion to their pass-1 variances.  For a tree this is the exact
+    generalized least-squares solution (Hay et al., PVLDB 2010).
+
+    Both passes run in the ``tree_two_pass`` kernel over the tree's
+    :meth:`~repro.algorithms.tree.HierarchicalTree.sibling_groups`,
+    streamed in row blocks (:data:`repro.core.kernels.TREE_BLOCK`).  The
+    float operations are those of the historical node-at-a-time solver:
+    pass-1 child sums accumulate column by column, pass-2 row sums are
+    numpy's pairwise ``sum`` over length-``k`` rows, and blocking changes no
+    per-row operation, so results are bitwise identical.
+    """
+    measurements = np.asarray(measurements, dtype=float)
+    variances = np.asarray(variances, dtype=float)
+    if measurements.shape != (tree.n_nodes,) or variances.shape != (tree.n_nodes,):
+        raise ValueError("measurements/variances must have one entry per tree node")
+    unmeasured = ~np.isfinite(measurements)
+    own_values = np.where(unmeasured, 0.0, measurements)
+    own_vars = np.where(unmeasured, np.inf, variances)
+    return get_kernel("tree_two_pass")(tree.sibling_groups(), own_values, own_vars)
 
 
 def _solve_tree(measurements: MeasurementSet) -> np.ndarray:

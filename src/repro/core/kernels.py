@@ -33,7 +33,7 @@ Kernels
     The two-pass tree GLS over a flattened level plan, streamed in
     fixed-size row blocks (:data:`TREE_BLOCK`) so no per-level dense
     intermediate outgrows the block; see
-    :func:`~repro.algorithms.inference.tree_least_squares`.
+    :func:`~repro.core.gls.tree_least_squares`.
 ``batched_laplace``
     Noise for a whole plan in one generator call per constant-scale run,
     stream-identical to the historical per-query draws; see

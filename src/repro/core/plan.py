@@ -59,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..workload.rangequery import Workload
 
 __all__ = ["MeasurementPlan", "ReleaseMetadata", "SelectionStrategy",
-           "measure_plan", "reconstruct", "segment_sums"]
+           "measure_plan", "reconstruct", "segment_sse", "segment_sums"]
 
 
 @dataclass(frozen=True)
@@ -219,6 +219,22 @@ class MeasurementPlan:
 #: Cells gathered per row-sum call in :func:`segment_sums`: the gathered
 #: copy stays cache-sized however large the domain or its segments.
 _GATHER_CELLS = 1 << 16
+
+
+def segment_sse(x: np.ndarray):
+    """``sse(lo, hi)``: the sum of squared deviations from the mean of the
+    half-open segments ``x[lo:hi]``, O(1) per segment through prefix sums
+    and vectorised over ``lo`` and ``hi`` — the split score of SF's and
+    PHP's exponential-mechanism searches."""
+    prefix = np.concatenate([[0.0], np.cumsum(x)])
+    prefix_sq = np.concatenate([[0.0], np.cumsum(x ** 2)])
+
+    def sse(lo, hi):
+        width = np.maximum(np.subtract(hi, lo), 1)
+        total = prefix[hi] - prefix[lo]
+        total_sq = prefix_sq[hi] - prefix_sq[lo]
+        return np.maximum(total_sq - total * total / width, 0.0)
+    return sse
 
 
 def segment_sums(values: np.ndarray, starts: np.ndarray,

@@ -263,14 +263,6 @@ class ResultSet:
             grouped.setdefault(record.setting.key_without_algorithm(), {})[record.algorithm] = record
         return grouped
 
-    def errors_at(self, setting: ExperimentSetting) -> dict[str, np.ndarray]:
-        """Per-algorithm error samples at one setting (successful runs only)."""
-        out = {}
-        for record in self._records:
-            if record.setting == setting and not record.failed:
-                out[record.algorithm] = record.errors
-        return out
-
     # -- tabulation -------------------------------------------------------------------
     def to_rows(self) -> list[dict]:
         """Flat rows (one per record) with summary statistics."""

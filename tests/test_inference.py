@@ -1,33 +1,51 @@
-"""Unit tests for least-squares consistency on hierarchical trees."""
+"""Unit tests for the closed-form least-squares solves of
+:mod:`repro.core.gls`: the two-measurement reconciliation shift and the
+two-pass consistency solve on hierarchical trees."""
 
 import numpy as np
 import pytest
 
-from repro.algorithms.inference import inverse_variance_combine_rows, tree_least_squares
 from repro.algorithms.tree import HierarchicalTree
+from repro.core.gls import reconcile_shift, tree_least_squares
 
 
-class TestInverseVarianceCombine:
+def _combined(totals, total_variances, sums, member_variance, sizes):
+    """The reconciled group total: the member sum plus every member's shift."""
+    shift = reconcile_shift(totals, total_variances, sums, member_variance, sizes)
+    return sums + shift * sizes
+
+
+class TestReconcileShift:
     def test_equal_variances_average(self):
-        estimate = inverse_variance_combine_rows(np.array([[2.0, 4.0]]), np.array([[1.0, 1.0]]))
-        assert estimate.shape == (1,)
-        assert estimate[0] == pytest.approx(3.0)
+        combined = _combined(np.array([2.0]), 1.0, np.array([4.0]), 1.0, 1)
+        assert combined.shape == (1,)
+        assert combined[0] == pytest.approx(3.0)
 
     def test_prefers_precise_measurement(self):
-        estimate = inverse_variance_combine_rows(np.array([[0.0, 10.0]]),
-                                                 np.array([[100.0, 0.01]]))
-        assert estimate[0] == pytest.approx(10.0, abs=0.1)
+        combined = _combined(np.array([0.0]), 100.0, np.array([10.0]), 0.01, 1)
+        assert combined[0] == pytest.approx(10.0, abs=0.1)
 
-    def test_all_infinite_variances(self):
-        estimate = inverse_variance_combine_rows(np.array([[1.0, 3.0]]),
-                                                 np.array([[np.inf, np.inf]]))
-        assert estimate[0] == pytest.approx(2.0)
+    def test_sum_variance_grows_with_group_size(self):
+        # Four members of variance 1 sum with variance 4: the direct total
+        # (variance 1) gets weight 4/5.
+        combined = _combined(np.array([0.0]), 1.0, np.array([10.0]), 1.0, 4)
+        assert combined[0] == pytest.approx(2.0)
 
-    def test_rows_combine_independently(self):
-        values = np.array([[2.0, 4.0], [0.0, 10.0], [1.0, 3.0]])
-        variances = np.array([[1.0, 1.0], [1.0, 4.0], [np.inf, np.inf]])
-        estimate = inverse_variance_combine_rows(values, variances)
-        np.testing.assert_allclose(estimate, [3.0, 2.0, 2.0])
+    def test_all_infinite_variances_fall_back_to_mean(self):
+        combined = _combined(np.array([1.0]), np.inf, np.array([3.0]), np.inf, 2)
+        assert combined[0] == pytest.approx(2.0)
+
+    def test_shift_spreads_residual_evenly(self):
+        shift = reconcile_shift(np.array([10.0]), 1.0, np.array([6.0]), 0.25, 4)
+        # The member sum has variance 1 too, so the combined total is 8.
+        assert shift[0] == pytest.approx(0.5)
+
+    def test_groups_reconcile_independently(self):
+        totals = np.array([2.0, 0.0, 1.0])
+        sums = np.array([4.0, 10.0, 3.0])
+        combined = _combined(totals, np.array([1.0, 1.0, np.inf]), sums,
+                             np.array([1.0, 2.0, np.inf]), np.array([1, 2, 5]))
+        np.testing.assert_allclose(combined, [3.0, 2.0, 2.0])
 
 
 class TestTreeLeastSquares:

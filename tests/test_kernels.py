@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from reference.dawa_partition import l1_partition_reference
-from repro.algorithms import dawa, inference
+from repro.algorithms import dawa
 from repro.algorithms.dawa import l1_partition
-from repro.algorithms.inference import _inference_plan, tree_least_squares
 from repro.algorithms.tree import HierarchicalTree
-from repro.core import kernels
+from repro.core import gls, kernels
+from repro.core.gls import tree_least_squares
 from repro.core.kernels import (
     TREE_BLOCK,
     active_backend,
@@ -181,7 +181,7 @@ class TestTreeTwoPass:
         """Blocks of one row and of seven rows give the unblocked result
         bitwise at every branching factor, ragged levels included."""
         tree, meas, var = _random_tree_case(17, branching, n_leaves, frac)
-        plan = _inference_plan(tree)
+        plan = tree.sibling_groups()
         own_values = np.where(np.isfinite(meas), meas, 0.0)
         own_vars = np.where(np.isfinite(meas), var, np.inf)
         ref = kernels._tree_two_pass(plan, own_values, own_vars)
@@ -193,7 +193,7 @@ class TestTreeTwoPass:
     def test_blocking_is_bitwise_invariant(self):
         """Tiny blocks chunk every level many times; results must not move."""
         tree, meas, var = _random_tree_case(23, 2, 512, 0.25)
-        plan = _inference_plan(tree)
+        plan = tree.sibling_groups()
         own_values = np.where(np.isfinite(meas), meas, 0.0)
         own_vars = np.where(np.isfinite(meas), var, np.inf)
         ref = kernels._tree_two_pass(plan, own_values, own_vars)
@@ -201,7 +201,7 @@ class TestTreeTwoPass:
         assert tiny.tobytes() == ref.tobytes()
 
     def test_dispatch_used_by_tree_least_squares(self, monkeypatch):
-        seen = _record_lookups(monkeypatch, inference)
+        seen = _record_lookups(monkeypatch, gls)
         tree, meas, var = _random_tree_case(29, 2, 64)
         out = tree_least_squares(tree, meas, var)
         assert seen == ["tree_two_pass"]

@@ -238,11 +238,7 @@ class TestGLSReproducesTreeFastPath:
         x = np.random.default_rng(99).integers(0, 40, size=32).astype(float)
         algorithm = DPCube()
         plan, mset = algorithm.plan_and_measure(x, 1.0, rng=5)
-        n_cells = x.size
-        closed_form = algorithm._reconcile(
-            mset.values[:n_cells].reshape(x.shape), plan.extras["blocks"],
-            mset.values[n_cells:],
-            float(mset.variances[0]), float(mset.variances[n_cells]))
+        closed_form = algorithm.infer(mset, plan)
         # plan_and_measure consumes the same noise draws as run, so the closed
         # form equals the algorithm's actual output for the same seed.
         assert np.array_equal(closed_form, DPCube().run(x, 1.0, rng=5))

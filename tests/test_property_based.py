@@ -17,9 +17,9 @@ from repro import (
 from repro.algorithms.ahp import greedy_value_clustering
 from repro.algorithms.dawa import l1_partition
 from repro.algorithms.hilbert import hilbert_ordering_for
-from repro.algorithms.inference import tree_least_squares
 from repro.algorithms.tree import HierarchicalTree
 from repro.algorithms.wavelet import haar_forward, haar_inverse
+from repro.core.gls import tree_least_squares
 from repro.core.plan import MeasurementPlan, measure_plan, reconstruct
 from repro.data.synthetic import apply_sparsity
 

@@ -17,7 +17,9 @@ Two suite-level contracts:
   Hilbert-flattened — by design).  UGrid/AGrid were exempted up front for the
   grid-edges fix, but at this setting the old and new ``_grid_edges`` agree,
   so their outputs are bitwise-unchanged too (the fix itself is pinned in
-  ``test_spatial_2d.py``).
+  ``test_spatial_2d.py``).  The non-integer-count settings (``*_real``
+  keys) were added later, captured before the closed-form solves moved
+  into :mod:`repro.core.gls`.
 """
 
 from pathlib import Path
@@ -116,3 +118,16 @@ class TestRegistryGoldenPins:
         estimate = repro.make_algorithm(name).run(
             x, settings.EPS_2D, workload=workload, rng=settings.SEED_2D)
         assert estimate.tobytes() == golden[f"{name}_2d"].tobytes()
+
+    @pytest.mark.parametrize("suffix", ["1d_real", "2d_real"])
+    @pytest.mark.parametrize("name", sorted(ALGORITHM_REGISTRY))
+    def test_non_integer_counts_bitwise(self, golden, settings, name, suffix):
+        """Non-integer counts: unlike integer ones, their sums depend on the
+        summation order, so these pins also catch a reordered reduction."""
+        ndim = settings.SETTINGS[suffix][0]
+        if ndim not in ALGORITHM_REGISTRY[name].properties.supported_dims:
+            assert f"{name}_{suffix}" not in golden.files
+            return
+        pinned = golden[f"{name}_{suffix}"]
+        assert np.isfinite(pinned).all()
+        assert settings.release(name, suffix).tobytes() == pinned.tobytes()
