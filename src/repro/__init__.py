@@ -45,6 +45,7 @@ from .core import (
     ResultSet,
     RunRecord,
     SideInformationRepair,
+    TunedAlgorithm,
     TuningResult,
     algorithm_names,
     algorithms_for_dimension,
@@ -145,7 +146,7 @@ __all__ = [
     "MeasurementSet", "MeasurementPlan", "ReleaseMetadata", "solve_gls",
     # serve
     "ReleaseService",
-    "SideInformationRepair", "ParameterTuner",
+    "SideInformationRepair", "ParameterTuner", "TunedAlgorithm",
     "TuningResult", "ALGORITHM_REGISTRY", "make_algorithm", "algorithm_names",
     "algorithms_for_dimension", "table1_rows", "benchmark_1d", "benchmark_2d",
     "scaled_average_per_query_error", "summarize_errors",

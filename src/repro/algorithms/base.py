@@ -62,9 +62,10 @@ def validate_input(x: np.ndarray, epsilon: float, supported_dims: tuple[int, ...
     """Validate and normalise an input count array.
 
     Returns a float copy of ``x``; raises ``ValueError`` on negative counts,
-    unsupported dimensionality, or a non-positive epsilon.  The input is
-    copied exactly once: when ``asarray`` already had to convert (non-float
-    dtype, nested lists) its result is a fresh array and is returned as-is.
+    unsupported dimensionality, or an epsilon outside ``(0, inf)`` (NaN
+    included).  The input is copied exactly once: when ``asarray`` already
+    had to convert (non-float dtype, nested lists) its result is a fresh
+    array and is returned as-is.
     """
     original = x
     # asanyarray, not asarray: ndarray subclasses (the taint sanitizer's
@@ -80,8 +81,8 @@ def validate_input(x: np.ndarray, epsilon: float, supported_dims: tuple[int, ...
         raise ValueError("input counts must be non-negative")
     if not np.isfinite(x).all():
         raise ValueError("input counts must be finite")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if isinstance(original, np.ndarray) and np.shares_memory(x, original):
         x = x.copy()
     return x

@@ -158,8 +158,8 @@ class PrivacyBudget:
     """
 
     def __init__(self, epsilon: float):
-        if epsilon <= 0:
-            raise ValueError(f"total epsilon must be positive, got {epsilon}")
+        if not 0 < epsilon < np.inf:
+            raise ValueError(f"total epsilon must be positive and finite, got {epsilon}")
         self._total = float(epsilon)
         self._spent = 0.0
         self._log: list[tuple[str, float]] = []

@@ -46,7 +46,7 @@ from .registry import (
 from .repair import SideInformationRepair
 from .results import ExperimentSetting, ResultSet, RunRecord
 from .suite import benchmark_1d, benchmark_2d, full_mode
-from .tuning import ParameterTuner, TuningResult, tuned_algorithm_factory
+from .tuning import ParameterTuner, TunedAlgorithm, TuningResult
 
 __all__ = [
     "DPBench",
@@ -91,7 +91,7 @@ __all__ = [
     "SideInformationRepair",
     "ParameterTuner",
     "TuningResult",
-    "tuned_algorithm_factory",
+    "TunedAlgorithm",
     "benchmark_1d",
     "benchmark_2d",
     "full_mode",

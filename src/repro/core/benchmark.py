@@ -33,8 +33,8 @@ the same :class:`ResultSet` an uninterrupted run would have produced.
 
 from __future__ import annotations
 
-import inspect
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -46,12 +46,11 @@ from ..algorithms.mechanisms import as_rng
 from ..data.dataset import Dataset
 from ..workload.builders import default_workload
 from ..workload.rangequery import Workload
-from .error import scaled_average_per_query_error
+from .error import scaled_average_per_query_error, trial_answers
 from .executor import (
     Job,
     JobRuntime,
     SerialExecutor,
-    _apply_shard,
     data_seed_sequence,
     job_seed_sequence,
     root_entropy_from,
@@ -60,8 +59,6 @@ from .generator import DataGenerator
 from .results import ExperimentSetting, ResultSet, RunRecord, read_jsonl_entries
 
 __all__ = ["BenchmarkGrid", "DPBench"]
-
-AlgorithmFactory = Callable[[], Algorithm]
 
 
 @dataclass
@@ -77,6 +74,11 @@ class BenchmarkGrid:
     def __post_init__(self):
         if not self.scales or not self.domain_shapes or not self.epsilons:
             raise ValueError("the grid needs at least one scale, domain and epsilon")
+        if not all(0 < epsilon < math.inf for epsilon in self.epsilons):
+            raise ValueError(
+                f"every epsilon must be positive and finite, got {list(self.epsilons)}")
+        if not all(scale >= 1 for scale in self.scales):
+            raise ValueError(f"every scale must be at least 1, got {list(self.scales)}")
         if self.n_data_samples < 1 or self.n_trials < 1:
             raise ValueError("n_data_samples and n_trials must be positive")
 
@@ -96,10 +98,11 @@ class DPBench:
     datasets:
         The source datasets ``D``; their shapes drive the study.
     algorithms:
-        Mapping from algorithm name to a zero-argument factory (``M``).  A
-        factory may also accept ``(epsilon, scale, domain_size)`` keyword-free
-        positional arguments, which lets tuned variants pick setting-specific
-        parameters; plain classes/instances are wrapped automatically.
+        ``M``: mapping from record name to an :class:`Algorithm` instance.
+        Each runs in every cell whose dimensionality it ``supports``.  A
+        tuned variant (Rparam) is an instance too:
+        :class:`~repro.core.tuning.TunedAlgorithm` picks its parameters per
+        run.
     workload_factory:
         ``W``: builds the workload for a domain shape; defaults to the paper's
         Prefix (1-D) / 2000 random range queries (2-D).
@@ -117,7 +120,7 @@ class DPBench:
 
     task: str
     datasets: Sequence[Dataset]
-    algorithms: dict[str, AlgorithmFactory]
+    algorithms: dict[str, Algorithm]
     grid: BenchmarkGrid
     workload_factory: Callable[[tuple[int, ...], np.random.Generator], Workload] | None = None
     loss: str = "l2"
@@ -127,43 +130,13 @@ class DPBench:
     checkpoint: str | Path | None = None
     resume: bool = False
 
-    # -- algorithm instantiation ----------------------------------------------------
-    def _probe_supports(self, factory, ndim: int) -> bool | None:
-        """Decide ``supports(ndim)`` without constructing, where possible.
-
-        Returns True/False for instances and Algorithm subclasses (whose
-        class-level ``properties`` carry the supported dimensions) and None
-        for opaque callables, which must be instantiated to find out.
-        """
-        if isinstance(factory, type) and issubclass(factory, Algorithm):
-            return ndim in factory.properties.supported_dims
-        if hasattr(factory, "supports"):
-            return bool(factory.supports(ndim))
-        return None
-
-    def _instantiate(self, name: str, factory, epsilon: float, scale: int,
-                     domain_size: int, cache: dict | None = None) -> Algorithm:
-        if isinstance(factory, type) and issubclass(factory, Algorithm):
-            # A zero-argument class factory is setting-independent: one
-            # instance per runtime serves every cell.
-            if cache is not None:
-                if name not in cache:
-                    cache[name] = factory()
-                return cache[name]
-            return factory()
-        if isinstance(factory, Algorithm) or (not isinstance(factory, type)
-                                              and hasattr(factory, "run")):
-            return factory
-        # The call form comes from the signature, not from a TypeError the
-        # factory itself may raise.
-        args = (epsilon, scale, domain_size)
-        try:
-            inspect.signature(factory).bind(*args)
-        except TypeError:
-            args = ()
-        except ValueError:          # no introspectable signature
-            pass
-        return factory(*args)
+    def __post_init__(self):
+        for name, algorithm in self.algorithms.items():
+            if isinstance(algorithm, type) or not (
+                    hasattr(algorithm, "run") and hasattr(algorithm, "supports")):
+                raise TypeError(
+                    f"algorithm {name!r} must be an Algorithm instance, got "
+                    f"{algorithm!r}")
 
     def _workload_for(self, domain_shape: tuple[int, ...]) -> Workload:
         rng = as_rng(self.workload_seed)
@@ -187,23 +160,24 @@ class DPBench:
 
         The order (domain, dataset, scale, epsilon, algorithm) defines the
         record order of the returned :class:`ResultSet` no matter which
-        executor ran the jobs or in which order they completed.
+        executor ran the jobs or in which order they completed.  An
+        algorithm gets no job in a cell whose dimensionality it does not
+        support.
         """
         self._dataset_by_name()                      # validate name uniqueness
         out: list[Job] = []
         for domain_shape in self.grid.domain_shapes:
             shape = tuple(int(d) for d in domain_shape)
+            names = [name for name, algorithm in self.algorithms.items()
+                     if algorithm.supports(len(shape))]
             for dataset in self.datasets:
                 if dataset.ndim != len(shape):
                     continue
                 for scale in self.grid.scales:
                     for epsilon in self.grid.epsilons:
-                        for name, factory in self.algorithms.items():
-                            if self._probe_supports(factory, len(shape)) is False:
-                                continue
-                            out.append(Job(dataset=dataset.name, domain_shape=shape,
-                                           scale=int(scale), epsilon=float(epsilon),
-                                           algorithm=name))
+                        out.extend(Job(dataset=dataset.name, domain_shape=shape,
+                                       scale=int(scale), epsilon=float(epsilon),
+                                       algorithm=name) for name in names)
         return out
 
     # -- per-job execution ----------------------------------------------------------
@@ -212,9 +186,10 @@ class DPBench:
         """Sample the cell's data vectors and evaluate the true answers once.
 
         True-answer evaluation (here and per-trial estimate evaluation in
-        ``_run_algorithm``) goes through ``workload.evaluate``, i.e. the one
-        cached sparse operator of the runtime's per-domain workload
-        (``Workload.operator``) — no per-call query loops or matrices.
+        :func:`~repro.core.error.trial_answers`) goes through
+        ``workload.evaluate``, i.e. the one cached sparse operator of the
+        runtime's per-domain workload (``Workload.operator``) — no per-call
+        query loops or matrices.
         """
         dataset = self._dataset_by_name()[dataset_name]
         seed = data_seed_sequence(root_entropy, dataset_name, domain_shape, scale)
@@ -224,7 +199,8 @@ class DPBench:
         true_answers = [workload.evaluate(s.counts) for s in samples]
         return samples, true_answers
 
-    def _execute_job(self, job: Job, runtime: JobRuntime) -> RunRecord | None:
+    def _execute_job(self, job: Job, runtime: JobRuntime) -> RunRecord:
+        """Run the job's algorithm ``n_trials`` times on each data vector."""
         workload = runtime.workload(job.domain_shape)
         samples, true_answers = runtime.data(job.dataset, job.domain_shape, job.scale)
         setting = ExperimentSetting(
@@ -234,51 +210,24 @@ class DPBench:
             epsilon=job.epsilon,
             workload=workload.name,
         )
+        algorithm = self.algorithms[job.algorithm]
         rng = np.random.default_rng(job_seed_sequence(runtime.root_entropy, job))
-        return self._run_algorithm(
-            job.algorithm, self.algorithms[job.algorithm], samples, true_answers,
-            workload, setting, job.epsilon, job.scale, rng, runtime.on_error,
-            instance_cache=runtime.instances)
-
-    def _run_algorithm(
-        self,
-        name: str,
-        factory,
-        samples: list[Dataset],
-        true_answers: list[np.ndarray],
-        workload: Workload,
-        setting: ExperimentSetting,
-        epsilon: float,
-        scale: int,
-        rng: np.random.Generator,
-        on_error: str,
-        instance_cache: dict | None = None,
-    ) -> RunRecord | None:
-        ndim = len(setting.domain_shape)
-        supported = self._probe_supports(factory, ndim)
-        if supported is False:
-            return None
-        domain_size = int(np.prod(setting.domain_shape))
         errors: list[float] = []
         try:
-            algorithm = self._instantiate(name, factory, epsilon, scale, domain_size,
-                                          cache=instance_cache)
-            if supported is None and not algorithm.supports(ndim):
-                return None
-            for sample, answers in zip(samples, true_answers):
-                for _ in range(self.grid.n_trials):
-                    estimate = algorithm.run(sample.counts, epsilon,
-                                             workload=workload, rng=rng)
-                    errors.append(scaled_average_per_query_error(
-                        answers, workload.evaluate(estimate),
-                        max(sample.scale, 1.0), loss=self.loss))
+            for sample, truth in zip(samples, true_answers):
+                scale = max(sample.scale, 1.0)
+                errors.extend(
+                    scaled_average_per_query_error(truth, answers, scale, loss=self.loss)
+                    for answers in trial_answers(algorithm, sample.counts, job.epsilon,
+                                                 workload, self.grid.n_trials, rng))
         except Exception as exc:  # noqa: BLE001 - harness boundary
-            if on_error == "raise":
+            if runtime.on_error == "raise":
                 raise
-            return RunRecord(setting=setting, algorithm=name,
+            return RunRecord(setting=setting, algorithm=job.algorithm,
                              errors=np.array([]), failed=True,
                              failure_message=f"{type(exc).__name__}: {exc}")
-        return RunRecord(setting=setting, algorithm=name, errors=np.array(errors))
+        return RunRecord(setting=setting, algorithm=job.algorithm,
+                         errors=np.array(errors))
 
     # -- execution --------------------------------------------------------------------
     def run(
@@ -306,11 +255,7 @@ class DPBench:
         executor:
             Scheduling policy; defaults to the benchmark's ``executor`` field
             or :class:`SerialExecutor`.  Pass
-            ``ParallelExecutor(workers=N)`` for a process-pool fan-out.  An
-            executor carrying ``shard=(i, n_shards)`` restricts the sweep to
-            its stripe ``jobs[i::n_shards]`` of the canonical job list —
-            applied *before* resume filtering, so a resumed shard never
-            drifts onto other shards' jobs.
+            ``ParallelExecutor(workers=N)`` for a process-pool fan-out.
         checkpoint:
             Path of a JSONL run-log.  Every completed record is appended (and
             flushed) as it finishes, so an interrupted sweep loses at most
@@ -328,25 +273,17 @@ class DPBench:
         resume = self.resume if resume is None else resume
         root_entropy = root_entropy_from(rng)
 
-        jobs = _apply_shard(self.jobs(), getattr(executor, "shard", None))
-        prior: dict[tuple, RunRecord] = {}
+        jobs = self.jobs()
         prior_entries: list[dict] = []
-        prior_keys: set[tuple] = set()
         if resume:
             if checkpoint is None:
                 raise ValueError("resume=True requires a checkpoint path")
             if Path(checkpoint).exists():
                 prior_entries = read_jsonl_entries(checkpoint)
-                for entry in prior_entries:
-                    if entry.get("skipped"):
-                        prior_keys.add(Job.key_from_dict(entry["job"]))
-                    else:
-                        record = RunRecord.from_dict(entry)
-                        prior[record.record_key()] = record
-                        prior_keys.add(record.record_key())
-        pending = [job for job in jobs if job.record_key() not in prior_keys]
+        records = {record.record_key(): record
+                   for record in map(RunRecord.from_dict, prior_entries)}
+        pending = [job for job in jobs if job.record_key() not in records]
 
-        completed: dict[tuple, RunRecord] = {}
         log = None
         if checkpoint is not None:
             path = Path(checkpoint)
@@ -365,15 +302,7 @@ class DPBench:
             log = open(checkpoint, "a" if resume else "w", encoding="utf8")
         try:
             for job, record in executor.execute(self, pending, root_entropy, on_error):
-                if record is None:
-                    # Checkpoint a skip marker so a resumed run does not
-                    # re-instantiate opaque factories for unsupported cells.
-                    if log is not None:
-                        log.write(json.dumps({"skipped": True, "job": job.to_dict()})
-                                  + "\n")
-                        log.flush()
-                    continue
-                completed[job.record_key()] = record
+                records[job.record_key()] = record
                 if log is not None:
                     log.write(json.dumps(record.to_dict()) + "\n")
                     log.flush()
@@ -383,11 +312,5 @@ class DPBench:
             if log is not None:
                 log.close()
 
-        results = ResultSet()
-        for job in jobs:
-            record = completed.get(job.record_key())
-            if record is None:
-                record = prior.get(job.record_key())
-            if record is not None:
-                results.add(record)
-        return results
+        return ResultSet([records[job.record_key()] for job in jobs
+                          if job.record_key() in records])

@@ -15,12 +15,18 @@ decomposition used in the consistency analysis (Finding 9).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..algorithms.base import Algorithm
+    from ..workload.rangequery import Workload
 
 __all__ = [
     "workload_loss",
     "scaled_average_per_query_error",
+    "trial_answers",
     "ErrorSummary",
     "summarize_errors",
     "bias_variance_decomposition",
@@ -56,6 +62,24 @@ def scaled_average_per_query_error(
         raise ValueError("scale must be positive")
     q = np.asarray(y_true).size
     return workload_loss(y_true, y_estimate, loss) / (scale * q)
+
+
+def trial_answers(
+    algorithm: Algorithm,
+    x: np.ndarray,
+    epsilon: float,
+    workload: Workload,
+    n_trials: int,
+    rng: np.random.Generator,
+) -> Iterator[np.ndarray]:
+    """Release ``x`` ``n_trials`` times and yield each release's workload answers.
+
+    Every trial is one ``algorithm.run`` drawing from ``rng`` in turn; the
+    caller scores each answer vector with
+    :func:`scaled_average_per_query_error` at its own scale.
+    """
+    for _ in range(n_trials):
+        yield workload.evaluate(algorithm.run(x, epsilon, workload=workload, rng=rng))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ hashes the job's setting.  Two consequences:
 * a job can be re-executed in isolation (e.g. when resuming an interrupted
   sweep) and reproduce exactly the record it would have produced originally.
 
-Three executors implement the scheduling policy:
+Two executors implement the scheduling policy:
 
 * :class:`SerialExecutor` — in-process loop, zero overhead, the default;
 * :class:`ParallelExecutor` — a :class:`concurrent.futures.ProcessPoolExecutor`
@@ -28,7 +28,7 @@ Three executors implement the scheduling policy:
 :class:`JobRuntime` is the per-process memo: the workload per domain shape,
 the sampled data vectors and true workload answers per ``(dataset, domain,
 scale)`` (computed once, shared across every epsilon and algorithm at that
-cell), and one instance per stateless algorithm factory.
+cell).
 """
 
 from __future__ import annotations
@@ -52,27 +52,6 @@ __all__ = [
 ]
 
 
-def _apply_shard(jobs: list[Job], shard: tuple[int, int] | None) -> list[Job]:
-    """Restrict a job list to one shard of a multi-host sweep.
-
-    ``shard=(i, n_shards)`` keeps ``jobs[i::n_shards]`` — a deterministic
-    striped split of the canonical job order, so ``n_shards`` hosts running
-    the same grid with the same root entropy partition it exactly.  Each
-    host's checkpoint run-log is later combined with ``python -m repro.merge``.
-
-    The stripe is taken by :meth:`DPBench.run` over the *canonical* job list,
-    before any resume filtering — striping the already-filtered pending list
-    would drift a resumed shard onto other shards' jobs.
-    """
-    if shard is None:
-        return jobs
-    index, n_shards = (int(v) for v in shard)
-    if n_shards < 1 or not 0 <= index < n_shards:
-        raise ValueError(
-            f"shard must be (i, n_shards) with 0 <= i < n_shards, got {shard}")
-    return jobs[index::n_shards]
-
-
 # -- job identity ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -88,21 +67,6 @@ class Job:
     def record_key(self) -> tuple:
         """The identity under which a finished record is checkpointed."""
         return (self.dataset, self.scale, self.domain_shape, self.epsilon, self.algorithm)
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "domain_shape": list(self.domain_shape),
-            "scale": self.scale,
-            "epsilon": self.epsilon,
-            "algorithm": self.algorithm,
-        }
-
-    @staticmethod
-    def key_from_dict(data: dict) -> tuple:
-        return (data["dataset"], int(data["scale"]),
-                tuple(int(d) for d in data["domain_shape"]),
-                float(data["epsilon"]), data["algorithm"])
 
     def describe(self) -> str:
         domain = "x".join(str(d) for d in self.domain_shape)
@@ -163,11 +127,10 @@ def job_seed_sequence(root_entropy: int, job: Job) -> np.random.SeedSequence:
 class JobRuntime:
     """Per-process caches backing job execution.
 
-    Holds the benchmark object plus three memos: the workload per domain
-    shape, the ``(samples, true_answers)`` pair per ``(dataset, domain,
+    Holds the benchmark object plus two memos: the workload per domain
+    shape, and the ``(samples, true_answers)`` pair per ``(dataset, domain,
     scale)`` — computed once and reused across every epsilon and algorithm at
-    that cell — and one constructed instance per stateless (zero-argument
-    class) algorithm factory.
+    that cell.
     """
 
     def __init__(self, bench, root_entropy: int, on_error: str = "record"):
@@ -176,7 +139,6 @@ class JobRuntime:
         self.on_error = on_error
         self._workloads: dict[tuple[int, ...], object] = {}
         self._data: dict[tuple, tuple] = {}
-        self.instances: dict[str, object] = {}
 
     def workload(self, domain_shape: tuple[int, ...]):
         if domain_shape not in self._workloads:
@@ -199,16 +161,7 @@ class JobRuntime:
 # -- executors ------------------------------------------------------------------------
 
 class SerialExecutor:
-    """Run jobs one after another in the current process (the default).
-
-    ``shard=(i, n_shards)`` restricts the sweep to this executor's stripe of
-    the canonical job list for multi-host runs; the benchmark runner applies
-    the stripe before resume filtering (see :func:`_apply_shard`).
-    """
-
-    def __init__(self, shard: tuple[int, int] | None = None):
-        self.shard = shard
-        _apply_shard([], shard)                  # validate eagerly
+    """Run jobs one after another in the current process (the default)."""
 
     def execute(self, bench, jobs: Iterable[Job], root_entropy: int,
                 on_error: str = "record") -> Iterator[tuple[Job, object]]:
@@ -240,23 +193,16 @@ class ParallelExecutor:
 
     The benchmark object is shipped to each worker once (at pool startup);
     jobs themselves are tiny tuples of names and numbers.  Under the ``spawn``
-    start method every component of the benchmark (datasets, factories,
+    start method every component of the benchmark (datasets, algorithms,
     workload factory) must be picklable; under ``fork`` (the Linux default)
     closures are tolerated.
-
-    ``shard=(i, n_shards)`` restricts the sweep to this pool's stripe of the
-    canonical job list for multi-host runs; the benchmark runner applies the
-    stripe before resume filtering (see :func:`_apply_shard`).
     """
 
-    def __init__(self, workers: int = 2, mp_context=None,
-                 shard: tuple[int, int] | None = None):
+    def __init__(self, workers: int = 2, mp_context=None):
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.workers = int(workers)
         self.mp_context = mp_context
-        self.shard = shard
-        _apply_shard([], shard)                  # validate eagerly
 
     def execute(self, bench, jobs: Iterable[Job], root_entropy: int,
                 on_error: str = "record") -> Iterator[tuple[Job, object]]:

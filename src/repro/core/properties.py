@@ -15,7 +15,7 @@ from ..algorithms.base import Algorithm
 from ..algorithms.mechanisms import as_rng
 from ..workload.builders import default_workload
 from ..workload.rangequery import Workload
-from .error import scaled_average_per_query_error
+from .error import scaled_average_per_query_error, trial_answers
 
 __all__ = [
     "mean_scaled_error",
@@ -43,12 +43,9 @@ def mean_scaled_error(
     # through the workload's single cached sparse operator.
     true_answers = workload.evaluate(x)
     scale = max(float(x.sum()), 1.0)
-    errors = []
-    for _ in range(n_trials):
-        estimate = algorithm.run(x, epsilon, workload=workload, rng=rng)
-        errors.append(scaled_average_per_query_error(
-            true_answers, workload.evaluate(estimate), scale))
-    return float(np.mean(errors))
+    return float(np.mean([
+        scaled_average_per_query_error(true_answers, answers, scale)
+        for answers in trial_answers(algorithm, x, epsilon, workload, n_trials, rng)]))
 
 
 def exchangeability_ratio(

@@ -17,9 +17,11 @@ performance, with a modest error increase attributable to the reduced budget.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from ..algorithms.base import Algorithm, AlgorithmProperties
+from ..algorithms.base import Algorithm
 from ..algorithms.mechanisms import PrivacyBudget, laplace_noise
 from ..workload.rangequery import Workload
 
@@ -45,21 +47,9 @@ class SideInformationRepair(Algorithm):
                 f"repaired")
         self._inner = inner
         self._rho_total = float(rho_total)
-        inner_properties = inner.properties
-        self.properties = AlgorithmProperties(
-            name=f"{inner_properties.name}+noisy-scale",
-            supported_dims=inner_properties.supported_dims,
-            data_dependent=inner_properties.data_dependent,
-            hierarchical=inner_properties.hierarchical,
-            partitioning=inner_properties.partitioning,
-            workload_aware=inner_properties.workload_aware,
-            parameters=dict(inner_properties.parameters),
-            free_parameters=inner_properties.free_parameters,
-            side_information=(),
-            consistent=inner_properties.consistent,
-            scale_epsilon_exchangeable=inner_properties.scale_epsilon_exchangeable,
-            reference=inner_properties.reference,
-        )
+        self.properties = replace(inner.properties,
+                                  name=f"{inner.properties.name}+noisy-scale",
+                                  side_information=())
         self.params = dict(inner.params)
 
     def _run(self, x: np.ndarray, budget: PrivacyBudget,

@@ -19,8 +19,7 @@ import numpy as np
 
 from .error import ErrorSummary, summarize_errors
 
-__all__ = ["ExperimentSetting", "RunRecord", "ResultSet", "read_jsonl_entries",
-           "merge_run_logs"]
+__all__ = ["ExperimentSetting", "RunRecord", "ResultSet", "read_jsonl_entries"]
 
 
 def read_jsonl_entries(source) -> list[dict]:
@@ -51,37 +50,6 @@ def read_jsonl_entries(source) -> list[dict]:
                 continue                      # torn tail of a killed run
             raise
     return entries
-
-
-def merge_run_logs(output, inputs) -> int:
-    """Combine shard run-logs into one, deduplicated by record identity.
-
-    The multi-host counterpart of the executor's ``shard=(i, n_shards)``
-    knob: each host streams its stripe of the grid to its own JSONL
-    checkpoint, and ``python -m repro.merge out.jsonl shard*.jsonl`` folds
-    them into one run-log holding exactly the *set* of records an unsharded
-    run would have produced (each record bitwise-identical), in shard-
-    concatenation order — not the canonical interleaved job order, so
-    compare by record identity, not line by line.  Entries are keyed by
-    record identity (skip markers by job identity); later inputs override
-    earlier ones, ordering is first appearance.  Consumers are order-
-    insensitive: ``ResultSet.from_jsonl`` + ``merge``/``record_key`` lookups,
-    or ``DPBench.run(..., resume=True)``, which reassembles canonical order
-    itself.  Returns the number of entries written.
-    """
-    merged: dict[tuple, dict] = {}
-    for source in inputs:
-        for entry in read_jsonl_entries(Path(source)):
-            if entry.get("skipped"):
-                from .executor import Job
-
-                key = ("skipped",) + Job.key_from_dict(entry["job"])
-            else:
-                key = ("record",) + RunRecord.from_dict(entry).record_key()
-            merged[key] = entry          # later shard overrides in place
-    text = "".join(json.dumps(entry) + "\n" for entry in merged.values())
-    Path(output).write_text(text, encoding="utf8")
-    return len(merged)
 
 
 @dataclass(frozen=True)
@@ -205,12 +173,8 @@ class ResultSet:
 
         Tolerates a truncated final line, which an interrupted run can leave
         behind — complete records are never lost to a partial trailing write.
-        The runner's skipped-job markers (``{"skipped": true, ...}`` lines)
-        are not records and are ignored.
         """
-        return cls([RunRecord.from_dict(entry)
-                    for entry in read_jsonl_entries(source)
-                    if not entry.get("skipped")])
+        return cls([RunRecord.from_dict(entry) for entry in read_jsonl_entries(source)])
 
     def merge(self, other) -> "ResultSet":
         """Union of two result sets, keyed by record identity.

@@ -10,22 +10,26 @@ lookup function ``(epsilon, scale, domain) -> parameters``.
 
 This is exactly how the paper derives MWEM* (the number of rounds ``T`` as a
 function of the epsilon-scale product) and AHP* (``rho`` and ``eta``).
+:class:`TunedAlgorithm` wraps a :class:`TuningResult` as an algorithm that
+applies the learned rule on every run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
 
-from ..algorithms.mechanisms import as_rng
+from ..algorithms.base import Algorithm
+from ..algorithms.mechanisms import PrivacyBudget, as_rng
 from ..data.synthetic import TRAINING_SHAPE_FAMILIES
 from ..workload.builders import default_workload
-from .error import scaled_average_per_query_error
+from ..workload.rangequery import Workload
+from .error import scaled_average_per_query_error, trial_answers
 from .registry import make_algorithm
 
-__all__ = ["TuningResult", "ParameterTuner", "tuned_algorithm_factory"]
+__all__ = ["TuningResult", "ParameterTuner", "TunedAlgorithm"]
 
 
 @dataclass
@@ -107,15 +111,15 @@ class ParameterTuner:
             scale = max(int(round(signal / epsilon)), 1)
             per_candidate: dict[tuple, float] = {}
             for candidate in candidates:
+                algorithm = make_algorithm(self.algorithm, **candidate)
                 errors = []
                 for shape in shapes:
                     x = rng.multinomial(scale, shape).astype(float)
                     true_answers = workload.evaluate(x)
-                    for _ in range(n_trials):
-                        algorithm = make_algorithm(self.algorithm, **candidate)
-                        estimate = algorithm.run(x, epsilon, workload=workload, rng=rng)
-                        errors.append(scaled_average_per_query_error(
-                            true_answers, workload.evaluate(estimate), scale))
+                    errors.extend(
+                        scaled_average_per_query_error(true_answers, answers, scale)
+                        for answers in trial_answers(
+                            algorithm, x, epsilon, workload, n_trials, rng))
                 per_candidate[tuple(sorted(candidate.items()))] = float(np.mean(errors))
             best_key = min(per_candidate, key=per_candidate.get)
             result.best_by_product[float(signal)] = dict(best_key)
@@ -123,15 +127,27 @@ class ParameterTuner:
         return result
 
 
-def tuned_algorithm_factory(base_algorithm: str, tuning: TuningResult):
-    """Wrap a tuning result as a factory ``(epsilon, scale, domain) -> Algorithm``.
+class TunedAlgorithm(Algorithm):
+    """Rparam's output as an algorithm: the tuned base algorithm.
 
-    This is the mechanism by which the benchmark instantiates starred variants
-    with setting-appropriate parameters (the paper's MWEM*, AHP*).
+    Each run looks up ``tuning.parameters_for(epsilon, scale, domain_size)``
+    and runs the base algorithm with those parameters on the whole budget.
+    This is how the paper's starred variants (MWEM*, AHP*) get
+    setting-appropriate parameters.  The lookup reads the true scale
+    ``x.sum()``, so the scale is declared side information, as it is for
+    UGrid.
     """
-    def factory(epsilon: float, scale: float, domain_size: int | None = None):
-        params = tuning.parameters_for(epsilon, scale, domain_size)
-        return make_algorithm(base_algorithm, **params)
 
-    factory.__name__ = f"tuned_{base_algorithm}"
-    return factory
+    def __init__(self, tuning: TuningResult):
+        self._tuning = tuning
+        base = make_algorithm(tuning.algorithm)
+        self.properties = replace(base.properties, name=f"{base.name}+tuned",
+                                  side_information=("scale",))
+        self.params = dict(base.params)
+
+    def _run(self, x: np.ndarray, budget: PrivacyBudget,
+             workload: Workload | None, rng: np.random.Generator) -> np.ndarray:
+        params = self._tuning.parameters_for(budget.total, float(x.sum()), x.size)
+        inner = make_algorithm(self._tuning.algorithm, **params)
+        return inner.run(x, budget.spend_all("inner-algorithm"),
+                         workload=workload, rng=rng)

@@ -127,8 +127,8 @@ class ReleaseService:
     ):
         if isinstance(algorithm, str):
             algorithm = make_algorithm(algorithm)
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if not 0 < epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         self._algorithm = algorithm
         self._epsilon = float(epsilon)
         self._workload = workload

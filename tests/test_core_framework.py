@@ -10,6 +10,7 @@ from repro import (
     ExperimentSetting,
     Identity,
     ParameterTuner,
+    ReleaseService,
     ResultSet,
     RunRecord,
     SideInformationRepair,
@@ -25,10 +26,11 @@ from repro import (
     regret,
     scaled_average_per_query_error,
     summarize_errors,
+    TunedAlgorithm,
     table1_rows,
 )
 from repro.core.error import workload_loss
-from repro.core.tuning import tuned_algorithm_factory
+from repro.workload import prefix_workload
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +391,30 @@ class TestParameterTuner:
             # the degenerate entry stays reachable for near-zero queries
             assert result.parameters_for(1e-9, 1e-9) == {"rounds": 2}
 
-    def test_tuned_factory_builds_algorithm(self):
+    def test_tuned_algorithm_wraps_base(self):
         tuner = ParameterTuner("MWEM", {"rounds": [3, 9]}, domain_size=32)
         result = tuner.train([1000.0], epsilon=0.1, n_trials=1, rng=1)
-        factory = tuned_algorithm_factory("MWEM", result)
-        algorithm = factory(0.1, 10_000, 32)
-        assert algorithm.params["rounds"] in (3, 9)
+        algorithm = TunedAlgorithm(result)
+        assert algorithm.name == "MWEM+tuned"
+        assert algorithm.properties.side_information == ("scale",)
+        assert algorithm.supports(1) and algorithm.supports(2)
+
+    def test_tuned_release_is_base_release_with_learned_parameters(self):
+        """A TunedAlgorithm release is bitwise the base algorithm's release
+        with the parameters looked up for (epsilon, x.sum()), and it serves
+        like any other algorithm."""
+        tuner = ParameterTuner("MWEM", {"rounds": [2, 9]}, domain_size=32)
+        tuning = tuner.train([10.0, 10_000.0], epsilon=0.1, n_trials=1, rng=1)
+        x = np.arange(32, dtype=float) * 10.0
+        workload = prefix_workload(32)
+        for epsilon in (0.005, 5.0):
+            params = tuning.parameters_for(epsilon, x.sum())
+            expected = make_algorithm("MWEM", **params).run(
+                x, epsilon, workload=workload, rng=4)
+            released = TunedAlgorithm(tuning).run(x, epsilon, workload=workload, rng=4)
+            assert released.tobytes() == expected.tobytes()
+        service = ReleaseService(TunedAlgorithm(tuning), 5.0, workload=workload)
+        release = service.release(x, rng=4)
+        assert release.metadata.algorithm == "MWEM+tuned"
+        assert release.histogram.tobytes() == expected.tobytes()
+        assert service.query((0,), (31,)) == pytest.approx(expected.sum())

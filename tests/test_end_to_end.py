@@ -107,19 +107,19 @@ class TestRepairIntegration:
         assert set(results.algorithms()) == {"SF", "SF+noisy-scale"}
         assert not any(record.failed for record in results)
 
-    def test_tuned_factory_in_a_study(self):
-        """A tuned-algorithm factory (Rparam output) plugs into the runner."""
+    def test_tuned_algorithm_in_a_study(self):
+        """A TunedAlgorithm (Rparam output) runs in the benchmark like any
+        algorithm."""
         tuner = repro.ParameterTuner("MWEM", {"rounds": [2, 20]}, domain_size=64)
         tuning = tuner.train([1_000.0], epsilon=0.1, n_trials=1, rng=0)
-        factory = repro.core.tuning.tuned_algorithm_factory("MWEM", tuning)
         bench = repro.benchmark_1d(
             datasets=["ADULT"],
-            algorithms=["Identity"],
+            algorithms=["Identity", repro.TunedAlgorithm(tuning)],
             scales=[10_000],
             domain_shapes=[(128,)],
             n_data_samples=1,
             n_trials=2,
         )
-        bench.algorithms["MWEM-tuned"] = factory
         results = bench.run(rng=6)
-        assert "MWEM-tuned" in results.algorithms()
+        assert results.algorithms() == ["Identity", "MWEM+tuned"]
+        assert not any(record.failed for record in results)

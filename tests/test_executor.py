@@ -23,7 +23,6 @@ from repro import (
     SerialExecutor,
     scaled_average_per_query_error,
 )
-from repro.algorithms.base import Algorithm, AlgorithmProperties
 from repro.core.executor import (
     data_seed_sequence,
     job_seed_sequence,
@@ -245,29 +244,6 @@ class TestCheckpointResume:
         assert counting.jobs_run == []
         assert_identical_results(tiny_bench.run(rng=7), again)
 
-    def test_unsupported_opaque_factory_not_rerun_on_resume(self, tiny_bench, tmp_path):
-        """A callable factory whose product turns out not to support the
-        grid's ndim leaves a skip marker in the run-log, so resuming does not
-        re-instantiate it."""
-        from repro import make_algorithm
-
-        constructions = []
-
-        def agrid_factory(epsilon, scale, domain_size):
-            constructions.append((epsilon, scale))
-            return make_algorithm("AGrid")           # 2-D only; grid is 1-D
-
-        tiny_bench.algorithms = dict(tiny_bench.algorithms, AGrid=agrid_factory)
-        path = tmp_path / "run.jsonl"
-        first = tiny_bench.run(rng=7, checkpoint=path)
-        assert "AGrid" not in first.algorithms()
-        assert len(constructions) == 4               # once per 1-D cell
-        counting = CountingExecutor()
-        resumed = tiny_bench.run(rng=7, checkpoint=path, resume=True, executor=counting)
-        assert counting.jobs_run == []               # skip markers cover AGrid cells
-        assert len(constructions) == 4
-        assert_identical_results(first, resumed)
-
     def test_resume_requires_checkpoint(self, tiny_bench):
         with pytest.raises(ValueError, match="requires a checkpoint"):
             tiny_bench.run(rng=7, resume=True)
@@ -367,78 +343,6 @@ class TestErrorStandardGoldenValues:
         assert scaled_average_per_query_error(y, y, 100.0) == 0.0
         with pytest.raises(ValueError):
             scaled_average_per_query_error(y, y, 0.0)
-
-
-# -- algorithm instantiation hygiene -------------------------------------------------
-
-class _ConstructionCounter(Algorithm):
-    """Identity-like algorithm that counts constructions."""
-
-    properties = AlgorithmProperties(name="Counter", supported_dims=(1,),
-                                     data_dependent=False)
-    constructed = 0
-
-    def __init__(self, **overrides):
-        type(self).constructed += 1
-        super().__init__(**overrides)
-
-    def _run(self, x, budget, workload, rng):
-        return x
-
-
-class _Explosive2D(Algorithm):
-    """2-D-only algorithm whose construction is a side effect we must avoid."""
-
-    properties = AlgorithmProperties(name="Explosive2D", supported_dims=(2,),
-                                     data_dependent=False)
-    constructed = 0
-
-    def __init__(self, **overrides):
-        type(self).constructed += 1
-        super().__init__(**overrides)
-        raise RuntimeError("constructing a 2-D algorithm for a 1-D grid")
-
-    def _run(self, x, budget, workload, rng):  # pragma: no cover
-        return x
-
-
-class TestInstantiationHygiene:
-    def _bench(self, algorithms, **grid_kwargs):
-        grid = BenchmarkGrid(
-            scales=grid_kwargs.pop("scales", [500]),
-            domain_shapes=[(32,)],
-            epsilons=grid_kwargs.pop("epsilons", [0.5]),
-            n_data_samples=1, n_trials=2)
-        return DPBench(task="test", datasets=[Dataset("FLAT", np.ones(32))],
-                       algorithms=algorithms, grid=grid)
-
-    def test_unsupported_ndim_skipped_without_construction(self):
-        _Explosive2D.constructed = 0
-        bench = self._bench({"Explosive2D": _Explosive2D,
-                             "Counter": _ConstructionCounter})
-        results = bench.run(rng=0)
-        assert _Explosive2D.constructed == 0
-        assert results.algorithms() == ["Counter"]
-        assert "Explosive2D" not in {j.algorithm for j in bench.jobs()}
-
-    def test_stateless_class_factory_constructed_once_per_run(self):
-        _ConstructionCounter.constructed = 0
-        bench = self._bench({"Counter": _ConstructionCounter},
-                            scales=[100, 200], epsilons=[0.1, 1.0])
-        results = bench.run(rng=0)
-        assert len(results) == 4                     # 2 scales x 2 epsilons
-        assert _ConstructionCounter.constructed == 1
-
-    def test_setting_scoped_factories_still_called_per_setting(self):
-        calls = []
-
-        def factory(epsilon, scale, domain_size):
-            calls.append((epsilon, scale, domain_size))
-            return _ConstructionCounter()
-
-        bench = self._bench({"Tuned": factory}, scales=[100, 200])
-        bench.run(rng=0)
-        assert (0.5, 100, 32) in calls and (0.5, 200, 32) in calls
 
 
 class TestReadJsonlDispatch:

@@ -2,8 +2,9 @@
 
 Covers the pipeline currency itself (MeasurementPlan, the shared noise stage,
 the reconstruction closed forms), the registry-wide privacy-budget accounting
-property, the registry-wide release-is-post-processing property, the GreedyW
-workload-aware selection, and the multi-host shard/merge round trip.
+property, the registry-wide release-is-post-processing property, the
+registry-wide rejection of a non-finite epsilon, and the GreedyW
+workload-aware selection.
 """
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 import repro
 from repro import (
     ALGORITHM_REGISTRY,
-    ResultSet,
-    SerialExecutor,
+    BenchmarkGrid,
+    ReleaseService,
     SideInformationRepair,
     benchmark_1d,
 )
@@ -22,7 +23,6 @@ from repro.algorithms.greedy_h import greedy_budget_allocation
 from repro.algorithms.mechanisms import BudgetExceededError, PrivacyBudget, as_rng
 from repro.algorithms.tree import HierarchicalTree
 from repro.core.plan import MeasurementPlan, measure_plan, reconstruct
-from repro.core.results import merge_run_logs
 from repro.workload import QueryMatrix, prefix_workload, random_range_workload
 from repro.workload.rangequery import RangeQuery, Workload
 from repro.workload.selection import (
@@ -216,6 +216,33 @@ class TestRegistryBudgetAccounting:
             measure_plan(x, plan, rng, budget=budget)
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_epsilon_outside_open_interval_rejected(epsilon, data_1d, data_2d):
+    """Regression: the ``epsilon <= 0`` checks let NaN through, and H, Hb,
+    GreedyH and QuadTree then released all zeros without drawing noise (SF
+    released all-NaN at inf).  Every registry entry, the budget, the
+    release service and the benchmark grid now require 0 < epsilon < inf,
+    and reject it before touching the generator."""
+    for name, ndim in BUDGET_CASES:
+        x, workload = data_1d if ndim == 1 else data_2d
+        rng = as_rng(17)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="epsilon"):
+            _make(name).run(x, epsilon, workload=workload, rng=rng)
+        assert rng.bit_generator.state == state, name
+    with pytest.raises(ValueError, match="epsilon"):
+        PrivacyBudget(epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        ReleaseService("Identity", epsilon)
+    rng = as_rng(17)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="epsilon"):
+        ReleaseService("Identity", 1.0).release(data_1d[0], rng=rng, epsilon=epsilon)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="epsilon"):
+        BenchmarkGrid(scales=[100], domain_shapes=[(8,)], epsilons=[0.1, epsilon])
+
+
 class TestReleaseIsPostProcessing:
     """Satellite: for every plan algorithm the released estimate is
     reproducible from its plan and MeasurementSet alone (extends the PR 3
@@ -374,105 +401,6 @@ class TestGreedyWSelection:
         estimate = repro.make_algorithm("GreedyW").run(
             x, 0.5, workload=workload, rng=0)
         assert estimate.shape == x.shape and np.isfinite(estimate).all()
-
-
-class TestShardAndMerge:
-    """Satellite: the multi-host shard knob plus the merge entry point."""
-
-    def _bench(self):
-        return benchmark_1d(datasets=["ADULT", "SEARCH"],
-                            algorithms=["Identity", "Uniform", "Hb"],
-                            scales=[1_000, 10_000], domain_shapes=[(32,)],
-                            n_data_samples=1, n_trials=2)
-
-    def test_shard_validation(self):
-        with pytest.raises(ValueError, match="shard"):
-            SerialExecutor(shard=(3, 3))
-        with pytest.raises(ValueError, match="shard"):
-            SerialExecutor(shard=(-1, 2))
-        with pytest.raises(ValueError, match="shard"):
-            repro.ParallelExecutor(workers=2, shard=(0, 0))
-
-    def test_shards_partition_the_grid(self):
-        bench = self._bench()
-        full = bench.run(rng=7)
-        shard_counts = []
-        for i in range(3):
-            part = bench.run(rng=7, executor=SerialExecutor(shard=(i, 3)))
-            shard_counts.append(len(part))
-        assert sum(shard_counts) == len(full) == 12
-
-    def test_merge_round_trip(self, tmp_path):
-        """Sharded checkpoints merged by ``repro.merge`` reproduce the
-        unsharded run-log, bitwise per record."""
-        bench = self._bench()
-        full = bench.run(rng=7)
-        shard_logs = []
-        for i in range(3):
-            log = tmp_path / f"shard{i}.jsonl"
-            bench.run(rng=7, executor=SerialExecutor(shard=(i, 3)),
-                      checkpoint=log)
-            shard_logs.append(log)
-        merged_log = tmp_path / "merged.jsonl"
-        count = merge_run_logs(merged_log, shard_logs)
-        assert count == len(full)
-
-        merged = ResultSet.from_jsonl(merged_log)
-        by_key = {r.record_key(): r for r in merged}
-        assert len(by_key) == len(full)
-        for record in full:
-            other = by_key[record.record_key()]
-            assert record.errors.tobytes() == other.errors.tobytes()
-
-        # the merged log resumes cleanly: nothing re-executes
-        resumed = bench.run(rng=7, checkpoint=merged_log, resume=True)
-        for a, b in zip(full, resumed):
-            assert a.errors.tobytes() == b.errors.tobytes()
-
-    def test_sharded_resume_stays_on_its_stripe(self, tmp_path):
-        """Regression: the stripe is taken over the canonical job list before
-        resume filtering.  Resuming a shard whose log is complete must
-        execute nothing (and never drift onto other shards' jobs)."""
-        bench = self._bench()
-        log = tmp_path / "shard0.jsonl"
-        first = bench.run(rng=7, executor=SerialExecutor(shard=(0, 3)),
-                          checkpoint=log)
-        stripe_keys = {r.record_key() for r in first}
-
-        executed = []
-
-        class Counting(SerialExecutor):
-            def execute(self, bench_, jobs, root_entropy, on_error="record"):
-                executed.extend(jobs)
-                return super().execute(bench_, jobs, root_entropy, on_error)
-
-        resumed = bench.run(rng=7, executor=Counting(shard=(0, 3)),
-                            checkpoint=log, resume=True)
-        assert executed == []                       # nothing re-runs
-        assert {r.record_key() for r in resumed} == stripe_keys
-
-        # a partial log resumes only the stripe's own missing jobs
-        lines = log.read_text().splitlines()
-        log.write_text("\n".join(lines[:2]) + "\n")
-        resumed = bench.run(rng=7, executor=Counting(shard=(0, 3)),
-                            checkpoint=log, resume=True)
-        assert {j.record_key() for j in executed} <= stripe_keys
-        assert len(executed) == len(stripe_keys) - 2
-        assert {r.record_key() for r in resumed} == stripe_keys
-
-    def test_merge_cli_entry_point(self, tmp_path):
-        from repro.merge import main
-
-        bench = self._bench()
-        logs = []
-        for i in range(2):
-            log = tmp_path / f"cli_shard{i}.jsonl"
-            bench.run(rng=9, executor=SerialExecutor(shard=(i, 2)),
-                      checkpoint=log)
-            logs.append(str(log))
-        out = tmp_path / "cli_merged.jsonl"
-        assert main([str(out)] + logs) == 0
-        assert len(ResultSet.from_jsonl(out)) == len(bench.run(rng=9))
 
 
 class TestDisjointEstimate2D:
