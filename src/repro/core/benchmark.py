@@ -131,6 +131,9 @@ class DPBench:
     resume: bool = False
 
     def __post_init__(self):
+        self._check_algorithms()
+
+    def _check_algorithms(self) -> None:
         for name, algorithm in self.algorithms.items():
             if isinstance(algorithm, type) or not (
                     hasattr(algorithm, "run") and hasattr(algorithm, "supports")):
@@ -165,6 +168,7 @@ class DPBench:
         support.
         """
         self._dataset_by_name()                      # validate name uniqueness
+        self._check_algorithms()                     # entries added after construction
         out: list[Job] = []
         for domain_shape in self.grid.domain_shapes:
             shape = tuple(int(d) for d in domain_shape)

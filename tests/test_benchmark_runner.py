@@ -133,6 +133,47 @@ class TestDPBenchRunner:
             self._bench(tiny_datasets, {"Identity": make_algorithm("Identity"),
                                         "Broken": value})
 
+    @pytest.mark.parametrize("value", [
+        pytest.param(type(make_algorithm("Identity")), id="class"),
+        pytest.param(lambda: make_algorithm("Identity"), id="callable"),
+    ])
+    def test_non_algorithm_values_added_later_rejected(self, tiny_datasets, value):
+        """An entry added after construction is checked before any job is
+        built, and the error names its key."""
+        bench = self._bench(tiny_datasets, {"Identity": make_algorithm("Identity")})
+        bench.algorithms["Broken"] = value
+        with pytest.raises(TypeError, match="'Broken'"):
+            bench.jobs()
+        with pytest.raises(TypeError, match="'Broken'"):
+            bench.run(rng=0)
+
+    def test_failing_algorithm_does_not_stop_the_sweep(self, tiny_datasets):
+        """A failing algorithm is a failed record in every cell under
+        on_error="record" while the others run, and its own exception under
+        on_error="raise"."""
+        class Broken:
+            name = "Broken"
+            properties = make_algorithm("Identity").properties
+
+            def supports(self, ndim):
+                return True
+
+            def run(self, *args, **kwargs):
+                raise ValueError("cannot release")
+
+        bench = self._bench(tiny_datasets, {
+            "Broken": Broken(),
+            "Identity": make_algorithm("Identity"),
+        })
+        results = bench.run(rng=0)
+        assert len(results) == 4
+        broken = results.filter(algorithm="Broken").records
+        assert [r.failed for r in broken] == [True, True]
+        assert broken[0].failure_message == "ValueError: cannot release"
+        assert not any(r.failed for r in results.filter(algorithm="Identity"))
+        with pytest.raises(ValueError, match="cannot release"):
+            bench.run(rng=0, on_error="raise")
+
     def test_progress_callback_invoked(self, tiny_datasets):
         messages = []
         bench = self._bench(tiny_datasets[:1], {"Identity": make_algorithm("Identity")})

@@ -23,6 +23,7 @@ from repro import (
     SerialExecutor,
     scaled_average_per_query_error,
 )
+from repro.algorithms.base import Algorithm, AlgorithmProperties
 from repro.core.executor import (
     data_seed_sequence,
     job_seed_sequence,
@@ -244,6 +245,22 @@ class TestCheckpointResume:
         assert counting.jobs_run == []
         assert_identical_results(tiny_bench.run(rng=7), again)
 
+    def test_unsupported_algorithm_not_rerun_on_resume(self, tiny_bench, tmp_path):
+        """An algorithm that does not support the grid's ndim gets no jobs,
+        so a complete run-log covers the grid and resuming runs nothing."""
+        from repro import make_algorithm
+
+        tiny_bench.algorithms = dict(tiny_bench.algorithms,
+                                     AGrid=make_algorithm("AGrid"))  # 2-D only
+        path = tmp_path / "run.jsonl"
+        first = tiny_bench.run(rng=7, checkpoint=path)
+        assert "AGrid" not in first.algorithms()
+        assert len(path.read_text().splitlines()) == 8
+        counting = CountingExecutor()
+        resumed = tiny_bench.run(rng=7, checkpoint=path, resume=True, executor=counting)
+        assert counting.jobs_run == []
+        assert_identical_results(first, resumed)
+
     def test_resume_requires_checkpoint(self, tiny_bench):
         with pytest.raises(ValueError, match="requires a checkpoint"):
             tiny_bench.run(rng=7, resume=True)
@@ -343,6 +360,82 @@ class TestErrorStandardGoldenValues:
         assert scaled_average_per_query_error(y, y, 100.0) == 0.0
         with pytest.raises(ValueError):
             scaled_average_per_query_error(y, y, 0.0)
+
+
+# -- algorithm instances in the runner ------------------------------------------------
+
+class _RunCounter(Algorithm):
+    """Identity-like 1-D algorithm that records every run on the instance."""
+
+    properties = AlgorithmProperties(name="Counter", supported_dims=(1,),
+                                     data_dependent=False)
+
+    def __init__(self, **overrides):
+        super().__init__(**overrides)
+        self.runs: list[float] = []
+
+    def _run(self, x, budget, workload, rng):
+        self.runs.append(budget.total)
+        return x
+
+
+class _Explosive2D(Algorithm):
+    """2-D-only algorithm whose release must never be attempted on 1-D data."""
+
+    properties = AlgorithmProperties(name="Explosive2D", supported_dims=(2,),
+                                     data_dependent=False)
+
+    def _run(self, x, budget, workload, rng):
+        raise RuntimeError("released a 2-D algorithm on a 1-D grid")
+
+
+class TestAlgorithmInstances:
+    def _bench(self, algorithms, **grid_kwargs):
+        grid = BenchmarkGrid(
+            scales=grid_kwargs.pop("scales", [500]),
+            domain_shapes=[(32,)],
+            epsilons=grid_kwargs.pop("epsilons", [0.5]),
+            n_data_samples=1, n_trials=2)
+        return DPBench(task="test", datasets=[Dataset("FLAT", np.ones(32))],
+                       algorithms=algorithms, grid=grid)
+
+    def test_unsupported_ndim_skipped_without_running(self):
+        bench = self._bench({"Explosive2D": _Explosive2D(),
+                             "Counter": _RunCounter()})
+        results = bench.run(rng=0, on_error="raise")
+        assert results.algorithms() == ["Counter"]
+        assert "Explosive2D" not in {j.algorithm for j in bench.jobs()}
+
+    def test_one_instance_runs_every_trial(self):
+        """The serial runner releases through the instance it was given, once
+        per trial of every setting."""
+        counter = _RunCounter()
+        bench = self._bench({"Counter": counter},
+                            scales=[100, 200], epsilons=[0.1, 1.0])
+        results = bench.run(rng=0)
+        assert len(results) == 4                     # 2 scales x 2 epsilons
+        assert sorted(counter.runs) == [0.1] * 4 + [1.0] * 4
+
+    def test_tuned_algorithm_looks_up_parameters_per_setting(self):
+        """A TunedAlgorithm in the grid asks its tuning for the parameters of
+        each run's (epsilon, scale, domain size)."""
+        from repro import ParameterTuner, TunedAlgorithm
+
+        tuning = ParameterTuner("MWEM", {"rounds": [2, 3]}, domain_size=32).train(
+            [100.0], epsilon=0.5, n_trials=1, rng=1)
+        lookups = []
+
+        class Recording(type(tuning)):
+            def parameters_for(self, epsilon, scale, domain_size=None):
+                lookups.append((epsilon, scale, domain_size))
+                return super().parameters_for(epsilon, scale, domain_size)
+
+        recording = Recording(**vars(tuning))
+        bench = self._bench({"Tuned": TunedAlgorithm(recording)},
+                            scales=[100, 200])
+        results = bench.run(rng=0, on_error="raise")
+        assert len(results) == 2
+        assert sorted(set(lookups)) == [(0.5, 100.0, 32), (0.5, 200.0, 32)]
 
 
 class TestReadJsonlDispatch:
