@@ -5,16 +5,19 @@ pushes the release pipeline to 2**20 cells in both layouts and records how
 the wall-clock scales.  Three kernels carry the load
 (:mod:`repro.core.kernels`):
 
-* ``l1_partition_core`` — DAWA's survivor scan;
+* ``l1_partition_core`` — DAWA's partition candidate scan, streamed in
+  end blocks;
 * ``tree_two_pass`` — the streaming tree GLS (fixed ``TREE_BLOCK`` row
   blocks, so a 2**20-leaf solve never materialises a level-sized dense
   intermediate);
 * ``batched_laplace`` — plan noise in one generator call per scale group.
 
-Gate: kernel-vs-reference **bitwise parity** on large-domain inputs — the
+Gates: kernel-vs-reference **bitwise parity** on large-domain inputs — the
 DAWA partition equals ``l1_partition_reference`` (``tests/reference/``) and
 the streaming tree solve at 2**15 nodes is bitwise-invariant to its row
-block size.
+block size — and DAWA's partition **memory slope**: its ``tracemalloc``
+peak grows by at most ``MAX_PARTITION_SLOPE_BYTES`` per cell from 2**17 to
+2**20, in smoke mode too.
 
 Run with ``python -m pytest benchmarks/bench_large_domain.py -q``.
 ``DPBENCH_SMOKE=1`` drops the 2**20 rows and shrinks the 2-D side so CI
@@ -63,13 +66,17 @@ EPSILON = 0.1
 #: 16M-cell leg (DPBENCH_LARGE=1): the paper-scale stress domains.
 SIDE_LARGE = 4096
 N_1D_LARGE = 2**24          # same cell count as 4096^2, for the 1-D-only H
-#: Per-release peak-memory ceiling for the hierarchy-backed 16M-cell rows
-#: (Identity/H/GreedyH): the flyweight tree keeps each release
-#: allocation-bound at a few GB; regressions to per-node object storage
-#: would blow straight through this.  DAWA is exempt — its L1-partition
-#: dynamic program carries its own O(n log n) footprint (~60 GB at 2^24,
-#: see the committed snapshot) that dwarfs the tree either way.
+#: Per-release peak-memory ceiling for every 16M-cell row: the flyweight
+#: tree keeps each release allocation-bound at a few GB, and DAWA's
+#: partition DP streams its candidates in end blocks (O(n) memory);
+#: regressions to per-node object storage or to all-at-once survivor
+#: matrices would blow straight through this.
 MAX_RSS_BYTES = 12 * 2**30
+#: Partition memory-slope gate: from 2**17 to 2**20 cells, DAWA's
+#: ``l1_partition`` tracemalloc peak may grow by at most this many bytes per
+#: added cell (O(n); all-at-once survivor matrices held 1,850 B/cell at 2**20).
+MAX_PARTITION_SLOPE_BYTES = 100
+PARTITION_SIZES = (2**17, 2**20)
 
 
 def _host_info() -> dict:
@@ -126,9 +133,9 @@ def _measured_run(fn) -> tuple[float, float, object]:
     """Wall-clock seconds, peak-memory MB and result of one call.
 
     The timed region must stay untraced: tracemalloc's allocator hook
-    inflates allocation-heavy rows (DAWA's partition scan runs ~4x slower
-    under it), which would poison before/after comparisons against earlier
-    snapshots.  On Linux the peak is the growth of the process RSS
+    inflates allocation-heavy rows (DAWA's partition scan runs several
+    times slower under it), which would poison before/after comparisons
+    against earlier snapshots.  On Linux the peak is the growth of the process RSS
     high-water mark over the run — reset just before (``/proc/self/
     clear_refs``), read back after — with zero overhead on the timed code.
     Elsewhere the peak comes from a second, traced run whose timing is
@@ -231,7 +238,7 @@ def test_sixteen_million_cell_release(benchmark):
     runs (the CI leg).  Asserts every hierarchy-backed release stays under
     the per-row peak-memory ceiling — the flyweight structure-of-arrays
     layout keeps ~22M tree nodes at a few hundred MB instead of tens of GB
-    of per-node objects.  (DAWA is exempt: see ``MAX_RSS_BYTES``.)
+    of per-node objects, and DAWA's partition DP holds O(n).
     """
     if not LARGE:
         pytest.skip("16M-cell leg runs only with DPBENCH_LARGE=1")
@@ -264,13 +271,46 @@ def test_sixteen_million_cell_release(benchmark):
         "rows": rows,
     })
     for row in rows:
-        if row["algorithm"] == "DAWA":
-            continue
         peak = row["peak_mb"] * 2**20
         assert peak < MAX_RSS_BYTES, (
             f"{row['algorithm']} on {row['domain']}: peak "
             f"{peak / 2**30:.2f} GiB exceeds the "
             f"{MAX_RSS_BYTES / 2**30:.0f} GiB per-release ceiling")
+
+
+def test_partition_memory_slope(benchmark):
+    """DAWA's partition DP holds O(n): from 2**17 to 2**20 cells its
+    ``tracemalloc`` peak grows by at most ``MAX_PARTITION_SLOPE_BYTES`` per
+    added cell.  Runs in smoke mode too (the CI large-domain step); the
+    sizes span whole end blocks, so the blocks' fixed transient cancels."""
+
+    def study():
+        peaks = {}
+        for n in PARTITION_SIZES:
+            rng = np.random.default_rng(20160626)  # privlint: disable=PL001
+            noise_scale = 1.0 / (0.25 * EPSILON)     # DAWA's default rho
+            noisy = _counts(n, rng) + rng.laplace(  # privlint: disable=PL003
+                0.0, noise_scale, n)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                l1_partition(noisy, 1.0 / (0.75 * EPSILON),
+                             noise_scale=noise_scale)
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        return peaks
+
+    peaks = run_once(benchmark, study)
+    small, large = PARTITION_SIZES
+    slope = (peaks[large] - peaks[small]) / (large - small)
+    print(f"\nDAWA l1_partition tracemalloc peak: "
+          + ", ".join(f"2^{n.bit_length() - 1}: {peak / n:.1f} B/cell"
+                      for n, peak in peaks.items())
+          + f"; slope {slope:.1f} B per added cell")
+    assert slope <= MAX_PARTITION_SLOPE_BYTES, (
+        f"partition peak grows {slope:.0f} B per added cell from "
+        f"2^{small.bit_length() - 1} to 2^{large.bit_length() - 1}")
 
 
 def test_kernel_reference_parity(benchmark):

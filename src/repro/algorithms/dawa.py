@@ -53,9 +53,49 @@ from .tree import HierarchicalTree
 __all__ = ["DAWA", "l1_partition"]
 
 
+#: End-block width of the partition DP: candidate costs, pruning masks and
+#: survivors exist for one block of bucket ends at a time, so the transient
+#: state is O(PARTITION_BLOCK * log n) whatever the domain size, and the
+#: whole DP holds O(n) (prefix sums plus the carried ``dp``/``choice``).
+PARTITION_BLOCK = 65536
+
+
+def _prefix_sums(noisy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums of ``noisy`` and of its squares, each with a leading 0."""
+    prefix = np.zeros(noisy.size + 1)
+    np.cumsum(noisy, out=prefix[1:])
+    prefix_sq = np.zeros(noisy.size + 1)
+    np.cumsum(noisy ** 2, out=prefix_sq[1:])
+    return prefix, prefix_sq
+
+
+def _bucket_costs(prefix: np.ndarray, prefix_sq: np.ndarray, length: int,
+                  lo: int, hi: int, bucket_penalty: float,
+                  noise_variance: float) -> np.ndarray:
+    """Costs of the buckets ``[s, s + length)`` for every start ``s`` in
+    ``[lo, hi)``: the one cost formula of both DP paths."""
+    total = prefix[lo + length:hi + length] - prefix[lo:hi]
+    sse = prefix_sq[lo + length:hi + length] - prefix_sq[lo:hi]
+    total *= total
+    total /= length
+    sse -= total                    # total_sq - total**2 / length
+    np.maximum(sse, 0.0, out=sse)
+    sse -= (length - 1) * noise_variance
+    np.maximum(sse, 0.0, out=sse)
+    sse *= length
+    np.sqrt(sse, out=sse)           # the deviation bound sqrt(|B| * SSE)
+    sse += bucket_penalty
+    return sse
+
+
+def _power_lengths(n: int) -> list[int]:
+    """The candidate bucket lengths: every power of two up to ``n``."""
+    return [1 << k for k in range(n.bit_length())]
+
+
 def _interval_costs(noisy: np.ndarray, bucket_penalty: float,
                     noise_scale: float) -> tuple[list[int], list[np.ndarray]]:
-    """Per-length arrays of candidate-bucket costs, shared by both DP paths.
+    """Per-length arrays of every candidate bucket's cost.
 
     ``costs[j][s]`` is the cost of the bucket ``[s, s + lengths[j])``:
     the Cauchy–Schwarz deviation bound ``sqrt(|B| * SSE(B))`` plus the fixed
@@ -63,28 +103,16 @@ def _interval_costs(noisy: np.ndarray, bucket_penalty: float,
     ``(|B| - 1) * 2 * noise_scale**2`` is subtracted from each bucket's SSE so
     that genuinely uniform regions are not penalised for looking noisy (this
     de-biasing is post-processing of the noisy vector and costs no additional
-    privacy budget).
+    privacy budget).  :func:`l1_partition` evaluates the same
+    :func:`_bucket_costs` one block of ends at a time.
     """
     n = noisy.size
-    prefix = np.concatenate([[0.0], np.cumsum(noisy)])
-    prefix_sq = np.concatenate([[0.0], np.cumsum(noisy ** 2)])
+    prefix, prefix_sq = _prefix_sums(noisy)
     noise_variance = 2.0 * noise_scale ** 2
-
-    lengths = []
-    length = 1
-    while length <= n:
-        lengths.append(length)
-        length *= 2
-
-    costs = []
-    for length in lengths:
-        # cost of [s, s + length) for every start s, via prefix-array slices
-        total = prefix[length:] - prefix[:n + 1 - length]
-        total_sq = prefix_sq[length:] - prefix_sq[:n + 1 - length]
-        sse = np.maximum(total_sq - total * total / length, 0.0)
-        sse = np.maximum(sse - (length - 1) * noise_variance, 0.0)
-        deviation = np.sqrt(length * sse)
-        costs.append(deviation + bucket_penalty)
+    lengths = _power_lengths(n)
+    costs = [_bucket_costs(prefix, prefix_sq, length, 0, n + 1 - length,
+                           bucket_penalty, noise_variance)
+             for length in lengths]
     return lengths, costs
 
 
@@ -113,72 +141,110 @@ def l1_partition(noisy: np.ndarray, bucket_penalty: float,
     This is the fast path: identical output to the plain double-loop DP over
     every candidate (kept in ``tests/reference/dawa_partition.py``),
     restructured so the ``O(n log n)`` candidate evaluation is almost
-    entirely NumPy.  Per cell ``e`` the ``log n`` candidates are rows of a
-    precomputed end-aligned cost matrix
-    ``A[j, e] = cost([e - 2**j, e))``; a vectorised dominance test prunes
-    every candidate that provably cannot win, and only the handful of
-    survivors per cell reach the exact sequential recurrence.
+    entirely NumPy.  Per cell ``e`` the ``log n`` candidates are the column
+    ``A[:, e]`` of the end-aligned cost matrix ``A[j, e] = cost([e - 2**j,
+    e))``; a vectorised dominance test prunes every candidate that provably
+    cannot win, and only the survivors reach the exact sequential
+    recurrence.  Pruning is independent per end and the recurrence consumes
+    survivors in end order, so ``A``, the pruning mask and the survivors
+    exist for one block of :data:`PARTITION_BLOCK` ends at a time; the
+    ``l1_partition_core`` kernel carries ``dp``/``choice`` across blocks.
+    Memory is O(n), and the output does not depend on the block width.
 
     The pruning rule is *sound*, so the result is bitwise-identical to the
-    reference loop (ties included):  a candidate ``(e - l, e)`` can be
-    discarded when some shorter candidate ``(e - l', e)`` plus a chain of
-    ``l - l'`` singleton buckets (length-1 buckets exist at every offset, and
-    each costs at most ``max(c1)``) is strictly cheaper by more than a margin
-    that dominates the worst-case accumulated rounding of the two path sums.
-    Discarded candidates are strictly worse even after floating-point
-    rounding, so they can never win *or tie*; every candidate that could,
-    including all exact ties, is evaluated by the sequential loop with the
-    same two-operand additions as the reference, in the same ascending-length
-    order.
+    reference loop (ties included).  Candidate ``j`` (length ``l``, cost
+    ``A_j = A[j, e]``) is discarded when some shorter candidate ``j*``
+    (length ``l*``, cost ``A*``) satisfies
+
+        A_j - l * r  >  A* - l* * r  +  M_j,
+        M_j = (1 + R) * (1e-6 + 8 * eps * n**2) + 8 * eps * |A_j|,
+
+    where ``r = max(c1) + |max(c1)| * 1e-9`` bounds every singleton cost
+    ``c1`` from above, ``R = max(max(c1), -bucket_penalty)`` and ``eps`` is
+    the machine epsilon (the ``1e-6`` term is a floor for tiny ``n * R``).
+    Why that is strictly worse after rounding (``u = eps / 2``, each
+    floating-point addition has relative error at most ``u``):
+
+    * Singletons exist at every offset and the recurrence always evaluates
+      them, so a computed ``dp[i]`` is at most the rounded chain
+      ``dp[i - 1] + c1``.  Every cost is at least ``bucket_penalty``, so
+      ``|dp[i]| <= i * R`` up to a relative ``n * u``: the magnitude of the
+      DP's real paths is bounded by ``n * R``, not by the longest bucket's
+      cost.
+    * Hence ``dp[e - l*] <= dp[e - l] + (l - l*) * r + (l - l*) * u * 2nR``
+      (the chain of ``l - l*`` singletons and its rounding).
+    * The candidates' own sums err by at most ``u * |dp[e - l] + A_j|`` and
+      ``u * |dp[e - l*] + A*|``, together at most ``u * (4nR + |A_j| +
+      |A*|)``.  From the inequality above, ``A* < A_j + (l - l*) *
+      max(0, -r)``, so ``|A*| <= |A_j| + nR``.
+    * The inequality itself is evaluated in floating point; its operands are
+      at most ``|A_j| + nR`` in magnitude, so its rounding is a few ``u``
+      of that.
+
+    Together the rounding is below ``eps * (n**2 + 5n) * R + 4 * eps *
+    |A_j|``, which ``M_j`` dominates (``8n**2 >= n**2 + 5n`` for ``n >=
+    1``).  So the discarded
+    candidate's rounded sum exceeds that of ``j*``.  ``j*`` is the argmin of
+    ``A - l * r`` over the shorter rows, so it is itself never discarded:
+    the sequential loop has already evaluated it.  A discarded candidate can
+    therefore never win *or tie*; every candidate that could, including all
+    exact ties, is evaluated with the same two-operand additions as the
+    reference, in the same ascending-length order.  The bound holds for any
+    finite input, a negative ``bucket_penalty`` included.  Sizing it by the
+    real path cost ``n * R``, not by ``n`` times the longest bucket's cost
+    (hundreds of times larger at 2**18 cells), is what keeps pruning tight
+    at large ``n``: about one to three survivors per cell.
     """
     noisy = np.asarray(noisy, dtype=float)
     n = noisy.size
     if n == 0:
         return []
-    lengths, interval_cost = _interval_costs(noisy, bucket_penalty, noise_scale)
-    n_lengths = len(lengths)
-    lengths_arr = np.array(lengths, dtype=np.intp)
+    prefix, prefix_sq = _prefix_sums(noisy)
+    noise_variance = 2.0 * noise_scale ** 2
+    lengths = _power_lengths(n)
 
-    # End-aligned candidate matrix: A[j, e] = cost of the bucket [e - l_j, e).
-    aligned = np.full((n_lengths, n + 1), np.inf)
-    for j, length in enumerate(lengths):
-        aligned[j, length:] = interval_cost[j]
+    def costs(length: int, lo: int, hi: int) -> np.ndarray:
+        return _bucket_costs(prefix, prefix_sq, length, lo, hi,
+                             bucket_penalty, noise_variance)
 
-    # Dominance pruning.  chain_rate bounds the cost of one singleton bucket
-    # from above; the margin dominates the accumulated rounding of two path
-    # sums of <= n additions each (relative error <= n * eps per sum, path
-    # magnitude <= n * max_cost), so a pruned candidate is strictly worse
-    # than the surviving alternative in exact *and* rounded arithmetic.
-    max_c1 = float(interval_cost[0].max())
-    max_cost = max(float(c.max()) for c in interval_cost)
-    chain_rate = max_c1 * (1.0 + 1e-9)
+    max_c1 = float(costs(1, 0, n).max())
+    chain_rate = max_c1 + abs(max_c1) * 1e-9
     eps = float(np.finfo(float).eps)
-    margin = (1.0 + max_cost) * (1e-6 + 8.0 * eps * float(n) ** 2)
-    keep = np.zeros((n_lengths, n + 1), dtype=bool)
-    # keep[0] stays False: the length-1 candidate is always evaluated inline.
-    best_shorter = aligned[0] - lengths[0] * chain_rate
-    for j in range(1, n_lengths):
-        adjusted = aligned[j] - lengths[j] * chain_rate
-        np.less_equal(adjusted, best_shorter + margin, out=keep[j])
-        np.minimum(best_shorter, adjusted, out=best_shorter)
-    keep[:, 0] = False
-
-    # Survivors in (end, ascending length) order — the reference loop's
-    # evaluation order, so ties break identically.  The exact sequential
-    # recurrence over the survivors is the ``l1_partition_core`` kernel.
-    # This scan dominates in the noise-dominated regime, where pruning
-    # barely reduces the candidate set and almost every (end, length) pair
-    # survives.
-    surv_end, surv_j = np.nonzero(keep.T)
-    s_end = np.empty(surv_end.size + 1, dtype=np.int64)
-    s_end[:-1] = surv_end
-    s_end[-1] = n + 1                 # sentinel: never equals a real cell
-    s_len = lengths_arr[surv_j].astype(np.int64)
-    s_cost = np.ascontiguousarray(aligned[surv_j, surv_end])
-    c1 = np.ascontiguousarray(interval_cost[0])
+    base_margin = (1.0 + max(max_c1, -bucket_penalty)) \
+        * (1e-6 + 8.0 * eps * float(n) ** 2)
+    own_margin = 8.0 * eps
 
     core = get_kernel("l1_partition_core")
-    choice = core(c1, s_end, s_len, s_cost)
+    dp, choice = [0.0], [0]
+    for first in range(1, n + 1, PARTITION_BLOCK):
+        stop = min(first + PARTITION_BLOCK, n + 1)       # ends [first, stop)
+        rows = [length for length in lengths if length < stop]
+        # aligned[j, k] = cost of the bucket [e - l_j, e) for end e = first + k.
+        # Entries with e < l_j (no such bucket) are never written or read:
+        # their keep stays False.
+        aligned = np.empty((len(rows), stop - first))
+        keep = np.zeros(aligned.shape, dtype=bool)
+        keep[0] = True                  # the length-1 candidate always exists
+        aligned[0] = costs(1, first - 1, stop - 1)
+        best_shorter = aligned[0] - chain_rate
+        for j in range(1, len(rows)):
+            length = rows[j]
+            skip = max(length - first, 0)
+            row = aligned[j, skip:]
+            row[:] = costs(length, first + skip - length, stop - length)
+            adjusted = row - length * chain_rate
+            shorter = best_shorter[skip:]
+            threshold = np.abs(row)
+            threshold *= own_margin
+            threshold += base_margin
+            threshold += shorter
+            np.less_equal(adjusted, threshold, out=keep[j, skip:])
+            np.minimum(shorter, adjusted, out=shorter)
+        # Candidates in (end, ascending length) order — the reference loop's
+        # evaluation order, so ties break identically.
+        surv_k, surv_j = np.divmod(np.flatnonzero(keep.T.copy()), len(rows))
+        core(surv_j, aligned[surv_j, surv_k], rows, dp, choice)
+    del dp                              # the backtrack reads only choice
     return _backtrack(choice, n)
 
 

@@ -2,10 +2,12 @@
 
 Three inner loops dominate once domains reach n = 2**20, 1024**2 and up:
 
-* **DAWA's L1-partition survivor scan** — the dominance-pruned DP's exact
-  sequential core.  In the noise-dominated regime (small epsilon) pruning
-  barely bites and the scan degenerates to ``O(n log n)`` interpreter
-  iterations.
+* **DAWA's L1-partition candidate scan** — the dominance-pruned DP's exact
+  sequential core: one interpreter iteration per cell plus one per pruning
+  survivor (one to three per cell at 2**18, from structured to
+  noise-dominated input).  It runs once per block of bucket ends and
+  carries the DP state across blocks, so nothing ``O(n log n)`` is ever
+  held at once.
 * **The tree two-pass GLS** — per level it gathers ``(rows, k)`` dense
   intermediates; at 2**20 leaves a single level holds half a million rows,
   so the solver streams each level in fixed-size row blocks.
@@ -27,8 +29,10 @@ algorithm modules.
 Kernels
 -------
 ``l1_partition_core``
-    The survivor scan of DAWA's partition DP: ``(c1, s_end, s_len, s_cost)
-    -> choice``; see :func:`~repro.algorithms.dawa.l1_partition`.
+    The candidate scan of DAWA's partition DP over one block of ends:
+    ``(s_row, s_cost, lengths, dp, choice) -> None``, appending the block's
+    entries to the carried ``dp``/``choice`` lists; see
+    :func:`~repro.algorithms.dawa.l1_partition`.
 ``tree_two_pass``
     The two-pass tree GLS over a flattened level plan, streamed in
     fixed-size row blocks (:data:`TREE_BLOCK`) so no per-level dense
@@ -61,41 +65,41 @@ TREE_BLOCK = 32768
 
 # -- l1_partition_core ----------------------------------------------------------------
 #
-# The exact sequential recurrence of DAWA's dominance-pruned partition DP:
-# cell i's best cost is min over the length-1 candidate (evaluated inline
-# from ``c1``) and the pruning survivors ending at i (``s_end``/``s_len``/
-# ``s_cost``, in (end, ascending length) order, ``s_end`` carrying one
-# trailing sentinel that equals no real cell).  Returns the per-cell chosen
-# length; the caller backtracks the bucket boundaries from it.
+# The exact sequential recurrence of DAWA's dominance-pruned partition DP,
+# advanced over one block of bucket ends.  The block arrives as one stream
+# of candidates in (end, ascending length) order: for every end, its
+# length-1 candidate (always present, always first) and then the pruning
+# survivors ending there.  A candidate is a length index ``j`` into
+# ``lengths`` and a cost; the bucket it prices ends at the current end, so a
+# ``j == 0`` candidate opens a new end.  The caller owns ``dp`` (best costs,
+# ``dp[0] == 0.0``) and ``choice`` (best lengths; ``choice[0]`` is a
+# placeholder), carried across blocks: each call appends one entry per end
+# of its block, and the caller backtracks the bucket boundaries from
+# ``choice`` after the last block.
 
-def _l1_partition_core(c1: np.ndarray, s_end: np.ndarray,
-                       s_len: np.ndarray, s_cost: np.ndarray) -> np.ndarray:
-    """Survivor scan over plain python lists (the fastest interpreter
+def _l1_partition_core(s_row: np.ndarray, s_cost: np.ndarray,
+                       lengths: list[int], dp: list, choice: list) -> None:
+    """Candidate scan over plain python lists (the fastest interpreter
     form of this sequential recurrence)."""
-    n = c1.shape[0]
-    c1_list = c1.tolist()
-    end_list = s_end.tolist()
-    len_list = s_len.tolist()
-    cost_list = s_cost.tolist()
-    dp = [0.0] * (n + 1)
-    choice = [1] * (n + 1)
-    ptr = 0
-    prev = 0.0
-    i = 0
-    for cost_1 in c1_list:
-        i += 1
-        best = prev + cost_1
-        best_length = 1
-        while end_list[ptr] == i:
-            length = len_list[ptr]
-            candidate = dp[i - length] + cost_list[ptr]
+    # While end e is scanned, dp holds entries 0 .. e - 1, so the best cost
+    # before the length-l bucket ending at e is dp[-l].
+    back = [-length for length in lengths]
+    # The last entry is the previous end's result; each length-1 candidate
+    # commits the end before it, and the loop's tail commits the last one.
+    best = dp.pop()
+    best_length = choice.pop()
+    for j, cost in zip(s_row.tolist(), s_cost.tolist()):
+        if j == 0:
+            dp.append(best)
+            choice.append(best_length)
+            best = best + cost
+            best_length = 1
+        else:
+            candidate = dp[back[j]] + cost
             if candidate < best:
-                best, best_length = candidate, length
-            ptr += 1
-        dp[i] = best
-        choice[i] = best_length
-        prev = best
-    return np.array(choice, dtype=np.int64)
+                best, best_length = candidate, lengths[j]
+    dp.append(best)
+    choice.append(best_length)
 
 
 # -- tree_two_pass --------------------------------------------------------------------

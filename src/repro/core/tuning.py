@@ -49,15 +49,20 @@ class TuningResult:
         exchangeability makes this the right notion of signal strength); the
         nearest trained product is used.  Both sides of the log-distance are
         clamped away from zero: an unclamped zero trained product would turn
-        into ``-inf`` and poison every lookup with ``nan`` distances.
+        into ``-inf`` and poison every lookup with ``nan`` distances.  A
+        non-finite ``epsilon`` or ``scale`` raises ``ValueError``: it has no
+        nearest product.  A finite pair whose product overflows is clamped
+        to the largest float, so it resolves to the largest trained product.
         """
         if not self.best_by_product:
             raise ValueError("tuner has not been trained")
-        product_value = epsilon * scale
+        if not (np.isfinite(epsilon) and np.isfinite(scale)):
+            raise ValueError("epsilon and scale must be finite, "
+                             f"got {epsilon!r} and {scale!r}")
+        product_value = min(max(epsilon * scale, 1e-12), np.finfo(float).max)
         products = np.array(sorted(self.best_by_product))
         log_products = np.log(np.maximum(products, 1e-12))
-        nearest = products[np.argmin(np.abs(log_products
-                                            - np.log(max(product_value, 1e-12))))]
+        nearest = products[np.argmin(np.abs(log_products - np.log(product_value)))]
         return dict(self.best_by_product[float(nearest)])
 
 

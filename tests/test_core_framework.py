@@ -391,6 +391,26 @@ class TestParameterTuner:
             # the degenerate entry stays reachable for near-zero queries
             assert result.parameters_for(1e-9, 1e-9) == {"rounds": 2}
 
+    @pytest.mark.parametrize("epsilon, scale", [
+        (np.inf, 1.0), (np.nan, 1e6), (0.1, np.inf), (0.1, np.nan),
+        (-np.inf, 1.0), (np.inf, 0.0)])
+    def test_non_finite_lookup_raises(self, epsilon, scale):
+        """Regression: a non-finite epsilon or scale used to resolve to the
+        smallest trained product's parameters (its log-distance is inf or
+        nan for every product, and argmin returns the first)."""
+        from repro.core.tuning import TuningResult
+        result = TuningResult(algorithm="MWEM", parameter_grid={"rounds": [2, 40]})
+        result.best_by_product = {100.0: {"rounds": 2}, 1e5: {"rounds": 40}}
+        with pytest.raises(ValueError, match="finite"):
+            result.parameters_for(epsilon, scale)
+
+    def test_overflowing_product_resolves_to_largest(self):
+        from repro.core.tuning import TuningResult
+        result = TuningResult(algorithm="MWEM", parameter_grid={"rounds": [2, 40]})
+        result.best_by_product = {100.0: {"rounds": 2}, 1e5: {"rounds": 40}}
+        with np.errstate(over="ignore"):
+            assert result.parameters_for(1e300, 1e300) == {"rounds": 40}
+
     def test_tuned_algorithm_wraps_base(self):
         tuner = ParameterTuner("MWEM", {"rounds": [3, 9]}, domain_size=32)
         result = tuner.train([1000.0], epsilon=0.1, n_trials=1, rng=1)

@@ -112,9 +112,35 @@ def _l1_inputs(kind: str, n: int, seed: int) -> np.ndarray:
     if kind == "structured":
         x = np.repeat(rng.integers(0, 200, n // 16).astype(float), 16)
         return x + rng.laplace(0.0, 2.0, n)
-    # Noise-dominated: tiny counts under large noise — pruning barely bites,
-    # the survivor scan degenerates to its O(n log n) worst case.
+    # Noise-dominated: tiny counts under large noise — the most pruning
+    # survivors per cell (about three), the scan's slowest regime.
     return rng.integers(0, 3, n).astype(float) + rng.laplace(0.0, 50.0, n)
+
+
+def _skewed_noisy(n: int, epsilon: float, seed: int):
+    """DAWA's stage-one input on sparse skewed counts: ``(noisy, penalty,
+    noise_scale)`` at the default rho = 0.25."""
+    rng = np.random.default_rng(seed)  # privlint: disable=PL001
+    x = rng.multinomial(10 * n, rng.dirichlet(np.full(n, 0.05))).astype(float)
+    noise_scale = 1.0 / (0.25 * epsilon)
+    noisy = x + rng.laplace(0.0, noise_scale, n)  # privlint: disable=PL003
+    return noisy, 1.0 / (0.75 * epsilon), noise_scale
+
+
+def _count_survivors(monkeypatch) -> list[int]:
+    """Wrap the partition kernel; the list collects each block's survivors."""
+    counts = []
+
+    def lookup(name):
+        core = get_kernel(name)
+
+        def counting(s_row, *rest):
+            counts.append(np.count_nonzero(s_row))  # not the length-1 ones
+            return core(s_row, *rest)
+        return counting
+
+    monkeypatch.setattr(dawa, "get_kernel", lookup)
+    return counts
 
 
 class TestL1PartitionCore:
@@ -144,9 +170,99 @@ class TestL1PartitionCore:
         assert l1_partition(x, 2.0) == l1_partition_reference(x, 2.0)
 
     def test_dispatch_used_by_l1_partition(self, monkeypatch):
+        """One lookup per partition, however many end blocks it spans."""
+        monkeypatch.setattr(dawa, "PARTITION_BLOCK", 3)
         seen = _record_lookups(monkeypatch, dawa)
         l1_partition(_l1_inputs("structured", 64, seed=3), 2.0)
         assert seen == ["l1_partition_core"]
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 63, 64, 65, 127, 130, 257])
+    def test_end_blocks_match_reference(self, monkeypatch, block, n):
+        """The survivors stream one block of ends at a time, with the DP
+        state carried across blocks: partitions straddling every block
+        boundary equal the reference, whatever the block width."""
+        monkeypatch.setattr(dawa, "PARTITION_BLOCK", block)
+        for kind in ("structured", "noise"):
+            noisy = _l1_inputs(kind, -(-n // 16) * 16, seed=n + block)[:n]
+            assert (l1_partition(noisy, 2.0, noise_scale=4.0)
+                    == l1_partition_reference(noisy, 2.0, noise_scale=4.0))
+        ties = np.repeat([0.0, 5.0, 0.0, 5.0], -(-n // 4))[:n]
+        assert l1_partition(ties, 5.0) == l1_partition_reference(ties, 5.0)
+
+    def test_blocks_split_the_survivors_by_end(self, monkeypatch):
+        counts = _count_survivors(monkeypatch)
+        monkeypatch.setattr(dawa, "PARTITION_BLOCK", 64)
+        noisy = _l1_inputs("noise", 1000, seed=5)
+        blocked = l1_partition(noisy, 2.0)
+        assert len(counts) == 16                   # ceil(1000 / 64) kernel calls
+        monkeypatch.setattr(dawa, "PARTITION_BLOCK", 2**16)
+        assert l1_partition(noisy, 2.0) == blocked
+        assert counts[16] == sum(counts[:16])      # same survivors, one block
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_margin_sound_at_1e12_counts(self, seed):
+        """At ~1e12 counts the prefix sums of squares reach ~1e21 and round
+        by ~1e5, so the bucket costs carry large rounding noise; the margin
+        sized to the path cost n * max(c1) still prunes nothing that could
+        win or tie."""
+        rng = np.random.default_rng(seed)  # privlint: disable=PL001
+        n = 4096
+        x = rng.multinomial(10**12, rng.dirichlet(np.full(n, 0.5))).astype(float)
+        noisy = x + rng.laplace(0.0, 10.0, n)  # privlint: disable=PL003
+        assert (l1_partition(noisy, 10.0, noise_scale=10.0)
+                == l1_partition_reference(noisy, 10.0, noise_scale=10.0))
+
+    @pytest.mark.parametrize("tiny", [1e-9, 1e-12, 1e-15])
+    def test_margin_sound_on_near_ties(self, tiny):
+        """Constant runs with tiny perturbations: most candidates tie or
+        nearly tie in exact arithmetic, which is where an unsound margin
+        would prune a candidate that ties or wins after rounding."""
+        rng = np.random.default_rng(7)  # privlint: disable=PL001
+        n = 4096
+        x = np.repeat(rng.integers(0, 4, n // 64).astype(float), 64)
+        x = x + rng.integers(0, 2, n) * tiny
+        for penalty in (1e-3, 0.5, 2.0):
+            assert l1_partition(x, penalty) == l1_partition_reference(x, penalty)
+
+    @pytest.mark.parametrize("penalty", [-0.5, -3.0])
+    def test_negative_penalty_matches_reference(self, penalty):
+        """The margin's path bound covers negative bucket costs too."""
+        noisy = _l1_inputs("structured", 304, seed=11)
+        assert l1_partition(noisy, penalty) == l1_partition_reference(noisy, penalty)
+
+    def test_pruning_tight_at_large_n(self, monkeypatch):
+        """The rounding margin scales with the DP's real path cost, n *
+        max(c1), not with the longest bucket's cost: at 2**16 cells and
+        epsilon 1 pruning keeps about 1.35 survivors per cell (a margin
+        sized to the longest bucket kept 2.02)."""
+        counts = _count_survivors(monkeypatch)
+        n = 2**16
+        noisy, penalty, noise_scale = _skewed_noisy(n, 1.0, seed=0)
+        l1_partition(noisy, penalty, noise_scale=noise_scale)
+        assert sum(counts) / n <= 1.5
+
+
+class TestL1PartitionMemory:
+    def test_peak_is_linear_in_n(self, monkeypatch):
+        """The partition holds O(n): per added cell, the tracemalloc peak
+        grows by at most 100 B (all-at-once survivor matrices grew by ~700
+        B per cell over these sizes).  The block is narrowed so both sizes
+        span several blocks, which keeps the blocks' fixed transient out of
+        the slope (the large-domain bench gates the same slope at the real
+        block width)."""
+        monkeypatch.setattr(dawa, "PARTITION_BLOCK", 1024)
+        peaks = {}
+        for n in (2**12, 2**15):
+            noisy, penalty, noise_scale = _skewed_noisy(n, 0.1, seed=1)
+            tracemalloc.start()
+            try:
+                l1_partition(noisy, penalty, noise_scale=noise_scale)
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        slope = (peaks[2**15] - peaks[2**12]) / (2**15 - 2**12)
+        assert slope <= 100, f"{slope:.0f} B per added cell"
 
 
 # -- tree_two_pass ---------------------------------------------------------------------
