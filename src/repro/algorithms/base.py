@@ -12,6 +12,7 @@ drives both the registry and the Table 1 reproduction bench.
 
 from __future__ import annotations
 
+import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -22,7 +23,8 @@ from ..core.plan import MeasurementPlan, measure_plan, reconstruct
 from ..workload.rangequery import Workload
 from .mechanisms import PrivacyBudget, as_rng
 
-__all__ = ["Algorithm", "AlgorithmProperties", "PlanAlgorithm", "validate_input"]
+__all__ = ["Algorithm", "AlgorithmProperties", "PlanAlgorithm", "validate_input",
+           "workload_key"]
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,23 @@ def validate_input(x: np.ndarray, epsilon: float, supported_dims: tuple[int, ...
     if isinstance(original, np.ndarray) and np.shares_memory(x, original):
         x = x.copy()
     return x
+
+
+def workload_key(workload: Workload | None):
+    """A workload's part of a memo key (``None`` without a workload): its
+    domain shape, query count and the SHA-256 digest of its query corners.
+    Public inputs only.  The digest reads the corner arrays in place, so a
+    key costs a few dozen bytes however many queries there are (a prefix
+    workload over 2**18 cells has 4 MB of corners, hashed in about 4 ms);
+    two workloads with equal keys ask the same queries unless SHA-256
+    collides."""
+    if workload is None:
+        return None
+    operator = workload.operator
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(operator.los))
+    digest.update(np.ascontiguousarray(operator.his))
+    return (operator.domain_shape, operator.n_queries, digest.digest())
 
 
 class Algorithm(ABC):
@@ -196,7 +215,37 @@ class PlanAlgorithm(Algorithm):
     closed forms of that solve (DPCube and SF, both through
     :func:`~repro.core.gls.reconcile_shift`) or documented non-GLS
     post-processing (Uniform's clamp, MWEM's multiplicative weights).
+
+    Selection structure that depends only on public inputs (a hierarchy
+    over the domain shape, a workload's usage counts, the Hilbert
+    flattening) is kept across runs by :meth:`_memo`.
     """
+
+    def _memo(self, site: str, key, build):
+        """``build()``, kept on the instance in one ``(key, value)`` slot
+        per call ``site``.
+
+        A call whose ``key`` equals the slot's returns the kept value; any
+        other key builds afresh and replaces the slot, so a site holds one
+        entry whatever sequence of shapes and workloads the instance meets.
+        ``key`` must name every input ``build`` reads, and those inputs must
+        be public — the domain shape, the parameters, the workload's corners
+        (:func:`workload_key`) — never cell values, so the release stays a
+        function of the data only through the metered stages.  Every later
+        run shares the kept value: callers must not mutate it.
+        """
+        slots = self.__dict__.setdefault("_memo_slots", {})
+        slot = slots.get(site)
+        if slot is None or slot[0] != key:
+            slot = slots[site] = (key, build())
+        return slot[1]
+
+    def __getstate__(self):
+        # The memo is rebuilt on demand, so a pickled instance (the parallel
+        # executor ships the bench by pickle) carries no kept structure.
+        state = self.__dict__.copy()
+        state.pop("_memo_slots", None)
+        return state
 
     def _run(self, x: np.ndarray, budget: PrivacyBudget,
              workload: Workload | None, rng: np.random.Generator) -> np.ndarray:

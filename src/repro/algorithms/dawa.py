@@ -43,7 +43,7 @@ from ..core.kernels import get_kernel
 from ..core.plan import MeasurementPlan
 from ..workload.builders import prefix_workload
 from ..workload.rangequery import Workload
-from .base import AlgorithmProperties, PlanAlgorithm
+from .base import AlgorithmProperties, PlanAlgorithm, workload_key
 from .greedy_h import greedy_budget_allocation
 from .hier import tree_plan
 from .hilbert import plan_flattening
@@ -137,6 +137,9 @@ def l1_partition(noisy: np.ndarray, bucket_penalty: float,
 
     ``noise_scale`` is the Laplace scale of the noise already present in
     ``noisy``; see :func:`_interval_costs` for the SSE de-biasing it drives.
+    A non-finite ``noisy`` entry, ``bucket_penalty`` or ``noise_scale``
+    raises ``ValueError``: the pruning margin below is sized for finite
+    costs only.
 
     This is the fast path: identical output to the plain double-loop DP over
     every candidate (kept in ``tests/reference/dawa_partition.py``),
@@ -196,6 +199,10 @@ def l1_partition(noisy: np.ndarray, bucket_penalty: float,
     at large ``n``: about one to three survivors per cell.
     """
     noisy = np.asarray(noisy, dtype=float)
+    if not (np.isfinite(noisy).all() and np.isfinite(bucket_penalty)
+            and np.isfinite(noise_scale)):
+        raise ValueError("l1_partition needs finite noisy counts, "
+                         "bucket_penalty and noise_scale")
     n = noisy.size
     if n == 0:
         return []
@@ -275,7 +282,13 @@ class DAWA(PlanAlgorithm):
 
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:
-        ordering, _, workload = plan_flattening(x, workload)
+        shape = x.shape
+        if x.ndim == 2:
+            ordering, _, workload = self._memo(
+                "flattening", (shape, workload_key(workload)),
+                lambda: plan_flattening(shape, workload))
+        else:                           # a 1-D domain is not flattened
+            ordering = None
         vector = x if ordering is None else x.ravel()[ordering]
 
         rho = float(self.params["rho"])

@@ -23,7 +23,7 @@ import numpy as np
 from ..core.plan import MeasurementPlan
 from ..workload.builders import prefix_workload
 from ..workload.rangequery import Workload
-from .base import AlgorithmProperties, PlanAlgorithm
+from .base import AlgorithmProperties, PlanAlgorithm, workload_key
 from .hier import tree_plan
 from .hilbert import plan_flattening
 from .mechanisms import PrivacyBudget
@@ -63,14 +63,22 @@ class GreedyH(PlanAlgorithm):
 
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:
-        domain_shape = x.shape
-        ordering, flat_shape, workload = plan_flattening(x, workload)
-        branching = int(self.params["branching"])
+        shape, branching = x.shape, int(self.params["branching"])
+        ordering, tree, usage = self._memo(
+            "selection", (shape, branching, workload_key(workload)),
+            lambda: self._selection(shape, branching, workload))
+        level_epsilons = greedy_budget_allocation(usage, budget.total)
+        return tree_plan(tree, level_epsilons, domain_shape=shape,
+                         ordering=ordering)
+
+    @staticmethod
+    def _selection(shape: tuple[int, ...], branching: int,
+                   workload: Workload | None):
+        """The data-independent part of the selection: the flattening
+        ordering, the hierarchy and the workload's per-level usage."""
+        ordering, flat_shape, workload = plan_flattening(shape, workload)
         tree = HierarchicalTree(flat_shape, branching=branching)
         if workload is None or workload.ndim != 1 \
                 or workload.domain_shape != flat_shape:
             workload = prefix_workload(flat_shape[0])
-        usage = tree.level_usage(workload)
-        level_epsilons = greedy_budget_allocation(usage, budget.total)
-        return tree_plan(tree, level_epsilons, domain_shape=domain_shape,
-                         ordering=ordering)
+        return ordering, tree, tree.level_usage(workload)

@@ -18,7 +18,10 @@ where the workload actually is, beating GreedyH at equal epsilon; the
 selection-quality micro-bench pins that win.
 
 GreedyW is data-independent: the selection consults only the workload and the
-domain, so its per-(domain, workload) result is memoised on the instance.
+domain, so the search runs once per (domain shape, parameters, workload
+corners) and is kept in the instance's one selection memo slot
+(:meth:`~repro.algorithms.base.PlanAlgorithm._memo`); a release at a new
+shape or workload replaces it.
 In 2-D the selection is *native*: candidates are quadtree-style b x b trees
 and kd-style marginal-grid hierarchies over the grid itself, scored against
 the true rectangle workload through the per-level grid tables, and the winner
@@ -36,7 +39,7 @@ from ..core.plan import MeasurementPlan
 from ..workload.builders import prefix_workload
 from ..workload.rangequery import Workload
 from ..workload.selection import greedy_tree_strategy
-from .base import AlgorithmProperties, PlanAlgorithm
+from .base import AlgorithmProperties, PlanAlgorithm, workload_key
 from .greedy_h import greedy_budget_allocation
 from .hier import tree_plan
 from .hilbert import plan_flattening
@@ -58,40 +61,35 @@ class GreedyW(PlanAlgorithm):
         reference="This reproduction: greedy matrix-mechanism-style selection",
     )
 
-    def _strategy_for(self, domain_shape: tuple[int, ...], workload: Workload):
-        """Memoised greedy selection: one search per (domain, workload)."""
-        operator = workload.operator
-        key = (tuple(domain_shape), tuple(self.params["branchings"]),
-               workload.name, operator.n_queries,
-               hash(operator.los.tobytes()), hash(operator.his.tobytes()))
-        cache = getattr(self, "_selection_cache", None)
-        if cache is None:
-            cache = self._selection_cache = {}
-        if key not in cache:
-            cache[key] = greedy_tree_strategy(
-                domain_shape, workload,
-                branchings=tuple(int(b) for b in self.params["branchings"]))
-        return cache[key]
-
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:
-        domain_shape = x.shape
-        if x.ndim == 2 and self.params["native_2d"] and workload is not None \
-                and workload.ndim == 2 and workload.domain_shape == domain_shape:
-            # Native 2-D path: score the true rectangle workload on 2-D
-            # candidate hierarchies and emit a tree-tagged 2-D plan.
-            strategy = self._strategy_for(domain_shape, workload)
-            level_epsilons = greedy_budget_allocation(strategy.usage,
-                                                      budget.total)
-            return tree_plan(strategy.tree, level_epsilons)
-        ordering, flat_shape, workload = plan_flattening(x, workload)
-        if workload is None or workload.ndim != 1 \
-                or workload.domain_shape != flat_shape:
-            workload = prefix_workload(flat_shape[0])
-        strategy = self._strategy_for(flat_shape, workload)
+        shape = x.shape
+        branchings = tuple(int(b) for b in self.params["branchings"])
+        native_2d = bool(self.params["native_2d"])
+        strategy, ordering = self._memo(
+            "selection", (shape, branchings, native_2d, workload_key(workload)),
+            lambda: self._selection(shape, branchings, native_2d, workload))
         # The dropped levels carry zero usage, so the cube-root allocation
         # leaves them unmeasured — the same rule GreedyH applies to levels
         # the workload never touches.
         level_epsilons = greedy_budget_allocation(strategy.usage, budget.total)
-        return tree_plan(strategy.tree, level_epsilons,
-                         domain_shape=domain_shape, ordering=ordering)
+        return tree_plan(strategy.tree, level_epsilons, domain_shape=shape,
+                         ordering=ordering)
+
+    @staticmethod
+    def _selection(shape: tuple[int, ...], branchings: tuple[int, ...],
+                   native_2d: bool, workload: Workload | None):
+        """The greedy search and the flattening ordering it runs under
+        (``None`` on the native 2-D path)."""
+        if len(shape) == 2 and native_2d and workload is not None \
+                and workload.ndim == 2 and workload.domain_shape == shape:
+            # Native 2-D path: score the true rectangle workload on 2-D
+            # candidate hierarchies and emit a tree-tagged 2-D plan.
+            return greedy_tree_strategy(shape, workload,
+                                        branchings=branchings), None
+        ordering, flat_shape, workload = plan_flattening(shape, workload)
+        if workload is None or workload.ndim != 1 \
+                or workload.domain_shape != flat_shape:
+            workload = prefix_workload(flat_shape[0])
+        return greedy_tree_strategy(flat_shape, workload,
+                                    branchings=branchings), ordering

@@ -49,10 +49,9 @@ def tree_plan(
     level_epsilons = np.asarray(level_epsilons, dtype=float)
     if level_epsilons.size != tree.n_levels:
         raise ValueError("need one epsilon per tree level")
-    levels = tree.node_levels()
     return MeasurementPlan(
         queries=tree.as_query_matrix(),
-        epsilons=level_epsilons[levels],
+        epsilons=np.repeat(level_epsilons, np.diff(tree.level_spans())),
         domain_shape=tuple(domain_shape) if domain_shape is not None
         else tree.domain_shape,
         tree=tree,
@@ -76,7 +75,9 @@ class HierarchicalH(PlanAlgorithm):
 
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:
-        tree = HierarchicalTree(x.shape, branching=int(self.params["branching"]))
+        shape, branching = x.shape, int(self.params["branching"])
+        tree = self._memo("tree", (shape, branching),
+                          lambda: HierarchicalTree(shape, branching=branching))
         level_epsilons = np.full(tree.n_levels, budget.total / tree.n_levels)
         return tree_plan(tree, level_epsilons)
 
@@ -94,7 +95,8 @@ class HierarchicalHb(PlanAlgorithm):
 
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:
-        branching = optimal_branching(max(x.shape))
-        tree = HierarchicalTree(x.shape, branching=branching)
+        shape = x.shape
+        tree = self._memo("tree", (shape,), lambda: HierarchicalTree(
+            shape, branching=optimal_branching(max(shape))))
         level_epsilons = np.full(tree.n_levels, budget.total / tree.n_levels)
         return tree_plan(tree, level_epsilons)

@@ -166,15 +166,17 @@ def flatten_workload(workload, shape: tuple[int, int]):
     return _flatten(workload, shape, hilbert_ordering_for(shape))
 
 
-def plan_flattening(x: np.ndarray, workload):
+def plan_flattening(shape: tuple[int, ...], workload):
     """The flattening prologue shared by the 1-D plan algorithms run on 2-D
-    data (GreedyH, GreedyW, DAWA): the plan ``ordering`` (``None`` for 1-D
-    input), the flattened domain shape, and the workload mapped onto the
-    curve (``None`` when missing or mismatched — callers fall back to their
-    1-D default)."""
-    if x.ndim != 2:
-        return None, x.shape, workload
-    ordering = hilbert_ordering_for(x.shape)
-    if workload is None or workload.ndim != 2 or workload.domain_shape != x.shape:
-        return ordering, (x.size,), None
-    return ordering, (x.size,), _flatten(workload, x.shape, ordering)
+    data (GreedyH, GreedyW, DAWA), for a domain of ``shape``: the plan
+    ``ordering`` (``None`` for a 1-D domain), the flattened domain shape,
+    and the workload mapped onto the curve (``None`` when missing or
+    mismatched — callers fall back to their 1-D default).  It reads the
+    shape and the workload only, so its result can be memoised on both."""
+    if len(shape) != 2:
+        return None, shape, workload
+    ordering = hilbert_ordering_for(shape)
+    flat_shape = (shape[0] * shape[1],)
+    if workload is None or workload.ndim != 2 or workload.domain_shape != shape:
+        return ordering, flat_shape, None
+    return ordering, flat_shape, _flatten(workload, shape, ordering)

@@ -43,8 +43,9 @@ class QuadTree(PlanAlgorithm):
 
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:
-        max_height = int(self.params["max_height"])
-        tree = HierarchicalTree(x.shape, branching=2, max_height=max_height)
+        shape, max_height = x.shape, int(self.params["max_height"])
+        tree = self._memo("tree", (shape, max_height), lambda: HierarchicalTree(
+            shape, branching=2, max_height=max_height))
         level_epsilons = np.full(tree.n_levels, budget.total / tree.n_levels)
         return tree_plan(tree, level_epsilons)
 

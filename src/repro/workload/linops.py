@@ -168,15 +168,16 @@ class QueryMatrix:
         case the O(n) table construction is skipped and the application is
         O(q) table lookups — the batch hot path of the online release service
         (:mod:`repro.serve`), which answers every query stream against one
-        precomputed cube.
+        precomputed cube.  The corners were validated at construction, so
+        the lookups skip :meth:`PrefixSum.range_sums`' checks.
         """
         if isinstance(x, PrefixSum):
             if x.shape != self._domain_shape:
                 raise ValueError(
                     f"prefix table over {x.shape} does not match domain "
                     f"{self._domain_shape}")
-            return x.range_sums(self._los, self._his)
-        return PrefixSum(self._as_domain(x)).range_sums(self._los, self._his)
+            return x._gather(self._los, self._his)
+        return PrefixSum(self._as_domain(x))._gather(self._los, self._his)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """``W.T @ y`` through difference arrays — O(q + n), no matrix.

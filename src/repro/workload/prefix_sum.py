@@ -97,6 +97,13 @@ class PrefixSum:
                 or np.any(his >= np.asarray(self._shape, dtype=np.intp)):
             raise ValueError(
                 f"corners must satisfy 0 <= lo <= hi < shape over {self._shape}")
+        return self._gather(los, his)
+
+    def _gather(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+        """:meth:`range_sums` without its checks, for corners already known
+        to be ``(q, ndim)`` intp arrays with ``0 <= lo <= hi < shape``
+        (:class:`~repro.workload.linops.QueryMatrix` validates its own at
+        construction, so ``matvec`` skips the second pass over them)."""
         if len(self._shape) == 1:
             return self._table[his[:, 0] + 1] - self._table[los[:, 0]]
         # Four-corner gather on the flat table (index r * width + c): one

@@ -186,6 +186,19 @@ class TestDAWA:
         assert l1_partition(noisy, 0.7, noise_scale=2.0) == \
             l1_partition_reference(noisy, 0.7, noise_scale=2.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_partition_rejects_non_finite_input(self, bad):
+        # A non-finite count made every pruning comparison false, and the
+        # fast path returned ten singletons where the reference loop did not.
+        noisy = np.array([1, 1, 1, 1, 5, 5, bad, 2, 2, 2], dtype=float)
+        with pytest.raises(ValueError, match="finite"):
+            l1_partition(noisy, bucket_penalty=1.0)
+        finite = np.ones(10)
+        with pytest.raises(ValueError, match="finite"):
+            l1_partition(finite, bucket_penalty=bad)
+        with pytest.raises(ValueError, match="finite"):
+            l1_partition(finite, bucket_penalty=1.0, noise_scale=bad)
+
     def test_measurement_set_currency(self, sparse_small_scale):
         """DAWA's stage two is a MeasurementSet over the cell domain, and the
         generic solver applied to it reproduces the release (the tree solve

@@ -107,7 +107,7 @@ def test_children_are_contiguous_runs_after_parent_offset():
 def test_construction_memory_is_linear_in_nodes():
     # The vectorised builder must not materialise per-node Python objects:
     # peak traced allocation stays within a small constant per node (the
-    # SoA arrays are ~48 bytes/node; level-local temporaries add a bounded
+    # SoA arrays are 24-40 bytes/node; level-local temporaries add a bounded
     # multiple) at both a 1-D and a 2-D six-figure-node domain.
     for shape in [(2**17,), (512, 512)]:
         tracemalloc.start()
