@@ -332,9 +332,9 @@ class LeakyUniform(PlanAlgorithm):
 
     # 13. A 4096 x 4096 release end-to-end on the flyweight tree.  The
     #     hierarchy behind the tree algorithms is stored as structure-of-
-    #     arrays (bounds, levels, parents, CSR child offsets) and built by a
+    #     arrays (bounds, CSR child offsets, level offsets) and built by a
     #     vectorised level-at-a-time pass — no per-node Python objects — so
-    #     the ~22.4M-node tree over a 16.8M-cell grid costs ~48 bytes/node
+    #     the ~22.4M-node tree over a 16.8M-cell grid costs ~40 bytes/node
     #     and builds in seconds-not-minutes.  The full-size
     #     Identity/GreedyH/DAWA numbers live in benchmarks/results/
     #     bench_large_domain_4096.json (regenerate with DPBENCH_LARGE=1).
@@ -345,7 +345,7 @@ class LeakyUniform(PlanAlgorithm):
     tree = HierarchicalTree((side, side))
     build_s = time.perf_counter() - t0
     array_bytes = (tree.node_bounds()[0].nbytes + tree.node_bounds()[1].nbytes
-                   + tree.node_parents().nbytes + tree.child_offsets().nbytes)
+                   + tree.child_offsets().nbytes)
     print(f"\nflyweight tree over {side}x{side}: {tree.n_nodes:,} nodes in "
           f"{build_s:.1f}s, {array_bytes / tree.n_nodes:.0f} bytes/node")
     grid = np.zeros((side, side))
