@@ -48,7 +48,6 @@ from .core import (
     TunedAlgorithm,
     TuningResult,
     algorithm_names,
-    algorithms_for_dimension,
     baseline_comparison,
     benchmark_1d,
     benchmark_2d,
@@ -148,7 +147,7 @@ __all__ = [
     "ReleaseService",
     "SideInformationRepair", "ParameterTuner", "TunedAlgorithm",
     "TuningResult", "ALGORITHM_REGISTRY", "make_algorithm", "algorithm_names",
-    "algorithms_for_dimension", "table1_rows", "benchmark_1d", "benchmark_2d",
+    "table1_rows", "benchmark_1d", "benchmark_2d",
     "scaled_average_per_query_error", "summarize_errors",
     "bias_variance_decomposition", "competitive_algorithms",
     "competitive_counts", "regret", "baseline_comparison",

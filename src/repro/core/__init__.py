@@ -39,7 +39,6 @@ from .registry import (
     DATA_DEPENDENT,
     DATA_INDEPENDENT,
     algorithm_names,
-    algorithms_for_dimension,
     make_algorithm,
     table1_rows,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "DATA_DEPENDENT",
     "make_algorithm",
     "algorithm_names",
-    "algorithms_for_dimension",
     "table1_rows",
     "SideInformationRepair",
     "ParameterTuner",

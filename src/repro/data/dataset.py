@@ -113,16 +113,6 @@ class Dataset:
             metadata={**self.metadata, "coarsened_from": self.domain_shape},
         )
 
-    def with_counts(self, counts: np.ndarray, suffix: str = "") -> "Dataset":
-        """A copy of this dataset with different counts (same provenance)."""
-        return Dataset(
-            name=self.name + suffix,
-            counts=np.asarray(counts, dtype=float),
-            original_scale=self.original_scale,
-            description=self.description,
-            metadata=dict(self.metadata),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Dataset(name={self.name!r}, domain={self.domain_shape}, "

@@ -13,7 +13,8 @@ enforced here on two fronts:
   post-processing stage, budget flow into every noise scale, RNG provenance
   back to the executor spawn, and lock discipline across methods.  Run
   ``python -m repro.privlint src`` (CI does, against the committed
-  ``privlint-baseline.json``).
+  ``privlint-baseline.json``): every rule runs, suppressions that silence
+  nothing are reported (PL100), and the report is text.
 * **dynamically**: the taint sanitizer (:mod:`repro.privlint.taint`) runs
   every registered algorithm on a tainted histogram and asserts the release's
   taint is cleared *only* by the metered noise stage.
@@ -33,7 +34,6 @@ from .engine import (
 )
 from .findings import Finding, FindingKind
 from .rules import RULES, RULES_BY_ID
-from .sarif import render_sarif, sarif_document
 from .taint import (
     SanitizedNoise,
     TaintedArray,
@@ -59,10 +59,8 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "load_baseline",
-    "render_sarif",
     "sanitize",
     "sanitized_noise_stage",
-    "sarif_document",
     "taint",
     "write_baseline",
 ]

@@ -119,7 +119,6 @@ class CallFacts:
     key: str                      #: stable token, ``"c:line:col"``
     line: int
     col: int                      #: 1-based
-    end_lineno: int
     callee: str | None            #: dotted callee (``"self.m"``, ``"np.exp"``) or None
     subscript_of: str | None      #: for ``TABLE[k](...)`` — dotted name of ``TABLE``
     base_tokens: tuple[str, ...]  #: provenance of the receiver for method calls
@@ -593,8 +592,7 @@ class _FunctionExtractor:
             else:
                 kwargs[kw.arg] = tokens
         self.calls[key] = CallFacts(
-            key=key, line=node.lineno, col=node.col_offset + 1,
-            end_lineno=node.end_lineno or node.lineno, callee=callee,
+            key=key, line=node.lineno, col=node.col_offset + 1, callee=callee,
             subscript_of=subscript_of,
             base_tokens=tuple(sorted(base_tokens)),
             args=tuple(args), kwargs=kwargs, has_star=has_star,

@@ -40,12 +40,6 @@ class LintResult:
     suppressed: list[Finding]
     errors: list[str]          #: unparseable files, reported not swallowed
 
-    @property
-    def exit_code(self) -> int:
-        if self.errors:
-            return 2
-        return 1 if self.findings else 0
-
 
 #: PL100 — not a rule: the engine synthesises these findings after every
 #: selected rule has run, ruff's unused-``noqa`` style.  A suppression is
@@ -98,7 +92,7 @@ def _unused_suppression_findings(
 
 
 def _lint(sources: Mapping[str, str], rules: Sequence[FindingKind],
-          report_unused: bool, errors: list[str]) -> LintResult:
+          errors: list[str]) -> LintResult:
     analysis = analyze_sources(sources, errors)
     active = {kind.id for kind in rules}
     findings: list[Finding] = []
@@ -114,19 +108,18 @@ def _lint(sources: Mapping[str, str], rules: Sequence[FindingKind],
                       used.setdefault(finding.path, {}).setdefault(
                           finding.line, set()),
                       findings, suppressed)
-    if report_unused:
-        for path, module in analysis.project.modules.items():
-            findings.extend(_unused_suppression_findings(
-                path, module.suppressions, used.get(path, {}), active))
+    for path, module in analysis.project.modules.items():
+        findings.extend(_unused_suppression_findings(
+            path, module.suppressions, used.get(path, {}), active))
     findings.sort()
     suppressed.sort()
     return LintResult(findings, suppressed, errors)
 
 
-def lint_source(source: str, path: str, rules: Sequence[FindingKind], *,
-                report_unused: bool = False) -> LintResult:
+def lint_source(source: str, path: str,
+                rules: Sequence[FindingKind]) -> LintResult:
     """Lint one in-memory module (the seam the tests and quickstart use)."""
-    return _lint({path: source}, rules, report_unused, [])
+    return _lint({path: source}, rules, [])
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -139,11 +132,10 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
 
 
 def lint_paths(paths: Iterable[str | Path],
-               rules: Sequence[FindingKind] = _ALL_KINDS, *,
-               report_unused: bool = False) -> LintResult:
+               rules: Sequence[FindingKind] = _ALL_KINDS) -> LintResult:
     """Lint every ``*.py`` under ``paths`` (files or directories) as one
-    project.  With ``report_unused``, suppression comments that silenced
-    nothing become PL100 warnings."""
+    project; suppression comments that silence nothing become PL100
+    warnings."""
     sources: dict[str, str] = {}
     errors: list[str] = []
     for file_path in iter_python_files(paths):
@@ -152,4 +144,4 @@ def lint_paths(paths: Iterable[str | Path],
             sources[posix] = file_path.read_text(encoding="utf-8")
         except OSError as exc:
             errors.append(f"{posix}: {exc}")
-    return _lint(sources, rules, report_unused, errors)
+    return _lint(sources, rules, errors)

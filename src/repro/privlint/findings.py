@@ -2,7 +2,7 @@
 
 A :class:`Finding` is one violation of one rule at one source location; the
 whole subsystem trades in immutable findings so that suppression filtering,
-baseline matching and output formatting are plain set/list operations.
+baseline matching and reporting are plain set/list operations.
 """
 
 from __future__ import annotations
@@ -21,15 +21,9 @@ class Finding:
     rule: str       #: rule id, e.g. ``"PL001"``
     severity: str   #: ``"error"`` or ``"warning"``
     message: str    #: human-readable description of the violation
-    col: int = 1         #: 1-based start column (SARIF regions need it)
-    end_lineno: int = 0  #: last source line of the finding; 0 means same as ``line``
 
     def location(self) -> str:
         return f"{self.path}:{self.line}"
-
-    @property
-    def end_line(self) -> int:
-        return self.end_lineno or self.line
 
     def baseline_key(self) -> tuple[str, str, str]:
         """Identity used for baseline matching.
@@ -40,22 +34,11 @@ class Finding:
         """
         return (self.rule, self.path, self.message)
 
-    def as_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "end_lineno": self.end_line,
-            "message": self.message,
-        }
-
 
 @dataclass(frozen=True)
 class FindingKind:
-    """One rule id: what ``--rules`` selects, suppressions name, and SARIF
-    describes.  Each invariant's rule owns the kinds it reports."""
+    """One rule id: what ``lint_source`` selects and suppressions name.
+    Each invariant's rule owns the kinds it reports."""
 
     id: str           #: e.g. ``"PL001"``
     name: str         #: kebab-case slug

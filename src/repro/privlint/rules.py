@@ -50,14 +50,11 @@ __all__ = ["RULES", "RULES_BY_ID", "LockDisciplineRule", "MeteredNoiseRule",
            "PostProcessingPurityRule", "RngProvenanceRule"]
 
 
-def _finding(kind: FindingKind, path: str, line: int, message: str,
-             call: CallFacts | None = None) -> Finding:
-    """A finding at ``line``, spanning ``call`` when one is given."""
-    if call is None:
-        return Finding(path=path, line=line, rule=kind.id,
-                       severity=kind.severity, message=message)
-    return Finding(path=path, line=line, rule=kind.id, severity=kind.severity,
-                   message=message, col=call.col, end_lineno=call.end_lineno)
+def _finding(kind: FindingKind, path: str, line: int,
+             message: str) -> Finding:
+    """A finding of ``kind`` at ``line``."""
+    return Finding(path=path, line=line, rule=kind.id,
+                   severity=kind.severity, message=message)
 
 
 def _sink_bindings(analysis: ProjectAnalysis, sinks: SinkTable,
@@ -159,7 +156,7 @@ class RngProvenanceRule(_Rule):
                             f"freshly constructed generator flows into a "
                             f"mechanism: {project.qualified(fkey)} → {trace}; "
                             f"thread the executor-spawned generator through "
-                            f"instead", call)
+                            f"instead")
 
 
 # --------------------------------------------------------------------------------------
@@ -241,7 +238,7 @@ class PostProcessingPurityRule(_Rule):
                 yield _finding(
                     self.closure, fkey[0], call.line,
                     f"true data reaches the post-processing stage via "
-                    f"{chain_text}", call)
+                    f"{chain_text}")
                 break  # one finding per call site is enough
 
 
@@ -325,7 +322,7 @@ class MeteredNoiseRule(_Rule):
                             f"raw epsilon flows unmetered into a noise "
                             f"scale: {project.qualified(fkey)} binds it "
                             f"into {trace}; route the split through a "
-                            f"PrivacyBudget charge", call)
+                            f"PrivacyBudget charge")
 
 
 # --------------------------------------------------------------------------------------

@@ -371,16 +371,5 @@ class QueryMatrix:
         """Dense materialisation — intended for small domains only."""
         return self.to_sparse().toarray()
 
-    def as_linear_operator(self):
-        """A :class:`scipy.sparse.linalg.LinearOperator` over the implicit
-        prefix-sum/difference-array application (nothing materialised)."""
-        from scipy.sparse.linalg import LinearOperator
-
-        return LinearOperator(
-            shape=self.shape,
-            matvec=lambda x: self.matvec(x),
-            rmatvec=lambda y: self.rmatvec(y).ravel(),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QueryMatrix(queries={self.n_queries}, domain={self._domain_shape})"

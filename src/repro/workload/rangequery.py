@@ -54,9 +54,6 @@ class RangeQuery:
             size *= b - a + 1
         return size
 
-    def contains_cell(self, index: tuple[int, ...]) -> bool:
-        return all(a <= i <= b for a, b, i in zip(self.lo, self.hi, index))
-
     def evaluate(self, x: np.ndarray) -> float:
         """Answer the query against a count array ``x``."""
         x = np.asarray(x)

@@ -282,6 +282,16 @@ class TestRegistry:
         assert len(algorithm_names(None)) == 19
         assert "GreedyW" in algorithm_names(1)
 
+    def test_table1_lists_the_papers_18_rows(self):
+        rows = table1_rows(include_extras=False)
+        assert [row["algorithm"] for row in rows] == [
+            "Identity", "Uniform", "Privelet", "H", "Hb", "GreedyH", "MWEM",
+            "MWEM*", "AHP", "AHP*", "DPCube", "DAWA", "PHP", "EFPA", "SF",
+            "QuadTree", "UGrid", "AGrid"]
+        # The grids still run the GreedyW extra: 16 names in 1-D, 15 in 2-D.
+        assert len(algorithm_names(1)) == 16 and "GreedyW" in algorithm_names(1)
+        assert len(algorithm_names(2)) == 15 and "GreedyW" in algorithm_names(2)
+
     def test_table1_rows_cover_registry(self):
         rows = table1_rows(include_extras=True)
         assert len(rows) == 20

@@ -72,12 +72,6 @@ class TestDataset:
         dataset = Dataset("empty", np.zeros(10))
         assert np.allclose(dataset.shape_distribution, 0.1)
 
-    def test_with_counts_keeps_metadata(self):
-        dataset = Dataset("toy", np.ones(4), description="d", metadata={"k": 1})
-        clone = dataset.with_counts(np.ones(4) * 2)
-        assert clone.metadata == {"k": 1}
-        assert clone.scale == 8
-
 
 class TestSyntheticShapes:
     @pytest.mark.parametrize("factory,args", [

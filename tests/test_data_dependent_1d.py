@@ -303,6 +303,30 @@ class TestPHP:
         workload = prefix_workload(256)
         assert _mean_error(PHP(), x, workload, 0.01) < _mean_error(Identity(), x, workload, 0.01)
 
+    @pytest.mark.xfail(strict=True, reason="PHP reads its exponential-mechanism "
+                       "sensitivity from the true counts (2 * max(x) + 1), so "
+                       "neighbouring histograms get different sensitivities")
+    def test_bisection_sensitivity_is_data_independent(self, monkeypatch):
+        import repro.algorithms.php as php_module
+
+        def sensitivities(x):
+            seen = []
+            draw = php_module.exponential_mechanism
+
+            def recording(scores, epsilon, sensitivity, rng):
+                seen.append(sensitivity)
+                return draw(scores, epsilon, sensitivity=sensitivity, rng=rng)
+
+            monkeypatch.setattr(php_module, "exponential_mechanism", recording)
+            PHP().run(x, 1.0, rng=0)
+            monkeypatch.undo()
+            return seen
+
+        x = np.array([5.0, 1.0, 9.0, 2.0, 0.0, 3.0, 7.0, 4.0])
+        neighbour = x.copy()
+        neighbour[np.argmax(x)] += 1.0      # one more record in the largest cell
+        assert sensitivities(x) == sensitivities(neighbour)
+
 
 class TestEFPA:
     def test_near_exact_at_huge_epsilon(self, piecewise_uniform):

@@ -123,16 +123,6 @@ class TestQueryMatrix:
         assert np.array_equal(subset.to_sparse().toarray(),
                               operator.to_sparse().toarray()[[0, 5, 9]])
 
-    def test_linear_operator_wrapper(self):
-        from scipy.sparse.linalg import aslinearoperator
-
-        operator = _operator(random_range_workload((20,), 30, rng=7))
-        wrapped = operator.as_linear_operator()
-        x = np.random.default_rng(8).random(20)
-        assert np.allclose(wrapped @ x, operator.matvec(x))
-        assert np.allclose(aslinearoperator(wrapped).T @ np.ones(30),
-                           operator.rmatvec(np.ones(30)))
-
     def test_query_sizes(self):
         operator = _operator(prefix_workload(8))
         assert np.array_equal(operator.query_sizes(), np.arange(1, 9))

@@ -348,7 +348,13 @@ class TestSuppressionPropagation:
             "return values * (self._stash.sum() / max(values.sum(), 1.0))"
             "  # privlint: disable=PL007")
         findings = project_findings("PL007", {FIXTURE.as_posix(): source})
-        assert findings == []
+        assert [f for f in findings if f.rule == "PL007"] == []
+        # PL100 credits only suppressions a reported finding was routed
+        # through, so the declassifying comment itself reads as unused.
+        (unused,) = findings
+        assert unused.rule == "PL100" and "(PL007)" in unused.message
+        assert unused.line == source[:source.index(
+            "# privlint: disable=PL007")].count("\n") + 1
 
 
 # -- PL007: interprocedural leak ----------------------------------------------------
