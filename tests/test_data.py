@@ -58,6 +58,14 @@ class TestDataset:
         assert coarse.domain_shape == (4, 8)
         assert coarse.scale == pytest.approx(dataset.scale)
 
+    def test_coarsen_keeps_metadata(self):
+        dataset = Dataset("toy", np.ones(8), description="d", metadata={"k": 1})
+        coarse = dataset.coarsen((4,))
+        assert coarse.description == "d"
+        assert coarse.metadata == {"k": 1, "coarsened_from": (8,)}
+        assert dataset.metadata == {"k": 1}
+        assert coarse.scale == 8
+
     def test_coarsen_cannot_grow(self):
         dataset = Dataset("toy", np.ones(8))
         with pytest.raises(ValueError):

@@ -465,6 +465,28 @@ class TestEngine:
         assert result.findings == []
         assert len(result.errors) == 1 and "syntax error" in result.errors[0]
 
+    def test_rule_selection(self):
+        # Only the rules passed to the engine report: PL003's draw is silent
+        # under PL001 alone.
+        path = "src/repro/algorithms/demo.py"
+        assert lint_source(LEAKY_MODULE, path,
+                           [RULES_BY_ID["PL001"]]).findings == []
+        assert [f.rule for f in lint_source(
+            LEAKY_MODULE, path, [RULES_BY_ID["PL003"]]).findings] == ["PL003"]
+
+    def test_suppression_of_an_unselected_rule_is_not_unused(self):
+        # A disable comment for a rule that did not run cannot be judged, so
+        # it is neither credited nor reported as PL100.
+        source = LEAKY_MODULE.replace(
+            "rng)\n", "rng)  # privlint: disable=PL003\n")
+        path = "src/repro/algorithms/demo.py"
+        result = lint_source(source, path, [RULES_BY_ID["PL001"]])
+        assert result.findings == [] and result.suppressed == []
+        result = lint_source(source, path,
+                             [RULES_BY_ID["PL001"], RULES_BY_ID["PL003"]])
+        assert result.findings == []
+        assert [f.rule for f in result.suppressed] == ["PL003"]
+
     def test_findings_sorted_by_location(self):
         result = run_all("""
             import numpy as np
@@ -605,6 +627,28 @@ class TestCli:
         bad.write_text("{not json")
         assert privlint_main(
             [str(tmp_path), "--baseline", str(bad)], out=io.StringIO()) == 2
+
+    def test_text_summary_counts_baselined_and_suppressed(self, tmp_path):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "leaky.py").write_text(LEAKY_MODULE)
+        baseline = tmp_path / "baseline.json"
+        assert privlint_main(
+            [str(tree), "--write-baseline", str(baseline)],
+            out=io.StringIO()) == 0
+        (tree / "quiet.py").write_text(LEAKY_MODULE.replace(
+            "rng)\n", "rng)  # privlint: disable=PL003\n"))
+        out = io.StringIO()
+        assert privlint_main([str(tree), "--baseline", str(baseline)],
+                             out=out) == 0
+        assert out.getvalue() == "0 findings, 1 baselined, 1 suppressed inline\n"
+        out = io.StringIO()
+        assert privlint_main([str(tree)], out=out) == 1
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith(
+            f"{(tree / 'leaky.py').as_posix()}:3: PL003 [error] noise draw")
+        assert lines[1] == "1 finding, 1 suppressed inline"
 
     @pytest.mark.parametrize("switch", ["--format=json", "--rules=PL001",
                                         "--no-unused-disable"])
