@@ -17,6 +17,10 @@ operator in the measurement/inference refactor:
   loop (the cross-validated reference) versus the vectorised
   candidate-pruning path, on the input DAWA actually feeds it: noisy counts
   with a known Laplace scale.
+* **DAWA's stage-two usage count** at 2^18 cells — the Prefix workload on
+  the bucket domain, where it collapses to one query per bucket, counted
+  over its distinct rows weighted by their multiplicities: at most 2.5x
+  a count over the distinct rows alone.
 * **the Hilbert curve builder** — the historical pure-Python ``_d2xy`` loop
   (O(n) interpreter iterations, a million at 1024 x 1024) versus the
   vectorised bit-twiddling, pinned bitwise-identical.
@@ -68,7 +72,7 @@ import numpy as np
 from _shared import format_table, report, run_once
 from repro import MWEM, prefix_workload
 from repro.algorithms.hier import tree_plan
-from repro.algorithms.mechanisms import exponential_mechanism, laplace_noise
+from repro.algorithms.mechanisms import as_rng, exponential_mechanism, laplace_noise
 from repro.algorithms.tree import HierarchicalTree
 from repro.core.gls import solve_gls
 from repro.core.plan import measure_plan
@@ -93,6 +97,7 @@ def _mwem_data(n: int):
 
 def _dense_matrix_mwem(x, epsilon, workload, rng, rounds, scale):
     """The textbook dense path: answers via the materialised query matrix."""
+    rng = as_rng(rng)
     matrix = workload.to_matrix()
     estimate = np.full(x.shape, scale / x.size)
     average = np.zeros(x.shape)
@@ -111,6 +116,7 @@ def _dense_matrix_mwem(x, epsilon, workload, rng, rounds, scale):
 
 def _prefix_mask_mwem(x, epsilon, workload, rng, rounds, scale):
     """The pre-refactor path: prefix-sum evaluation, dense update masks."""
+    rng = as_rng(rng)
     estimate = np.full(x.shape, scale / x.size)
     average = np.zeros(x.shape)
     true_answers = workload.evaluate(x)
@@ -143,9 +149,9 @@ def test_mwem_sparse_vs_dense(benchmark):
         MWEM(rounds=2).run(x, epsilon, workload=workload, rng=0)   # warm-up
 
         t_dense, y_dense = _time(lambda: _dense_matrix_mwem(
-            x, epsilon, workload, np.random.default_rng(7), MWEM_ROUNDS, scale), repeats=1)
+            x, epsilon, workload, 7, MWEM_ROUNDS, scale), repeats=1)
         t_prefix, y_prefix = _time(lambda: _prefix_mask_mwem(
-            x, epsilon, workload, np.random.default_rng(7), MWEM_ROUNDS, scale))
+            x, epsilon, workload, 7, MWEM_ROUNDS, scale))
         t_sparse, y_sparse = _time(lambda: MWEM(rounds=MWEM_ROUNDS).run(
             x, epsilon, workload=workload, rng=np.random.default_rng(7)))
 
@@ -265,6 +271,67 @@ def test_dawa_partition_speed(benchmark):
            format_table(rows, floatfmt="{:.4f}"))
     assert speedup >= 5.0, \
         f"vectorised L1 partition only {speedup:.1f}x over the reference loop"
+
+
+USAGE_DOMAIN = 2 ** 18
+USAGE_REPEATS = 5
+
+
+def test_dawa_stage_two_usage_speed(benchmark):
+    """DAWA's stage-two usage count at 2^18 cells costs O(distinct queries).
+
+    The input is what DAWA's stage two counts in a release at epsilon 0.1:
+    its bucket tree, and the Prefix workload mapped onto the partition DAWA
+    found for a skewed vector, where the 2^18 queries collapse to one query
+    per bucket.  Each timed count runs on a freshly mapped bucket workload,
+    so it pays for its own ``QueryMatrix.distinct`` as every release does.
+    It must cost at most 2.5x the same tree's count over a workload of just
+    the distinct rows (a count over all 2^18 rows costs about 9x), and must
+    not depend on the order of the queries.
+    """
+    from repro import DAWA
+    from repro.workload import Workload
+
+    def study():
+        rng = _generator(20160626)
+        n = USAGE_DOMAIN
+        x = rng.multinomial(10 * n, rng.dirichlet(np.full(n, 0.05))).astype(float)
+        workload = prefix_workload(n)
+        plan, _ = DAWA().plan_and_measure(x, 0.1, rng=7, workload=workload)
+        edges, tree = plan.partition, plan.tree
+        los, his, _ = workload.on_partition(edges).operator.distinct()
+        distinct = Workload.from_bounds(los, his, tree.domain_shape)
+        tree.level_usage(distinct)                   # warm the tree's tables
+        t_fresh, t_distinct = [], []
+        for _ in range(USAGE_REPEATS):
+            bucket_workload = workload.on_partition(edges)
+            start = time.perf_counter()
+            usage = tree.level_usage(bucket_workload)
+            t_fresh.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            tree.level_usage(distinct)
+            t_distinct.append(time.perf_counter() - start)
+        operator = bucket_workload.operator
+        reversed_order = Workload.from_bounds(operator.los[::-1],
+                                              operator.his[::-1],
+                                              tree.domain_shape)
+        assert np.array_equal(usage, tree.level_usage(reversed_order)), \
+            "the usage count depends on the order of the queries"
+        t_fresh, t_distinct = np.median(t_fresh), np.median(t_distinct)
+        rows = [
+            {"path": f"distinct rows only ({len(los)} queries)",
+             "seconds": t_distinct, "ratio": 1.0},
+            {"path": f"fresh bucket workload ({n} queries)",
+             "seconds": t_fresh, "ratio": t_fresh / t_distinct},
+        ]
+        return rows, t_fresh / t_distinct
+
+    rows, ratio = run_once(benchmark, study)
+    report("bench_dawa_usage_speed",
+           f"DAWA stage-two level usage (domain 2^18, median of {USAGE_REPEATS})",
+           format_table(rows, floatfmt="{:.4f}"))
+    assert ratio <= 2.5, \
+        f"the bucket workload's count costs {ratio:.1f}x its distinct rows' count"
 
 
 SF_DOMAIN = 4096

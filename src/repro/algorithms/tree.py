@@ -407,12 +407,15 @@ class HierarchicalTree:
         queries re-route to the nearest measured descendants.  Every leaf
         level must be measured, otherwise cells would be unidentifiable.
 
-        Rank queries count every query at once, O((q + nodes) log nodes),
-        over the sorted per-level interval tables in 1-D and the per-level
-        grid tables in 2-D; only 2-D trees with irregular levels
-        (:class:`IrregularTreeLevels`) fall back to a walk over the node
-        arrays.  Raises ``ValueError`` for queries of another dimension than
-        the tree or outside its domain.
+        The count is linear in the queries, so it runs over the workload's
+        distinct rows weighted by their multiplicities
+        (:meth:`QueryMatrix.distinct`): O(q log q) once per operator to find
+        them, then O((distinct + nodes) log nodes) per call.  Rank queries
+        count every distinct row at once over the sorted per-level interval
+        tables in 1-D and the per-level grid tables in 2-D; only 2-D trees
+        with irregular levels (:class:`IrregularTreeLevels`) fall back to a
+        walk over the node arrays.  Raises ``ValueError`` for queries of
+        another dimension than the tree or outside its domain.
         """
         if measured is None:
             measured = np.ones(self.n_levels, dtype=bool)
@@ -423,7 +426,7 @@ class HierarchicalTree:
             if not measured[self.node_levels()[self.leaf_indices()]].all():
                 raise ValueError("every leaf level must be measured")
         # The workload's operator already holds 0 <= lo <= hi per query.
-        los, his = workload.operator.los, workload.operator.his
+        los, his, counts = workload.operator.distinct()
         ndim = len(self.domain_shape)
         if los.shape[1] != ndim:
             raise ValueError(f"{los.shape[1]}-D workload queries on a "
@@ -432,11 +435,11 @@ class HierarchicalTree:
             raise ValueError("workload queries fall outside the tree's "
                              f"domain {self.domain_shape}")
         if ndim == 1:
-            return self._usage_1d(los[:, 0], his[:, 0], measured)
+            return self._usage_1d(los[:, 0], his[:, 0], counts, measured)
         try:
-            return self._usage_2d(los, his, measured)
+            return self._usage_2d(los, his, counts, measured)
         except IrregularTreeLevels:
-            return self._usage_walk(los, his, measured)
+            return self._usage_walk(los, his, counts, measured)
 
     def _level_tables_1d(self):
         """Sorted per-level interval tables used by the vectorised usage count."""
@@ -467,7 +470,7 @@ class HierarchicalTree:
             }
         return self._levels_1d, self._leaves_1d
 
-    def _usage_1d(self, los: np.ndarray, his: np.ndarray,
+    def _usage_1d(self, los: np.ndarray, his: np.ndarray, counts: np.ndarray,
                   measured: np.ndarray) -> np.ndarray:
         tables, leaves = self._level_tables_1d()
         usage = np.zeros(self.n_levels)
@@ -476,21 +479,25 @@ class HierarchicalTree:
         # [i, j) of the sorted intervals, and those below the previous
         # measured level's inside run [pi, pj) form the run
         # [desc[pi], desc[pj]): ``desc`` is that level's cumulative child
-        # counts carried down through the unmeasured levels in between.
+        # counts carried down through the unmeasured levels in between.  It
+        # is non-decreasing, so an empty previous run covers at most zero.
         prev = None
         for level in np.flatnonzero(measured).tolist():
             table = tables[level]
             i = np.searchsorted(table["starts"], los, side="left")
             j = np.searchsorted(table["ends"], his, side="right")
-            inside = np.maximum(j - i, 0)
+            inside = j - i
+            np.maximum(inside, 0, out=inside)
             covered = 0
             if prev is not None:
                 pi, pj, plevel = prev
                 desc = tables[plevel]["kids_cum"]
                 for between in range(plevel + 1, level):
                     desc = tables[between]["kids_cum"][desc]
-                covered = np.where(pj > pi, desc[pj] - desc[pi], 0)
-            usage[level] = float(np.sum(inside - covered))
+                covered = np.maximum(desc[pj] - desc[pi], 0)
+            inside -= covered
+            inside *= counts
+            usage[level] = float(inside.sum())
             prev = (i, j, level)
 
         # Partial-overlap leaves: an intersecting but not-inside leaf at each
@@ -503,13 +510,14 @@ class HierarchicalTree:
         right = j0 > j1
         same = left & right & (i0 == j0 - 1)
         if np.any(left):
-            np.add.at(usage, leaves["levels"][i0[left]], 1.0)
+            np.add.at(usage, leaves["levels"][i0[left]], counts[left])
         right_only = right & ~same
         if np.any(right_only):
-            np.add.at(usage, leaves["levels"][j0[right_only] - 1], 1.0)
+            np.add.at(usage, leaves["levels"][j0[right_only] - 1],
+                      counts[right_only])
         return usage
 
-    def _usage_walk(self, los: np.ndarray, his: np.ndarray,
+    def _usage_walk(self, los: np.ndarray, his: np.ndarray, counts: np.ndarray,
                     measured: np.ndarray) -> np.ndarray:
         """The canonical decompositions walked top-down over the node
         arrays, every query at once: each step keeps the (query, node) pairs
@@ -528,6 +536,7 @@ class HierarchicalTree:
             kids = offsets[node + 1] - offsets[node]
             taken = hit & measured[levels[node]] & (inside | (kids == 0))
             usage += np.bincount(levels[node[taken]],
+                                 weights=counts[query[taken]],
                                  minlength=self.n_levels)
             walk = hit & ~taken
             query, node, kids = query[walk], node[walk], kids[walk]
@@ -606,7 +615,7 @@ class HierarchicalTree:
                            "count": count, "leaf_count": leaf_count})
         return tables
 
-    def _usage_2d(self, los: np.ndarray, his: np.ndarray,
+    def _usage_2d(self, los: np.ndarray, his: np.ndarray, counts: np.ndarray,
                   measured: np.ndarray) -> np.ndarray:
         """:meth:`level_usage` of a 2-D tree on its level grid tables.
 
@@ -645,7 +654,9 @@ class HierarchicalTree:
                                          table["starts1"], table["ends1"])
                 covered = np.where(
                     valid, _grid_count(table["count"], a0, b0, a1, b1), 0)
-            usage[level] = float(np.sum(inside - covered))
+            inside -= covered
+            inside *= counts
+            usage[level] = float(inside.sum())
             if table["leaf_count"] is not None:
                 # Partial-overlap leaves: intersecting but not inside.  Their
                 # ancestors are never inside (an inside ancestor would make
@@ -656,7 +667,9 @@ class HierarchicalTree:
                 jj1 = np.searchsorted(table["starts1"], qhi1, side="right")
                 intersecting = _grid_count(table["leaf_count"], ii0, jj0, ii1, jj1)
                 inside_leaves = _grid_count(table["leaf_count"], i0, j0, i1, j1)
-                usage[level] += float(np.sum(intersecting - inside_leaves))
+                intersecting -= inside_leaves
+                intersecting *= counts
+                usage[level] += float(intersecting.sum())
             prev = (i0, j0, i1, j1, table)
         return usage
 

@@ -32,7 +32,8 @@ monotone transfer function to convergence (:func:`converge`):
 Inline suppressions act as *declassification points* for their rule: a
 suppressed call site neither fires nor propagates its property upward, so
 one justified suppression at the deepest site keeps the whole caller chain
-quiet.
+quiet.  A suppression that stopped something is recorded in
+``ProjectAnalysis.declassified``, and the engine's PL100 counts it as used.
 
 Every per-function result carries a witness chain (function hop + reason)
 so rules can render ``infer → helper → self._stash`` call-path traces
@@ -124,11 +125,19 @@ class ProjectAnalysis:
     scale_params: dict[FuncKey, dict[str, Witness]] = field(default_factory=dict)
     #: PL009: parameter -> witness chain for generator-sink params
     rng_sink_params: dict[FuncKey, dict[str, Witness]] = field(default_factory=dict)
+    #: suppressions that stopped a fixpoint: path -> line -> rule ids
+    declassified: dict[str, dict[int, set[str]]] = field(default_factory=dict)
 
     # -- shared helpers -----------------------------------------------------------
     def suppressed(self, fkey: FuncKey, line: int, rule_id: str) -> bool:
         ids = self.project.modules[fkey[0]].suppressions.get(line, ())
         return "all" in ids or rule_id in ids
+
+    def declassify(self, fkey: FuncKey, line: int, rule_id: str) -> None:
+        """Record that the ``rule_id`` suppression at ``line`` stopped a
+        property from propagating, so PL100 counts it as used."""
+        self.declassified.setdefault(fkey[0], {}).setdefault(
+            line, set()).add(rule_id)
 
     def trace(self, start: Witness, follow) -> str:
         """Render a witness chain as ``→``-joined hops ending in a reason.
@@ -353,23 +362,32 @@ def _clean_taint_fixpoint(analysis: ProjectAnalysis, read: TokenReader) -> None:
                              if returns[callee] else None),
     }
 
-    def first_touch(fkey: FuncKey, fn: FunctionFacts) -> Witness | None:
-        for attr, line, _locked in fn.attr_loads:
-            if analysis.suppressed(fkey, line, "PL007"):
-                continue  # justified declassification at the load
-            witness = attr_source(fkey, attr)
+    def call_touch(fkey: FuncKey, call: CallFacts) -> Witness | None:
+        for arg in call.all_arg_tokens():
+            witness = read(fkey, arg, sources)
             if witness is not None:
                 return witness
+        for callee in project.resolve_call(fkey, call).functions:
+            if callee in touches:
+                return Witness(reason="", callee=callee)
+        return None
+
+    def declassified(fkey: FuncKey, line: int) -> bool:
+        """A justified suppression at a tainted load or call stops it."""
+        if not analysis.suppressed(fkey, line, "PL007"):
+            return False
+        analysis.declassify(fkey, line, "PL007")
+        return True
+
+    def first_touch(fkey: FuncKey, fn: FunctionFacts) -> Witness | None:
+        for attr, line, _locked in fn.attr_loads:
+            witness = attr_source(fkey, attr)
+            if witness is not None and not declassified(fkey, line):
+                return witness
         for call in fn.calls:
-            if analysis.suppressed(fkey, call.line, "PL007"):
-                continue
-            for arg in call.all_arg_tokens():
-                witness = read(fkey, arg, sources)
-                if witness is not None:
-                    return witness
-            for callee in project.resolve_call(fkey, call).functions:
-                if callee in touches:
-                    return Witness(reason="", callee=callee)
+            witness = call_touch(fkey, call)
+            if witness is not None and not declassified(fkey, call.line):
+                return witness
         return None
 
     def step() -> bool:
@@ -423,6 +441,16 @@ def _param_sinks(analysis: ProjectAnalysis, rule_id: str,
                 changed = True
         return changed
 
+    def call_sinks(fkey: FuncKey, call: CallFacts):
+        for tokens, reason in local_sinks(project, fkey, call):
+            yield tokens, Witness(reason=reason)
+        for callee, binding in project.bindings(fkey, call).items():
+            if skip(project.functions[callee]):
+                continue
+            for param, tokens in binding.items():
+                if param in sinks[callee]:
+                    yield tokens, Witness(reason="", callee=callee)
+
     def step() -> bool:
         changed = False
         for fkey, fn in project.functions.items():
@@ -430,16 +458,15 @@ def _param_sinks(analysis: ProjectAnalysis, rule_id: str,
                 continue
             for call in fn.calls:
                 if analysis.suppressed(fkey, call.line, rule_id):
-                    continue  # justified declassification stops propagation
-                for tokens, reason in local_sinks(project, fkey, call):
-                    changed |= add(fkey, tokens, Witness(reason=reason))
-                for callee, binding in project.bindings(fkey, call).items():
-                    if skip(project.functions[callee]):
-                        continue
-                    for param, tokens in binding.items():
-                        if param in sinks[callee]:
-                            changed |= add(fkey, tokens,
-                                           Witness(reason="", callee=callee))
+                    # A justified declassification stops propagation; it is
+                    # used if a parameter would have become a sink.
+                    if any(token.startswith("p:")
+                           for tokens, _ in call_sinks(fkey, call)
+                           for token in tokens):
+                        analysis.declassify(fkey, call.line, rule_id)
+                    continue
+                for tokens, witness in call_sinks(fkey, call):
+                    changed |= add(fkey, tokens, witness)
         return changed
 
     converge(step)

@@ -108,6 +108,13 @@ def _lint(sources: Mapping[str, str], rules: Sequence[FindingKind],
                       used.setdefault(finding.path, {}).setdefault(
                           finding.line, set()),
                       findings, suppressed)
+    # A suppression that stopped a fixpoint from propagating is used too.
+    for path, lines in analysis.declassified.items():
+        suppressions = analysis.project.modules[path].suppressions
+        for line, rule_ids in lines.items():
+            for rule_id in rule_ids & active:
+                used.setdefault(path, {}).setdefault(line, set()).update(
+                    suppressions[line] & {rule_id, "all"})
     for path, module in analysis.project.modules.items():
         findings.extend(_unused_suppression_findings(
             path, module.suppressions, used.get(path, {}), active))

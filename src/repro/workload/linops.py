@@ -73,6 +73,9 @@ class QueryMatrix:
     domain_shape:
         Shape of the count array the queries refer to (1-D or 2-D).
 
+    Three lazy caches are built on first use: the CSR matrix
+    (:meth:`to_sparse`), the per-cell query counts (:meth:`cell_counts`) and
+    the distinct rows with their multiplicities (:meth:`distinct`).
     Instances are thread-shared by the parallel executor: every lazy cache
     must be built under ``self._lock`` and published exactly once (privlint
     rule PL005 enforces this).
@@ -100,6 +103,7 @@ class QueryMatrix:
         self._lock = threading.Lock()
         self._csr = None
         self._cell_counts = None
+        self._distinct = None
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -146,6 +150,42 @@ class QueryMatrix:
     def __getitem__(self, selector) -> "QueryMatrix":
         """Row subset (boolean mask or index array) as a new operator."""
         return QueryMatrix(self._los[selector], self._his[selector], self._domain_shape)
+
+    def distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct queries and how often each occurs (cached).
+
+        Returns ``(los, his, counts)``: the distinct rows in ascending
+        lexicographic order of their corners (lower corner first, axis 0
+        first), as ``(d, ndim)`` arrays, and each row's multiplicity as a
+        ``(d,)`` int64 array summing to ``n_queries``.  A count that is
+        linear in the queries (such as
+        :meth:`~repro.algorithms.tree.HierarchicalTree.level_usage`) costs
+        O(distinct rows) over it.  Built once in O(q log q) with
+        ``np.lexsort`` over the corner columns: a packed ``lo * (n + 1) + hi``
+        key would overflow int64 beyond about 3e9 cells, and a
+        ``max_height`` tree accepts 1-D domains of 2**40.
+        """
+        rows = self._distinct
+        if rows is None:
+            with self._lock:
+                if self._distinct is None:
+                    # One column per corner coordinate: 1-D gathers and
+                    # compares are several times faster than row-wise ones.
+                    keys = [*self._los.T, *self._his.T]
+                    order = np.lexsort(keys[::-1])
+                    columns = [key[order] for key in keys]
+                    first = np.zeros(self.n_queries, dtype=bool)
+                    first[:1] = True
+                    for column in columns:
+                        first[1:] |= column[1:] != column[:-1]
+                    starts = np.flatnonzero(first)
+                    counts = np.diff(np.append(starts, self.n_queries))
+                    # Column-major, so each corner column stays contiguous.
+                    rows = np.stack([column[starts] for column in columns]).T
+                    self._distinct = (rows[:, :self.ndim], rows[:, self.ndim:],
+                                      counts.astype(np.int64, copy=False))
+                rows = self._distinct
+        return rows
 
     def query_sizes(self) -> np.ndarray:
         """Number of cells covered by each query (row sums of ``W``)."""

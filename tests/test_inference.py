@@ -5,6 +5,7 @@ two-pass consistency solve on hierarchical trees."""
 import numpy as np
 import pytest
 
+from repro.algorithms.mechanisms import as_rng
 from repro.algorithms.tree import HierarchicalTree
 from repro.core.gls import reconcile_shift, tree_least_squares
 
@@ -49,7 +50,8 @@ class TestReconcileShift:
 
 
 class TestTreeLeastSquares:
-    def _measure(self, tree, x, noise=0.0, rng=None):
+    def _measure(self, tree, x, noise=0.0, rng=0):
+        rng = as_rng(rng)
         totals = tree.node_totals(x)
         if noise:
             totals = totals + rng.normal(0, noise, size=totals.shape)
@@ -71,7 +73,7 @@ class TestTreeLeastSquares:
         rng = np.random.default_rng(0)
         x = rng.integers(0, 20, size=32).astype(float)
         tree = HierarchicalTree((32,), branching=2)
-        totals, variances = self._measure(tree, x, noise=3.0, rng=rng)
+        totals, variances = self._measure(tree, x, noise=3.0, rng=1)
         consistent = tree_least_squares(tree, totals, variances)
         offsets = tree.child_offsets()
         for i in range(tree.n_nodes):

@@ -407,6 +407,48 @@ class TestPartitionMappings:
         assert coarse[15].hi == (3,)
 
 
+class TestDistinct:
+    """``QueryMatrix.distinct``: the distinct rows in sorted corner order and
+    each row's multiplicity, built once."""
+
+    @staticmethod
+    def _with_repeats(workload: Workload, rng) -> QueryMatrix:
+        operator = workload.operator
+        return operator[rng.integers(0, len(operator), 3 * len(operator))]
+
+    @pytest.mark.parametrize("workload", WORKLOAD_CASES, ids=lambda w: w.name)
+    def test_sorted_rows_and_multiplicities(self, workload, rng):
+        for operator in (workload.operator, self._with_repeats(workload, rng)):
+            los, his, counts = operator.distinct()
+            rows = [tuple(r) for r in np.hstack([los, his]).tolist()]
+            assert rows == sorted(set(rows))     # sorted, each row once
+            assert counts.dtype == np.int64
+            assert counts.sum() == len(operator)
+            occurrences = {}
+            for row in np.hstack([operator.los, operator.his]).tolist():
+                occurrences[tuple(row)] = occurrences.get(tuple(row), 0) + 1
+            assert counts.tolist() == [occurrences[r] for r in rows]
+            assert operator.distinct() is operator.distinct()    # cached
+
+    def test_empty_operator(self):
+        operator = prefix_workload(8).operator[np.zeros(8, dtype=bool)]
+        los, his, counts = operator.distinct()
+        assert los.shape == his.shape == (0, 1)
+        assert counts.shape == (0,)
+
+    def test_survives_pickling(self, rng):
+        import pickle
+
+        operator = self._with_repeats(
+            random_range_workload((9, 13), n_queries=30, rng=2), rng)
+        fresh = pickle.loads(pickle.dumps(operator))
+        expected = operator.distinct()
+        for clone in (fresh, pickle.loads(pickle.dumps(operator))):
+            for got, want in zip(clone.distinct(), expected):
+                np.testing.assert_array_equal(got, want)
+            assert clone.distinct() is clone.distinct()
+
+
 class TestConcurrentLazyCaches:
     """The serving layer shares one QueryMatrix across reader threads, so the
     lazy caches must build exactly once and never expose a half-built value."""
@@ -474,6 +516,22 @@ class TestConcurrentLazyCaches:
             assert got_csr is first_csr
             assert np.array_equal(got_counts, counts)
             assert np.array_equal(got_answers, expected)
+
+    def test_distinct_builds_once_under_contention(self, monkeypatch):
+        import time
+
+        original, calls = np.lexsort, []
+
+        def slow_lexsort(keys):
+            calls.append(1)
+            time.sleep(0.02)                     # widen the race window
+            return original(keys)
+
+        monkeypatch.setattr(np, "lexsort", slow_lexsort)
+        operator = random_range_workload((64,), n_queries=40, rng=7).operator
+        results = self._hammer(8, operator.distinct)
+        assert len(calls) == 1
+        assert all(rows is results[0] for rows in results)
 
     def test_workload_operator_builds_once_under_contention(self):
         workload = random_range_workload((64,), n_queries=30, rng=9)

@@ -306,9 +306,11 @@ class TestMWEMSparseLoop:
     @staticmethod
     def _dense_mwem(x, epsilon, workload, rng, rounds, scale):
         """The pre-refactor dense round loop, kept as an executable spec."""
-        from repro.algorithms.mechanisms import exponential_mechanism, laplace_noise
+        from repro.algorithms.mechanisms import (as_rng, exponential_mechanism,
+                                                 laplace_noise)
         from reference.mwem_dense import multiplicative_weights_update, query_mask
 
+        rng = as_rng(rng)
         estimate = np.full(x.shape, scale / x.size)
         average = np.zeros(x.shape)
         true_answers = workload.evaluate(x)
@@ -332,8 +334,7 @@ class TestMWEMSparseLoop:
         workload = (prefix_workload(shape[0]) if len(shape) == 1
                     else random_range_workload(shape, n_queries=150, rng=seed))
         rounds = 12
-        dense = self._dense_mwem(x, 1.0, workload, np.random.default_rng(99), rounds,
-                                 scale=float(x.sum()))
+        dense = self._dense_mwem(x, 1.0, workload, 99, rounds, scale=float(x.sum()))
         sparse = repro.MWEM(rounds=rounds).run(x, 1.0, workload=workload,
                                                rng=np.random.default_rng(99))
         np.testing.assert_allclose(sparse, dense, rtol=1e-9, atol=1e-9)

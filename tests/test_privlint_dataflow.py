@@ -347,14 +347,40 @@ class TestSuppressionPropagation:
             "return values * (self._stash.sum() / max(values.sum(), 1.0))",
             "return values * (self._stash.sum() / max(values.sum(), 1.0))"
             "  # privlint: disable=PL007")
+        # The comment stopped the chain's fixpoint, so PL100 counts it as
+        # used: no PL007 and no "unused suppression" either.
+        assert project_findings("PL007", {FIXTURE.as_posix(): source}) == []
+
+    def test_suppression_on_a_clean_line_is_unused(self):
+        """A ``disable=PL007`` on a call that reads nothing tainted stops
+        nothing."""
+        source = FIXTURE.read_text(encoding="utf-8")
+        clean = "return x + laplace_noise(1.0 / eps, x.size, rng)"
+        assert clean in source
+        source = source.replace(clean, clean + "  # privlint: disable=PL007")
         findings = project_findings("PL007", {FIXTURE.as_posix(): source})
-        assert [f for f in findings if f.rule == "PL007"] == []
-        # PL100 credits only suppressions a reported finding was routed
-        # through, so the declassifying comment itself reads as unused.
-        (unused,) = findings
-        assert unused.rule == "PL100" and "(PL007)" in unused.message
-        assert unused.line == source[:source.index(
-            "# privlint: disable=PL007")].count("\n") + 1
+        unused = [f for f in findings if f.rule == "PL100"]
+        assert [f.line for f in unused] == [source[:source.index(
+            "# privlint: disable=PL007")].count("\n") + 1]
+        assert "(PL007)" in unused[0].message
+        assert len(findings) == 2            # the chain's PL007 still fires
+
+    def test_suppressing_a_deep_generator_sink_is_used(self):
+        """PL009's parameter-sink fixpoint: the suppressed draw keeps the
+        helper's ``rng`` from becoming a sink, so the fresh generator its
+        caller passes is not reported and the comment is not unused."""
+        findings = project_findings("PL009", {
+            "src/repro/algorithms/demo.py": """
+                import numpy as np
+
+                def draw(scale, n, rng):
+                    return rng.laplace(0.0, scale, n)  # privlint: disable=PL009
+
+                def select(x, workload, budget, rng):
+                    fresh = np.random.default_rng(0)
+                    return x + draw(1.0, x.size, fresh)
+            """})
+        assert findings == []
 
 
 # -- PL007: interprocedural leak ----------------------------------------------------

@@ -6,8 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference.level_usage import canonical_decomposition, level_usage_reference
-from repro.workload import prefix_workload, random_range_workload
-from repro.algorithms.tree import HierarchicalTree, optimal_branching
+from repro.workload import Workload, prefix_workload, random_range_workload
+from repro.algorithms.tree import (HierarchicalTree, IrregularTreeLevels,
+                                   optimal_branching)
 from repro.workload.selection import greedy_tree_strategy
 
 SETTINGS = settings(max_examples=60, deadline=None,
@@ -199,6 +200,82 @@ class TestLevelUsage:
         with pytest.raises(ValueError, match="outside the tree's domain"):
             greedy_tree_strategy((8, 8),
                                  random_range_workload((16, 16), 10, rng=0))
+
+
+def _pruned(tree):
+    """Every other internal level dropped; the leaf levels stay measured."""
+    measured = np.ones(tree.n_levels, dtype=bool)
+    measured[1::2] = False
+    measured[tree.node_levels()[tree.leaf_indices()]] = True
+    return measured
+
+
+class TestUsageOverDistinctQueries:
+    """``level_usage`` counts each distinct query once, weighted by how often
+    it occurs (``QueryMatrix.distinct``); every count path must apply the
+    weights to each of its terms."""
+
+    # One tree per count path: 1-D rank tables (aggregated leaves included),
+    # 2-D grid tables, and the walk over an irregular kd tree.
+    PATHS = {
+        "rank-1d": ((61,), dict(branching=3, max_height=3)),
+        "grid-2d": ((13, 9), dict(branching=2, max_height=3)),
+        "walk-2d": ((3, 8), dict(branching=2, split_axes=(0, 1))),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_repeated_shuffled_queries_count_k_times(self, path, rng):
+        shape, kwargs = self.PATHS[path]
+        tree = HierarchicalTree(shape, **kwargs)
+        if path == "walk-2d":
+            with pytest.raises(IrregularTreeLevels):
+                tree._level_tables_2d()
+        elif path == "grid-2d":
+            tree._level_tables_2d()              # regular: no fallback
+        los, his, _ = random_range_workload(shape, 40, rng=rng).operator.distinct()
+        distinct = Workload.from_bounds(los, his, shape)
+        k = 3
+        shuffled = rng.permutation(np.repeat(np.arange(len(los)), k))
+        repeated = Workload.from_bounds(los[shuffled], his[shuffled], shape)
+        for measured in (None, _pruned(tree)):
+            usage = tree.level_usage(repeated, measured)
+            np.testing.assert_array_equal(
+                usage, k * tree.level_usage(distinct, measured))
+            np.testing.assert_array_equal(
+                usage, level_usage_reference(tree, repeated, measured))
+
+    def test_uneven_multiplicities_match_oracle(self):
+        """DAWA's stage-two input: a prefix workload on a partition, where
+        each bucket's query occurs once per cell of the bucket."""
+        edges = np.array([0, 1, 4, 5, 11, 12, 30, 31, 64])
+        workload = prefix_workload(64).on_partition(edges)
+        tree = HierarchicalTree((edges.size - 1,), branching=2)
+        np.testing.assert_array_equal(workload.operator.distinct()[2],
+                                      np.diff(edges))
+        for measured in (None, _pruned(tree)):
+            np.testing.assert_array_equal(
+                tree.level_usage(workload, measured),
+                level_usage_reference(tree, workload, measured))
+
+    def test_corners_a_packed_key_would_merge(self):
+        """On 2**40 cells, ``lo * (n + 1) + hi`` wraps around int64 and
+        gives these two queries one key; they use different nodes."""
+        n = 2 ** 40
+        tree = HierarchicalTree((n,), branching=2, max_height=3)
+        a, b = (2 ** 39 - 9, n - 2), (2 ** 39 - 9 + 2 ** 37, n - 2 - 2 ** 37)
+        los = np.array([a[0], b[0], a[0]])
+        his = np.array([a[1], b[1], a[1]])
+        packed = los * (n + 1) + his
+        assert packed[0] == packed[1]
+        workload = Workload.from_bounds(los, his, (n,))
+        d_los, d_his, counts = workload.operator.distinct()
+        np.testing.assert_array_equal(d_los[:, 0], [a[0], b[0]])
+        np.testing.assert_array_equal(d_his[:, 0], [a[1], b[1]])
+        np.testing.assert_array_equal(counts, [2, 1])
+        usage = tree.level_usage(workload)
+        np.testing.assert_array_equal(usage, [0, 0, 2, 9])
+        np.testing.assert_array_equal(usage,
+                                      level_usage_reference(tree, workload))
 
 
 class TestOptimalBranching:
