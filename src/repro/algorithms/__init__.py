@@ -1,8 +1,9 @@
 """Differentially private release algorithms evaluated by DPBench.
 
-The module exposes the DP primitives, the shared substrates (hierarchies,
-wavelets, Hilbert curves) and all algorithms from Table 1 of the paper plus
-the HybridTree extra.  Their least-squares solves live in
+The module exposes the DP primitives (Laplace noise, the exponential
+mechanism, the privacy-budget accountant), the shared substrates
+(hierarchies, wavelets, Hilbert curves) and all algorithms from Table 1 of
+the paper plus the HybridTree extra.  Their least-squares solves live in
 :mod:`repro.core.gls`.
 """
 
@@ -12,8 +13,6 @@ from .mechanisms import (
     PrivacyBudget,
     as_rng,
     exponential_mechanism,
-    geometric_mechanism,
-    laplace_mechanism,
     laplace_noise,
 )
 from .identity import Identity
@@ -40,8 +39,6 @@ __all__ = [
     "BudgetExceededError",
     "as_rng",
     "laplace_noise",
-    "laplace_mechanism",
-    "geometric_mechanism",
     "exponential_mechanism",
     "Identity",
     "Uniform",

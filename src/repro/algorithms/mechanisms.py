@@ -1,8 +1,10 @@
 """Core differential-privacy primitives.
 
 These are the building blocks shared by every algorithm in the benchmark:
-the Laplace mechanism, the geometric mechanism, the exponential mechanism and
-a small privacy-budget accountant used by multi-stage algorithms.
+Laplace noise, the exponential mechanism and a small privacy-budget
+accountant used by multi-stage algorithms.  Releases add Laplace noise
+through ``measure_plan`` (which draws with the ``batched_laplace`` kernel)
+or :func:`laplace_noise`.
 
 All randomness flows through an explicit :class:`numpy.random.Generator`
 (see :func:`as_rng`) so that experiments are reproducible.
@@ -17,8 +19,6 @@ import numpy as np
 __all__ = [
     "as_rng",
     "laplace_noise",
-    "laplace_mechanism",
-    "geometric_mechanism",
     "exponential_mechanism",
     "PrivacyBudget",
     "BudgetExceededError",
@@ -49,54 +49,6 @@ def laplace_noise(scale: float, size, rng: np.random.Generator) -> np.ndarray:
     if scale == 0:
         return np.zeros(size)
     return rng.laplace(loc=0.0, scale=scale, size=size)
-
-
-def laplace_mechanism(
-    values: np.ndarray,
-    epsilon: float,
-    sensitivity: float = 1.0,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Apply the Laplace mechanism to a vector of query answers.
-
-    Adds Laplace noise with scale ``sensitivity / epsilon`` independently to
-    every entry of ``values`` (Definition 2 in the paper).
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if sensitivity < 0:
-        raise ValueError(f"sensitivity must be non-negative, got {sensitivity}")
-    rng = as_rng(rng)
-    values = np.asarray(values, dtype=float)
-    if np.isinf(epsilon):
-        return values.copy()
-    return values + laplace_noise(sensitivity / epsilon, values.shape, rng)
-
-
-def geometric_mechanism(
-    values: np.ndarray,
-    epsilon: float,
-    sensitivity: float = 1.0,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Apply the (two-sided) geometric mechanism, the integer-valued analogue
-    of the Laplace mechanism.
-
-    Returns integer-valued noisy counts.  Used by examples that want integral
-    releases; the benchmark itself follows the paper and uses Laplace noise.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    rng = as_rng(rng)
-    values = np.asarray(values, dtype=float)
-    if np.isinf(epsilon):
-        return np.rint(values)
-    alpha = np.exp(-epsilon / sensitivity)
-    # Two-sided geometric noise is the difference of two geometric variables.
-    shape = values.shape
-    g1 = rng.geometric(1 - alpha, size=shape) - 1
-    g2 = rng.geometric(1 - alpha, size=shape) - 1
-    return np.rint(values) + g1 - g2
 
 
 def exponential_mechanism(

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -125,7 +125,6 @@ class DPBench:
     workload_factory: Callable[[tuple[int, ...], np.random.Generator], Workload] | None = None
     loss: str = "l2"
     workload_seed: int = 20160626
-    metadata: dict = field(default_factory=dict)
     executor: object | None = None
     checkpoint: str | Path | None = None
     resume: bool = False

@@ -93,16 +93,6 @@ class ErrorSummary:
     maximum: float
     n_trials: int
 
-    def as_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std": self.std,
-            "p95": self.percentile95,
-            "min": self.minimum,
-            "max": self.maximum,
-            "n_trials": self.n_trials,
-        }
-
 
 def summarize_errors(errors: np.ndarray) -> ErrorSummary:
     """Mean, spread and 95th percentile of a vector of per-trial errors."""

@@ -143,12 +143,6 @@ class ResultSet:
         self._records: list[RunRecord] = list(records or [])
 
     # -- collection protocol --------------------------------------------------------
-    def add(self, record: RunRecord) -> None:
-        self._records.append(record)
-
-    def extend(self, records) -> None:
-        self._records.extend(records)
-
     def __len__(self) -> int:
         return len(self._records)
 
@@ -213,12 +207,6 @@ class ResultSet:
 
     def scales(self) -> list[int]:
         return sorted({r.setting.scale for r in self._records})
-
-    def settings(self) -> list[ExperimentSetting]:
-        seen: dict[tuple, ExperimentSetting] = {}
-        for record in self._records:
-            seen.setdefault(record.setting.key_without_algorithm(), record.setting)
-        return list(seen.values())
 
     def by_setting(self) -> dict[tuple, dict[str, RunRecord]]:
         """Map setting-key -> {algorithm -> record}."""

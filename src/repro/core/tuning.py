@@ -41,8 +41,7 @@ class TuningResult:
     best_by_product: dict[float, dict] = field(default_factory=dict)
     errors_by_product: dict[float, dict[tuple, float]] = field(default_factory=dict)
 
-    def parameters_for(self, epsilon: float, scale: float,
-                       domain_size: int | None = None) -> dict:
+    def parameters_for(self, epsilon: float, scale: float) -> dict:
         """Rparam: look up the learned parameters for a new setting.
 
         The lookup key is the epsilon-scale product (scale-epsilon
@@ -135,7 +134,7 @@ class ParameterTuner:
 class TunedAlgorithm(Algorithm):
     """Rparam's output as an algorithm: the tuned base algorithm.
 
-    Each run looks up ``tuning.parameters_for(epsilon, scale, domain_size)``
+    Each run looks up ``tuning.parameters_for(epsilon, scale)``
     and runs the base algorithm with those parameters on the whole budget.
     This is how the paper's starred variants (MWEM*, AHP*) get
     setting-appropriate parameters.  The lookup reads the true scale
@@ -152,7 +151,7 @@ class TunedAlgorithm(Algorithm):
 
     def _run(self, x: np.ndarray, budget: PrivacyBudget,
              workload: Workload | None, rng: np.random.Generator) -> np.ndarray:
-        params = self._tuning.parameters_for(budget.total, float(x.sum()), x.size)
+        params = self._tuning.parameters_for(budget.total, float(x.sum()))
         inner = make_algorithm(self._tuning.algorithm, **params)
         return inner.run(x, budget.spend_all("inner-algorithm"),
                          workload=workload, rng=rng)

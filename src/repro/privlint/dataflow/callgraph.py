@@ -5,8 +5,8 @@ stitches them together.  Name resolution follows the import tables —
 including relative imports and one-hop package ``__init__`` re-exports — and
 call sites are resolved through four channels:
 
-* plain names and dotted module attributes (``laplace_noise``,
-  ``mechanisms.laplace_noise``),
+* plain names and dotted module attributes (``measure_plan``,
+  ``plan.measure_plan``),
 * ``self.method`` / ``super().method`` with *virtual dispatch*: the template
   methods (``Algorithm.run`` calling ``self._run``) resolve to every override
   in the class family, which is what makes the select→measure→infer pipeline

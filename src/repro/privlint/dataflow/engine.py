@@ -44,30 +44,49 @@ under unrelated edits).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .callgraph import FuncKey, Project
 from .facts import DATA_NAMES, CallFacts, FunctionFacts
 
 __all__ = ["ProjectAnalysis", "Witness", "analyze_project"]
 
-#: Mechanism primitives and their noise-scale parameter (axiomatic PL008
-#: sinks) — matched by resolved location *or*, for unresolved callees, by
-#: name, so fixtures without imports still analyse.
-NOISE_SCALE_PARAMS = {
-    "laplace_noise": ("scale",),
-    "batched_laplace": ("scales",),
-    "laplace_mechanism": ("epsilon",),
-    "geometric_mechanism": ("epsilon",),
-    "exponential_mechanism": ("epsilon",),
+
+class Primitive(NamedTuple):
+    """One metered noise primitive: where it is defined and where its
+    noise-scale and generator arguments sit."""
+
+    module: str      #: the defining module (the runtime seam patches it)
+    scale: str       #: the noise-scale parameter (a PL008 sink)
+    scale_at: int    #: its positional index
+    rng: str         #: the generator parameter (a PL009 sink)
+    rng_at: int      #: its positional index
+    noise: bool      #: adds noise to values (False: picks an index)
+
+
+#: The mechanism primitives, the one list every rule and the runtime
+#: sanitizer read.  A call is matched by its resolved callee *or*, when the
+#: callee is unresolved, by name, so fixtures without imports still analyse.
+PRIMITIVES = {
+    "laplace_noise": Primitive(
+        "repro.algorithms.mechanisms", "scale", 0, "rng", 2, noise=True),
+    "batched_laplace": Primitive(
+        "repro.core.kernels", "scales", 1, "rng", 0, noise=True),
+    "exponential_mechanism": Primitive(
+        "repro.algorithms.mechanisms", "epsilon", 1, "rng", 3, noise=False),
 }
 
-#: The same primitives' generator parameter (axiomatic PL009 sinks).
-RNG_SINK_PARAM = "rng"
+#: ``numpy.random`` constructors that mint a generator (PL001, PL009).
+FRESH_GENERATORS = {"default_rng", "RandomState", "Generator", "PCG64"}
 
-#: Calls whose *return is sanitized* (the runtime ``sanitized_noise_stage``
-#: patches exactly these seams, plus the composed ``measure_plan``).
-DECLASSIFIERS = set(NOISE_SCALE_PARAMS) | {"measure_plan"}
+#: The sanctioned seed -> generator adapter: the one place a generator may
+#: be minted, and a pass-through for one it is handed.
+RNG_ADAPTER = "as_rng"
+
+#: Calls whose *return is sanitized*: the runtime ``sanitized_noise_stage``
+#: patches the rows that draw noise, an index pick returns a plain int, and
+#: ``measure_plan`` composes them.
+DECLASSIFIERS = set(PRIMITIVES) | {"measure_plan"}
 
 #: Scalar coercions and structural builtins whose result drops array taint —
 #: mirroring the runtime model, where ``float(tainted[i])`` is a plain float
@@ -83,13 +102,6 @@ GENERATOR_DRAWS = {
     "gumbel": ("scale", 1),
     "exponential": ("scale", 0),
     "geometric": ("p", 0),
-}
-
-#: Fresh-generator constructors (absolute dotted names).
-FRESH_RNG_CALLS = {
-    "numpy.random.default_rng", "numpy.random.RandomState",
-    "numpy.random.Generator", "numpy.random.PCG64",
-    "numpy.random.SeedSequence",
 }
 
 #: Function-name tokens that mark a value as budget-derived (PL004's list).
@@ -168,7 +180,7 @@ def analyze_project(project: Project) -> ProjectAnalysis:
         analysis, "PL008", _scale_axioms, _scale_sinks)
     analysis.rng_sink_params = _param_sinks(
         analysis, "PL009", _rng_axioms, _rng_sinks,
-        skip=lambda fn: fn.name == "as_rng")  # the sanctioned adapter
+        skip=lambda fn: fn.name == RNG_ADAPTER)
     return analysis
 
 
@@ -197,20 +209,34 @@ def _external_name(project: Project, fkey: FuncKey, call: CallFacts) -> str | No
     return None
 
 
-def _is_primitive(project: Project, fkey: FuncKey, call: CallFacts,
-                  table) -> tuple[str, FunctionFacts | None] | None:
-    """Match a call against the mechanism-primitive table.
-
-    Returns ``(primitive_name, callee_facts_or_None)`` when the call resolves
-    to (or is spelled as) one of the primitives."""
+def _is_declassifier(project: Project, fkey: FuncKey, call: CallFacts) -> bool:
+    """Does the call resolve to (or, unresolved, is it spelled as) one of the
+    :data:`DECLASSIFIERS`?"""
     targets = project.resolve_call(fkey, call)
-    for callee in targets.functions:
-        if callee[1].rsplit(".", 1)[-1] in table:
-            return (callee[1].rsplit(".", 1)[-1], project.functions[callee])
+    if targets.resolved:
+        return any(callee[1].rsplit(".", 1)[-1] in DECLASSIFIERS
+                   for callee in targets.functions)
+    return bool(call.callee) and call.callee.rsplit(".", 1)[-1] in DECLASSIFIERS
+
+
+def _unresolved_primitive(project: Project, fkey: FuncKey,
+                          call: CallFacts) -> tuple[str, Primitive] | None:
+    """The table row of a primitive called by a name the project cannot
+    resolve (fixtures, or code linted without ``src/``).  A resolved call
+    needs no row: the primitive's own parameters are its axioms."""
     name = call.callee.rsplit(".", 1)[-1] if call.callee else None
-    if not targets.resolved and name in table:
-        return (name, None)
-    return None
+    if name not in PRIMITIVES or project.resolve_call(fkey, call).resolved:
+        return None
+    return (name, PRIMITIVES[name])
+
+
+def _argument(call: CallFacts, param: str, position: int) -> set[str]:
+    """The tokens ``call`` binds to ``param``: by keyword, else by position."""
+    if param in call.kwargs:
+        return set(call.kwargs[param])
+    if position < len(call.args):
+        return set(call.args[position])
+    return set()
 
 
 def _draw_scale_tokens(call: CallFacts) -> tuple[str, set[str]] | None:
@@ -220,13 +246,7 @@ def _draw_scale_tokens(call: CallFacts) -> tuple[str, set[str]] | None:
     draw = call.callee.rsplit(".", 1)[-1]
     if draw not in GENERATOR_DRAWS or not call.base_tokens:
         return None
-    kwarg, position = GENERATOR_DRAWS[draw]
-    tokens: set[str] = set()
-    if kwarg in call.kwargs:
-        tokens.update(call.kwargs[kwarg])
-    elif position < len(call.args):
-        tokens.update(call.args[position])
-    return (draw, tokens)
+    return (draw, _argument(call, *GENERATOR_DRAWS[draw]))
 
 
 #: What one provenance token kind is worth to a taint summary: a truthy
@@ -258,7 +278,7 @@ def _token_reader(project: Project) -> TokenReader:
             return  # self-referential binding (x = f(x))
         seen.add(token)
         call = project.functions[fkey].call_by_key(token)
-        if call is None or _is_primitive(project, fkey, call, DECLASSIFIERS):
+        if call is None or _is_declassifier(project, fkey, call):
             return  # the metered noise stage sanitizes its return
         targets = project.resolve_call(fkey, call)
         if targets.functions:
@@ -474,42 +494,36 @@ def _param_sinks(analysis: ProjectAnalysis, rule_id: str,
 
 
 def _scale_axioms(name: str, fn: FunctionFacts):
-    for param in NOISE_SCALE_PARAMS.get(name, ()):
-        if param in fn.params:
-            yield param, f"{name}({param}=…) noise scale"
+    row = PRIMITIVES.get(name)
+    if row is not None and row.scale in fn.params:
+        yield row.scale, f"{name}({row.scale}=…) noise scale"
 
 
 def _scale_sinks(project: Project, fkey: FuncKey, call: CallFacts):
     draw = _draw_scale_tokens(call)
     if draw is not None:
         yield draw[1], f".{draw[0]}() draw scale"
-    primitive = _is_primitive(project, fkey, call, NOISE_SCALE_PARAMS)
-    if primitive is not None and primitive[1] is None:  # unresolved (fixtures)
-        name = primitive[0]
-        tokens: set[str] = set()
-        for sink in NOISE_SCALE_PARAMS[name]:
-            tokens |= set(call.kwargs.get(sink, ()))
-        index = 0 if name in ("laplace_noise", "batched_laplace") else 1
-        if not tokens and index < len(call.args):
-            tokens = set(call.args[index])
-        yield tokens, f"{name}() noise scale"
+    primitive = _unresolved_primitive(project, fkey, call)
+    if primitive is not None:
+        name, row = primitive
+        yield (_argument(call, row.scale, row.scale_at),
+               f"{name}() noise scale")
 
 
 def _rng_axioms(name: str, fn: FunctionFacts):
-    if name in NOISE_SCALE_PARAMS and RNG_SINK_PARAM in fn.params:
-        yield RNG_SINK_PARAM, f"{name}(rng=…) mechanism generator"
+    row = PRIMITIVES.get(name)
+    if row is not None and row.rng in fn.params:
+        yield row.rng, f"{name}({row.rng}=…) mechanism generator"
 
 
 def _rng_sinks(project: Project, fkey: FuncKey, call: CallFacts):
     if _draw_scale_tokens(call) is not None:
         draw = call.callee.rsplit(".", 1)[-1]
         yield call.base_tokens, f".{draw}() draw receiver"
-    primitive = _is_primitive(project, fkey, call, NOISE_SCALE_PARAMS)
-    if primitive is not None and primitive[1] is None:
-        tokens = set(call.kwargs.get(RNG_SINK_PARAM, ()))
-        if not tokens and call.args:
-            tokens = set(call.args[-1])
-        yield tokens, f"{primitive[0]}() generator"
+    primitive = _unresolved_primitive(project, fkey, call)
+    if primitive is not None:
+        name, row = primitive
+        yield _argument(call, row.rng, row.rng_at), f"{name}() generator"
 
 
 def raw_epsilon_token(analysis: ProjectAnalysis, fkey: FuncKey,
@@ -551,13 +565,15 @@ def fresh_rng_token(analysis: ProjectAnalysis, fkey: FuncKey,
     if call is None or call.callee is None:
         return False
     mod = project.modules[fkey[0]]
-    absolute = project.resolve_external_dotted(mod, call.callee)
-    if absolute in FRESH_RNG_CALLS:
-        return True
+    module, _, attr = project.resolve_external_dotted(
+        mod, call.callee).rpartition(".")
     last = call.callee.rsplit(".", 1)[-1]
-    if last == "as_rng":
-        # as_rng(None) / as_rng(0) mints a generator; as_rng(rng) passes
-        # provenance through.
+    if last in FRESH_GENERATORS \
+            or (module == "numpy.random" and attr in FRESH_GENERATORS):
+        return True
+    if last == RNG_ADAPTER:
+        # The adapter mints a generator from no argument or a seed, and
+        # passes a generator's provenance through.
         if not call.args and not call.kwargs:
             return True
         arg_tokens = call.all_arg_tokens()
@@ -565,6 +581,4 @@ def fresh_rng_token(analysis: ProjectAnalysis, fkey: FuncKey,
             return True  # literal seed
         return any(fresh_rng_token(analysis, fkey, t, _depth + 1)
                    for t in arg_tokens)
-    if last in ("default_rng", "RandomState", "SeedSequence"):
-        return True
     return False

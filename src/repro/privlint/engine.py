@@ -10,7 +10,7 @@ is linted the same way, as a one-module project.
 Inline suppressions follow the familiar lint idiom, with the justification
 after the ids::
 
-    noisy = x + laplace_noise(scale, n, rng)  # privlint: disable=<ids> why
+    noisy = x + rng.laplace(0.0, scale, n)  # privlint: disable=<ids> why
 
 ``<ids>`` is one rule id, a comma list of them, or ``all``; the comment must
 sit on the line the finding is reported at (the first line of a multi-line

@@ -37,7 +37,10 @@ from typing import Callable, ClassVar, Iterator
 
 from .dataflow.callgraph import FuncKey
 from .dataflow.engine import (
+    FRESH_GENERATORS,
     GENERATOR_DRAWS,
+    PRIMITIVES,
+    RNG_ADAPTER,
     ProjectAnalysis,
     SinkTable,
     fresh_rng_token,
@@ -113,9 +116,9 @@ class RngProvenanceRule(_Rule):
 
     #: numpy.random attributes whose *call* constructs or seeds a generator,
     #: or draws from the legacy global stream.
-    _FORBIDDEN: ClassVar[set[str]] = {
-        "default_rng", "RandomState", "seed",
-        # legacy module-level draws (the implicit global RandomState)
+    _FORBIDDEN: ClassVar[set[str]] = FRESH_GENERATORS | {
+        "seed",
+        # legacy module-level draws (the implicit global stream)
         "random", "rand", "randn", "randint", "choice", "shuffle",
         "permutation", "laplace", "normal", "uniform", "exponential",
         "geometric", "multinomial", "dirichlet",
@@ -123,8 +126,6 @@ class RngProvenanceRule(_Rule):
     #: modules that own the seeding currency: the executor derives per-job
     #: SeedSequences, the benchmark turns them into the per-job Generators.
     _ENTRY_POINTS = ("core/executor.py", "core/benchmark.py")
-    #: the sanctioned coercion point (seed -> Generator)
-    _ADAPTER = "as_rng"
 
     def check(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
         project = analysis.project
@@ -133,7 +134,7 @@ class RngProvenanceRule(_Rule):
             if path.endswith(self._ENTRY_POINTS):
                 continue
             for site in mod.call_sites:
-                if site.callee is None or self._ADAPTER in site.scopes:
+                if site.callee is None or RNG_ADAPTER in site.scopes:
                     continue
                 module, _, attr = project.resolve_external_dotted(
                     mod, site.callee).rpartition(".")
@@ -144,7 +145,7 @@ class RngProvenanceRule(_Rule):
                         f"seeded np.random.Generator argument instead "
                         f"(determinism contract)")
             for qualname, fn in mod.functions.items():
-                if fn.name == self._ADAPTER:
+                if fn.name == RNG_ADAPTER:
                     continue
                 fkey = (path, qualname)
                 for call in fn.calls:
@@ -250,9 +251,9 @@ class MeteredNoiseRule(_Rule):
     base = (
         FindingKind(
             "PL003", "unmetered-noise",
-            "Noise draws (rng.laplace, laplace_noise, rng.geometric, "
-            "...) belong to mechanisms.py, measure_plan or the noise "
-            "kernel; elsewhere they must sit inside a function that "
+            "Noise draws (rng.laplace, rng.geometric, the noise "
+            "primitives, ...) belong to mechanisms.py, measure_plan or "
+            "the noise kernel; elsewhere they must sit inside a function that "
             "takes the shared PrivacyBudget (a metered selection "
             "stage)."),
         FindingKind(
@@ -273,8 +274,7 @@ class MeteredNoiseRule(_Rule):
     _SANCTIONED = ("algorithms/mechanisms.py", "core/plan.py",
                    "core/kernels.py")
     _NOISE_FUNCTIONS: ClassVar[set[str]] = {
-        "laplace_noise", "batched_laplace", "laplace_mechanism",
-        "geometric_mechanism"}
+        name for name, row in PRIMITIVES.items() if row.noise}
     #: the release path the budget kinds police; analysis/tuning modules use
     #: epsilon as a signal-strength coordinate, not as a budget.
     _SCOPE = ("core/plan.py", "core/repair.py", "workload/selection.py")

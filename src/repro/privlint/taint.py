@@ -5,8 +5,9 @@ A :class:`TaintedArray` is an ndarray subclass that propagates taint through
 ufuncs, reductions, slicing and the dispatched numpy API: anything computed
 from the true histogram stays tainted.  The one sanctioned declassifier is
 calibrated noise — under :func:`sanitized_noise_stage` every metered noise
-draw (``laplace_noise``, the ``batched_laplace`` kernel, the mechanism
-primitives) returns a :class:`SanitizedNoise` marker array, and **adding or
+draw (each noise-drawing row of privlint's primitive table,
+:data:`repro.privlint.dataflow.engine.PRIMITIVES`) returns a
+:class:`SanitizedNoise` marker array, and **adding or
 subtracting** sanitized noise to a tainted value clears the taint.  Running an
 algorithm on a tainted histogram therefore yields an untainted release if and
 only if every data-derived value in it passed through the noise stage — a
@@ -33,10 +34,13 @@ Known, documented declassifications the sanitizer does not track:
 from __future__ import annotations
 
 import functools
+import importlib
 import sys
 from contextlib import contextmanager
 
 import numpy as np
+
+from .dataflow.engine import PRIMITIVES
 
 __all__ = ["SanitizedNoise", "TaintedArray", "is_tainted", "sanitize",
            "sanitized_noise_stage", "taint"]
@@ -163,10 +167,9 @@ def _wrap_retaint_method(method, argument_index):
 def sanitized_noise_stage():
     """Instrument the repository's noise seams for a taint-checked run.
 
-    * every module-level binding of the metered noise primitives
-      (``laplace_noise``, ``laplace_mechanism``, ``geometric_mechanism``,
-      the ``batched_laplace`` dispatch) across all loaded ``repro`` modules
-      is wrapped to return :class:`SanitizedNoise`;
+    * every module-level binding of a noise-drawing primitive (the rows of
+      ``PRIMITIVES`` with ``noise=True``) across all loaded ``repro``
+      modules is wrapped to return :class:`SanitizedNoise`;
     * ``QueryMatrix.matvec``, ``Workload.evaluate`` and
       ``MeasurementPlan.measurement_vector`` re-taint their outputs for
       tainted inputs (their prefix-sum/bucket-sum internals write through
@@ -174,18 +177,13 @@ def sanitized_noise_stage():
 
     Restores every binding on exit.
     """
-    from ..algorithms import mechanisms
-    from ..core import kernels
     from ..core.plan import MeasurementPlan
     from ..workload.linops import QueryMatrix
     from ..workload.rangequery import Workload
 
     noise_sources = {
-        "laplace_noise": mechanisms.laplace_noise,
-        "laplace_mechanism": mechanisms.laplace_mechanism,
-        "geometric_mechanism": mechanisms.geometric_mechanism,
-        "batched_laplace": kernels.batched_laplace,
-    }
+        name: getattr(importlib.import_module(row.module), name)
+        for name, row in PRIMITIVES.items() if row.noise}
     wrappers = {name: _wrap_noise_source(fn)
                 for name, fn in noise_sources.items()}
 

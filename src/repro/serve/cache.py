@@ -105,14 +105,6 @@ class QueryCache:
             self._entries.clear()
             self._invalidations += 1
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def maxsize(self) -> int:
-        return self._maxsize
-
     def stats(self) -> CacheStats:
         with self._lock:
             return CacheStats(

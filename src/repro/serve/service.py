@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import time
 from operator import index
-from typing import Sequence
 
 import numpy as np
 
@@ -258,12 +257,6 @@ class ReleaseService:
             self._cache.put(key, answers)
         self._stats.record_batch(n_queries)
         return answers
-
-    def warm(self, queries: Sequence[tuple]) -> int:
-        """Pre-answer ``(lo, hi)`` pairs into the cache; returns the count."""
-        for lo, hi in queries:
-            self.query(lo, hi)
-        return len(queries)
 
     # -- operations ----------------------------------------------------------------
     def invalidate_cache(self) -> None:

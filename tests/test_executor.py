@@ -418,7 +418,7 @@ class TestAlgorithmInstances:
 
     def test_tuned_algorithm_looks_up_parameters_per_setting(self):
         """A TunedAlgorithm in the grid asks its tuning for the parameters of
-        each run's (epsilon, scale, domain size)."""
+        each run's (epsilon, scale)."""
         from repro import ParameterTuner, TunedAlgorithm
 
         tuning = ParameterTuner("MWEM", {"rounds": [2, 3]}, domain_size=32).train(
@@ -426,16 +426,16 @@ class TestAlgorithmInstances:
         lookups = []
 
         class Recording(type(tuning)):
-            def parameters_for(self, epsilon, scale, domain_size=None):
-                lookups.append((epsilon, scale, domain_size))
-                return super().parameters_for(epsilon, scale, domain_size)
+            def parameters_for(self, epsilon, scale):
+                lookups.append((epsilon, scale))
+                return super().parameters_for(epsilon, scale)
 
         recording = Recording(**vars(tuning))
         bench = self._bench({"Tuned": TunedAlgorithm(recording)},
                             scales=[100, 200])
         results = bench.run(rng=0, on_error="raise")
         assert len(results) == 2
-        assert sorted(set(lookups)) == [(0.5, 100.0, 32), (0.5, 200.0, 32)]
+        assert sorted(set(lookups)) == [(0.5, 100.0), (0.5, 200.0)]
 
 
 class TestReadJsonlDispatch:

@@ -10,8 +10,6 @@ from repro.algorithms.mechanisms import (
     PrivacyBudget,
     as_rng,
     exponential_mechanism,
-    geometric_mechanism,
-    laplace_mechanism,
     laplace_noise,
 )
 from reference.exponential_mechanism import exponential_mechanism_reference
@@ -54,49 +52,6 @@ class TestLaplaceNoise:
 
     def test_shape(self):
         assert laplace_noise(1.0, (4, 5), as_rng(0)).shape == (4, 5)
-
-
-class TestLaplaceMechanism:
-    def test_requires_positive_epsilon(self):
-        with pytest.raises(ValueError):
-            laplace_mechanism(np.ones(3), 0.0)
-
-    def test_requires_nonnegative_sensitivity(self):
-        with pytest.raises(ValueError):
-            laplace_mechanism(np.ones(3), 1.0, sensitivity=-1)
-
-    def test_infinite_epsilon_returns_exact(self):
-        values = np.arange(5, dtype=float)
-        assert np.array_equal(laplace_mechanism(values, float("inf"), rng=0), values)
-
-    def test_noise_scale_matches_sensitivity_over_epsilon(self):
-        values = np.zeros(100_000)
-        noisy = laplace_mechanism(values, epsilon=0.5, sensitivity=2.0, rng=0)
-        # scale = 4 -> variance 32
-        assert abs(noisy.var() - 32.0) / 32.0 < 0.05
-
-    def test_unbiasedness(self):
-        values = np.full(100_000, 7.0)
-        noisy = laplace_mechanism(values, epsilon=1.0, rng=0)
-        assert abs(noisy.mean() - 7.0) < 0.05
-
-
-class TestGeometricMechanism:
-    def test_integer_output(self):
-        out = geometric_mechanism(np.arange(10, dtype=float), 0.5, rng=0)
-        assert np.allclose(out, np.rint(out))
-
-    def test_infinite_epsilon_rounds(self):
-        out = geometric_mechanism(np.array([1.2, 3.7]), float("inf"), rng=0)
-        assert np.array_equal(out, [1.0, 4.0])
-
-    def test_requires_positive_epsilon(self):
-        with pytest.raises(ValueError):
-            geometric_mechanism(np.ones(3), -1.0)
-
-    def test_roughly_centered(self):
-        out = geometric_mechanism(np.zeros(50_000), 1.0, rng=0)
-        assert abs(out.mean()) < 0.1
 
 
 class TestExponentialMechanism:

@@ -116,6 +116,25 @@ class TestFreshRng:
         """)
         assert [f.rule for f in findings] == ["PL001"]
 
+    def test_generator_and_bit_generator_constructors_flagged(self):
+        findings = run_rule("PL001", """
+            import numpy as np
+
+            def select(x):
+                return np.random.Generator(np.random.PCG64(3)).permutation(x)
+        """)
+        assert sorted(f.message.split(";")[0] for f in findings) == [
+            "fresh/global RNG via np.random.Generator",
+            "fresh/global RNG via np.random.PCG64"]
+
+    def test_seed_sequence_alone_is_not_a_generator(self):
+        assert run_rule("PL001", """
+            import numpy as np
+
+            def select(x):
+                return np.random.SeedSequence(3).spawn(2)
+        """) == []
+
     def test_as_rng_coercion_exempt(self):
         assert run_rule("PL001", """
             import numpy as np

@@ -14,6 +14,7 @@ Three layers are exercised:
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import textwrap
 from pathlib import Path
@@ -24,6 +25,7 @@ import pytest
 from repro.core.registry import ALGORITHM_REGISTRY
 from repro.privlint import RULES, RULES_BY_ID, lint_paths, lint_source
 from repro.privlint.dataflow import analyze_sources
+from repro.privlint.dataflow.engine import PRIMITIVES
 from repro.privlint.taint import is_tainted, sanitized_noise_stage, taint
 from repro.workload.builders import prefix_workload, random_range_workload
 
@@ -247,6 +249,61 @@ class TestRngProvenance:
                     return draw(1.0, x.size, np.random.default_rng(0))
             """})
         assert findings == []
+
+
+# -- the primitive table -------------------------------------------------------------
+
+
+#: One helper per noise primitive, each drawing through a call the project
+#: cannot resolve (no import), as in a run that lints tests without src/.
+UNRESOLVED_DRAWS = {
+    "batched_laplace": "batched_laplace(rng, scale)",
+    "laplace_noise": "laplace_noise(scale, x.shape, rng)",
+}
+
+
+class TestPrimitiveTable:
+    @pytest.mark.parametrize("rule_id", ["PL008", "PL009"])
+    @pytest.mark.parametrize("name", sorted(UNRESOLVED_DRAWS))
+    def test_unresolved_primitive_binds_scale_and_generator(self, name,
+                                                            rule_id):
+        """The table's positions, not a guess, pick the scale and generator
+        arguments of an unresolved primitive call."""
+        findings = project_findings(rule_id, {
+            "src/repro/algorithms/demo.py": f"""
+                import numpy as np
+
+                def helper(x, scale, rng):
+                    return x + {UNRESOLVED_DRAWS[name]}
+
+                def select(x, workload, budget, rng, epsilon=1.0):
+                    return helper(x, 1.0 / epsilon, np.random.default_rng(0))
+            """})
+        assert [f.rule for f in findings] == [rule_id]
+        assert f"{name}()" in findings[0].message
+
+    @pytest.mark.parametrize("name", sorted(PRIMITIVES))
+    def test_rows_match_the_primitives_signatures(self, name):
+        row = PRIMITIVES[name]
+        function = getattr(importlib.import_module(row.module), name)
+        params = list(inspect.signature(function).parameters)
+        assert params[row.scale_at] == row.scale
+        assert params[row.rng_at] == row.rng
+
+    def test_sanitizer_patches_exactly_the_noise_rows(self):
+        from repro.algorithms import mechanisms
+        from repro.core import kernels
+
+        modules = {row.module: importlib.import_module(row.module)
+                   for row in PRIMITIVES.values()}
+        assert set(modules.values()) == {mechanisms, kernels}
+        with sanitized_noise_stage():
+            patched = {name for name, row in PRIMITIVES.items()
+                       if hasattr(getattr(modules[row.module], name),
+                                  "__privlint_wrapped__")}
+        assert patched == {name for name, row in PRIMITIVES.items()
+                           if row.noise}
+        assert patched == {"laplace_noise", "batched_laplace"}
 
 
 # -- PL010: cross-method lock discipline ---------------------------------------------
