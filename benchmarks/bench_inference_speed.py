@@ -31,7 +31,11 @@ operator in the measurement/inference refactor:
   candidate gains (O(k^2) interpreter iterations for k buckets) versus
   incremental gains refilled only where the chosen cut lands.
 * **AGrid's noise** — one scalar Laplace draw per coarse block and fine
-  cell versus one draw-ahead buffer and one batched replay.
+  cell versus one draw-ahead buffer and one batched replay; and **AGrid's
+  block walk** over that buffer, one block at a time versus speculative
+  numpy windows.
+* **AHP's clustering** at 128 x 128 — the per-cell greedy loop versus a
+  vectorised next-cluster table.
 * **MWEM*'s round kernels** at 64 x 64 — the historical ``np.clip`` bounds,
   2-D fancy-index summed-area gathers and ``Generator.choice`` draw versus
   flat-index gathers and one-uniform inverse-CDF draws.
@@ -44,8 +48,8 @@ operator in the measurement/inference refactor:
   selection memo and must take at most 0.6x as long, bitwise-equal to a
   fresh instance's release.
 
-The historical loops of SF and AGrid, and MWEM*'s historical kernels, live
-in ``tests/reference/``.  Every
+The historical loops of SF, AGrid and AHP's clustering, and MWEM*'s
+historical kernels, live in ``tests/reference/``.  Every
 reference path is pinned bitwise-identical to the fast one.
 
 The selection-quality benches exercise the plan pipeline's seam: GreedyW's
@@ -390,15 +394,48 @@ def test_sf_boundary_speed(benchmark):
         f"incremental SF boundary search only {speedup:.1f}x over the reference loop"
 
 
-def test_agrid_speed(benchmark):
-    """AGrid: draw-ahead-and-replay batched noise vs the per-cell scalar
-    draws of the historical loop (``tests/reference/``).
+# AGrid's walk, timed against the per-block loop on the arguments a real
+# release hands it: (label, side, scale, epsilon, minimum speedup).  At 64^2
+# and scale 1e8 every block is one cell, so no guess can miss; at 1024^2,
+# eps 1 and scale 1e7 the fine sizes flip with the noise (about 3% of the
+# 250,000 blocks miss), where re-guessing the whole tail after every miss
+# would cost O(blocks x misses).
+AGRID_WALK_CASES = (
+    ("64x64, scale 1e8, eps 0.1", 64, 10 ** 8, 0.1, 5.0),
+    ("1024x1024, scale 1e7, eps 1", 1024, 10 ** 7, 1.0, 0.5),
+)
 
-    At 64 x 64 and scale 1e8 the coarse grid reaches one block per cell, the
-    loop's worst case.  The releases and the final generator state must be
+
+def _agrid_walk_args(monkeypatch, side: int, scale: int, epsilon: float) -> tuple:
+    """The arguments one AGrid release at ``side`` x ``side`` passes its walk."""
+    import repro.algorithms.grids as grids
+    from repro import AGrid
+
+    rng = _generator(20160626)
+    x = rng.multinomial(scale, rng.dirichlet(np.ones(side * side))).astype(float)
+    captured = []
+    walk = grids._walk_blocks
+    with monkeypatch.context() as patch:
+        patch.setattr(grids, "_walk_blocks",
+                      lambda *args: captured.append(args) or walk(*args))
+        AGrid().run(x.reshape(side, side), epsilon, rng=7)
+    return captured[0]
+
+
+def test_agrid_speed(benchmark, monkeypatch):
+    """AGrid against its historical loops (``tests/reference/``).
+
+    The whole release: draw-ahead-and-replay batched noise vs the per-cell
+    scalar draws, at 64 x 64 and scale 1e8, where the coarse grid reaches
+    one block per cell.  The releases and the final generator state must be
     bitwise-equal, and the batched path must hold a >= 3x margin.
+
+    The walk alone: the speculative vectorised walk vs the per-block loop on
+    :data:`AGRID_WALK_CASES`, bitwise-equal counts and fine grids, each case
+    at its own minimum speedup.
     """
-    from reference.agrid import AGridReference
+    import repro.algorithms.grids as grids
+    from reference.agrid import AGridReference, walk_reference
     from repro import AGrid
 
     def study():
@@ -414,16 +451,68 @@ def test_agrid_speed(benchmark):
         t_fast, out_fast = _time(lambda: release(AGrid()), repeats=5)
         assert out_fast == out_loop, "batched AGrid diverged from the reference loop"
         rows = [
-            {"path": "reference per-cell scalar draws", "seconds": t_loop, "speedup": 1.0},
-            {"path": "draw ahead, replay in one batch", "seconds": t_fast,
+            {"path": "release: reference per-cell scalar draws", "seconds": t_loop,
+             "speedup": 1.0},
+            {"path": "release: draw ahead, replay in one batch", "seconds": t_fast,
              "speedup": t_loop / t_fast},
         ]
-        return rows, t_loop / t_fast
+        gates = [("release", t_loop / t_fast, 3.0)]
+        for label, side, scale, epsilon, floor in AGRID_WALK_CASES:
+            args = _agrid_walk_args(monkeypatch, side, scale, epsilon)
+            t_loop, want = _time(lambda: walk_reference(*args), repeats=1)
+            t_fast, got = _time(lambda: grids._walk_blocks(*args))
+            assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                       for a, b in zip(got, want)), f"walk diverged at {label}"
+            rows += [
+                {"path": f"walk {label}: per-block loop", "seconds": t_loop, "speedup": 1.0},
+                {"path": f"walk {label}: speculative windows", "seconds": t_fast,
+                 "speedup": t_loop / t_fast},
+            ]
+            gates.append((f"walk at {label}", t_loop / t_fast, floor))
+        return rows, gates
 
-    rows, speedup = run_once(benchmark, study)
-    report("bench_agrid_speed", "AGrid noise paths (64x64, scale 1e8, eps 0.1)",
+    rows, gates = run_once(benchmark, study)
+    report("bench_agrid_speed", "AGrid release and walk paths",
            format_table(rows, floatfmt="{:.4f}"))
-    assert speedup >= 3.0, f"batched AGrid only {speedup:.1f}x over the reference loop"
+    for what, speedup, floor in gates:
+        assert speedup >= floor, \
+            f"AGrid {what} only {speedup:.2f}x over the reference loop (gate {floor}x)"
+
+
+def test_ahp_clustering_speed(benchmark, monkeypatch):
+    """AHP's greedy clustering: the vectorised next-cluster table vs the
+    per-cell loop (``tests/reference/ahp_clustering.py``) on the sorted noisy
+    values of one AHP release at 128 x 128 (16,384 cells).  The cluster
+    edges must be equal and the table must hold a >= 2x margin."""
+    import repro.algorithms.ahp as ahp
+    from reference.ahp_clustering import reference_edges
+    from repro import AHP
+
+    def study():
+        rng = _generator(20160626)
+        x = rng.multinomial(10 ** 6, rng.dirichlet(np.ones(128 * 128))).astype(float)
+        captured = []
+        cluster = ahp.greedy_value_clustering
+        with monkeypatch.context() as patch:
+            patch.setattr(ahp, "greedy_value_clustering",
+                          lambda *args, **kwargs: captured.append((args, kwargs))
+                          or cluster(*args, **kwargs))
+            AHP().run(x.reshape(128, 128), 0.1, rng=7)
+        (values,), options = captured[0]
+        t_loop, want = _time(lambda: reference_edges(values, **options))
+        t_fast, got = _time(lambda: cluster(values, **options), repeats=5)
+        assert got.tolist() == want.tolist(), "clustering diverged from the reference loop"
+        rows = [
+            {"path": "reference per-cell loop", "seconds": t_loop, "speedup": 1.0},
+            {"path": "next-cluster table", "seconds": t_fast, "speedup": t_loop / t_fast},
+        ]
+        return rows, t_loop / t_fast, got.size - 1
+
+    rows, speedup, n_clusters = run_once(benchmark, study)
+    report("bench_ahp_clustering_speed",
+           f"AHP clustering paths (128x128, scale 1e6, eps 0.1, {n_clusters} clusters)",
+           format_table(rows, floatfmt="{:.4f}"))
+    assert speedup >= 2.0, f"AHP clustering only {speedup:.1f}x over the reference loop"
 
 
 def test_mwem_2d_round_speed(benchmark, monkeypatch):

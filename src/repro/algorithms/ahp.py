@@ -22,31 +22,56 @@ from .mechanisms import BudgetExceededError, PrivacyBudget, laplace_noise
 __all__ = ["AHP", "AHPStar", "greedy_value_clustering"]
 
 
-def greedy_value_clustering(sorted_values: np.ndarray, tolerance: float) -> list[np.ndarray]:
-    """Group indices of a sorted value vector into clusters of similar values.
+def greedy_value_clustering(sorted_values: np.ndarray, tolerance: float) -> np.ndarray:
+    """Group a sorted value vector into runs of similar values.
 
-    A new cluster starts whenever the current value exceeds the first value of
-    the open cluster by more than ``tolerance``.  With ``tolerance == 0`` only
+    A new cluster starts at the first value that exceeds the open cluster's
+    first value by more than ``tolerance``, i.e. where
+    ``not (value - first <= tolerance)``.  With ``tolerance == 0`` only
     exactly equal values share a cluster, which is what makes AHP consistent
-    in the epsilon -> infinity limit.
+    in the epsilon -> infinity limit.  Returns the cluster edges: cluster
+    ``k`` is positions ``edges[k]:edges[k + 1]``, ``edges[0] == 0`` and
+    ``edges[-1] == len(sorted_values)``.
+
+    ``nxt[i]``, the start of the cluster a run opened at ``i`` hands over
+    to, is found for every ``i`` at once: ``searchsorted`` on ``v + tolerance``
+    guesses it, and entries whose guess fails the exact predicate at the
+    guess or just before it are bisected with that predicate.  Over an
+    ascending vector (NaN last, as ``np.sort`` puts it) the predicate only
+    turns from false to true, so the bisection is exact.  The chain is then
+    followed from 0, one step per cluster.
     """
-    clusters: list[list[int]] = []
-    current: list[int] = []
-    current_start_value = 0.0
-    for idx, value in enumerate(sorted_values):
-        if not current:
-            current = [idx]
-            current_start_value = value
-            continue
-        if value - current_start_value <= tolerance:
-            current.append(idx)
-        else:
-            clusters.append(current)
-            current = [idx]
-            current_start_value = value
-    if current:
-        clusters.append(current)
-    return [np.asarray(c, dtype=np.intp) for c in clusters]
+    v = np.asarray(sorted_values)
+    n = v.size
+    index = np.arange(n)
+
+    def starts_new(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return ~(v[j] - v[i] <= tolerance)
+
+    # The clip keeps every guess past its own index: a negative or NaN
+    # tolerance puts ``v + tolerance`` at or below ``v``.
+    nxt = np.clip(np.searchsorted(v, v + tolerance, side="right"), index + 1, n)
+    too_low = (nxt < n) & ~starts_new(index, np.minimum(nxt, n - 1))
+    too_high = (nxt - 1 > index) & starts_new(index, nxt - 1)
+    bad = np.flatnonzero(too_low | too_high)
+    if bad.size:
+        # Bisect each bad entry between its own index (which never starts
+        # its successor) and ``n`` (the end).  Every probe is below ``n``.
+        lo, hi = bad.copy(), np.full(bad.size, n)
+        while (wide := hi - lo > 1).any():
+            mid = (lo + hi) // 2
+            new = wide & starts_new(bad, mid)
+            hi = np.where(new, mid, hi)
+            lo = np.where(wide & ~new, mid, lo)
+        nxt[bad] = hi
+
+    # A memoryview reads one Python int per step without converting the
+    # whole table, which matters when the clusters are few.
+    step, edges, start = memoryview(nxt), [0], 0
+    while start < n:
+        start = step[start]
+        edges.append(start)
+    return np.array(edges, dtype=np.intp)
 
 
 class AHP(PlanAlgorithm):
@@ -91,16 +116,14 @@ class AHP(PlanAlgorithm):
 
         order = np.argsort(noisy, kind="stable")
         sorted_values = noisy[order]
-        clusters = greedy_value_clustering(sorted_values, tolerance=cutoff)
-
         # Clusters are contiguous runs of the sorted cells: the sort order is
         # the plan's ordering and the run boundaries its partition.
-        edges = np.zeros(len(clusters) + 1, dtype=np.intp)
-        np.cumsum([len(c) for c in clusters], out=edges[1:])
-        buckets = np.arange(len(clusters), dtype=np.intp)[:, None]
+        edges = greedy_value_clustering(sorted_values, tolerance=cutoff)
+        n_clusters = edges.size - 1
+        buckets = np.arange(n_clusters, dtype=np.intp)[:, None]
         return MeasurementPlan(
-            queries=QueryMatrix(buckets, buckets, (len(clusters),)),
-            epsilons=np.full(len(clusters), eps_counts),
+            queries=QueryMatrix(buckets, buckets, (n_clusters,)),
+            epsilons=np.full(n_clusters, eps_counts),
             domain_shape=x.shape,
             ordering=order,
             partition=edges,
@@ -113,7 +136,7 @@ class AHPStar(AHP):
 
     The default values below are the output of training on synthetic
     power-law and normal shapes (``repro.core.tuning``); the tuner can
-    override them per (epsilon, scale, domain) setting.
+    override them per (epsilon, scale) setting.
     """
 
     properties = AlgorithmProperties(

@@ -18,8 +18,6 @@ information, exactly as flagged in Table 1.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..core.gls import reconcile_shift
@@ -61,6 +59,74 @@ def _rect_sums(x: np.ndarray, r0: np.ndarray, c0: np.ndarray,
     for i in np.flatnonzero(height * width > 1).tolist():
         sums[i] = float(x[r0[i]:r0[i] + height[i], c0[i]:c0[i] + width[i]].sum())
     return sums
+
+
+# Blocks in the walk's first speculative window, and in the window after a
+# miss; the window doubles after every window whose guesses all held.
+_FIRST_WINDOW = 64
+
+
+def _fine_pieces(counts: np.ndarray, height: np.ndarray, width: np.ndarray,
+                 eps_fine: float, c2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fine-grid rows and columns of blocks with the given noisy counts.
+
+    Elementwise in the scalar walk's op order: ``max(count, 0) * eps_fine /
+    c2``, its square root, the ceiling, clipped to ``[1, max(h, w)]`` and
+    cut to each side.  ``np.sqrt`` and ``math.sqrt`` are both correctly
+    rounded, so every size equals the scalar one.
+    """
+    size = np.ceil(np.sqrt(np.maximum(counts, 0.0) * eps_fine / c2))
+    size = np.minimum(np.maximum(size, 1.0), np.maximum(height, width))
+    return (np.minimum(size, height).astype(np.intp),
+            np.minimum(size, width).astype(np.intp))
+
+
+def _walk_blocks(block_sums: np.ndarray, height: np.ndarray, width: np.ndarray,
+                 ahead: np.ndarray, eps_fine: float,
+                 c2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """AGrid's walk over the draw-ahead buffer: each block's noisy coarse
+    count and fine grid, as ``(counts, fine_rows, fine_cols)``.
+
+    A block's coarse draw sits at its stream offset, the exclusive cumsum of
+    ``1 + fine cells`` over the blocks before it, and fixes its own fine
+    cells.  The walk guesses every block's fine cells once (from the buffer
+    read at the block's index, an unrelated draw), so a window of blocks
+    gets guessed offsets: the exact offset of its first block plus the
+    guessed cumsum.  The window's counts and fine grids are then computed in
+    one pass; every block up to and including the first one whose fine
+    cells differ from the guess read its true offset and is accepted, and
+    the walk restarts after it.  Only the scalar correction between the
+    true and the guessed offset is carried into the tail, which is never
+    rewritten.  The window doubles while the guesses hold and falls back to
+    ``_FIRST_WINDOW`` on a miss.
+    """
+    n_blocks = block_sums.size
+    rows, cols = _fine_pieces(block_sums + ahead[:n_blocks], height, width,
+                              eps_fine, c2)
+    guess_cells = rows * cols
+    guess = np.zeros(n_blocks, dtype=np.intp)
+    np.cumsum(1 + guess_cells[:-1], out=guess[1:])
+    counts = np.empty(n_blocks)
+    last = ahead.size - 1
+    start, offset, window = 0, 0, _FIRST_WINDOW
+    while start < n_blocks:
+        stop = min(start + window, n_blocks)
+        # A guess past the buffer is wrong, and so is rejected with its block.
+        at = np.minimum(guess[start:stop] + (offset - guess[start]), last)
+        count = block_sums[start:stop] + ahead[at]
+        r, c = _fine_pieces(count, height[start:stop], width[start:stop],
+                            eps_fine, c2)
+        cells = r * c
+        missed = np.flatnonzero(cells != guess_cells[start:stop])
+        accept = int(missed[0]) + 1 if missed.size else stop - start
+        done = start + accept
+        counts[start:done] = count[:accept]
+        rows[start:done] = r[:accept]
+        cols[start:done] = c[:accept]
+        offset = int(at[accept - 1]) + 1 + int(cells[accept - 1])
+        start = done
+        window = _FIRST_WINDOW if missed.size else 2 * window
+    return counts, rows, cols
 
 
 class UGrid(PlanAlgorithm):
@@ -121,9 +187,12 @@ class AGrid(Algorithm):
     1. *Draw ahead.*  Save the generator state and draw one buffer of
        ``n_blocks + n_cells`` variates at the coarse scale.  That bounds the
        stream's length, since the fine cells tile the domain.
-    2. *Walk.*  Block by block, the coarse draw sits at the block's stream
-       offset; it fixes the block's fine-grid size and so its fine-cell
-       count ``m``, and the next block starts ``1 + m`` variates later.
+    2. *Walk.*  A block's coarse draw sits at its stream offset; it fixes
+       the block's fine-grid size and so its fine-cell count ``m``, and the
+       next block starts ``1 + m`` variates later.  :func:`_walk_blocks`
+       guesses every block's ``m`` once, then takes windows of blocks in
+       numpy at the offsets the guesses imply, accepts each window up to its
+       first wrong guess and restarts after it (see there).
     3. *Replay.*  Restore the state and draw exactly those variates in one
        call, at the coarse scale on block offsets and the fine scale
        elsewhere.
@@ -175,23 +244,13 @@ class AGrid(Algorithm):
         block_sums = _rect_sums(x, r0, c0, height, width)
 
         state = rng.bit_generator.state
-        ahead = laplace_noise(1.0 / eps_coarse, n_blocks + x.size, rng).tolist()
+        ahead = laplace_noise(1.0 / eps_coarse, n_blocks + x.size, rng)
         rng.bit_generator.state = state
-        coarse_counts: list[float] = []
-        pieces: list[tuple[int, int]] = []
-        offset = 0
-        for total, h, w in zip(block_sums, height.tolist(), width.tolist()):
-            count = total + ahead[offset]
-            fine_size = math.ceil(math.sqrt(max(count, 0.0) * eps_fine / c2))
-            fine_size = min(max(fine_size, 1), max(h, w))
-            fine_rows, fine_cols = min(fine_size, h), min(fine_size, w)
-            coarse_counts.append(count)
-            pieces.append((fine_rows, fine_cols))
-            offset += 1 + fine_rows * fine_cols
-        row_pieces, col_pieces = np.array(pieces, dtype=np.intp).reshape(-1, 2).T
+        coarse_counts, row_pieces, col_pieces = _walk_blocks(
+            np.array(block_sums), height, width, ahead, eps_fine, c2)
         n_fine = row_pieces * col_pieces
         # Each block's coarse draw leads its fine draws in the stream.
-        is_coarse = np.zeros(offset, dtype=bool)
+        is_coarse = np.zeros(n_blocks + int(n_fine.sum()), dtype=bool)
         is_coarse[np.cumsum(n_fine + 1) - n_fine - 1] = True
         scales = np.where(is_coarse, 1.0 / eps_coarse, 1.0 / eps_fine)
         noise = batched_laplace(rng, scales)
@@ -212,7 +271,7 @@ class AGrid(Algorithm):
         # Reconcile the coarse measurement with the fine measurements.
         fine_total = segment_sums(fine_values, first, n_fine)
         fine_values = fine_values + reconcile_shift(
-            np.array(coarse_counts), 2.0 / eps_coarse ** 2, fine_total,
+            coarse_counts, 2.0 / eps_coarse ** 2, fine_total,
             2.0 / eps_fine ** 2, n_fine)[block]
 
         # Spread each fine cell's value evenly over its cells.

@@ -6,7 +6,7 @@ DPBench's remedy is to *train* such a rule on synthetic data that is disjoint
 from the evaluation datasets: for a grid of (epsilon x scale) signal levels
 and a grid of candidate parameter settings, the candidate with the lowest
 average error on synthetic power-law and normal shapes is recorded, giving a
-lookup function ``(epsilon, scale, domain) -> parameters``.
+lookup function ``(epsilon, scale) -> parameters``.
 
 This is exactly how the paper derives MWEM* (the number of rounds ``T`` as a
 function of the epsilon-scale product) and AHP* (``rho`` and ``eta``).

@@ -1,10 +1,19 @@
-"""AGrid's historical per-block loop: one scalar Laplace draw per coarse
-block and per fine cell, interleaved block by block, plus one
-scalar inverse-variance combine per block.  Kept verbatim as the oracle for
-the draw-ahead-and-replay :meth:`repro.algorithms.grids.AGrid._run`,
-including a private copy of the historical scalar combine."""
+"""AGrid's historical loops, kept verbatim as oracles.
+
+:class:`AGridReference` is the per-cell loop: one scalar Laplace draw per
+coarse block and per fine cell, interleaved block by block, plus one scalar
+inverse-variance combine per block (a private copy of the historical
+combine is included).  It is the oracle for the draw-ahead-and-replay
+:meth:`repro.algorithms.grids.AGrid._run`.
+
+:func:`walk_reference` is the per-block walk over the draw-ahead buffer that
+``AGrid._run`` ran before :func:`repro.algorithms.grids._walk_blocks`
+replaced it with a speculative vectorised walk.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,6 +36,28 @@ def _inverse_variance_combine(values: np.ndarray, variances: np.ndarray) -> tupl
         return float(values.mean()), float("inf")
     estimate = float((weights * values).sum() / total_weight)
     return estimate, float(1.0 / total_weight)
+
+
+def walk_reference(block_sums: np.ndarray, height: np.ndarray, width: np.ndarray,
+                   ahead: np.ndarray, eps_fine: float,
+                   c2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each block's noisy coarse count and fine grid, one block at a time:
+    ``(counts, fine_rows, fine_cols)``."""
+    block_sums = np.asarray(block_sums, dtype=float).tolist()
+    ahead = np.asarray(ahead, dtype=float).tolist()
+    coarse_counts: list[float] = []
+    pieces: list[tuple[int, int]] = []
+    offset = 0
+    for total, h, w in zip(block_sums, height.tolist(), width.tolist()):
+        count = total + ahead[offset]
+        fine_size = math.ceil(math.sqrt(max(count, 0.0) * eps_fine / c2))
+        fine_size = min(max(fine_size, 1), max(h, w))
+        fine_rows, fine_cols = min(fine_size, h), min(fine_size, w)
+        coarse_counts.append(count)
+        pieces.append((fine_rows, fine_cols))
+        offset += 1 + fine_rows * fine_cols
+    row_pieces, col_pieces = np.array(pieces, dtype=np.intp).reshape(-1, 2).T
+    return np.array(coarse_counts), row_pieces, col_pieces
 
 
 class AGridReference(AGrid):

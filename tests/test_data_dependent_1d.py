@@ -127,16 +127,16 @@ class TestMWEM:
 class TestAHP:
     def test_clustering_groups_equal_values(self):
         values = np.array([0.0, 0.0, 5.0, 5.0, 9.0])
-        clusters = greedy_value_clustering(values, tolerance=0.0)
-        assert [len(c) for c in clusters] == [2, 2, 1]
+        edges = greedy_value_clustering(values, tolerance=0.0)
+        assert np.diff(edges).tolist() == [2, 2, 1]
 
     def test_clustering_tolerance_merges(self):
         values = np.array([1.0, 1.4, 1.8, 5.0])
-        clusters = greedy_value_clustering(values, tolerance=1.0)
-        assert len(clusters) == 2
+        edges = greedy_value_clustering(values, tolerance=1.0)
+        assert edges.size - 1 == 2
 
     def test_clustering_empty(self):
-        assert greedy_value_clustering(np.array([]), 1.0) == []
+        assert greedy_value_clustering(np.array([]), 1.0).tolist() == [0]
 
     def test_invalid_rho_rejected(self, piecewise_uniform):
         x, workload = piecewise_uniform

@@ -1,10 +1,12 @@
 """Property-based (hypothesis) tests for the core data structures and invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from reference.ahp_clustering import reference_edges
 from reference.dawa_partition import l1_partition_reference
 from repro import (
     Dataset,
@@ -113,7 +115,8 @@ def test_tree_least_squares_always_consistent(x, noise, seed):
                          elements=st.floats(0, 100, allow_nan=False)),
        tolerance=st.floats(0, 20))
 def test_greedy_clustering_partitions_all_indices(values, tolerance):
-    clusters = greedy_value_clustering(np.sort(values), tolerance)
+    edges = greedy_value_clustering(np.sort(values), tolerance)
+    clusters = [np.arange(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     indices = np.concatenate(clusters) if clusters else np.array([])
     assert sorted(indices.tolist()) == list(range(values.size))
     # Within a cluster, the spread never exceeds the tolerance.
@@ -121,6 +124,68 @@ def test_greedy_clustering_partitions_all_indices(values, tolerance):
     for cluster in clusters:
         spread = sorted_values[cluster].max() - sorted_values[cluster].min()
         assert spread <= tolerance + 1e-9
+
+
+# -- greedy clustering against the historical loop ---------------------------------------
+
+@st.composite
+def _near_the_threshold(draw):
+    """A cluster start ``b`` followed by the floats within a few ulps of
+    ``b + tol``, where the rounded ``b + tol`` and the exact predicate
+    ``v - b <= tol`` can disagree."""
+    # Whole-mantissa draws, so that ``b + tol`` is usually inexact.
+    magnitude = draw(st.sampled_from([1.0, 100.0, 1e12]))
+    b = magnitude * draw(st.integers(-2 ** 50, 2 ** 53)) / 2 ** 53
+    tol = (abs(b) * draw(st.integers(0, 2 ** 53)) / 2 ** 53
+           * draw(st.sampled_from([0.25, 1.0, 4.0])))
+    around = np.nextafter(b + tol, np.inf) + np.spacing(b + tol) * np.arange(-4, 4)
+    picks = draw(st.lists(st.sampled_from(around.tolist()), max_size=12))
+    return np.sort(np.array([b, *picks])), tol
+
+
+_ties = st.tuples(hnp.arrays(np.float64, st.integers(0, 40),
+                             elements=st.sampled_from([0.0, -0.0, 1.0, 2.5, 7.0])),
+                  st.just(0.0))
+_huge = st.tuples(hnp.arrays(np.float64, st.integers(0, 40),
+                             elements=st.floats(1e12, 1e12 + 64, allow_nan=False)),
+                  st.floats(0, 8, allow_nan=False))
+_subnormal_tol = st.tuples(
+    hnp.arrays(np.float64, st.integers(0, 40),
+               elements=st.sampled_from([0.0, 5e-324, 1e-323, 2.2e-308, 1.0])),
+    st.sampled_from([5e-324, 1.5e-323, 1e-310]))
+_short = st.tuples(hnp.arrays(np.float64, st.integers(0, 1),
+                              elements=st.floats(-1e12, 1e12, allow_nan=False)),
+                   st.floats(0, 1e12, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(_near_the_threshold(), _ties, _huge, _subnormal_tol, _short))
+@example(case=(np.array([0.1, 0.1 + 0.2]), 0.2))
+@example(case=(np.array([0.1, 0.4000000000000001]), 0.30000000000000004))
+@example(case=(np.array([]), 1.0))
+@example(case=(np.array([3.0]), 0.0))
+def test_greedy_clustering_matches_the_reference_loop(case):
+    values, tolerance = case
+    values = np.sort(values)
+    edges = greedy_value_clustering(values, tolerance)
+    assert edges.dtype == np.intp
+    assert edges.tolist() == reference_edges(values, tolerance).tolist()
+
+
+@pytest.mark.parametrize("start, tolerance, value, guess_joins", [
+    (0.1, 0.2, 0.1 + 0.2, True),
+    (0.1, 0.30000000000000004, 0.4000000000000001, False),
+])
+def test_greedy_clustering_where_rounding_and_predicate_disagree(
+        start, tolerance, value, guess_joins):
+    """``searchsorted`` on the rounded ``start + tolerance`` puts ``value``
+    on one side of the cluster edge and the loop's predicate on the other;
+    the result follows the predicate."""
+    assert (value <= start + tolerance) == guess_joins
+    assert (value - start <= tolerance) != guess_joins
+    edges = greedy_value_clustering(np.array([start, value]), tolerance)
+    assert edges.tolist() == reference_edges(np.array([start, value]), tolerance).tolist()
+    assert edges.tolist() == ([0, 2] if not guess_joins else [0, 1, 2])
 
 
 @SETTINGS

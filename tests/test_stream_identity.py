@@ -1,5 +1,6 @@
 """Stream identity of SF's incremental boundary search and AGrid's batched
-noise against their historical loops (``tests/reference/``).
+noise and speculative block walk against their historical loops
+(``tests/reference/``).
 
 Both rewrites promise more than equal-in-distribution output: for the same
 generator they must return a bitwise-equal release *and* leave the generator
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import repro.algorithms.grids as grids
-from reference.agrid import AGridReference
+from reference.agrid import AGridReference, walk_reference
 from reference.sf_boundaries import StructureFirstReference, select_boundaries_reference
 from repro import AGrid, StructureFirst, UGrid
 from repro.algorithms.mechanisms import PrivacyBudget
@@ -124,6 +125,72 @@ def test_agrid_matches_reference_on_random_inputs(seed):
                       g.dirichlet(np.full(shape[0] * shape[1], 0.4))).astype(float)
     _assert_stream_identical(AGrid(), AGridReference(), x.reshape(shape) * 0.37,
                              float(10 ** g.uniform(-2, 2)), seed=seed)
+
+
+def _at_scale(shape, scale: float) -> np.ndarray:
+    g = _generator(int(np.prod(shape)))
+    size = int(np.prod(shape))
+    return g.multinomial(int(scale), g.dirichlet(np.full(size, 0.3))).astype(float).reshape(shape)
+
+
+def _spy_on_walk(monkeypatch) -> dict:
+    """Record, over every walk, the blocks evaluated beyond those accepted
+    (work discarded after a miss inside a window), the largest window and
+    each walk's fine-cell counts."""
+    seen = {"discarded": 0, "largest_window": 0, "cells": []}
+    sizes: list[int] = []
+    fine_pieces, walk = grids._fine_pieces, grids._walk_blocks
+
+    def count_pieces(counts, *args):
+        sizes.append(counts.size)
+        return fine_pieces(counts, *args)
+
+    def count_walk(block_sums, *args):
+        first = len(sizes)
+        counts, rows, cols = walk(block_sums, *args)
+        windows = sizes[first + 1:]      # the first call is the guess
+        seen["discarded"] += sum(windows) - block_sums.size
+        seen["largest_window"] = max(seen["largest_window"], *windows)
+        seen["cells"].append(rows * cols)
+        return counts, rows, cols
+
+    monkeypatch.setattr(grids, "_fine_pieces", count_pieces)
+    monkeypatch.setattr(grids, "_walk_blocks", count_walk)
+    return seen
+
+
+@pytest.mark.parametrize("shape, scale, epsilon", [
+    ((256, 256), 1e6, 1.0), ((97, 89), 1e5, 1.0), ((1, 257), 1e4, 0.01)])
+def test_agrid_matches_reference_where_fine_sizes_flip(shape, scale, epsilon, monkeypatch):
+    """Skewed counts whose fine sizes change from block to block with the
+    noise, so the walk's guesses miss and it restarts inside a window."""
+    seen = _spy_on_walk(monkeypatch)
+    _assert_stream_identical(AGrid(), AGridReference(), _at_scale(shape, scale), epsilon)
+    assert np.unique(seen["cells"][0]).size > 1
+    assert seen["discarded"] > 0, "no window missed"
+
+
+def test_walk_matches_the_reference_loop_over_many_seeds(monkeypatch):
+    """The speculative walk against the per-block loop on random blocks,
+    counts and budgets: same counts and fine grids, bit for bit.  Both the
+    restart after a miss and the doubling after a clean window must occur."""
+    seen = _spy_on_walk(monkeypatch)
+    for seed in range(200):
+        g = _generator(seed)
+        n = int(g.integers(1, 600))
+        height, width = g.integers(1, 7, n), g.integers(1, 7, n)
+        block_sums = g.gamma(0.4, 10 ** g.uniform(0, 3), n) * g.choice([1.0, 0.37])
+        # The walk is exact for any buffer: values spread around zero flip
+        # the fine sizes as the coarse noise does.
+        spread = 10 ** g.uniform(-1, 2)
+        ahead = g.uniform(-spread, spread, n + int((height * width).sum()))
+        args = (block_sums, height, width, ahead, float(10 ** g.uniform(-2, 1)), 5.0)
+        got = grids._walk_blocks(*args)
+        want = walk_reference(*args)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert seen["discarded"] > 0, "no window missed"
+    assert seen["largest_window"] > grids._FIRST_WINDOW, "no window doubled"
 
 
 # -- UGrid ------------------------------------------------------------------------------
