@@ -6,7 +6,7 @@ query-answering algorithms.  This package provides:
 * :mod:`repro.algorithms` — the differential-privacy primitives and the 17+
   published algorithms evaluated in the paper (Identity, Uniform, Privelet,
   H, Hb, GreedyH, MWEM, MWEM*, AHP, AHP*, DPCube, DAWA, PHP, EFPA, SF,
-  QuadTree, HybridTree, UGrid, AGrid);
+  QuadTree, UGrid, AGrid);
 * :mod:`repro.data` — the dataset substrate (synthetic stand-ins for the 27
   benchmark datasets) and a small relational layer;
 * :mod:`repro.workload` — range-query workloads (Prefix, random ranges, ...)
@@ -81,7 +81,6 @@ from .algorithms import (
     GreedyW,
     HierarchicalH,
     HierarchicalHb,
-    HybridTree,
     Identity,
     MWEM,
     MWEMStar,
@@ -130,8 +129,8 @@ __all__ = [
     "BudgetExceededError",
     "Identity", "Uniform", "Privelet", "HierarchicalH", "HierarchicalHb",
     "GreedyH", "GreedyW", "MWEM", "MWEMStar", "AHP", "AHPStar", "DPCube",
-    "DAWA", "PHP", "EFPA", "StructureFirst", "QuadTree", "HybridTree",
-    "UGrid", "AGrid",
+    "DAWA", "PHP", "EFPA", "StructureFirst", "QuadTree", "UGrid",
+    "AGrid",
     # data
     "Dataset", "Attribute", "Relation", "histogram", "synthesize_relation",
     "load_dataset", "all_datasets", "dataset_names", "dataset_overview",

@@ -3,7 +3,7 @@
 The module exposes the DP primitives (Laplace noise, the exponential
 mechanism, the privacy-budget accountant), the shared substrates
 (hierarchies, wavelets, Hilbert curves) and all algorithms from Table 1 of
-the paper plus the HybridTree extra.  Their least-squares solves live in
+the paper plus the GreedyW extra.  Their least-squares solves live in
 :mod:`repro.core.gls`.
 """
 
@@ -28,7 +28,7 @@ from .dpcube import DPCube
 from .php import PHP
 from .efpa import EFPA
 from .sf import StructureFirst
-from .quadtree import HybridTree, QuadTree
+from .quadtree import QuadTree
 from .grids import AGrid, UGrid
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "EFPA",
     "StructureFirst",
     "QuadTree",
-    "HybridTree",
     "UGrid",
     "AGrid",
 ]

@@ -12,8 +12,10 @@ count.  The two measurements of each coarse cell (its own noisy count and the
 sum of its fine cells) are reconciled by inverse-variance weighting.
 
 Both algorithms become the identity release as epsilon grows (the grids shrink
-to individual cells), so both are consistent; both use the true scale as side
-information, exactly as flagged in Table 1.
+to individual cells), so both are consistent; both read the dataset scale as
+side information, exactly as flagged in Table 1: ``budget.scale(x)``, the true
+total unless Rside (:class:`~repro.core.repair.SideInformationRepair`) has
+swapped in a private estimate.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ class UGrid(PlanAlgorithm):
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:
         c = float(self.params["c"])
-        scale = float(x.sum())          # side information: true scale
+        scale = budget.scale(x)         # side information: the dataset scale
         grid_size = int(np.ceil(np.sqrt(max(scale * budget.total / c, 1.0))))
         rows, cols = x.shape
         row_edges = _grid_edges(rows, grid_size)
@@ -226,7 +228,7 @@ class AGrid(Algorithm):
         eps_coarse = budget.spend(budget.total * rho, "coarse-grid")
         eps_fine = budget.spend_all("fine-grid")
 
-        scale = float(x.sum())          # side information: true scale
+        scale = budget.scale(x)         # side information: the dataset scale
         rows, cols = x.shape
         # Qardaji's grid-size heuristic m ~= sqrt(N * eps / c): epsilon enters
         # as signal strength, not as a budget split (the split is the two

@@ -24,6 +24,10 @@ __all__ = [
     "BudgetExceededError",
 ]
 
+#: Rside's share of the budget for the scale estimate: ``rho_total = 0.05``
+#: performs reasonably in the paper (Section 6.4).
+SCALE_ESTIMATE_FRACTION = 0.05
+
 
 def as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     """Coerce ``rng`` into a :class:`numpy.random.Generator`.
@@ -107,6 +111,11 @@ class PrivacyBudget:
     epsilon across their subroutines.  This class tracks the remaining budget
     and raises :class:`BudgetExceededError` on over-spending, which is how the
     test-suite asserts the end-to-end privacy principle (Principle 5).
+
+    It is also the one place an algorithm reads the dataset scale from:
+    :meth:`scale` is the true total, the side information an algorithm
+    declares with ``side_information=("scale",)``, unless the budget came
+    from :meth:`with_noisy_scale` (Rside), which carries a private estimate.
     """
 
     def __init__(self, epsilon: float):
@@ -115,6 +124,7 @@ class PrivacyBudget:
         self._total = float(epsilon)
         self._spent = 0.0
         self._log: list[tuple[str, float]] = []
+        self._noisy_scale: float | None = None
 
     @property
     def total(self) -> float:
@@ -161,6 +171,28 @@ class PrivacyBudget:
         if remaining <= 0:
             raise BudgetExceededError("no budget remaining")
         return self.spend(remaining, label)
+
+    def scale(self, x: np.ndarray) -> float:
+        """The dataset scale: the estimate this budget carries, else ``x.sum()``."""
+        if self._noisy_scale is not None:
+            return self._noisy_scale
+        return float(x.sum())
+
+    def with_noisy_scale(self, x: np.ndarray, fraction: float,
+                         rng: np.random.Generator) -> PrivacyBudget:
+        """Rside (Section 5.2): estimate the scale privately, then hand on the rest.
+
+        Charges ``fraction`` of the total as ``scale-estimate``, draws one
+        Laplace variate for the estimate ``max(x.sum() + noise, 1)``, and
+        charges the remainder as ``inner-algorithm``.  Returns a budget over
+        that remainder whose :meth:`scale` is the estimate.
+        """
+        eps_scale = self.spend_fraction(fraction, "scale-estimate")
+        # float(x.sum()) is declassified by the immediately-added draw.
+        estimate = max(float(x.sum()) + float(laplace_noise(1.0 / eps_scale, (), rng)), 1.0)
+        inner = PrivacyBudget(self.spend_all("inner-algorithm"))
+        inner._noisy_scale = estimate
+        return inner
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PrivacyBudget(total={self._total}, spent={self._spent})"

@@ -10,7 +10,9 @@ of the iterates.
 ``T`` is a free parameter with a large effect on error; the starred variant
 MWEM* (Section 6.4 of the paper) sets ``T`` from a data-independent rule
 learned on synthetic shapes as a function of the epsilon-times-scale product,
-and replaces the true-scale side information with a noisy estimate.
+and replaces the true-scale side information with a noisy estimate.  Both
+read the scale as ``budget.scale(x)``: MWEM's is the true total, MWEM*'s is
+the estimate of Rside (:meth:`PrivacyBudget.with_noisy_scale`).
 """
 
 from __future__ import annotations
@@ -23,9 +25,17 @@ from ..workload.builders import default_workload
 from ..workload.linops import QueryMatrix
 from ..workload.rangequery import Workload
 from .base import AlgorithmProperties, PlanAlgorithm
-from .mechanisms import PrivacyBudget, exponential_mechanism, laplace_noise
+from .mechanisms import (
+    SCALE_ESTIMATE_FRACTION,
+    PrivacyBudget,
+    exponential_mechanism,
+    laplace_noise,
+)
 
 __all__ = ["MWEM", "MWEMStar", "default_mwem_rounds"]
+
+#: The largest exponent ``np.exp`` maps to a finite float.
+_MAX_EXPONENT = float(np.log(np.finfo(float).max))
 
 
 def default_mwem_rounds(epsilon_scale_product: float) -> int:
@@ -85,10 +95,13 @@ def _mwem_rounds(
         measured_log.append(measured)
         lo = tuple(int(v) for v in operator.los[chosen])
         hi = tuple(int(v) for v in operator.his[chosen])
-        factor = float(np.exp((measured - norm * answers[chosen]) / (2.0 * scale)))
+        exponent = (measured - norm * answers[chosen]) / (2.0 * scale)
+        # np.exp overflows past _MAX_EXPONENT; a NaN factor (as from a NaN
+        # exponent) skips the round's update below, without a warning.
+        factor = float(np.exp(exponent)) if exponent <= _MAX_EXPONENT else np.nan
         overlaps = operator.overlap_sums(estimate, lo, hi)
         new_sum = stored_sum + (factor - 1.0) * overlaps[chosen]
-        if np.isfinite(factor) and new_sum > 0:
+        if new_sum > 0:
             region = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
             # Fold the soon-to-be-lost scale of the range into `pending`
             # before mutating, preserving pending + norm_sum * estimate.
@@ -136,16 +149,12 @@ class MWEM(PlanAlgorithm):
     def _resolve_rounds(self, epsilon: float, scale: float) -> int:
         return int(self.params["rounds"])
 
-    def _resolve_scale(self, x: np.ndarray, budget: PrivacyBudget,
-                       rng: np.random.Generator) -> float:
-        # The original MWEM assumes the scale is public side information.
-        return float(x.sum())
-
     def select(self, x: np.ndarray, workload: Workload | None,
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:
         if workload is None or workload.domain_shape != x.shape:
             workload = default_workload(x.shape, rng=rng)
-        scale = max(self._resolve_scale(x, budget, rng), 1.0)
+        # The original MWEM assumes the scale is public side information.
+        scale = max(budget.scale(x), 1.0)
         rounds = max(1, self._resolve_rounds(budget.total, scale))
         epsilon_mwem = budget.spend_all("mwem")
 
@@ -221,8 +230,12 @@ class MWEMStar(MWEM):
 
     The number of rounds is set by the data-independent learned rule
     :func:`default_mwem_rounds` (optionally overridden by the tuning
-    machinery), and the scale side information is replaced by a noisy estimate
-    paid for with a ``scale_budget_fraction`` share of the privacy budget.
+    machinery), and the scale side information is replaced by a noisy
+    estimate: Rside (:meth:`PrivacyBudget.with_noisy_scale`) at
+    :data:`~repro.algorithms.mechanisms.SCALE_ESTIMATE_FRACTION` of the
+    budget, as :class:`~repro.core.repair.SideInformationRepair` does by
+    default.  The rounds rule reads the epsilon MWEM itself spends, the rest
+    of the budget.
     """
 
     properties = AlgorithmProperties(
@@ -230,7 +243,7 @@ class MWEMStar(MWEM):
         supported_dims=(1, 2),
         data_dependent=True,
         workload_aware=True,
-        parameters={"rounds": None, "scale_budget_fraction": 0.05},
+        parameters={"rounds": None},
         consistent=False,
         reference="DPBench repaired variant of MWEM",
     )
@@ -244,8 +257,11 @@ class MWEMStar(MWEM):
         # select() via PrivacyBudget.
         return default_mwem_rounds(epsilon * scale)  # privlint: disable=PL004
 
-    def _resolve_scale(self, x: np.ndarray, budget: PrivacyBudget,
-                       rng: np.random.Generator) -> float:
-        fraction = float(self.params["scale_budget_fraction"])
-        eps_scale = budget.spend_fraction(fraction, "scale-estimate")
-        return float(x.sum()) + float(laplace_noise(1.0 / eps_scale, (), rng))
+    def select(self, x: np.ndarray, workload: Workload | None,
+               budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:
+        # The default workload is drawn before the scale estimate, as MWEM
+        # draws it before reading the scale.
+        if workload is None or workload.domain_shape != x.shape:
+            workload = default_workload(x.shape, rng=rng)
+        return super().select(
+            x, workload, budget.with_noisy_scale(x, SCALE_ESTIMATE_FRACTION, rng), rng)

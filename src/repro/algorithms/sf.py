@@ -65,10 +65,10 @@ class StructureFirst(PlanAlgorithm):
         n_buckets = int(min(n_buckets, n))
         count_bound = self.params["count_bound"]
         if count_bound is None:
-            # Side information: an upper bound on any bucket total.  The true
-            # scale of the dataset is the natural choice (the original paper
-            # assumes the scale is public).
-            count_bound = max(float(x.sum()), 1.0)
+            # Side information: an upper bound on any bucket total.  The
+            # dataset scale is the natural choice (the original paper assumes
+            # it is public; Rside's budget carries a noisy estimate).
+            count_bound = max(budget.scale(x), 1.0)
 
         eps_structure = budget.spend(budget.total * rho, "structure") \
             if n_buckets > 1 else 0.0

@@ -39,14 +39,12 @@ ALGORITHM_REGISTRY: dict[str, type[Algorithm]] = {
     "EFPA": algs.EFPA,
     "SF": algs.StructureFirst,
     "QuadTree": algs.QuadTree,
-    "HybridTree": algs.HybridTree,
     "UGrid": algs.UGrid,
     "AGrid": algs.AGrid,
 }
 
-#: What this repository adds beyond the paper's 18 Table 1 rows, mapped to
-#: whether the benchmark grids run it by default.
-EXTRAS = {"GreedyW": True, "HybridTree": False}
+#: What this repository adds beyond the paper's 18 Table 1 rows.
+EXTRAS = {"GreedyW"}
 
 #: The two baselines used by the error-interpretation standard EI.
 BASELINES = ("Identity", "Uniform")
@@ -66,25 +64,14 @@ def make_algorithm(name: str, **params) -> Algorithm:
     return ALGORITHM_REGISTRY[name](**params)
 
 
-def algorithm_names(ndim: int | None = None, include_extras: bool = False) -> list[str]:
-    """Names of registered algorithms, optionally filtered by dimensionality.
-
-    An extra the grids do not run by default (see :data:`EXTRAS`) is only
-    included when ``include_extras`` is set.
-    """
-    names = []
-    for name, cls in ALGORITHM_REGISTRY.items():
-        if not (include_extras or EXTRAS.get(name, True)):
-            continue
-        if ndim is not None and ndim not in cls.properties.supported_dims:
-            continue
-        names.append(name)
-    return names
+def algorithm_names(ndim: int | None = None) -> list[str]:
+    """Names of registered algorithms, optionally filtered by dimensionality."""
+    return [name for name, cls in ALGORITHM_REGISTRY.items()
+            if ndim is None or ndim in cls.properties.supported_dims]
 
 
 def table1_rows(include_extras: bool = True) -> list[dict]:
     """Regenerate the rows of Table 1 from algorithm metadata: the paper's 18,
     plus this repository's :data:`EXTRAS` when ``include_extras`` is set."""
-    return [ALGORITHM_REGISTRY[name].properties.as_row()
-            for name in algorithm_names(None, include_extras)
+    return [cls.properties.as_row() for name, cls in ALGORITHM_REGISTRY.items()
             if include_extras or name not in EXTRAS]

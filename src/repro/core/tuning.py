@@ -135,11 +135,12 @@ class TunedAlgorithm(Algorithm):
     """Rparam's output as an algorithm: the tuned base algorithm.
 
     Each run looks up ``tuning.parameters_for(epsilon, scale)``
-    and runs the base algorithm with those parameters on the whole budget.
+    and runs the base algorithm with those parameters on the run's budget.
     This is how the paper's starred variants (MWEM*, AHP*) get
-    setting-appropriate parameters.  The lookup reads the true scale
-    ``x.sum()``, so the scale is declared side information, as it is for
-    UGrid.
+    setting-appropriate parameters.  The lookup reads ``budget.scale(x)``,
+    so the scale is declared side information, as it is for UGrid; under
+    :class:`~repro.core.repair.SideInformationRepair` the lookup and the base
+    algorithm both read the private estimate.
     """
 
     def __init__(self, tuning: TuningResult):
@@ -151,7 +152,6 @@ class TunedAlgorithm(Algorithm):
 
     def _run(self, x: np.ndarray, budget: PrivacyBudget,
              workload: Workload | None, rng: np.random.Generator) -> np.ndarray:
-        params = self._tuning.parameters_for(budget.total, float(x.sum()))
-        inner = make_algorithm(self._tuning.algorithm, **params)
-        return inner.run(x, budget.spend_all("inner-algorithm"),
-                         workload=workload, rng=rng)
+        params = self._tuning.parameters_for(budget.total, budget.scale(x))
+        return make_algorithm(self._tuning.algorithm, **params)._run(
+            x, budget, workload, rng)

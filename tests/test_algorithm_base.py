@@ -7,9 +7,9 @@ from repro import ALGORITHM_REGISTRY, algorithm_names, make_algorithm
 from repro.algorithms.base import validate_input
 from repro.workload import prefix_workload, random_range_workload
 
-ALL_NAMES = algorithm_names(None, include_extras=True)
-NAMES_1D = algorithm_names(1, include_extras=True)
-NAMES_2D = algorithm_names(2, include_extras=True)
+ALL_NAMES = algorithm_names(None)
+NAMES_1D = algorithm_names(1)
+NAMES_2D = algorithm_names(2)
 
 
 @pytest.fixture(scope="module")

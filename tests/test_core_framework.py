@@ -29,6 +29,7 @@ from repro import (
     TunedAlgorithm,
     table1_rows,
 )
+from repro.algorithms.mechanisms import PrivacyBudget, as_rng
 from repro.core.error import workload_loss
 from repro.workload import prefix_workload
 
@@ -39,7 +40,7 @@ from repro.workload import prefix_workload
 class TestDataGenerator:
     @pytest.fixture
     def source(self):
-        rng = np.random.default_rng(0)
+        rng = as_rng(0)
         return Dataset("src", rng.integers(0, 50, size=256).astype(float))
 
     def test_exact_scale(self, source):
@@ -112,7 +113,7 @@ class TestErrorMeasures:
             summarize_errors(np.array([]))
 
     def test_bias_variance_sums_to_mse(self):
-        rng = np.random.default_rng(0)
+        rng = as_rng(0)
         truth = np.array([10.0, 20.0, 30.0])
         trials = truth + 2.0 + rng.normal(0, 1, size=(500, 3))   # bias of 2
         decomposition = bias_variance_decomposition(trials, truth)
@@ -122,7 +123,7 @@ class TestErrorMeasures:
             decomposition["bias_squared"] + decomposition["variance"])
 
     def test_bias_variance_unbiased_estimator(self):
-        rng = np.random.default_rng(1)
+        rng = as_rng(1)
         truth = np.zeros(4)
         trials = rng.normal(0, 1, size=(400, 4))
         decomposition = bias_variance_decomposition(trials, truth)
@@ -178,13 +179,13 @@ class TestResultSet:
 class TestCompetitiveAnalysis:
     def test_clear_winner(self):
         samples = {
-            "good": np.full(20, 1.0) + np.random.default_rng(0).normal(0, 0.01, 20),
-            "bad": np.full(20, 5.0) + np.random.default_rng(1).normal(0, 0.01, 20),
+            "good": np.full(20, 1.0) + as_rng(0).normal(0, 0.01, 20),
+            "bad": np.full(20, 5.0) + as_rng(1).normal(0, 0.01, 20),
         }
         assert competitive_algorithms(samples) == ["good"]
 
     def test_statistical_tie_keeps_both(self):
-        rng = np.random.default_rng(2)
+        rng = as_rng(2)
         samples = {
             "a": 1.0 + rng.normal(0, 0.5, 30),
             "b": 1.0 + rng.normal(0, 0.5, 30),
@@ -272,10 +273,6 @@ class TestRegistry:
         assert "AGrid" in algorithm_names(2)
         assert "AGrid" not in algorithm_names(1)
 
-    def test_extras_excluded_by_default(self):
-        assert "HybridTree" not in algorithm_names(2)
-        assert "HybridTree" in algorithm_names(2, include_extras=True)
-
     def test_paper_algorithm_count(self):
         # Table 1's 18 evaluated entries (including the starred variants and
         # both baselines) plus this reproduction's GreedyW selection entry.
@@ -294,7 +291,7 @@ class TestRegistry:
 
     def test_table1_rows_cover_registry(self):
         rows = table1_rows(include_extras=True)
-        assert len(rows) == 20
+        assert len(rows) == 19
         by_name = {row["algorithm"]: row for row in rows}
         assert by_name["UGrid"]["side_information"] == ["scale"]
         assert by_name["PHP"]["consistent"] is False
@@ -311,7 +308,7 @@ class TestSideInformationRepair:
         assert repaired.properties.side_information == ()
 
     def test_runs_and_outputs_shape(self):
-        x = np.random.default_rng(0).integers(0, 20, size=64).astype(float)
+        x = as_rng(0).integers(0, 20, size=64).astype(float)
         repaired = SideInformationRepair(StructureFirst(), rho_total=0.05)
         estimate = repaired.run(x, 1.0, rng=0)
         assert estimate.shape == x.shape
@@ -320,19 +317,23 @@ class TestSideInformationRepair:
         with pytest.raises(ValueError):
             SideInformationRepair(Uniform(), rho_total=1.5)
 
-    @pytest.mark.parametrize("name", ["AGrid", "UGrid", "MWEM"])
-    def test_rejects_scale_readers_without_a_scale_parameter(self, name):
-        """These read ``x.sum()`` themselves: a noisy scale could not reach
-        them, so wrapping them would spend budget and repair nothing."""
-        inner = make_algorithm(name)
-        assert "scale" in inner.properties.side_information
-        with pytest.raises(ValueError, match="cannot be repaired"):
-            SideInformationRepair(inner)
+    def test_repaired_sf_is_sf_with_the_estimate_as_count_bound(self):
+        """The repair hands SF its noisy scale as the count bound it would
+        otherwise take from the data: bitwise SF run with that bound on the
+        remaining budget and the same generator."""
+        x = as_rng(3).poisson(40, 64).astype(float)
+        for seed in range(5):
+            rng = as_rng(seed)
+            inner = PrivacyBudget(0.5).with_noisy_scale(x, 0.05, rng)
+            expected = StructureFirst(count_bound=inner.scale(x)).run(
+                x, inner.total, rng=rng)
+            repaired = SideInformationRepair(StructureFirst()).run(x, 0.5, rng=seed)
+            assert repaired.tobytes() == expected.tobytes()
 
     def test_run_leaves_wrapped_algorithm_untouched(self):
-        """The noisy scale goes to a per-run copy of the wrapped algorithm,
-        never into the shared instance (regression: it was written into
-        ``inner.params`` and leaked into later unwrapped runs)."""
+        """The noisy scale travels in the run's budget, never into the
+        shared instance (regression: it was written into ``inner.params``
+        and leaked into later unwrapped runs)."""
         x = np.repeat([0.0, 50.0, 0.0, 200.0, 5.0, 0.0, 80.0, 0.0], 8)
         inner = StructureFirst()
         params = dict(inner.params)
@@ -345,7 +346,7 @@ class TestSideInformationRepair:
     def test_costs_budget_relative_to_original(self):
         # With most of the budget diverted to the scale estimate, the repaired
         # algorithm must be noisier than the original.
-        x = np.random.default_rng(1).integers(0, 50, size=128).astype(float)
+        x = as_rng(1).integers(0, 50, size=128).astype(float)
         from repro import prefix_workload
         workload = prefix_workload(128)
         truth = workload.evaluate(x)

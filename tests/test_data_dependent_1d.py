@@ -96,12 +96,23 @@ class TestMWEM:
         # MWEM* spends budget on a noisy scale; with a tiny budget the noisy
         # scale should differ from the true scale (checks the repair wiring).
         x, workload = sparse_small_scale
-        estimate = MWEMStar(scale_budget_fraction=0.5).run(x, 0.01, workload=workload, rng=3)
+        estimate = MWEMStar().run(x, 0.01, workload=workload, rng=3)
         assert estimate.sum() != pytest.approx(x.sum(), abs=1e-6)
 
     def test_star_rounds_override(self):
         algorithm = MWEMStar(rounds=7)
         assert algorithm._resolve_rounds(0.1, 1e6) == 7
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("algorithm", [MWEM, MWEMStar])
+    def test_overflowing_update_is_skipped_without_warning(self, algorithm, seed):
+        """Regression: on a one-cell zero histogram at a tiny epsilon, a
+        round's multiplicative factor ``np.exp(...)`` overflowed (with a
+        RuntimeWarning) before the non-finite factor was skipped; the
+        update is now skipped before the exponential."""
+        release = algorithm().run(np.zeros(1), 1e-6, rng=seed)
+        assert np.isfinite(release).all()
 
     @staticmethod
     def _overflowing_release():

@@ -274,7 +274,7 @@ class TestGoldenValues:
             golden["x1"], 0.1, workload=workload_1d, rng=42)
         assert estimate.tobytes() == golden[f"{name}_1d"].tobytes()
 
-    @pytest.mark.parametrize("name", ["Hb", "QuadTree", "DPCube", "HybridTree"])
+    @pytest.mark.parametrize("name", ["Hb", "QuadTree", "DPCube"])
     def test_2d_bitwise(self, golden, workload_2d, name):
         estimate = repro.make_algorithm(name).run(
             golden["x2"], 0.5, workload=workload_2d, rng=43)

@@ -2,9 +2,9 @@
 
 Covers the pipeline currency itself (MeasurementPlan, the shared noise stage,
 the reconstruction closed forms), the registry-wide privacy-budget accounting
-property, the registry-wide release-is-post-processing property, the
-registry-wide rejection of a non-finite epsilon, and the GreedyW
-workload-aware selection.
+property, the one read of the dataset scale, the registry-wide
+release-is-post-processing property, the registry-wide rejection of a
+non-finite epsilon, and the GreedyW workload-aware selection.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from repro import (
     BenchmarkGrid,
     ReleaseService,
     SideInformationRepair,
+    TunedAlgorithm,
     benchmark_1d,
 )
 from repro.algorithms.base import PlanAlgorithm, validate_input
@@ -23,6 +24,7 @@ from repro.algorithms.greedy_h import greedy_budget_allocation
 from repro.algorithms.mechanisms import BudgetExceededError, PrivacyBudget, as_rng
 from repro.algorithms.tree import HierarchicalTree
 from repro.core.plan import MeasurementPlan, measure_plan, reconstruct
+from repro.core.tuning import TuningResult
 from repro.workload import QueryMatrix, prefix_workload, random_range_workload
 from repro.workload.rangequery import RangeQuery, Workload
 from repro.workload.selection import (
@@ -36,11 +38,13 @@ PLAN_NAMES_1D = [n for n in PLAN_NAMES
                  if 1 in ALGORITHM_REGISTRY[n].properties.supported_dims]
 PLAN_NAMES_2D = [n for n in PLAN_NAMES
                  if 2 in ALGORITHM_REGISTRY[n].properties.supported_dims]
-#: Every registry entry in every dimension it supports, plus the scale repair
-#: wrapped around SF, the side-information algorithm it serves.
-BUDGET_CASES = [(name, ndim) for name, cls in sorted(ALGORITHM_REGISTRY.items())
-                for ndim in cls.properties.supported_dims] \
-    + [("SF+noisy-scale", 1)]
+#: Every registry entry in every dimension it supports.
+REGISTRY_CASES = [(name, ndim) for name, cls in sorted(ALGORITHM_REGISTRY.items())
+                  for ndim in cls.properties.supported_dims]
+#: The scale repair wrapped around every entry that reads the scale.
+REPAIRED_CASES = [(f"{name}+noisy-scale", ndim) for name, ndim in REGISTRY_CASES
+                  if "scale" in ALGORITHM_REGISTRY[name].properties.side_information]
+BUDGET_CASES = REGISTRY_CASES + REPAIRED_CASES
 
 
 def _make(name):
@@ -165,11 +169,27 @@ class TestRegistryBudgetAccounting:
     before any noise is drawn."""
 
     @pytest.mark.parametrize("name,ndim", BUDGET_CASES)
-    def test_run_spends_whole_budget(self, name, ndim, data_1d, data_2d):
+    def test_run_spends_whole_budget(self, name, ndim, data_1d, data_2d,
+                                     monkeypatch):
         x, workload = data_1d if ndim == 1 else data_2d
+        children = []
+        with_noisy_scale = PrivacyBudget.with_noisy_scale
+
+        def spy(budget, *args):
+            children.append(with_noisy_scale(budget, *args))
+            return children[-1]
+
+        monkeypatch.setattr(PrivacyBudget, "with_noisy_scale", spy)
         budget = PrivacyBudget(0.7)
         _make(name)._run(x.copy(), budget, workload, as_rng(11))
         assert budget.spent == pytest.approx(0.7, rel=1e-12)
+        # Rside hands the inner algorithm a child budget of exactly what it
+        # charged as "inner-algorithm", and the child is spent too.
+        assert len(children) == (name.endswith("+noisy-scale") or name == "MWEM*")
+        assert [child.total for child in children] == \
+            [epsilon for label, epsilon in budget.log if label == "inner-algorithm"]
+        for child in children:
+            assert child.spent == pytest.approx(child.total, rel=1e-12)
 
     @pytest.mark.parametrize("name,ndim", BUDGET_CASES)
     def test_exhausted_budget_raises_before_any_draw(self, name, ndim,
@@ -214,6 +234,58 @@ class TestRegistryBudgetAccounting:
             plan.epsilon_measure = plan.epsilon_measure * 1.5
         with pytest.raises(BudgetExceededError):
             measure_plan(x, plan, rng, budget=budget)
+
+
+class TestScaleSideInformation:
+    """The dataset scale reaches an algorithm only through
+    ``PrivacyBudget.scale``: the true total for exactly the entries that
+    declare it as side information, Rside's estimate under the repair."""
+
+    @pytest.fixture
+    def scale_reads(self, monkeypatch):
+        """Every value ``PrivacyBudget.scale`` returns, in call order."""
+        reads = []
+        true_scale = PrivacyBudget.scale
+
+        def spy(budget, x):
+            value = true_scale(budget, x)
+            reads.append(value)
+            return value
+
+        monkeypatch.setattr(PrivacyBudget, "scale", spy)
+        return reads
+
+    @pytest.mark.parametrize("name,ndim", REGISTRY_CASES)
+    def test_true_total_read_iff_declared(self, name, ndim, scale_reads,
+                                          data_1d, data_2d):
+        x, workload = data_1d if ndim == 1 else data_2d
+        repro.make_algorithm(name).run(x, 0.7, workload=workload, rng=11)
+        declared = ALGORITHM_REGISTRY[name].properties.side_information
+        assert (float(x.sum()) in scale_reads) == ("scale" in declared)
+        if name == "MWEM*":
+            assert scale_reads, "MWEM* reads its noisy scale estimate"
+
+    @pytest.mark.parametrize("name,ndim", REPAIRED_CASES)
+    def test_repaired_entry_reads_only_the_estimate(self, name, ndim, scale_reads,
+                                                    data_1d, data_2d):
+        """Rside repairs every entry that declares the scale: each read is
+        the noisy estimate, never the true total."""
+        x, workload = data_1d if ndim == 1 else data_2d
+        release = _make(name).run(x, 0.7, workload=workload, rng=11)
+        assert np.isfinite(release).all()
+        assert scale_reads and float(x.sum()) not in scale_reads
+
+    def test_repaired_tuned_algorithm_reads_only_the_estimate(self, scale_reads,
+                                                              data_1d):
+        """Both the parameter lookup and the tuned inner algorithm read
+        the estimate: the tuned wrapper runs its inner on the repaired budget."""
+        x, workload = data_1d
+        tuning = TuningResult(algorithm="MWEM", parameter_grid={"rounds": [2, 9]})
+        tuning.best_by_product = {10.0: {"rounds": 2}, 1e4: {"rounds": 9}}
+        SideInformationRepair(TunedAlgorithm(tuning)).run(
+            x, 0.7, workload=workload, rng=11)
+        assert len(scale_reads) == 2 and float(x.sum()) not in scale_reads
+        assert scale_reads[0] == scale_reads[1]
 
 
 @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, 0.0, -1.0])

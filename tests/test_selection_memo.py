@@ -17,8 +17,8 @@ from repro import algorithm_names, make_algorithm
 from repro.algorithms.base import PlanAlgorithm
 from repro.workload import prefix_workload, random_range_workload
 
-NAMES_1D = algorithm_names(1, include_extras=True)
-NAMES_2D = algorithm_names(2, include_extras=True)
+NAMES_1D = algorithm_names(1)
+NAMES_2D = algorithm_names(2)
 
 #: Algorithms whose selection goes through the memo, per dimensionality.
 MEMOISED_1D = {"H", "Hb", "GreedyH", "GreedyW"}

@@ -1,5 +1,5 @@
 """Behavioural tests for the 2-D spatial algorithms
-(QuadTree, HybridTree, UGrid, AGrid, DPCube in 2-D)."""
+(QuadTree, UGrid, AGrid, DPCube in 2-D)."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro import (
     AGrid,
     DPCube,
-    HybridTree,
     Identity,
     QuadTree,
     UGrid,
@@ -17,7 +16,7 @@ from repro import (
     scaled_average_per_query_error,
 )
 from repro.algorithms.grids import _grid_edges
-from repro.algorithms.mechanisms import PrivacyBudget
+from repro.algorithms.mechanisms import as_rng
 
 
 def _mean_error(algorithm, x, workload, epsilon, trials=5, seed=0):
@@ -31,7 +30,7 @@ def _mean_error(algorithm, x, workload, epsilon, trials=5, seed=0):
 
 @pytest.fixture(scope="module")
 def clustered_2d():
-    rng = np.random.default_rng(10)
+    rng = as_rng(10)
     shape = np.zeros((32, 32))
     shape[4:8, 4:8] = 5.0
     shape[20:26, 20:26] = 1.0
@@ -129,7 +128,7 @@ class TestQuadTree:
     def test_aggregated_leaves_introduce_bias(self):
         # Force a shallow tree: the leaves aggregate cells, so non-uniform data
         # keeps a bias at huge epsilon (Theorem 5).
-        rng = np.random.default_rng(1)
+        rng = as_rng(1)
         x = rng.pareto(1.0, size=(16, 16)) * 10
         estimate = QuadTree(max_height=2).run(x, 1e8, rng=0)
         assert not np.allclose(estimate, x, atol=1.0)
@@ -143,26 +142,9 @@ class TestQuadTree:
             _mean_error(Identity(), x, workload, 0.01) * 3.0
 
 
-class TestHybridTree:
-    def test_output_shape(self, clustered_2d):
-        x, _ = clustered_2d
-        estimate = HybridTree().run(x, 1.0, rng=0)
-        assert estimate.shape == x.shape
-
-    def test_kd_blocks_partition_domain(self):
-        x = np.random.default_rng(2).random((16, 16)) * 10
-        blocks = HybridTree._kd_blocks(x, 3, PrivacyBudget(10.0), 0.1,
-                                       np.random.default_rng(0))
-        covered = np.zeros((16, 16), dtype=int)
-        for block in blocks:
-            covered[block] += 1
-        assert np.all(covered == 1)
-        assert len(blocks) == 8
-
-
 class TestDPCube2D:
     def test_partition_covers_2d_domain(self):
-        noisy = np.random.default_rng(3).random((8, 8))
+        noisy = as_rng(3).random((8, 8))
         blocks = DPCube._kd_partition(noisy, 6)
         covered = np.zeros((8, 8), dtype=int)
         for block in blocks:
