@@ -815,11 +815,12 @@ def test_greedyw_2d_selection_quality(benchmark):
     GreedyW's native path scores 2-D candidate hierarchies (pruned quadtrees
     and kd-style marginal grids) against the true rectangle workload; it must
     achieve lower scaled workload error than both the Hilbert-span variant it
-    replaces (``native_2d=False`` — each rectangle blurred to the span of its
-    curve positions) and GreedyH (Hilbert-flattened binary hierarchy, as the
-    paper prescribes) at fixed epsilon.  Fixed-seed trials keep the gate
-    deterministic.
+    replaces (``tests/reference/greedyw_spans.py`` — each rectangle blurred to
+    the span of its curve positions) and GreedyH (Hilbert-flattened binary
+    hierarchy, as the paper prescribes) at fixed epsilon.  Fixed-seed trials
+    keep the gate deterministic.
     """
+    from reference.greedyw_spans import GreedyWSpans
     from repro import make_algorithm, scaled_average_per_query_error
     from repro.workload.builders import random_range_workload
 
@@ -835,8 +836,7 @@ def test_greedyw_2d_selection_quality(benchmark):
         epsilon = 0.1
         variants = {
             "GreedyW (native 2-D)": make_algorithm("GreedyW"),
-            "GreedyW (Hilbert spans)": make_algorithm("GreedyW",
-                                                      native_2d=False),
+            "GreedyW (Hilbert spans)": GreedyWSpans(),
             "GreedyH (Hilbert)": make_algorithm("GreedyH"),
             "Identity": make_algorithm("Identity"),
         }

@@ -28,7 +28,7 @@ the true rectangle workload through the per-level grid tables, and the winner
 is emitted as a tree-tagged 2-D plan solved by the exact two-pass GLS — no
 Hilbert flattening, no lossy query spans (the flattened span path remains as
 GreedyH/DAWA's prescription, and as GreedyW's fallback when no matching 2-D
-workload is supplied or ``native_2d`` is switched off for comparison).
+workload is supplied).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class GreedyW(PlanAlgorithm):
         data_dependent=False,
         hierarchical=True,
         workload_aware=True,
-        parameters={"branchings": (2, 4, 8, 16), "native_2d": True},
+        parameters={"branchings": (2, 4, 8, 16)},
         reference="This reproduction: greedy matrix-mechanism-style selection",
     )
 
@@ -65,10 +65,9 @@ class GreedyW(PlanAlgorithm):
                budget: PrivacyBudget, rng: np.random.Generator) -> MeasurementPlan:
         shape = x.shape
         branchings = tuple(int(b) for b in self.params["branchings"])
-        native_2d = bool(self.params["native_2d"])
         strategy, ordering = self._memo(
-            "selection", (shape, branchings, native_2d, workload_key(workload)),
-            lambda: self._selection(shape, branchings, native_2d, workload))
+            "selection", (shape, branchings, workload_key(workload)),
+            lambda: self._selection(shape, branchings, workload))
         # The dropped levels carry zero usage, so the cube-root allocation
         # leaves them unmeasured — the same rule GreedyH applies to levels
         # the workload never touches.
@@ -78,10 +77,10 @@ class GreedyW(PlanAlgorithm):
 
     @staticmethod
     def _selection(shape: tuple[int, ...], branchings: tuple[int, ...],
-                   native_2d: bool, workload: Workload | None):
+                   workload: Workload | None):
         """The greedy search and the flattening ordering it runs under
         (``None`` on the native 2-D path)."""
-        if len(shape) == 2 and native_2d and workload is not None \
+        if len(shape) == 2 and workload is not None \
                 and workload.ndim == 2 and workload.domain_shape == shape:
             # Native 2-D path: score the true rectangle workload on 2-D
             # candidate hierarchies and emit a tree-tagged 2-D plan.

@@ -196,28 +196,5 @@ class Workload:
             bucket_queries.domain_shape,
             name=f"{self.name}|buckets[{len(edges) - 1}]")
 
-    def restricted_to(self, domain_shape: tuple[int, ...]) -> "Workload":
-        """Restrict the workload to a smaller (coarsened) domain.
-
-        Queries that intersect the new domain are clipped to it; queries lying
-        *entirely outside* are dropped (previously they were clamped onto the
-        last cell, silently re-weighting the boundary in domain-size sweeps).
-        Raises ``ValueError`` if no query intersects the new domain, because a
-        workload cannot be empty, or if the new domain has another dimension.
-        """
-        domain_shape = tuple(int(d) for d in domain_shape)
-        if len(domain_shape) != self.ndim:
-            raise ValueError(f"cannot restrict a {self.ndim}-D workload to the "
-                             f"domain {domain_shape}")
-        limits = np.asarray(domain_shape, dtype=np.intp)
-        inside = np.all(self.operator.los < limits, axis=1)
-        if not inside.any():
-            raise ValueError(
-                f"no query of {self.name!r} intersects the domain {domain_shape}")
-        return Workload.from_bounds(
-            self.operator.los[inside],
-            np.minimum(self.operator.his[inside], limits - 1),
-            domain_shape, name=self.name)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Workload(name={self.name!r}, queries={len(self)}, domain={self.domain_shape})"

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from repro.workload import (
     QueryMatrix,
     Workload,
-    RangeQuery,
     all_range_workload,
     identity_workload,
     prefix_workload,
@@ -285,63 +284,6 @@ class TestWorkloadOperatorIntegration:
     def test_to_sparse_cached(self):
         workload = prefix_workload(16)
         assert workload.to_sparse() is workload.to_sparse()
-
-
-class TestRestrictedTo:
-    def test_clips_partial_and_drops_outside(self):
-        queries = [RangeQuery((0,), (3,)), RangeQuery((2,), (9,)), RangeQuery((6,), (9,))]
-        workload = Workload(queries, (10,), name="w")
-        restricted = workload.restricted_to((5,))
-        # [6, 9] lies entirely outside the 5-cell domain and is dropped;
-        # [2, 9] is clipped to [2, 4].
-        assert [(q.lo, q.hi) for q in restricted] == [((0,), (3,)), ((2,), (4,))]
-        assert restricted.domain_shape == (5,)
-
-    def test_drop_changes_query_count(self):
-        workload = Workload([RangeQuery((i,), (i,)) for i in range(8)], (8,))
-        assert len(workload.restricted_to((3,))) == 3
-
-    def test_2d_outside_any_axis_dropped(self):
-        queries = [RangeQuery((0, 0), (1, 1)), RangeQuery((0, 5), (1, 6)),
-                   RangeQuery((5, 0), (6, 1))]
-        restricted = Workload(queries, (8, 8)).restricted_to((4, 4))
-        assert len(restricted) == 1
-
-    def test_all_outside_raises(self):
-        workload = Workload([RangeQuery((6,), (7,))], (8,))
-        with pytest.raises(ValueError, match="no query"):
-            workload.restricted_to((4,))
-
-    @staticmethod
-    def _restricted_reference(workload, domain_shape):
-        """The historical per-query restriction loop."""
-        kept = []
-        for q in workload:
-            if any(lo >= d for lo, d in zip(q.lo, domain_shape)):
-                continue
-            hi = tuple(min(h, d - 1) for h, d in zip(q.hi, domain_shape))
-            kept.append(RangeQuery(q.lo, hi))
-        return Workload(kept, domain_shape, name=workload.name)
-
-    @pytest.mark.parametrize("shape, new_shape", [
-        ((64,), (40,)), ((64,), (64,)), ((64,), (1,)), ((37,), (80,)),
-        ((16, 16), (9, 5)), ((16, 16), (1, 16)), ((17, 1), (4, 1)), ((37, 53), (20, 31)),
-    ])
-    def test_matches_per_query_loop(self, shape, new_shape):
-        workload = random_range_workload(shape, n_queries=300, rng=11)
-        got = workload.restricted_to(new_shape)
-        want = self._restricted_reference(workload, new_shape)
-        assert np.array_equal(got.operator.los, want.operator.los)
-        assert np.array_equal(got.operator.his, want.operator.his)
-        assert got.name == want.name and got.domain_shape == want.domain_shape
-
-    def test_other_dimension_raises(self):
-        planar = random_range_workload((8, 8), n_queries=20, rng=0)
-        for shape in [(4, 4, 4), (4,)]:
-            with pytest.raises(ValueError):
-                planar.restricted_to(shape)
-        with pytest.raises(ValueError):
-            prefix_workload(8).restricted_to((4, 4))
 
 
 class TestPartitionMappings:

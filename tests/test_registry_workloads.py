@@ -23,7 +23,11 @@ Two suite-level contracts:
   MWEM* moved onto ``PrivacyBudget.with_noisy_scale``: its rounds rule now
   reads the epsilon MWEM spends (0.95 of the total), which gives 27 rounds
   instead of 28 at that setting; run with 28 rounds, it is the old capture
-  bitwise.
+  bitwise.  ``Privelet_2d`` and ``Privelet_2d_real`` were re-captured when
+  Privelet's 2-D path moved from dense Haar matrices and two LU solves to
+  the per-axis transform of :mod:`repro.algorithms.wavelet`: same
+  coefficients, same noise, an exact halving inverse; the releases moved by
+  at most 4.0e-13 and 9.1e-13 (on values up to ~1.3e3).
 """
 
 from pathlib import Path

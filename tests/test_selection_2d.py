@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro
+from reference.greedyw_spans import GreedyWSpans
 from reference.level_usage import canonical_decomposition, level_usage_reference
 from repro.algorithms.greedy_h import greedy_budget_allocation
 from repro.algorithms.hilbert import flatten_workload, hilbert_ordering_for
@@ -272,13 +273,6 @@ class TestGreedyWNative2D:
         estimate = algorithm.infer(mset, plan)
         assert estimate.shape == x.shape and np.isfinite(estimate).all()
 
-    def test_native_switch_off_restores_hilbert_path(self, data_2d):
-        x, workload = data_2d
-        plan, _ = repro.make_algorithm("GreedyW", native_2d=False) \
-            .plan_and_measure(x, 0.5, rng=1, workload=workload)
-        assert plan.tree.domain_shape == (256,)
-        assert plan.ordering is not None
-
     def test_missing_or_mismatched_workload_falls_back(self, data_2d):
         x, _ = data_2d
         algorithm = repro.make_algorithm("GreedyW")
@@ -311,5 +305,5 @@ class TestGreedyWNative2D:
             return float(np.mean(errors))
 
         native = mean_error(repro.make_algorithm("GreedyW"))
-        spans = mean_error(repro.make_algorithm("GreedyW", native_2d=False))
+        spans = mean_error(GreedyWSpans())
         assert native < spans

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import AlgorithmProperties, PlanAlgorithm
+from repro.algorithms.mechanisms import as_rng
 from repro.core.plan import MeasurementPlan
 from repro.core.registry import ALGORITHM_REGISTRY
 from repro.privlint.taint import (
@@ -259,3 +260,34 @@ class TestLeakDetection:
         result = lint_source(source, "src/repro/algorithms/leaky.py",
                              [RULES_BY_ID["PL002"]])
         assert any(f.rule == "PL002" for f in result.findings)
+
+
+class TestPriveletVisibility:
+    """Privelet's Haar transforms are built from numpy array functions only,
+    so the counts stay tainted through the coefficients up to the noise."""
+
+    SHAPES = ((64,), (13,), (8, 8), (3, 5))
+
+    @staticmethod
+    def _counts(shape):
+        return as_rng(4).poisson(10.0, shape).astype(float)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_unnoised_coefficients_keep_release_tainted(self, shape,
+                                                        monkeypatch):
+        from repro.algorithms import privelet
+
+        with sanitized_noise_stage(), monkeypatch.context() as patch:
+            patch.setattr(privelet, "laplace_noise",
+                          lambda scale, size, rng: np.zeros(size))
+            release = privelet.Privelet().run(taint(self._counts(shape)),
+                                              1.0, rng=0)
+        assert is_tainted(release)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_noised_release_is_clean(self, shape):
+        from repro.algorithms.privelet import Privelet
+
+        with sanitized_noise_stage():
+            release = Privelet().run(taint(self._counts(shape)), 1.0, rng=0)
+        assert not is_tainted(release)

@@ -1,14 +1,20 @@
-"""Unit tests for the Haar wavelet and Hilbert curve substrates."""
+"""Unit tests for the Haar wavelet and Hilbert curve substrates, and Privelet's
+per-axis transform against its historical dense-matrix path."""
+
+import math
 
 import numpy as np
 import pytest
 
 from reference.flatten_workload import position_table, rectangle_spans_reference
+from reference.privelet_dense import dense_coefficients, dense_privelet_2d
 from repro.algorithms.hilbert import (
     flatten_workload,
     hilbert_order,
     hilbert_ordering_for,
 )
+from repro.algorithms.mechanisms import PrivacyBudget, as_rng
+from repro.algorithms.privelet import Privelet
 from repro.algorithms.wavelet import (
     haar_forward,
     haar_inverse,
@@ -31,17 +37,30 @@ class TestHaar:
     def test_roundtrip_power_of_two(self):
         rng = np.random.default_rng(0)
         x = rng.random(64)
-        assert np.allclose(haar_inverse(haar_forward(x), 64), x)
+        assert np.allclose(haar_inverse(haar_forward(x)), x)
 
-    def test_roundtrip_non_power_of_two(self):
+    def test_roundtrip_2d(self):
         rng = np.random.default_rng(1)
-        x = rng.random(37)
-        assert np.allclose(haar_inverse(haar_forward(x), 37), x)
+        x = rng.random((8, 32))
+        assert np.allclose(haar_inverse(haar_forward(x)), x)
+
+    def test_layout(self):
+        # Total first, then the difference levels coarsest to finest, nodes
+        # left to right.
+        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+        assert haar_forward(x).tolist() == [36.0, -16.0, -4.0, -4.0,
+                                            -1.0, -1.0, -1.0, -1.0]
+
+    def test_2d_is_the_1d_transform_along_each_axis(self):
+        x = as_rng(2).integers(0, 50, (4, 8)).astype(float)
+        rows_done = np.array([haar_forward(row) for row in x])
+        both = np.array([haar_forward(col) for col in rows_done.T]).T
+        assert haar_forward(x).tobytes() == both.tobytes()
 
     def test_total_coefficient(self):
         x = np.arange(16, dtype=float)
         coefficients = haar_forward(x)
-        assert coefficients[0][0] == pytest.approx(x.sum())
+        assert coefficients[0] == pytest.approx(x.sum())
 
     def test_single_record_changes_one_coefficient_per_level(self):
         # The L1 sensitivity argument behind Privelet: a unit change in one
@@ -50,11 +69,21 @@ class TestHaar:
         x = np.zeros(n)
         y = x.copy()
         y[13] += 1.0
-        cx = np.concatenate(haar_forward(x))
-        cy = np.concatenate(haar_forward(y))
-        diff = np.abs(cy - cx)
+        diff = np.abs(haar_forward(y) - haar_forward(x))
         assert diff.sum() == pytest.approx(haar_sensitivity(n))
         assert np.count_nonzero(diff) == int(np.log2(n)) + 1
+
+    @pytest.mark.parametrize("shape", [(16,), (13,), (4, 4), (3, 5), (1, 7), (8, 2)])
+    def test_impulse_norm_is_the_product_of_axis_sensitivities(self, shape):
+        # Privelet's noise calibration: a unit impulse in any cell of the
+        # zero-padded domain has a transform of L1 norm prod(haar_sensitivity).
+        padding = [(0, next_power_of_two(n) - n) for n in shape]
+        expected = math.prod(haar_sensitivity(n) for n in shape)
+        for cell in np.ndindex(*shape):
+            impulse = np.zeros(shape)
+            impulse[cell] = 1.0
+            coefficients = haar_forward(np.pad(impulse, padding))
+            assert np.abs(coefficients).sum() == expected, cell
 
     def test_sensitivity_values(self):
         assert haar_sensitivity(1) == 1.0
@@ -62,13 +91,43 @@ class TestHaar:
         assert haar_sensitivity(1024) == 11.0
         assert haar_sensitivity(1000) == 11.0   # padded to 1024
 
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            haar_forward(np.zeros((4, 4)))
+    @pytest.mark.parametrize("shape", [(37,), (4, 6), (3, 4)])
+    def test_rejects_non_power_of_two_sides(self, shape):
+        with pytest.raises(ValueError, match="power-of-two"):
+            haar_forward(np.zeros(shape))
+        with pytest.raises(ValueError, match="power-of-two"):
+            haar_inverse(np.zeros(shape))
 
-    def test_inverse_rejects_empty(self):
-        with pytest.raises(ValueError):
-            haar_inverse([])
+
+DENSE_SHAPES = [(1, 1), (1, 7), (7, 1), (3, 5), (13, 11), (16, 16), (64, 64)]
+
+
+def _counts(shape, kind):
+    rng = as_rng(0)
+    if kind == "integer":
+        return rng.poisson(20.0, shape).astype(float)
+    return rng.gamma(0.5, 400.0, shape)
+
+
+class TestPriveletDenseReference:
+    """The per-axis transform against the historical dense Haar matrices."""
+
+    @pytest.mark.parametrize("shape", DENSE_SHAPES)
+    def test_integer_coefficients_bitwise(self, shape):
+        x = _counts(shape, "integer")
+        padded = np.pad(x, [(0, next_power_of_two(n) - n) for n in shape])
+        assert haar_forward(padded).tobytes() == dense_coefficients(padded).tobytes()
+
+    @pytest.mark.parametrize("kind", ["integer", "gamma"])
+    @pytest.mark.parametrize("shape", DENSE_SHAPES)
+    def test_release_matches_dense_solves(self, shape, kind):
+        x = _counts(shape, kind)
+        got = Privelet().run(x, 0.5, rng=7)
+        want = dense_privelet_2d(x, PrivacyBudget(0.5), as_rng(7))
+        # Same noise, different inverse (exact halving vs LU): the last bits
+        # move, so cells near zero are held to 1e-12 of the largest cell.
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 class TestHilbert:
